@@ -29,10 +29,10 @@
 //!
 //! A fourth subsystem benchmark, **serve**, measures the serving layer of
 //! `velv_serve`: a bug-catalog sweep is submitted twice to an in-process
-//! verification service — the cold sweep pays translation + solving through
-//! one shared batch session, the warm sweep returns every verdict from the
-//! fingerprint-keyed cache — and a concurrent re-sweep hammers the cache from
-//! several client threads.  Throughput (jobs/sec) and the cache-hit ratio are
+//! verification service as one batch — the cold sweep pays translation +
+//! solving, one single job per entry spread across the workers, the warm
+//! sweep returns every verdict from the fingerprint-keyed cache — and a
+//! concurrent re-sweep hammers the cache from several client threads.  Throughput (jobs/sec) and the cache-hit ratio are
 //! recorded separately in `BENCH_serve.json`.
 //!
 //! A fifth benchmark, **persist**, measures the durability layer: raw
@@ -725,7 +725,8 @@ fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_serve::ServiceStats, usize) 
     let catalog_jobs = catalog().len();
     let mut sweeps = Vec::new();
 
-    // Cold sweep: unique fingerprints, one shared batch session.
+    // Cold sweep: unique fingerprints, one batch whose entries each run as a
+    // single job.
     let start = Instant::now();
     let tickets = service.submit_batch(catalog()).expect("batch accepted");
     for ticket in &tickets {

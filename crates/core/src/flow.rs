@@ -428,35 +428,11 @@ impl Verifier {
     ) -> SharedTranslation {
         let mut ctx = problem.ctx.clone();
         let obligations = decompose(problem, &mut ctx, max_obligations);
-        let entries: Vec<(String, FormulaId, BTreeSet<Symbol>)> = obligations
-            .into_iter()
-            .map(|o| {
-                (
-                    format!("{}::{}", problem.name, o.name),
-                    o.formula,
-                    problem.memory_vars.clone(),
-                )
-            })
-            .collect();
-        self.shared_translation_over(ctx, problem.name.clone(), entries)
-    }
-
-    /// Shared translation core: runs every `(name, criterion, memory_vars)`
-    /// entry through the full pipeline inside `ctx` and emits the definitional
-    /// clauses into one persistent [`CnfBuilder`], so identical subformulas
-    /// across the entries are translated exactly once.  The resulting
-    /// obligations select each entry by assumption, in entry order.
-    fn shared_translation_over(
-        &self,
-        mut ctx: Context,
-        name: String,
-        entries: Vec<(String, FormulaId, BTreeSet<Symbol>)>,
-    ) -> SharedTranslation {
         let _span = velv_obs::span_fields(
             "translate",
             &[
-                ("formula", name.as_str().into()),
-                ("obligations", entries.len().into()),
+                ("formula", problem.name.as_str().into()),
+                ("obligations", obligations.len().into()),
             ],
         );
         velv_obs::global()
@@ -469,9 +445,9 @@ impl Verifier {
         let mut shared_obligations = Vec::new();
         let mut eij_map: BTreeMap<(Symbol, Symbol), Var> = BTreeMap::new();
         let mut stats = TranslationStats::default();
-        for (entry_name, criterion, memory_vars) in entries {
+        for obligation in obligations {
             let (encoded, obligation_stats) =
-                self.eliminate_and_encode(&mut ctx, criterion, &memory_vars);
+                self.eliminate_and_encode(&mut ctx, obligation.formula, &problem.memory_vars);
             stats.primary_bool_vars += obligation_stats.primary_bool_vars;
             stats.eij_vars += obligation_stats.eij_vars;
             stats.indexing_vars += obligation_stats.indexing_vars;
@@ -488,7 +464,7 @@ impl Verifier {
                 eij_map.entry(crate::encode::ordered(x, y)).or_insert(var);
             }
             shared_obligations.push(SharedObligation {
-                name: entry_name,
+                name: format!("{}::{}", problem.name, obligation.name),
                 assumptions: vec![side_lit, !encoded_lit],
                 encoded: encoded.formula,
                 side_constraints: encoded.side_constraints,
@@ -498,7 +474,7 @@ impl Verifier {
         stats.cnf_vars = translation.cnf.num_vars();
         stats.cnf_clauses = translation.cnf.num_clauses();
         SharedTranslation {
-            name,
+            name: problem.name.clone(),
             ctx,
             cnf: translation.cnf,
             obligations: shared_obligations,
@@ -510,57 +486,6 @@ impl Verifier {
             lazy_transitivity: self.is_lazy(),
             stats,
         }
-    }
-
-    /// Translates a whole *batch* of independently built problems — e.g. a
-    /// bug catalog sweep, where every entry is a different implementation of
-    /// the same design — into one shared definitional CNF over one context.
-    ///
-    /// Every problem's monolithic criterion is deep-copied into a fresh
-    /// shared context with [`velv_eufm::import_formula`]; hash-consing then
-    /// unifies the pipeline logic the entries have in common (the unmodified
-    /// stages of a buggy variant are structurally identical to the correct
-    /// design's), so shared subformulas are translated once and one
-    /// persistent [`IncrementalSolver`] can decide every entry by assumption
-    /// while carrying its learned clauses across the batch.  Obligation `i`
-    /// of the result corresponds to `problems[i]`.
-    ///
-    /// This is the batch-scheduling back end of `velv_serve`; single-design
-    /// decomposition should keep using
-    /// [`Verifier::translate_obligations_shared`].
-    pub fn translate_batch_shared(&self, problems: &[&VerificationProblem]) -> SharedTranslation {
-        let parent = velv_obs::current_span_id();
-        std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("velv-translate-batch".to_owned())
-                .stack_size(256 * 1024 * 1024)
-                .spawn_scoped(scope, || {
-                    let _span = velv_obs::span_child_of(
-                        "translate.batch",
-                        parent,
-                        &[("problems", problems.len().into())],
-                    );
-                    self.translate_batch_shared_impl(problems)
-                })
-                .expect("spawning the translation thread succeeds")
-                .join()
-                .expect("the translation thread does not panic")
-        })
-    }
-
-    fn translate_batch_shared_impl(&self, problems: &[&VerificationProblem]) -> SharedTranslation {
-        let mut ctx = Context::new();
-        let mut entries = Vec::with_capacity(problems.len());
-        for (index, problem) in problems.iter().enumerate() {
-            let criterion = velv_eufm::import_formula(&mut ctx, &problem.ctx, problem.criterion);
-            let memory_vars: BTreeSet<Symbol> = problem
-                .memory_vars
-                .iter()
-                .map(|&sym| ctx.symbol(problem.ctx.symbol_name(sym)))
-                .collect();
-            entries.push((format!("{}#{index}", problem.name), criterion, memory_vars));
-        }
-        self.shared_translation_over(ctx, format!("batch({})", problems.len()), entries)
     }
 
     /// Checks a translation with a SAT back end.
@@ -636,82 +561,47 @@ impl Verifier {
         // per-obligation budgets of `verify_decomposed`).
         let mut resolved = budget.started();
         resolved.max_time = None;
-        let budgets = vec![resolved; shared.obligations.len()];
-        let (results, stats) = self.check_shared_each(shared, solver, &budgets);
+        let mut results = Vec::new();
+        let mut stats = RefinementStats::default();
         let mut overall = Verdict::Correct;
-        for (_, verdict) in &results {
+        for obligation in &shared.obligations {
+            // Once the budget is spent (deadline passed, cancel token
+            // raised), the remaining obligations are answered without
+            // touching the solver at all.
+            let verdict = if let Some(reason) = resolved.exceeded() {
+                Verdict::undecided(&SatResult::Unknown(reason))
+            } else {
+                let mut driver = refine::IncrementalDriver {
+                    solver,
+                    assumptions: obligation.assumptions.clone(),
+                };
+                match refine::refinement_loop(
+                    &shared.eij_pairs,
+                    shared.lazy_transitivity,
+                    &resolved,
+                    &mut stats,
+                    &mut driver,
+                ) {
+                    SatResult::Unsat => Verdict::Correct,
+                    SatResult::Sat(model) => Verdict::Buggy(Counterexample::from_model(
+                        &shared.ctx,
+                        &shared.primary_vars,
+                        &model,
+                    )),
+                    other => Verdict::undecided(&other),
+                }
+            };
             if verdict.is_buggy() && !overall.is_buggy() {
                 overall = verdict.clone();
             }
-            if let Verdict::Unknown(reason) = verdict {
+            if let Verdict::Unknown(reason) = &verdict {
                 if overall.is_correct() {
                     overall = Verdict::Unknown(reason.clone());
                 }
             }
-        }
-        (overall, results, stats)
-    }
-
-    /// [`Verifier::check_shared_with`] with one [`Budget`] *per obligation*:
-    /// obligation `i` is checked under `budgets[i]` (its own deadline and
-    /// cancel token), so a scheduler multiplexing independent jobs onto one
-    /// shared incremental session — `velv_serve`'s batch path — can enforce
-    /// per-job limits and skip jobs whose clients have gone away without
-    /// abandoning the rest of the batch.  A cancelled or expired budget
-    /// yields `Unknown` for that obligation only.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `budgets.len()` differs from the number of obligations.
-    pub fn check_shared_each(
-        &self,
-        shared: &SharedTranslation,
-        solver: &mut IncrementalSolver,
-        budgets: &[Budget],
-    ) -> (Vec<(String, Verdict)>, RefinementStats) {
-        assert_eq!(
-            budgets.len(),
-            shared.obligations.len(),
-            "one budget per obligation"
-        );
-        let mut results = Vec::new();
-        let mut stats = RefinementStats::default();
-        for (obligation, budget) in shared.obligations.iter().zip(budgets) {
-            let mut resolved = budget.clone().started();
-            resolved.max_time = None;
-            // An obligation whose budget is already spent (typically: every
-            // client of a batch entry disconnected and its cancel token is
-            // raised) is skipped without touching the solver at all.
-            if let Some(reason) = resolved.exceeded() {
-                results.push((
-                    obligation.name.clone(),
-                    Verdict::undecided(&SatResult::Unknown(reason)),
-                ));
-                continue;
-            }
-            let mut driver = refine::IncrementalDriver {
-                solver,
-                assumptions: obligation.assumptions.clone(),
-            };
-            let result = refine::refinement_loop(
-                &shared.eij_pairs,
-                shared.lazy_transitivity,
-                &resolved,
-                &mut stats,
-                &mut driver,
-            );
-            let verdict = match &result {
-                SatResult::Unsat => Verdict::Correct,
-                SatResult::Sat(model) => Verdict::Buggy(Counterexample::from_model(
-                    &shared.ctx,
-                    &shared.primary_vars,
-                    model,
-                )),
-                other => Verdict::undecided(other),
-            };
             results.push((obligation.name.clone(), verdict));
         }
-        (results, stats)
+        (overall, results, stats)
     }
 
     /// Checks a translation and *certifies* the verdict per `certify`: an
@@ -1167,65 +1057,6 @@ mod tests {
         // plus one group per instruction count.
         assert!(shared.obligations[0].name.contains("coverage"));
         assert!(shared.stats.cnf_clauses > 0);
-    }
-
-    #[test]
-    fn batch_shared_translation_matches_per_problem_checks() {
-        for options in [
-            TranslationOptions::default(),
-            TranslationOptions::default().with_lazy_transitivity(),
-        ] {
-            let verifier = Verifier::new(options);
-            let problems = [
-                verifier.build_problem(&PipelinedToy::correct(), &ToySpec),
-                verifier.build_problem(&PipelinedToy::buggy(ToyBug::WritesWrongData), &ToySpec),
-                verifier.build_problem(
-                    &PipelinedToy::buggy(ToyBug::ForwardingIgnoresValid),
-                    &ToySpec,
-                ),
-                // A duplicate of the first entry: its obligation must reuse
-                // the shared structure and agree with it.
-                verifier.build_problem(&PipelinedToy::correct(), &ToySpec),
-            ];
-            let refs: Vec<&VerificationProblem> = problems.iter().collect();
-            let shared = verifier.translate_batch_shared(&refs);
-            assert_eq!(shared.obligations.len(), problems.len());
-            let mut solver = IncrementalSolver::with_formula(CdclConfig::chaff(), &shared.cnf);
-            let budgets = vec![Budget::unlimited(); problems.len()];
-            let (results, _) = verifier.check_shared_each(&shared, &mut solver, &budgets);
-            assert!(results[0].1.is_correct(), "{:?}", results[0]);
-            assert!(results[1].1.is_buggy(), "{:?}", results[1]);
-            assert!(results[2].1.is_buggy(), "{:?}", results[2]);
-            assert!(results[3].1.is_correct(), "{:?}", results[3]);
-        }
-    }
-
-    #[test]
-    fn batch_entries_share_translated_structure() {
-        // Two catalog variants of the same design share most of their
-        // pipeline logic; the batch CNF must be far smaller than the sum of
-        // the two independent translations.
-        let verifier = Verifier::new(TranslationOptions::default());
-        let good = verifier.build_problem(&PipelinedToy::correct(), &ToySpec);
-        let bad = verifier.build_problem(&PipelinedToy::buggy(ToyBug::WritesWrongData), &ToySpec);
-        let solo_good = verifier.translate_batch_shared(&[&good]);
-        let solo_bad = verifier.translate_batch_shared(&[&bad]);
-        let shared = verifier.translate_batch_shared(&[&good, &bad]);
-        let solo_sum = solo_good.stats.cnf_clauses + solo_bad.stats.cnf_clauses;
-        assert!(
-            shared.stats.cnf_clauses < solo_sum,
-            "shared batch CNF ({}) must undercut the independent sum ({})",
-            shared.stats.cnf_clauses,
-            solo_sum
-        );
-        // A cancelled per-entry budget skips only that entry.
-        let token = velv_sat::CancelToken::new();
-        token.cancel();
-        let mut solver = IncrementalSolver::with_formula(CdclConfig::chaff(), &shared.cnf);
-        let budgets = vec![Budget::unlimited().with_cancel(token), Budget::unlimited()];
-        let (results, _) = verifier.check_shared_each(&shared, &mut solver, &budgets);
-        assert!(matches!(results[0].1, Verdict::Unknown(_)));
-        assert!(results[1].1.is_buggy());
     }
 
     #[test]

@@ -263,9 +263,15 @@ pub(crate) fn refinement_loop(
 /// iterations (and may already contain the translation's CNF plus constraints
 /// from earlier runs — constraint clauses are valid, so they can only help).
 ///
-/// Works for eager translations too (no *e*ij pairs are ever violated after
-/// the side constraints are part of the CNF): the loop then exits after one
-/// solver call, which makes this the uniform incremental check.
+/// Works for eager translations too: the loop then exits after one solver
+/// call and never checks the model for transitivity, which makes this the
+/// uniform incremental check.  An eager SAT model can still be unliftable:
+/// the sparse triangulation links large elimination neighbourhoods along a
+/// path, which is not chordal, so [`transitivity_violations`] may reject the
+/// model (it does on most SAT models of the 2×DLX and VLIW catalogs, and on
+/// the correct OOO-4..6 cores).  [`crate::Verifier::check_certified`] refines
+/// eager models until they lift; this eager check does not, which is why it
+/// answers `Buggy` for the correct OOO-4..6 cores.
 pub fn check_with_refinement(
     translation: &Translation,
     solver: &mut IncrementalSolver,

@@ -23,8 +23,6 @@
 //!   equality* (classification of equations into p-equations and g-equations),
 //! * [`fingerprint`] — stable, order-independent structural hashes of the
 //!   reachable DAG (the identity key of the `velv_serve` verdict cache),
-//! * [`import`] — deep copies of expressions across contexts (used to merge a
-//!   batch of independently built problems into one shared context),
 //! * [`support`] — variable/function support computation,
 //! * [`eval`] — a concrete evaluator used for counterexample validation and
 //!   differential testing of the propositional translation,
@@ -55,7 +53,6 @@
 pub mod context;
 pub mod eval;
 pub mod fingerprint;
-pub mod import;
 pub mod node;
 pub mod polarity;
 pub mod printer;
@@ -66,7 +63,6 @@ pub mod symbols;
 pub use context::Context;
 pub use eval::{evaluate, Evaluator, Interpretation, Value};
 pub use fingerprint::{formula_fingerprint, term_fingerprint, Fingerprint};
-pub use import::{import_formula, import_term, Importer};
 pub use node::{Formula, FormulaId, Term, TermId};
 pub use polarity::{EquationPolarity, PolarityAnalysis};
 pub use stats::DagStats;

@@ -18,7 +18,7 @@
 //! * [`service`] — [`ServeHandle`]: the bounded worker pool with priority +
 //!   deadline scheduling, in-flight deduplication (a second submission of a
 //!   running fingerprint subscribes instead of re-solving), and batch
-//!   submission through one shared [`velv_sat::IncrementalSolver`] session;
+//!   submission: atomic admission, then one single job per entry;
 //! * [`proto`]/[`server`]/[`client`] — a hand-rolled length-prefixed text
 //!   protocol over TCP, the `velvd` server binary and the `velvc` client;
 //! * [`persist`] — the record encoding that lands every decided verdict in a
@@ -32,7 +32,7 @@
 //! use velv_serve::{JobSpec, ModelRef, ServeHandle, ServiceConfig};
 //!
 //! let service = ServeHandle::start(ServiceConfig::default().with_workers(4));
-//! // A bug-catalog sweep as one batch: shared translation, one solver.
+//! // A bug-catalog sweep as one batch: each entry runs as its own job.
 //! let specs: Vec<JobSpec> = (0..4).map(|i| JobSpec::new(ModelRef::dlx1_bug(i))).collect();
 //! let tickets = service.submit_batch(specs).expect("accepted");
 //! for ticket in &tickets {

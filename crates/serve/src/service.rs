@@ -19,13 +19,11 @@
 //!    cap, and a per-job cancel token), certify if asked, store the decided
 //!    verdict in the cache, and wake every subscriber.
 //!
-//! **Batch submission** ([`ServeHandle::submit_batch`]) additionally groups
-//! compatible jobs (monolithic mode, the same options and CDCL back end) into
-//! one scheduled unit that is translated by
-//! [`velv_core::Verifier::translate_batch_shared`] into a single shared
-//! definitional CNF and decided by *one* persistent incremental solver under
-//! per-entry assumptions and per-entry budgets — the catalog-sweep analogue
-//! of the shared-decomposition path.
+//! **Batch submission** ([`ServeHandle::submit_batch`]) is atomic admission
+//! followed by one single job per entry: every entry passes steps 1–3 before
+//! anything is scheduled (an invalid entry rejects the whole batch), and each
+//! fresh entry then enters the queue as its own job.  The entries spread
+//! across the workers and deliver their verdicts as they finish.
 //!
 //! Every ticket holds a waiter count; when the last ticket of a job is
 //! dropped before the job finishes (all clients disconnected), the job's
@@ -256,8 +254,7 @@ pub struct JobResult {
     pub deduplicated: bool,
     /// Submission-to-result latency for this ticket.
     pub wall: Duration,
-    /// Translation + solve time actually spent (zero for cache hits; for
-    /// batch entries, the batch total split evenly across its entries).
+    /// Translation + solve time actually spent (zero for cache hits).
     pub solve_time: Duration,
     /// Certificate of a certified run.
     pub certificate: Option<Certificate>,
@@ -438,47 +435,10 @@ struct SingleJob {
     trace: Option<TraceContext>,
 }
 
-enum WorkItem {
-    Single(Box<SingleJob>),
-    /// A group of compatible jobs decided on one shared incremental session.
-    Batch(Vec<SingleJob>),
-}
-
-impl WorkItem {
-    fn priority(&self) -> i32 {
-        match self {
-            WorkItem::Single(job) => job.spec.priority,
-            WorkItem::Batch(jobs) => jobs.iter().map(|j| j.spec.priority).max().unwrap_or(0),
-        }
-    }
-
-    fn job_count(&self) -> u64 {
-        match self {
-            WorkItem::Single(_) => 1,
-            WorkItem::Batch(jobs) => jobs.len() as u64,
-        }
-    }
-
-    fn states(&self) -> Vec<Arc<JobState>> {
-        match self {
-            WorkItem::Single(job) => vec![Arc::clone(&job.state)],
-            WorkItem::Batch(jobs) => jobs.iter().map(|j| Arc::clone(&j.state)).collect(),
-        }
-    }
-
-    /// Jobs of this item that still owe a result (not shed while queued).
-    fn unresolved_count(&self) -> u64 {
-        match self {
-            WorkItem::Single(job) => u64::from(!job.state.is_resolved()),
-            WorkItem::Batch(jobs) => jobs.iter().filter(|j| !j.state.is_resolved()).count() as u64,
-        }
-    }
-}
-
 struct QueuedItem {
     priority: i32,
     seq: u64,
-    item: WorkItem,
+    job: Box<SingleJob>,
 }
 
 impl PartialEq for QueuedItem {
@@ -559,7 +519,6 @@ impl ClassHistograms {
 struct Counters {
     submitted: velv_obs::Counter,
     batch_entries: velv_obs::Counter,
-    batch_groups: velv_obs::Counter,
     completed: velv_obs::Counter,
     cache_hits: velv_obs::Counter,
     dedup_joins: velv_obs::Counter,
@@ -623,10 +582,6 @@ impl Counters {
             batch_entries: registry.counter(
                 "velv_serve_batch_entries_total",
                 "Jobs submitted through the batch endpoint.",
-            ),
-            batch_groups: registry.counter(
-                "velv_serve_batch_groups_total",
-                "Batch groups scheduled as one shared incremental session.",
             ),
             completed: registry.counter(
                 "velv_serve_jobs_completed_total",
@@ -845,8 +800,6 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Jobs submitted through the batch endpoint.
     pub batch_entries: u64,
-    /// Batch groups scheduled as one shared incremental session.
-    pub batch_groups: u64,
     /// Jobs whose result was delivered by a worker.
     pub completed: u64,
     /// Submissions answered straight from the verdict cache.
@@ -898,7 +851,6 @@ impl ServiceStats {
         vec![
             ("submitted", self.submitted),
             ("batch-entries", self.batch_entries),
-            ("batch-groups", self.batch_groups),
             ("completed", self.completed),
             ("cache-hits", self.cache_hits),
             ("dedup-joins", self.dedup_joins),
@@ -947,15 +899,9 @@ impl velv_obs::MemFootprint for QueueState {
     /// specs) are charged at struct size — the dominant queue cost is the
     /// per-entry state, not deep problem ASTs.
     fn measured_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<QueueState>()
-            + self.heap.capacity() * std::mem::size_of::<QueuedItem>();
-        for queued in self.heap.iter() {
-            bytes += match &queued.item {
-                WorkItem::Single(_) => std::mem::size_of::<SingleJob>(),
-                WorkItem::Batch(jobs) => jobs.capacity() * std::mem::size_of::<SingleJob>(),
-            };
-        }
-        bytes
+        std::mem::size_of::<QueueState>()
+            + self.heap.capacity() * std::mem::size_of::<QueuedItem>()
+            + self.heap.len() * std::mem::size_of::<SingleJob>()
     }
 }
 
@@ -1023,7 +969,6 @@ impl Inner {
         ServiceStats {
             submitted: c.submitted.get(),
             batch_entries: c.batch_entries.get(),
-            batch_groups: c.batch_groups.get(),
             completed: c.completed.get(),
             cache_hits: c.cache_hits.get(),
             dedup_joins: c.dedup_joins.get(),
@@ -1191,25 +1136,18 @@ impl Inner {
             return;
         }
         let target = queue.depth / 2;
-        let mut victims: Vec<(i32, u64, Vec<Arc<JobState>>)> = queue
+        let mut victims: Vec<&QueuedItem> = queue
             .heap
             .iter()
-            .filter(|q| q.item.unresolved_count() > 0)
-            .map(|q| (q.priority, q.seq, q.item.states()))
+            .filter(|q| !q.job.state.is_resolved())
             .collect();
-        victims.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        let mut freed = 0u64;
-        'outer: for (_, _, states) in &victims {
-            for state in states {
-                if queue.depth - freed <= target {
-                    break 'outer;
-                }
-                if !state.is_resolved() {
-                    self.shed_state(state);
-                    freed += 1;
-                }
-            }
+        // Ascending heap order: lowest priority first, youngest first.
+        victims.sort();
+        let excess = (queue.depth - target) as usize;
+        for victim in victims.iter().take(excess) {
+            self.shed_state(&victim.job.state);
         }
+        let freed = victims.len().min(excess) as u64;
         queue.depth -= freed;
         self.counters.queued.sub(freed as i64);
     }
@@ -1241,22 +1179,6 @@ impl Inner {
         self.registry.snapshot()
     }
 
-    fn push(&self, item: WorkItem) {
-        let jobs = item.job_count();
-        let mut queue = self.queue.lock().expect("queue lock");
-        let seq = queue.seq;
-        queue.seq += 1;
-        queue.depth += jobs;
-        queue.heap.push(QueuedItem {
-            priority: item.priority(),
-            seq,
-            item,
-        });
-        drop(queue);
-        self.counters.queued.add(jobs as i64);
-        self.work.notify_one();
-    }
-
     /// Resolves a queued job as shed: the waiters get an `unknown` verdict
     /// with a busy reason, never a hang.  Called under the queue lock (lock
     /// order queue → in-flight → slot is taken nowhere in reverse).
@@ -1279,61 +1201,49 @@ impl Inner {
     }
 
     /// Enqueues under the admission bound.  When the queue is full the
-    /// lowest-priority queued entry is shed — but only if the incoming item
-    /// strictly outranks it; otherwise the incoming item itself is rejected
+    /// lowest-priority queued job is shed — but only if the incoming job
+    /// strictly outranks it; otherwise the incoming job itself is rejected
     /// and handed back for the caller to fail as busy.
-    fn push_bounded(&self, item: WorkItem) -> Result<(), WorkItem> {
-        let Some(max) = self.config.max_queue_depth else {
-            self.push(item);
-            return Ok(());
-        };
-        let jobs = item.job_count();
+    fn push_bounded(&self, job: Box<SingleJob>) -> Result<(), Box<SingleJob>> {
         let mut shed_any = false;
         let mut queue = self.queue.lock().expect("queue lock");
-        while queue.depth + jobs > max as u64 {
-            // The minimum under the heap order is the lowest-priority,
-            // youngest entry — the natural shed victim.
-            let victim = queue
-                .heap
-                .iter()
-                .filter(|q| q.item.unresolved_count() > 0)
-                .min_by(|a, b| a.cmp(b))
-                .map(|q| (q.priority, q.item.states()));
-            match victim {
-                Some((priority, states)) if priority < item.priority() => {
-                    let mut freed = 0u64;
-                    for state in &states {
-                        if !state.is_resolved() {
-                            self.shed_state(state);
-                            freed += 1;
-                        }
-                    }
-                    queue.depth -= freed;
-                    self.counters.queued.sub(freed as i64);
-                    shed_any = true;
-                }
-                _ => {
+        if let Some(max) = self.config.max_queue_depth {
+            while queue.depth >= max as u64 {
+                // The minimum under the heap order is the lowest-priority,
+                // youngest job — the natural shed victim.
+                let victim = queue
+                    .heap
+                    .iter()
+                    .filter(|q| !q.job.state.is_resolved())
+                    .min()
+                    .filter(|q| q.priority < job.spec.priority)
+                    .map(|q| Arc::clone(&q.job.state));
+                let Some(state) = victim else {
                     drop(queue);
                     if shed_any {
                         self.flight_dump_rate_limited("shed-storm");
                     }
-                    return Err(item);
-                }
+                    return Err(job);
+                };
+                self.shed_state(&state);
+                queue.depth -= 1;
+                self.counters.queued.sub(1);
+                shed_any = true;
             }
         }
         let seq = queue.seq;
         queue.seq += 1;
-        queue.depth += jobs;
+        queue.depth += 1;
         queue.heap.push(QueuedItem {
-            priority: item.priority(),
+            priority: job.spec.priority,
             seq,
-            item,
+            job,
         });
         drop(queue);
         if shed_any {
             self.flight_dump_rate_limited("shed-storm");
         }
-        self.counters.queued.add(jobs as i64);
+        self.counters.queued.add(1);
         self.work.notify_one();
         Ok(())
     }
@@ -1357,21 +1267,20 @@ impl Inner {
     }
 
     /// Blocks until work is available; `None` on shutdown.
-    fn pop(&self) -> Option<WorkItem> {
+    fn pop(&self) -> Option<Box<SingleJob>> {
         let mut queue = self.queue.lock().expect("queue lock");
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
             if let Some(queued) = queue.heap.pop() {
-                let live = queued.item.unresolved_count();
-                queue.depth -= live;
-                self.counters.queued.sub(live as i64);
-                if live == 0 {
-                    // Every job of this entry was shed while it queued.
+                if queued.job.state.is_resolved() {
+                    // Shed while it queued: already out of the depth count.
                     continue;
                 }
-                return Some(queued.item);
+                queue.depth -= 1;
+                self.counters.queued.sub(1);
+                return Some(queued.job);
             }
             queue = self.work.wait(queue).expect("queue lock");
         }
@@ -1494,110 +1403,84 @@ fn cdcl_config_for(backend: BackendChoice) -> CdclConfig {
     }
 }
 
-fn is_cdcl(backend: BackendChoice) -> bool {
-    matches!(
-        backend,
-        BackendChoice::Sat(
-            SolverKind::Chaff | SolverKind::BerkMin | SolverKind::Grasp | SolverKind::Sato
-        )
-    )
-}
-
-/// A job can join a shared batch session iff one incremental CDCL engine can
-/// decide it faithfully.
-fn batchable(spec: &JobSpec) -> bool {
-    spec.mode == SolveMode::Monolithic && is_cdcl(spec.backend) && !spec.keep_proof
-}
-
 fn worker_loop(inner: Arc<Inner>) {
     inner.counters.workers.add(1);
-    while let Some(item) = inner.pop() {
-        let jobs = item.job_count();
-        let states = item.states();
-        inner.counters.running.add(jobs as i64);
+    while let Some(job) = inner.pop() {
+        inner.counters.running.add(1);
         inner.counters.workers_busy.add(1);
         // Panic containment: a panicking translation or solver run must not
         // take the worker thread (and eventually the pool) down.  The unwind
-        // is caught, the affected jobs resolve as `unknown` (never cached,
-        // never persisted), and the worker returns to the queue.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match item {
-            WorkItem::Single(job) => run_single(&inner, &job),
-            WorkItem::Batch(entries) => run_batch(&inner, entries),
-        }));
+        // is caught, the job resolves as `unknown` (never cached, never
+        // persisted), and the worker returns to the queue.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_single(&inner, &job)));
         if outcome.is_err() {
             inner.counters.worker_panics.inc();
-            // Dump the flight ring *before* resolving the victims: once a
+            // Dump the flight ring *before* resolving the victim: once a
             // waiter observes the panic verdict, the post-mortem containing
             // the panicking job's spans is already on disk.
             let _ = velv_obs::flight::dump("worker-panic");
-            for state in &states {
-                inner.remove_in_flight(state);
-                if !state.is_resolved() {
-                    inner.counters.unknown.inc();
-                    inner.counters.completed.inc();
-                    state.resolve(JobResult {
-                        name: state.name.clone(),
-                        verdict: Verdict::Unknown(
-                            "worker panicked while running this job".to_owned(),
-                        ),
-                        from_cache: false,
-                        deduplicated: false,
-                        wall: state.submitted.elapsed(),
-                        solve_time: Duration::ZERO,
-                        certificate: None,
-                    });
-                }
+            let state = &job.state;
+            inner.remove_in_flight(state);
+            if !state.is_resolved() {
+                inner.counters.unknown.inc();
+                inner.counters.completed.inc();
+                state.resolve(JobResult {
+                    name: state.name.clone(),
+                    verdict: Verdict::Unknown("worker panicked while running this job".to_owned()),
+                    from_cache: false,
+                    deduplicated: false,
+                    wall: state.submitted.elapsed(),
+                    solve_time: Duration::ZERO,
+                    certificate: None,
+                });
             }
         }
         inner.counters.workers_busy.sub(1);
-        inner.counters.running.sub(jobs as i64);
+        inner.counters.running.sub(1);
     }
     inner.counters.workers.sub(1);
 }
 
-/// Registers jobs in the live progress table for the duration of a worker
+/// Registers a job in the live progress table for the duration of a worker
 /// run; removal on drop keeps the table clean across panics (the guard drops
 /// during the unwind caught by [`worker_loop`]).
 struct ProgressTableGuard<'a> {
     inner: &'a Inner,
-    keys: Vec<u128>,
+    key: u128,
 }
 
 impl<'a> ProgressTableGuard<'a> {
     fn insert(
         inner: &'a Inner,
-        jobs: &[&SingleJob],
+        job: &SingleJob,
         cell: &Arc<velv_sat::ProgressCell>,
     ) -> ProgressTableGuard<'a> {
-        let mut table = inner.progress.lock().expect("progress table lock");
-        let mut keys = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            table.insert(
-                job.state.fingerprint.0,
-                ProgressEntry {
-                    name: job.state.name.clone(),
-                    priority: job.spec.priority,
-                    started: job.state.submitted,
-                    deadline: job.deadline,
-                    cell: Arc::clone(cell),
-                },
-            );
-            keys.push(job.state.fingerprint.0);
-        }
-        ProgressTableGuard { inner, keys }
+        let key = job.state.fingerprint.0;
+        inner.progress.lock().expect("progress table lock").insert(
+            key,
+            ProgressEntry {
+                name: job.state.name.clone(),
+                priority: job.spec.priority,
+                started: job.state.submitted,
+                deadline: job.deadline,
+                cell: Arc::clone(cell),
+            },
+        );
+        ProgressTableGuard { inner, key }
     }
 }
 
 impl Drop for ProgressTableGuard<'_> {
     fn drop(&mut self) {
-        let mut table = self.inner.progress.lock().expect("progress table lock");
-        for key in &self.keys {
-            table.remove(key);
-        }
+        self.inner
+            .progress
+            .lock()
+            .expect("progress table lock")
+            .remove(&self.key);
     }
 }
 
-/// The `serve.worker.run` failpoint, hit once per work item *after* the
+/// The `serve.worker.run` failpoint, hit once per job *after* the
 /// `serve.job` span has opened, so an injected panic leaves the job's spans
 /// in the flight ring for the post-mortem dump.
 fn hit_worker_run_failpoint() {
@@ -1608,16 +1491,13 @@ fn hit_worker_run_failpoint() {
     }
 }
 
-/// The `serve.job` span fields: the job (or batch) identity plus, when the
-/// submitter sent a [`TraceContext`], the `trace`/`remote_parent` tags that
-/// let [`velv_obs::check_traces`] parent this span under the client's root
-/// span in a merged multi-process trace.
-fn job_span_fields<'a>(
-    identity: (&'a str, velv_obs::FieldValue),
-    trace: Option<&TraceContext>,
-) -> Vec<(&'a str, velv_obs::FieldValue)> {
-    let mut fields = vec![identity];
-    if let Some(context) = trace {
+/// The `serve.job` span fields: the job's name plus, when the submitter
+/// sent a [`TraceContext`], the `trace`/`remote_parent` tags that let
+/// [`velv_obs::check_traces`] parent this span under the client's root span
+/// in a merged multi-process trace.
+fn job_span_fields(job: &SingleJob) -> Vec<(&'static str, velv_obs::FieldValue)> {
+    let mut fields = vec![("job", job.state.name.as_str().into())];
+    if let Some(context) = &job.trace {
         fields.push(("trace", context.trace_id.into()));
         fields.push(("remote_parent", context.parent_span.into()));
     }
@@ -1640,10 +1520,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
         // have their busy verdict.
         return;
     }
-    let _job_span = velv_obs::span_fields(
-        "serve.job",
-        &job_span_fields(("job", job.state.name.as_str().into()), job.trace.as_ref()),
-    );
+    let _job_span = velv_obs::span_fields("serve.job", &job_span_fields(job));
     let job_started = Instant::now();
     let queued = job.state.submitted.elapsed();
     inner
@@ -1690,7 +1567,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
     // Live introspection: the solver's heartbeats flow into this cell, which
     // the `status` progress rows read concurrently.
     let progress = Arc::new(velv_sat::ProgressCell::new());
-    let _table = ProgressTableGuard::insert(inner, &[job], &progress);
+    let _table = ProgressTableGuard::insert(inner, job, &progress);
     let _cell = velv_sat::install_progress_cell(Arc::clone(&progress));
 
     // Solve profiling: the recorder rides the same heartbeats; the profile
@@ -1904,120 +1781,6 @@ fn build_job_profile(
     Some(Arc::new(profile.to_jsonl()))
 }
 
-fn run_batch(inner: &Inner, entries: Vec<SingleJob>) {
-    let mut alive = Vec::new();
-    for job in entries {
-        if job.state.is_resolved() {
-            // Shed while queued; nothing left to deliver.
-        } else if job.state.cancel.is_cancelled() {
-            job.state.set_status(JobStatus::Running);
-            inner.finish_cancelled(&job);
-        } else {
-            job.state.set_status(JobStatus::Running);
-            inner.counters.queue_wait.observe(
-                job.spec.priority,
-                job.state.submitted.elapsed().as_micros() as u64,
-            );
-            alive.push(job);
-        }
-    }
-    if alive.is_empty() {
-        return;
-    }
-    // The group shares options/backend/certified by construction
-    // (`ServeHandle::submit_batch` groups on exactly those fields); any
-    // entry's trace context stands in for the group's.
-    let trace = alive.iter().find_map(|j| j.trace);
-    let _job_span = velv_obs::span_fields(
-        "serve.job",
-        &job_span_fields(("batch", (alive.len() as u64).into()), trace.as_ref()),
-    );
-    hit_worker_run_failpoint();
-    let spec = alive[0].spec.clone();
-    let verifier = Verifier::new(spec.options.clone());
-    let started = Instant::now();
-    inner.counters.translations.inc();
-
-    // One shared progress cell for the whole group: the session solves the
-    // entries sequentially on this thread, so the rows of a batch show the
-    // session's combined progress.
-    let progress = Arc::new(velv_sat::ProgressCell::new());
-    let job_refs: Vec<&SingleJob> = alive.iter().collect();
-    let _table = ProgressTableGuard::insert(inner, &job_refs, &progress);
-    let _cell = velv_sat::install_progress_cell(Arc::clone(&progress));
-    let problems: Vec<&VerificationProblem> = alive.iter().map(|j| &j.problem).collect();
-    let shared = {
-        let _span = velv_obs::span("serve.translate");
-        verifier.translate_batch_shared(&problems)
-    };
-    inner.counters.fresh_solves.inc();
-
-    let solve_span = velv_obs::span("serve.solve");
-    let verdicts: Vec<(Verdict, Option<Certificate>)> = if spec.certified {
-        // Certification replays the whole session's proof once, so the batch
-        // runs under one shared budget: the latest entry deadline (absent
-        // deadlines win), without per-entry cancellation.
-        let deadline = if alive.iter().any(|j| j.deadline.is_none()) {
-            None
-        } else {
-            alive.iter().filter_map(|j| j.deadline).max()
-        };
-        let budget = Budget {
-            deadline,
-            ..Budget::default()
-        };
-        match verifier.check_shared_certified(
-            &shared,
-            cdcl_config_for(spec.backend),
-            &spec.certify_options(),
-            budget,
-        ) {
-            Ok(outcome) => outcome
-                .obligations
-                .into_iter()
-                .map(|o| (o.certified.verdict, Some(o.certified.certificate)))
-                .collect(),
-            Err(e) => {
-                let reason = format!("certification failed: {e}");
-                alive
-                    .iter()
-                    .map(|_| (Verdict::Unknown(reason.clone()), None))
-                    .collect()
-            }
-        }
-    } else {
-        let mut solver =
-            IncrementalSolver::with_formula(cdcl_config_for(spec.backend), &shared.cnf);
-        let budgets: Vec<Budget> = alive.iter().map(job_budget).collect();
-        let (results, _) = verifier.check_shared_each(&shared, &mut solver, &budgets);
-        results
-            .into_iter()
-            .map(|(_, verdict)| (verdict, None))
-            .collect()
-    };
-
-    drop(solve_span);
-
-    // Attribute the batch cost evenly: the point of the shared session is
-    // precisely that per-entry cost is not separable.
-    let _respond_span = velv_obs::span("serve.respond");
-    let share = started.elapsed() / alive.len() as u32;
-    for (job, (verdict, certificate)) in alive.iter().zip(verdicts) {
-        inner.finish_fresh(
-            job,
-            verdict,
-            certificate,
-            None,
-            share,
-            Some(shared.stats),
-            // Batch jobs share one incremental session; per-job attribution
-            // of its time-series would be fiction, so batches are not
-            // profiled.
-            None,
-        );
-    }
-}
-
 /// How a submission was admitted.
 enum Admission {
     Ticket(JobTicket),
@@ -2078,27 +1841,12 @@ impl WorkerSet {
         }
         // Resolve whatever never reached a worker.
         loop {
-            let item = {
-                let mut queue = self.inner.queue.lock().expect("queue lock");
-                match queue.heap.pop() {
-                    Some(queued) => {
-                        self.inner
-                            .counters
-                            .queued
-                            .sub(queued.item.job_count() as i64);
-                        queued.item
-                    }
-                    None => break,
-                }
+            let queued = self.inner.queue.lock().expect("queue lock").heap.pop();
+            let Some(queued) = queued else {
+                break;
             };
-            match item {
-                WorkItem::Single(job) => self.inner.finish_cancelled(&job),
-                WorkItem::Batch(jobs) => {
-                    for job in &jobs {
-                        self.inner.finish_cancelled(job);
-                    }
-                }
-            }
+            self.inner.counters.queued.sub(1);
+            self.inner.finish_cancelled(&queued.job);
         }
         // The workers are joined and the queue is drained: push whatever
         // trace records are still sitting in per-thread buffers to the sink
@@ -2329,12 +2077,10 @@ impl ServeHandle {
     ) -> Result<JobTicket, ServeError> {
         match self.admit(spec, trace)? {
             Admission::Ticket(ticket) => Ok(ticket),
-            Admission::Fresh(ticket, job) => match self.inner.push_bounded(WorkItem::Single(job)) {
+            Admission::Fresh(ticket, job) => match self.inner.push_bounded(job) {
                 Ok(()) => Ok(ticket),
-                Err(item) => {
-                    for state in item.states() {
-                        self.inner.reject_busy(&state, "queue full");
-                    }
+                Err(job) => {
+                    self.inner.reject_busy(&job.state, "queue full");
                     Err(ServeError::Busy("queue full".to_owned()))
                 }
             },
@@ -2343,12 +2089,13 @@ impl ServeHandle {
 
     /// Submits a batch: tickets are returned in input order.
     ///
-    /// Entries that hit the cache or deduplicate resolve like single
-    /// submissions.  The remaining *compatible* entries (monolithic mode,
-    /// CDCL back end, grouped by identical options/backend/certification) are
-    /// scheduled as shared batch sessions — one translation pass with
-    /// cross-entry structure sharing, one persistent incremental solver per
-    /// group; incompatible entries fall back to individual scheduling.
+    /// Admission is atomic: every entry is built, fingerprinted and checked
+    /// against the cache and the in-flight table before anything is
+    /// scheduled.  Entries that hit the cache or deduplicate (also against an
+    /// earlier entry of the same batch) resolve like single submissions;
+    /// every remaining entry is then queued as its own single job, so the
+    /// entries spread across the workers and each ticket resolves as soon as
+    /// its job finishes.  An entry the full queue rejects resolves as busy.
     ///
     /// # Errors
     ///
@@ -2372,7 +2119,6 @@ impl ServeHandle {
     ) -> Result<Vec<JobTicket>, ServeError> {
         let count = specs.len() as u64;
         let mut tickets = Vec::with_capacity(specs.len());
-        let mut fresh: Vec<Box<SingleJob>> = Vec::new();
         let mut admissions = Vec::with_capacity(specs.len());
         for spec in specs {
             match self.admit(spec, trace) {
@@ -2406,45 +2152,15 @@ impl ServeHandle {
                 Admission::Ticket(ticket) => tickets.push(ticket),
                 Admission::Fresh(ticket, job) => {
                     tickets.push(ticket);
-                    fresh.push(job);
+                    // A rejected entry resolves its ticket as busy instead of
+                    // failing the whole call: its ticket is already out.
+                    if let Err(job) = self.inner.push_bounded(job) {
+                        self.inner.reject_busy(&job.state, "queue full");
+                    }
                 }
             }
         }
-        // Group compatible fresh jobs into shared sessions.
-        let mut groups: HashMap<String, Vec<SingleJob>> = HashMap::new();
-        for job in fresh {
-            if batchable(&job.spec) {
-                let key = format!(
-                    "{};{};{}",
-                    job.spec.options.canonical_token(),
-                    job.spec.backend.to_wire(),
-                    job.spec.certified
-                );
-                groups.entry(key).or_default().push(*job);
-            } else {
-                self.push_or_busy(WorkItem::Single(job));
-            }
-        }
-        for (_, mut group) in groups {
-            if group.len() == 1 {
-                self.push_or_busy(WorkItem::Single(Box::new(group.pop().expect("one job"))));
-            } else {
-                self.inner.counters.batch_groups.inc();
-                self.push_or_busy(WorkItem::Batch(group));
-            }
-        }
         Ok(tickets)
-    }
-
-    /// Enqueues under the admission bound; an overloaded rejection resolves
-    /// every affected ticket as busy instead of failing the whole batch call
-    /// (tickets for the rejected entries were already handed out).
-    fn push_or_busy(&self, item: WorkItem) {
-        if let Err(item) = self.inner.push_bounded(item) {
-            for state in item.states() {
-                self.inner.reject_busy(&state, "queue full");
-            }
-        }
     }
 
     /// Current statistics.

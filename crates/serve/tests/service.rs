@@ -1,8 +1,9 @@
 //! In-process service tests: cache hits, in-flight deduplication, batch
-//! scheduling, cancellation on client disconnect, and shutdown.
+//! submission, cancellation on client disconnect, and shutdown.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use velv_obs::{ProfileSink, SolveProfile};
 use velv_sat::{Budget, CnfFormula, SatResult, Solver, SolverStats};
 use velv_serve::{
     BackendChoice, JobSpec, JobStatus, ModelRef, ServeHandle, ServiceConfig, SolveMode,
@@ -259,8 +260,8 @@ fn timeouts_yield_unknown_verdicts_that_are_not_cached() {
 }
 
 #[test]
-fn batch_matches_single_submissions_and_shares_one_session() {
-    let specs = |_| {
+fn batch_entries_run_as_single_jobs_and_match_single_submissions() {
+    let specs = || {
         vec![
             JobSpec::new(ModelRef::dlx1_correct()),
             JobSpec::new(ModelRef::dlx1_bug(0)),
@@ -269,23 +270,44 @@ fn batch_matches_single_submissions_and_shares_one_session() {
             JobSpec::new(ModelRef::dlx1_bug(0)),
         ]
     };
-    // Batch service.
-    let batch_service = ServeHandle::start(ServiceConfig::default().with_workers(2));
-    let tickets = batch_service.submit_batch(specs(())).expect("accepted");
+    // The profile sink is not installed as the process trace sink (the test
+    // binary shares that slot), so the profiles carry the solver's time
+    // series but no phase tree.
+    let batch_service = ServeHandle::start(
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_profile_sink(Arc::new(ProfileSink::new())),
+    );
+    let tickets = batch_service.submit_batch(specs()).expect("accepted");
     let batch_results: Vec<_> = tickets.iter().map(|t| t.wait()).collect();
     let stats = batch_service.stats();
     assert_eq!(stats.batch_entries, 4);
-    assert_eq!(stats.batch_groups, 1, "three unique entries, one session");
     assert_eq!(stats.dedup_joins, 1, "the duplicate subscribed");
-    assert_eq!(stats.translations, 1, "one shared translation pass");
+    assert_eq!(stats.translations, 3, "one translation per unique entry");
+    assert_eq!(stats.fresh_solves, 3);
+    assert!(batch_results[3].deduplicated);
+
+    // Every fresh entry is profiled like a single job.
+    for (ticket, result) in tickets.iter().zip(&batch_results) {
+        let entry = batch_service
+            .cached(ticket.fingerprint())
+            .expect("decided verdicts are cached");
+        let jsonl = entry.profile.as_ref().expect("batch entries are profiled");
+        let profile = SolveProfile::parse(jsonl).expect("cached profile parses");
+        let expected = if result.verdict.is_correct() {
+            "correct"
+        } else {
+            "buggy"
+        };
+        assert_eq!(profile.result, expected, "{}", result.name);
+    }
 
     // Reference: the same specs submitted individually to a fresh service.
     let single_service = ServeHandle::start(ServiceConfig::default().with_workers(2));
-    let single_results: Vec<_> = specs(())
+    let single_results: Vec<_> = specs()
         .into_iter()
         .map(|spec| single_service.submit(spec).expect("accepted").wait())
         .collect();
-
     for (batch, single) in batch_results.iter().zip(&single_results) {
         assert_eq!(
             batch.verdict.is_correct(),
@@ -294,6 +316,12 @@ fn batch_matches_single_submissions_and_shares_one_session() {
             batch.name
         );
         assert_eq!(batch.verdict.is_buggy(), single.verdict.is_buggy());
+        assert_eq!(
+            batch.verdict.counterexample(),
+            single.verdict.counterexample(),
+            "batch and single evidence must agree for {}",
+            batch.name
+        );
     }
     assert!(batch_results[0].verdict.is_correct());
     assert!(batch_results[1].verdict.is_buggy());
@@ -313,6 +341,46 @@ fn batch_matches_single_submissions_and_shares_one_session() {
     );
     batch_service.shutdown();
     single_service.shutdown();
+}
+
+#[test]
+fn dropping_one_queued_batch_entry_cancels_only_that_entry() {
+    let service = spin_service(1);
+    // Park the only worker so the batch entries stay queued.
+    let parked = service
+        .submit(JobSpec::new(ModelRef::dlx1_correct()))
+        .expect("accepted");
+    wait_until("the filler job to start", || {
+        parked.status() == JobStatus::Running
+    });
+    // Decomposed entries bypass the spinning engine, so the surviving entry
+    // reaches a real verdict.
+    let decomposed = |bug| {
+        let mut spec = JobSpec::new(ModelRef::dlx1_bug(bug));
+        spec.mode = SolveMode::Decomposed { max_obligations: 8 };
+        spec
+    };
+    let mut tickets = service
+        .submit_batch(vec![decomposed(0), decomposed(1)])
+        .expect("accepted");
+    let kept = tickets.pop().expect("two tickets");
+    let abandoned = tickets.pop().expect("two tickets");
+    assert_eq!(abandoned.status(), JobStatus::Queued);
+    assert_eq!(kept.status(), JobStatus::Queued);
+    drop(abandoned);
+    drop(parked);
+
+    let result = kept
+        .wait_for(Duration::from_secs(60))
+        .expect("the kept entry must run");
+    assert!(result.verdict.is_buggy(), "{:?}", result.verdict);
+    let stats = service.stats();
+    assert_eq!(stats.cancelled, 2, "the filler and the abandoned entry");
+    assert_eq!(
+        stats.translations, 2,
+        "the abandoned entry is never translated"
+    );
+    service.shutdown();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Serving verdicts in-process: start a verification service, sweep a batch
-//! of buggy DLX variants through one shared incremental session, then sweep
-//! it again to show the fingerprint-keyed verdict cache at work.
+//! of buggy DLX variants (each entry runs as its own job on the worker pool),
+//! then sweep it again to show the fingerprint-keyed verdict cache at work.
 //!
 //! Run with `cargo run --release --example serve`.
 
@@ -61,8 +61,8 @@ fn main() {
         specs
     };
 
-    // Cold sweep: every fingerprint is new; the compatible entries share one
-    // translation pass and one incremental solver.
+    // Cold sweep: every fingerprint is new; each entry is translated and
+    // solved as its own job, spread across the workers.
     sweep(&service, catalog(), "cold sweep (fresh solves)");
 
     // Warm sweep: identical fingerprints — every verdict comes from the

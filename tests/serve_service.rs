@@ -28,7 +28,8 @@ fn serving_layer_end_to_end() {
     assert_eq!(stats.translations, 1, "the cache hit translated nothing");
     assert_eq!(stats.fresh_solves, 1, "the cache hit solved nothing");
 
-    // A batch over the catalog: one shared session, verdicts as expected.
+    // A batch over the catalog: one single job per fresh entry, verdicts as
+    // expected.
     let tickets = service
         .submit_batch(vec![
             JobSpec::new(ModelRef::dlx1_correct()),

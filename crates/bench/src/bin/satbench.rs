@@ -68,6 +68,7 @@ use velv_core::{TranslationOptions, Verdict, Verifier};
 static ALLOC: velv_obs::CountingAlloc = velv_obs::CountingAlloc;
 use velv_models::dlx::{bug_catalog, Dlx, DlxConfig, DlxSpecification};
 use velv_models::ooo::{Ooo, OooSpecification};
+use velv_obs::json::quoted;
 use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::generators::{pigeonhole, random_3sat};
 use velv_sat::{Budget, CnfFormula, SatResult, Solver};
@@ -299,11 +300,12 @@ fn suite(smoke: bool) -> Vec<Instance> {
     // DLX correctness formulas (the paper's workload).
     let verifier = Verifier::new(TranslationOptions::default());
     if smoke {
+        // Named like the full suite's row, so the CI heap gate compares it.
         let config = DlxConfig::single_issue();
         let spec = DlxSpecification::new(config);
         let translation = verifier.translate(&Dlx::correct(config), &spec);
         instances.push(Instance {
-            name: "dlx1-correct".to_owned(),
+            name: format!("{}-correct", config.name()),
             cnf: translation.cnf,
         });
     } else {
@@ -972,10 +974,6 @@ fn write_serve_json(
     std::fs::write(path, out)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("{\n");
@@ -989,17 +987,17 @@ fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io:
             let entries: Vec<String> = m
                 .metrics
                 .iter()
-                .map(|(key, value)| format!("\"{}\": {value}", json_escape(key)))
+                .map(|(key, value)| format!("{}: {value}", quoted(key)))
                 .collect();
             format!(", \"metrics\": {{{}}}", entries.join(", "))
         };
         out.push_str(&format!(
-            "    {{\"preset\": \"{}\", \"instance\": \"{}\", \"result\": \"{}\", \
+            "    {{\"preset\": {}, \"instance\": {}, \"result\": \"{}\", \
              \"time_s\": {:.6}, \"conflicts\": {}, \"propagations\": {}, \
              \"decisions\": {}, \"conflicts_per_sec\": {:.1}, \"propagations_per_sec\": {:.1}, \
              \"peak_heap_bytes\": {}{}}}{}\n",
-            json_escape(m.preset),
-            json_escape(&m.instance),
+            quoted(m.preset),
+            quoted(&m.instance),
             m.result,
             m.time_s,
             m.conflicts,

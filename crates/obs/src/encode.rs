@@ -124,16 +124,16 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str("{\"name\":\"");
-            crate::json_escape_into(&mut out, &sample.name);
+            crate::json::escape_into(&mut out, &sample.name);
             out.push_str("\",\"labels\":{");
             for (li, (k, v)) in sample.labels.iter().enumerate() {
                 if li > 0 {
                     out.push(',');
                 }
                 out.push('"');
-                crate::json_escape_into(&mut out, k);
+                crate::json::escape_into(&mut out, k);
                 out.push_str("\":\"");
-                crate::json_escape_into(&mut out, v);
+                crate::json::escape_into(&mut out, v);
                 out.push('"');
             }
             out.push_str("},\"type\":\"");
@@ -476,5 +476,32 @@ mod tests {
             assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
         }
         assert!(json.contains("\"le\":\"+Inf\""), "{json}");
+
+        // The `stats --format json` payload is a well-formed document.
+        let doc = crate::json::parse(&json).expect("snapshot json parses");
+        let metrics = doc.get("metrics").and_then(|m| m.as_array()).unwrap();
+        let names: Vec<&str> = metrics
+            .iter()
+            .filter_map(|m| m.get("name")?.as_str())
+            .collect();
+        assert_eq!(names, ["a_total", "b_total", "g", "h_micros"], "{json}");
+        let by_name = |name: &str| {
+            metrics
+                .iter()
+                .find(|m| m.get("name").unwrap().as_str() == Some(name))
+                .unwrap()
+        };
+        assert_eq!(by_name("a_total").get("value").unwrap().as_u64(), Some(7));
+        assert_eq!(by_name("g").get("value").unwrap().as_f64(), Some(-3.0));
+        let chaff = by_name("b_total")
+            .get("labels")
+            .and_then(|l| l.get("preset"));
+        assert_eq!(chaff.and_then(|p| p.as_str()), Some("chaff"));
+        let histogram = by_name("h_micros");
+        assert_eq!(histogram.get("sum").unwrap().as_u64(), Some(555));
+        assert_eq!(
+            histogram.get("buckets").unwrap().as_array().unwrap().len(),
+            3
+        );
     }
 }

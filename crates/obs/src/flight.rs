@@ -130,7 +130,7 @@ pub fn dump(reason: &str) -> std::io::Result<Option<PathBuf>> {
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = dir.join(format!("FLIGHT-{ts}-{seq}.jsonl"));
     let mut body = String::from("{\"type\":\"event\",\"name\":\"flight.dump\",\"reason\":\"");
-    crate::json_escape_into(&mut body, reason);
+    crate::json::escape_into(&mut body, reason);
     body.push_str("\"}\n");
     for line in snapshot() {
         body.push_str(&line);

@@ -1,7 +1,10 @@
-//! A minimal recursive-descent JSON parser for the committed `BENCH_*.json`
-//! files — enough of RFC 8259 to read what the harness itself writes
-//! (objects, arrays, strings with the common escapes, numbers, booleans,
-//! null), with no external dependencies.
+//! The workspace's one JSON reader and string escaper.
+//!
+//! A minimal recursive-descent parser, enough of RFC 8259 to read what the
+//! workspace itself writes — the `BENCH_*.json` files, trace and profile
+//! JSONL lines, the metrics snapshot — with no external dependencies.
+//! Numbers keep their checked source text, so a 64-bit trace id survives
+//! exactly ([`Json::as_u64`]) where an `f64` would round it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,9 +16,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (integers included) as `f64` — the harness never writes
-    /// integers beyond 2^53.
-    Number(f64),
+    /// Any number, as its source text (checked against the JSON number
+    /// grammar); read it with [`Json::as_u64`] or [`Json::as_f64`].
+    Number(String),
     /// A string.
     String(String),
     /// An array.
@@ -49,10 +52,20 @@ impl Json {
         }
     }
 
-    /// The numeric value, if this is a number.
+    /// The numeric value, if this is a number (rounded to the nearest
+    /// `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Number(n) => Some(*n),
+            Json::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is a number spelled as a non-negative
+    /// integer that fits a `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Number(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -90,21 +103,46 @@ impl std::error::Error for JsonError {}
 ///
 /// Returns the first syntax error with its byte offset.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser { input, pos: 0 };
     parser.skip_whitespace();
     let value = parser.value()?;
     parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != input.len() {
         return Err(parser.error("trailing content after the document"));
     }
     Ok(value)
 }
 
+/// Escapes `s` for embedding in a JSON string literal (no surrounding
+/// quotes): `"`, `\` and every control character.  The one escaper of the
+/// workspace's JSON writers.
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// `s` as a quoted JSON string literal, escaped by [`escape_into`].
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
+    out.push('"');
+    out
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -117,7 +155,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -149,7 +187,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.input[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -157,21 +195,42 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes a run of digits; `false` when there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        let mut ok = if self.peek() == Some(b'0') {
             self.pos += 1;
+            true
+        } else {
+            self.digits()
+        };
+        if ok && self.peek() == Some(b'.') {
+            self.pos += 1;
+            ok = self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.error(&format!("bad number `{text}`")))
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            ok = self.digits();
+        }
+        if !ok {
+            return Err(self.error("bad number"));
+        }
+        Ok(Json::Number(self.input[start..self.pos].to_owned()))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -197,9 +256,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("bad \\u escape"))?;
@@ -213,13 +271,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash.  Both
+                    // are ASCII, so the run ends on a char boundary of the
+                    // `&str` input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -301,8 +360,8 @@ mod tests {
         assert_eq!(run.get("conflicts").unwrap().as_f64(), Some(1000.0));
         let metrics = run.get("metrics").unwrap().as_object().unwrap();
         assert_eq!(
-            metrics["engine_conflicts_total{preset=\"chaff\"}"],
-            Json::Number(1000.0)
+            metrics["engine_conflicts_total{preset=\"chaff\"}"].as_u64(),
+            Some(1000)
         );
     }
 
@@ -318,6 +377,30 @@ mod tests {
     }
 
     #[test]
+    fn integers_beyond_f64_precision_stay_exact() {
+        // A velvc trace id (wall-clock nanoseconds) and u64::MAX: an f64
+        // would round both.
+        let json = parse("[1760000000123456789, 18446744073709551615, 1.5, -3]").unwrap();
+        let items = json.as_array().unwrap();
+        assert_eq!(items[0].as_u64(), Some(1_760_000_000_123_456_789));
+        assert_eq!(items[1].as_u64(), Some(u64::MAX));
+        assert_eq!(items[2].as_u64(), None, "not an integer");
+        assert_eq!(items[3].as_u64(), None, "negative");
+        assert_eq!(items[3].as_f64(), Some(-3.0));
+    }
+
+    #[test]
+    fn escaped_strings_reparse() {
+        let original = "q\"u\\o\nte\u{1}\t\u{1f} \u{e9}";
+        let doc = quoted(original);
+        assert!(
+            !doc.contains('\u{1}'),
+            "control characters are escaped: {doc}"
+        );
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
     fn rejects_garbage() {
         assert!(parse("").is_err());
         assert!(parse("{").is_err());
@@ -325,5 +408,8 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("123 456").is_err());
         assert!(parse("\"unterminated").is_err());
+        for bad in ["01", "1.", ".5", "-", "+1", "1e", "1e+", "--1", "1.2.3"] {
+            assert!(parse(bad).is_err(), "`{bad}` is not a JSON number");
+        }
     }
 }

@@ -274,7 +274,7 @@ impl MetricSample {
             }
             out.push_str(k);
             out.push_str("=\"");
-            crate::json_escape_into(&mut out, v);
+            crate::json::escape_into(&mut out, v);
             out.push('"');
         }
         out.push('}');

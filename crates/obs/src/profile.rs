@@ -14,8 +14,12 @@
 //!   a raw trace.
 //! * [`SolveProfile`] — the per-solve artifact tying both together: final
 //!   counters, the decimated time-series, restart/solve markers, and the
-//!   phase tree, serialized as compact JSONL (one flat object per line,
-//!   parseable by [`crate::tracecheck::parse_trace_line`]).
+//!   phase tree, serialized as compact JSONL (one flat object per line).
+//!
+//! Both readers here — [`SolveProfile::parse`] and the sink folding live
+//! span lines — read each line through
+//! [`crate::tracecheck::parse_trace_line`], the flat-record view over the
+//! workspace's one JSON reader ([`crate::json`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -243,7 +247,7 @@ impl PhaseNode {
             format!("{prefix}/{}", self.name)
         };
         out.push_str("{\"type\":\"phase\",\"path\":\"");
-        crate::json_escape_into(out, &path);
+        crate::json::escape_into(out, &path);
         out.push_str(&format!(
             "\",\"count\":{},\"total_us\":{},\"self_us\":{}}}\n",
             self.count, self.total_us, self.self_us
@@ -343,11 +347,11 @@ impl SolveProfile {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"type\":\"solve_profile\",\"version\":1,\"instance\":\"");
-        crate::json_escape_into(&mut out, &self.instance);
+        crate::json::escape_into(&mut out, &self.instance);
         out.push_str("\",\"solver\":\"");
-        crate::json_escape_into(&mut out, &self.solver);
+        crate::json::escape_into(&mut out, &self.solver);
         out.push_str("\",\"result\":\"");
-        crate::json_escape_into(&mut out, &self.result);
+        crate::json::escape_into(&mut out, &self.result);
         out.push_str(&format!(
             "\",\"wall_us\":{},\"stride\":{},\"offered\":{},\"conflicts\":{},\"propagations\":{},\"decisions\":{},\"restarts\":{}}}\n",
             self.wall_us,
@@ -363,9 +367,9 @@ impl SolveProfile {
                 "{{\"type\":\"marker\",\"t_us\":{},\"kind\":\"",
                 marker.t_us
             ));
-            crate::json_escape_into(&mut out, &marker.kind);
+            crate::json::escape_into(&mut out, &marker.kind);
             out.push_str("\",\"detail\":\"");
-            crate::json_escape_into(&mut out, &marker.detail);
+            crate::json::escape_into(&mut out, &marker.detail);
             out.push_str("\"}\n");
         }
         for sample in &self.samples {
@@ -373,7 +377,7 @@ impl SolveProfile {
                 "{{\"type\":\"sample\",\"t_us\":{},\"label\":\"",
                 sample.t_us
             ));
-            crate::json_escape_into(&mut out, &sample.label);
+            crate::json::escape_into(&mut out, &sample.label);
             out.push_str(&format!(
                 "\",\"conflicts\":{},\"propagations\":{},\"decisions\":{},\"restarts\":{},\"trail_depth\":{},\"learnt_db\":{},\"arena_bytes\":{},\"learnt_bytes\":{}",
                 sample.conflicts,

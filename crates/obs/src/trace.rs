@@ -284,7 +284,7 @@ impl FieldValue {
             FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             FieldValue::Str(s) => {
                 out.push('"');
-                crate::json_escape_into(out, s);
+                crate::json::escape_into(out, s);
                 out.push('"');
             }
         }
@@ -330,7 +330,7 @@ impl From<String> for FieldValue {
 fn push_fields(out: &mut String, fields: &[(&str, FieldValue)]) {
     for (key, value) in fields {
         out.push_str(",\"");
-        crate::json_escape_into(out, key);
+        crate::json::escape_into(out, key);
         out.push_str("\":");
         value.render_into(out);
     }
@@ -472,7 +472,7 @@ pub fn event(name: &str, fields: &[(&str, FieldValue)]) {
     let _ = THREAD.try_with(|thread| {
         let parent = thread.stack.borrow().last().copied().unwrap_or(0);
         let mut line = String::from("{\"type\":\"event\",\"name\":\"");
-        crate::json_escape_into(&mut line, name);
+        crate::json::escape_into(&mut line, name);
         line.push_str(&format!(
             "\",\"parent\":{parent},\"thread\":{},\"ts_us\":{}",
             thread.id,

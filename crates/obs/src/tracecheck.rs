@@ -1,11 +1,14 @@
 //! Trace validation: parse JSONL trace records and assert span open/close
 //! balance.  Used by `satbench --trace`, CI, and `velvc trace <file>`.
 //!
-//! The parser handles exactly the flat JSON objects the tracer emits:
-//! string, integer, float and boolean values, no nesting.  Every value is
-//! surfaced as a string (numbers and booleans in their source spelling).
+//! A record is a flat JSON object read by [`crate::json::parse`]: string,
+//! number, boolean and null values, no nesting.  Every value is surfaced as
+//! a string (numbers and booleans in their source spelling), so 64-bit ids
+//! read back exactly.
 
 use std::collections::BTreeMap;
+
+use crate::json::{self, Json};
 
 /// One parsed trace record.
 #[derive(Clone, Debug, Default)]
@@ -36,142 +39,24 @@ impl TraceRecord {
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
+/// Returns a description of the first syntax error, or names the key of a
+/// nested array or object value.
 pub fn parse_trace_line(line: &str) -> Result<TraceRecord, String> {
-    let bytes = line.trim().as_bytes();
-    let mut pos = 0usize;
-
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
+    let Json::Object(map) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("record is not a JSON object".to_string());
     };
-    let parse_string = |pos: &mut usize| -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos:?}", pos = *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while *pos < bytes.len() {
-            match bytes[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    let escape = *bytes
-                        .get(*pos)
-                        .ok_or_else(|| "dangling escape".to_string())?;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = line
-                                .trim()
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Advance one UTF-8 scalar.
-                    let s = &line.trim()[*pos..];
-                    let c = s.chars().next().ok_or_else(|| "truncated".to_string())?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    };
-
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err("record does not start with `{`".to_string());
-    }
-    pos += 1;
-    let mut record = TraceRecord::default();
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-        skip_ws(&mut pos);
-        if pos != bytes.len() {
-            return Err("trailing bytes after record".to_string());
-        }
-        return Ok(record);
-    }
-    loop {
-        skip_ws(&mut pos);
-        let key = parse_string(&mut pos)?;
-        skip_ws(&mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(format!("missing `:` after key `{key}`"));
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let value = match bytes.get(pos) {
-            Some(&b'"') => parse_string(&mut pos)?,
-            Some(&b't') if bytes[pos..].starts_with(b"true") => {
-                pos += 4;
-                "true".to_string()
-            }
-            Some(&b'f') if bytes[pos..].starts_with(b"false") => {
-                pos += 5;
-                "false".to_string()
-            }
-            Some(&b'n') if bytes[pos..].starts_with(b"null") => {
-                pos += 4;
-                "null".to_string()
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
-                let start = pos;
-                while pos < bytes.len()
-                    && (bytes[pos].is_ascii_digit()
-                        || matches!(bytes[pos], b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    pos += 1;
-                }
-                let text = &line.trim()[start..pos];
-                if text.parse::<f64>().is_err() {
-                    return Err(format!("bad number `{text}` for key `{key}`"));
-                }
-                text.to_string()
-            }
-            _ => {
-                return Err(format!(
-                    "unsupported value for key `{key}` (flat JSON only)"
-                ))
-            }
-        };
-        record.fields.insert(key, value);
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(&b',') => {
-                pos += 1;
-            }
-            Some(&b'}') => {
-                pos += 1;
-                break;
-            }
-            _ => return Err("expected `,` or `}`".to_string()),
-        }
-    }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err("trailing bytes after record".to_string());
-    }
-    Ok(record)
+    let fields = map
+        .into_iter()
+        .map(|(key, value)| match value {
+            Json::String(text) | Json::Number(text) => Ok((key, text)),
+            Json::Bool(flag) => Ok((key, flag.to_string())),
+            Json::Null => Ok((key, "null".to_string())),
+            Json::Array(_) | Json::Object(_) => Err(format!(
+                "unsupported value for key `{key}` (flat JSON only)"
+            )),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(TraceRecord { fields })
 }
 
 /// Aggregate outcome of [`check_trace`].
@@ -199,6 +84,12 @@ pub struct TraceSummary {
 ///
 /// Returns a message naming the first offending line.
 pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
+    check_records(text, |_| {})
+}
+
+/// [`check_trace`], handing every checked record to `visit` so callers
+/// that need more than the summary parse each line once.
+fn check_records(text: &str, mut visit: impl FnMut(&TraceRecord)) -> Result<TraceSummary, String> {
     use std::collections::HashSet;
     let mut open: HashSet<u64> = HashSet::new();
     let mut closed: HashSet<u64> = HashSet::new();
@@ -243,6 +134,7 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
                 return Err(format!("line {number}: unknown record type `{other}`"));
             }
         }
+        visit(&record);
     }
     summary.unclosed = open.len();
     Ok(summary)
@@ -299,37 +191,33 @@ pub fn check_traces(files: &[(&str, &str)]) -> Result<MergedTraceSummary, String
     let mut links: Vec<(usize, u64, u64)> = Vec::new();
     let mut trace_ids: HashSet<u64> = HashSet::new();
     for (index, (label, text)) in files.iter().enumerate() {
-        let file = check_trace(text).map_err(|e| format!("{label}: {e}"))?;
+        let mut durations = crate::LogHistogram::new();
+        let file = check_records(text, |record| match record.kind() {
+            "span_open" => {
+                let (Some(id), Some(trace)) = (record.get_u64("id"), record.get_u64("trace"))
+                else {
+                    return;
+                };
+                trace_ids.insert(trace);
+                tagged.insert((index, trace, id));
+                if let Some(remote) = record.get_u64("remote_parent") {
+                    summary.remote_links += 1;
+                    links.push((index, trace, remote));
+                }
+            }
+            "span_close" => {
+                if let Some(dur) = record.get_u64("dur_us") {
+                    durations.observe(dur);
+                }
+            }
+            _ => {}
+        })
+        .map_err(|e| format!("{label}: {e}"))?;
         summary.totals.records += file.records;
         summary.totals.spans_opened += file.spans_opened;
         summary.totals.spans_closed += file.spans_closed;
         summary.totals.events += file.events;
         summary.totals.unclosed += file.unclosed;
-        let mut durations = crate::LogHistogram::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            // check_trace already proved every line parses.
-            let record = parse_trace_line(line).map_err(|e| format!("{label}: {e}"))?;
-            match record.kind() {
-                "span_open" => {
-                    let (Some(id), Some(trace)) = (record.get_u64("id"), record.get_u64("trace"))
-                    else {
-                        continue;
-                    };
-                    trace_ids.insert(trace);
-                    tagged.insert((index, trace, id));
-                    if let Some(remote) = record.get_u64("remote_parent") {
-                        summary.remote_links += 1;
-                        links.push((index, trace, remote));
-                    }
-                }
-                "span_close" => {
-                    if let Some(dur) = record.get_u64("dur_us") {
-                        durations.observe(dur);
-                    }
-                }
-                _ => {}
-            }
-        }
         summary.durations.merge(&durations);
     }
     summary.traces = trace_ids.len();
@@ -359,6 +247,33 @@ mod tests {
         assert_eq!(record.get("name"), Some("a b"));
         assert_eq!(record.get("ok"), Some("true"));
         assert_eq!(record.get("x"), Some("-1.5"));
+    }
+
+    #[test]
+    fn large_trace_ids_read_back_exactly() {
+        let record = parse_trace_line(
+            r#"{"type":"span_open","id":1,"trace":18446744073709551615,"velvc":1760000000123456789}"#,
+        )
+        .unwrap();
+        assert_eq!(record.get_u64("trace"), Some(u64::MAX));
+        assert_eq!(record.get_u64("velvc"), Some(1_760_000_000_123_456_789));
+
+        // A link on a velvc-style id resolves only if neither side rounds it.
+        let client = concat!(
+            "{\"type\":\"span_open\",\"id\":1,\"name\":\"velvc.submit\",\"trace\":1760000000123456789}\n",
+            "{\"type\":\"span_close\",\"id\":1,\"name\":\"velvc.submit\"}\n",
+        );
+        let server = concat!(
+            "{\"type\":\"span_open\",\"id\":4,\"name\":\"serve.job\",\"trace\":1760000000123456789,\"remote_parent\":1}\n",
+            "{\"type\":\"span_close\",\"id\":4,\"name\":\"serve.job\"}\n",
+            // Differs from the client's id only beyond f64 precision.
+            "{\"type\":\"span_open\",\"id\":5,\"name\":\"serve.job\",\"trace\":1760000000123456790,\"remote_parent\":1}\n",
+            "{\"type\":\"span_close\",\"id\":5,\"name\":\"serve.job\"}\n",
+        );
+        let merged = check_traces(&[("client", client), ("server", server)]).unwrap();
+        assert_eq!(merged.traces, 2);
+        assert_eq!(merged.remote_links, 2);
+        assert_eq!(merged.orphaned, 1, "only the off-by-one id is orphaned");
     }
 
     #[test]

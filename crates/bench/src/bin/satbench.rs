@@ -15,11 +15,10 @@
 //!   workload (Table 1/2 class): buggy designs (SAT) and the correct design
 //!   (UNSAT) of the single- and dual-issue DLX.
 //!
-//! Three subsystem comparisons ride along:
+//! Three subsystem benchmarks ride along:
 //!
-//! * **decomposition**: the weak criteria of a design checked one solver per
-//!   obligation (monolithic) vs. one persistent incremental solver shared by
-//!   all obligations under per-obligation assumptions;
+//! * **decomposition**: the weak criteria of a design, each obligation
+//!   translated and checked on its own solver;
 //! * **transitivity**: eager triangulated side constraints vs. lazy
 //!   refinement with the incremental solver, on the transitivity-heavy
 //!   out-of-order designs;
@@ -171,7 +170,7 @@ struct Measurement {
     /// Peak heap bytes of the measured region (the counting allocator's
     /// high-water mark after a [`HeapMeter::start`] reset).
     peak_heap_bytes: u64,
-    /// Per-run delta of the global metric registry (counters that grew).
+    /// Per-run delta of the global metric registry (see [`registry_delta`]).
     metrics: Vec<(String, u64)>,
 }
 
@@ -215,11 +214,17 @@ impl HeapMeter {
 /// The per-run metric attribution of a benchmark row, as `(flat key, value)`
 /// pairs.  Counters (and histogram count/sum fields) are cumulative, so they
 /// are attributed as *growth* over the `before` snapshot; gauges are levels,
-/// not counters — differencing them against the previous run's final reading
-/// produced garbage (a solve whose learnt DB ended *smaller* than the last
-/// run's simply vanished from the row), so a gauge is reported as its
-/// absolute end-of-run reading whenever the run moved it.
-fn registry_delta(before: &velv_obs::Snapshot, after: &velv_obs::Snapshot) -> Vec<(String, u64)> {
+/// not counters, so a gauge is reported as its absolute end-of-run reading.
+///
+/// Every metric labelled with the run's `preset` is reported, moved or not,
+/// so all rows of one preset carry the same keys — including a gauge that
+/// ends where the previous run of the preset left it.  Metrics of other
+/// presets and unlabelled ones appear only when the run moved them.
+fn registry_delta(
+    before: &velv_obs::Snapshot,
+    after: &velv_obs::Snapshot,
+    preset: &str,
+) -> Vec<(String, u64)> {
     use velv_obs::MetricValue;
     let old: std::collections::HashMap<String, &MetricValue> = before
         .metrics
@@ -229,6 +234,10 @@ fn registry_delta(before: &velv_obs::Snapshot, after: &velv_obs::Snapshot) -> Ve
     let mut deltas = Vec::new();
     for sample in &after.metrics {
         let key = sample.full_name().replace(' ', "_");
+        let own = sample
+            .labels
+            .iter()
+            .any(|(k, v)| k == "preset" && v == preset);
         match &sample.value {
             MetricValue::Counter(now) => {
                 let prev = match old.get(&key) {
@@ -236,7 +245,7 @@ fn registry_delta(before: &velv_obs::Snapshot, after: &velv_obs::Snapshot) -> Ve
                     _ => 0,
                 };
                 let grew = now.saturating_sub(prev);
-                if grew > 0 {
+                if grew > 0 || own {
                     deltas.push((key, grew));
                 }
             }
@@ -245,7 +254,7 @@ fn registry_delta(before: &velv_obs::Snapshot, after: &velv_obs::Snapshot) -> Ve
                     Some(MetricValue::Gauge(v)) => Some(*v),
                     _ => None,
                 };
-                if prev != Some(*now) {
+                if own || prev != Some(*now) {
                     if let Ok(level) = u64::try_from(*now) {
                         deltas.push((key, level));
                     }
@@ -258,7 +267,7 @@ fn registry_delta(before: &velv_obs::Snapshot, after: &velv_obs::Snapshot) -> Ve
                 };
                 let count = h.count.saturating_sub(prev_count);
                 let sum = h.sum.saturating_sub(prev_sum);
-                if count > 0 {
+                if count > 0 || own {
                     // Same key shape as `Snapshot::flat_fields`: the suffix
                     // goes on the name, before the labels.
                     let suffixed = |suffix: &str| {
@@ -283,15 +292,21 @@ fn phase_transition_3sat(num_vars: usize, seed: u64) -> CnfFormula {
 
 fn suite(smoke: bool) -> Vec<Instance> {
     let mut instances = Vec::new();
-    let holes: &[usize] = if smoke { &[4] } else { &[6, 7] };
+    // The full suite is a superset of the smoke suite, so the CI heap gate
+    // compares every smoke row against a committed baseline row.
+    let holes: &[usize] = if smoke { &[4] } else { &[4, 6, 7] };
     for &h in holes {
         instances.push(Instance {
             name: format!("php-{}-{}", h + 1, h),
             cnf: pigeonhole(h),
         });
     }
-    let (n, seeds): (usize, &[u64]) = if smoke { (25, &[1]) } else { (125, &[1, 2, 3]) };
-    for &seed in seeds {
+    let random: &[(usize, u64)] = if smoke {
+        &[(25, 1)]
+    } else {
+        &[(25, 1), (125, 1), (125, 2), (125, 3)]
+    };
+    for &(n, seed) in random {
         instances.push(Instance {
             name: format!("r3sat-n{n}-s{seed}"),
             cnf: phase_transition_3sat(n, seed),
@@ -359,7 +374,7 @@ fn run(instances: &[Instance], smoke: bool, profiler: Option<&Profiler>) -> Vec<
             let time = start.elapsed().as_secs_f64();
             drop(bench_span);
             let (peak_heap_bytes, scope_deltas) = meter.finish();
-            let mut metrics = registry_delta(&before, &velv_obs::global().snapshot());
+            let mut metrics = registry_delta(&before, &velv_obs::global().snapshot(), name);
             metrics.extend(scope_deltas);
             let stats = solver.stats();
             let result = match result {
@@ -408,13 +423,9 @@ fn verdict_label(verdict: &Verdict) -> &'static str {
     }
 }
 
-/// Decomposition benchmark: every obligation translated and checked with its
-/// own fresh solver (the pre-incremental flow) vs. one shared definitional
-/// CNF checked by one persistent incremental solver under per-obligation
-/// assumptions.  Measured end to end — translation plus solving — because
-/// that is the trade the shared path changes: one pipeline pass with
-/// hash-consed sharing and one solver instance against `N` full pipeline
-/// passes and `N` cold solvers.
+/// Decomposition benchmark: every weak-criterion obligation translated and
+/// checked with its own fresh chaff solver, measured end to end —
+/// translation plus solving.
 fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
     let configs: &[DlxConfig] = if smoke {
         &[DlxConfig::single_issue()]
@@ -433,11 +444,11 @@ fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
         let mut conflicts = 0;
         let mut propagations = 0;
         let mut decisions = 0;
-        let mut monolithic_ok = true;
+        let mut all_correct = true;
         for translation in &translations {
             let mut solver = CdclSolver::chaff();
             let verdict = verifier.check(translation, &mut solver, Budget::unlimited());
-            monolithic_ok &= verdict.is_correct();
+            all_correct &= verdict.is_correct();
             let stats = solver.stats();
             conflicts += stats.conflicts;
             propagations += stats.propagations;
@@ -448,42 +459,13 @@ fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
         measurements.push(Measurement {
             preset: "chaff-per-obligation",
             instance: format!("decompose-{}", config.name()),
-            result: if monolithic_ok { "unsat" } else { "mixed" },
+            result: if all_correct { "unsat" } else { "mixed" },
             time_s: time,
             conflicts,
             propagations,
             decisions,
             conflicts_per_sec: conflicts as f64 / time.max(1e-9),
             propagations_per_sec: propagations as f64 / time.max(1e-9),
-            peak_heap_bytes,
-            metrics: scope_deltas,
-        });
-
-        let meter = HeapMeter::start();
-        let start = Instant::now();
-        let shared = verifier.translate_obligations_shared(&problem, max_obligations);
-        let mut solver =
-            velv_sat::IncrementalSolver::with_formula(CdclConfig::chaff(), &shared.cnf);
-        let (overall, _, _) = verifier.check_shared_with(&shared, &mut solver, Budget::unlimited());
-        let time = start.elapsed().as_secs_f64();
-        let (peak_heap_bytes, scope_deltas) = meter.finish();
-        assert_eq!(
-            overall.is_correct(),
-            monolithic_ok,
-            "shared and per-obligation decomposition must agree on {}",
-            config.name()
-        );
-        let stats = solver.stats();
-        measurements.push(Measurement {
-            preset: "chaff-shared-incremental",
-            instance: format!("decompose-{}", config.name()),
-            result: verdict_label(&overall),
-            time_s: time,
-            conflicts: stats.conflicts,
-            propagations: stats.propagations,
-            decisions: stats.decisions,
-            conflicts_per_sec: stats.conflicts as f64 / time.max(1e-9),
-            propagations_per_sec: stats.propagations as f64 / time.max(1e-9),
             peak_heap_bytes,
             metrics: scope_deltas,
         });
@@ -1194,5 +1176,46 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::registry_delta;
+    use velv_obs::{MetricSample, MetricValue, Snapshot};
+
+    fn sample(name: &str, preset: &str, value: MetricValue) -> MetricSample {
+        MetricSample {
+            name: name.to_owned(),
+            labels: vec![("preset".to_owned(), preset.to_owned())],
+            help: String::new(),
+            value,
+        }
+    }
+
+    #[test]
+    fn unchanged_preset_gauges_still_appear_in_the_row() {
+        let snapshot = |conflicts| Snapshot {
+            metrics: vec![
+                sample("velv_sat_arena_bytes", "sato", MetricValue::Gauge(4096)),
+                sample("velv_sat_arena_bytes", "chaff", MetricValue::Gauge(512)),
+                sample("velv_sat_restarts_total", "sato", MetricValue::Counter(3)),
+                sample(
+                    "velv_sat_conflicts_total",
+                    "sato",
+                    MetricValue::Counter(conflicts),
+                ),
+            ],
+        };
+        let row = registry_delta(&snapshot(10), &snapshot(25), "sato");
+        let value = |key: &str| row.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+        assert_eq!(value("velv_sat_arena_bytes{preset=\"sato\"}"), Some(4096));
+        assert_eq!(value("velv_sat_restarts_total{preset=\"sato\"}"), Some(0));
+        assert_eq!(value("velv_sat_conflicts_total{preset=\"sato\"}"), Some(15));
+        assert_eq!(
+            value("velv_sat_arena_bytes{preset=\"chaff\"}"),
+            None,
+            "another preset's unmoved gauge stays out of the row"
+        );
     }
 }

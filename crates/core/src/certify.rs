@@ -12,9 +12,8 @@
 //!   the independent forward RUP checker of `velv_proof` against the *exact*
 //!   CNF that was solved: the translation's clauses plus every transitivity
 //!   clause asserted by the lazy refinement loop (captured through the
-//!   solver's iCNF trace).  A monolithic refutation must end in the empty
-//!   clause; an assumption-selected obligation of a shared translation must
-//!   end in a clause over its negated assumptions.
+//!   solver's iCNF trace).  Every refutation — of a monolithic criterion or
+//!   of one decomposed obligation — must end in the empty clause.
 //! * **SAT (the design is buggy).**  The model is checked against every
 //!   clause handed to the solver, its *e*ij assignment is re-checked for
 //!   transitivity consistency (so it lifts to a genuine equality
@@ -31,7 +30,7 @@
 //! and incremental scope machinery — is entirely outside the trusted base.
 
 use crate::counterexample::Counterexample;
-use crate::flow::{SharedTranslation, Translation, Verdict};
+use crate::flow::{Translation, Verdict};
 use crate::options::CertifyOptions;
 use crate::refine::{self, IncrementalDriver};
 use crate::stats::RefinementStats;
@@ -75,12 +74,10 @@ pub struct ProofCertificate {
     /// Clauses asserted by the lazy transitivity refinement loop (part of
     /// `checked_clauses`).
     pub refinement_clauses: usize,
-    /// Index of this verdict's terminal proof step (the empty clause, or the
-    /// clause over the negated obligation assumptions).
+    /// Index of this verdict's terminal proof step (the empty clause).
     pub terminal_step: usize,
     /// Size of the used input-clause core (with
-    /// [`CertifyOptions::trim_proofs`]).  For shared runs the core is
-    /// session-wide: the union over every obligation's terminal step.
+    /// [`CertifyOptions::trim_proofs`]).
     pub input_core_size: Option<usize>,
     /// Addition steps surviving backward trimming (with
     /// [`CertifyOptions::trim_proofs`]).
@@ -112,27 +109,6 @@ pub struct CertifiedVerdict {
     pub certificate: Certificate,
 }
 
-/// One certified obligation of a shared (assumption-selected) run.
-#[derive(Clone, Debug)]
-pub struct CertifiedObligation {
-    /// Obligation name (`problem::obligation`).
-    pub name: String,
-    /// The certified verdict of this obligation.
-    pub certified: CertifiedVerdict,
-}
-
-/// Outcome of a certified shared-decomposition run.
-#[derive(Clone, Debug)]
-pub struct SharedCertifiedOutcome {
-    /// Overall verdict: correct iff every obligation is correct, buggy as
-    /// soon as one obligation is falsified.
-    pub overall: Verdict,
-    /// The per-obligation certified verdicts.
-    pub obligations: Vec<CertifiedObligation>,
-    /// Aggregate refinement statistics.
-    pub stats: RefinementStats,
-}
-
 /// Why certification failed.  A failure means the verdict could *not* be
 /// backed by evidence — either the solver produced a bogus artifact or the
 /// translation layers disagree — and must not be trusted.
@@ -146,8 +122,7 @@ pub enum CertifyError {
         detail: String,
     },
     /// The proof checked, but its terminal step does not certify this
-    /// verdict (no empty clause, or a terminal clause not over the negated
-    /// assumptions of the obligation).
+    /// verdict (no empty clause).
     TerminalMismatch {
         /// Name of the translation or obligation being certified.
         name: String,
@@ -198,15 +173,13 @@ fn trace_additions(solver: &IncrementalSolver) -> Vec<Vec<Lit>> {
 }
 
 /// Replays `proof` against `base` plus `added` and validates the terminal
-/// step: the empty clause when `assumptions` is empty, otherwise a clause
-/// whose literals all negate assumptions.
+/// step: the empty clause.
 fn check_unsat_proof(
     name: &str,
     base: &CnfFormula,
     added: &[Vec<Lit>],
     proof: &Proof,
     terminal_step: usize,
-    assumptions: &[Lit],
     certify: &CertifyOptions,
 ) -> Result<ProofCertificate, CertifyError> {
     let _span = velv_obs::span_fields(
@@ -229,13 +202,13 @@ fn check_unsat_proof(
             detail: e.to_string(),
         })?;
     let check_time = start.elapsed();
-    if assumptions.is_empty() && !report.derived_empty {
+    if !report.derived_empty {
         return Err(CertifyError::TerminalMismatch {
             name: name.to_owned(),
             detail: "the proof never derives the empty clause".to_owned(),
         });
     }
-    validate_terminal(name, proof, terminal_step, assumptions)?;
+    validate_terminal(name, proof, terminal_step)?;
     Ok(ProofCertificate {
         proof_steps: proof.len(),
         checked_clauses: clauses.len(),
@@ -248,15 +221,8 @@ fn check_unsat_proof(
 }
 
 /// Validates that the terminal step of a verified proof certifies *this*
-/// verdict: an addition whose literals all negate the obligation's
-/// assumptions (the empty clause trivially qualifies and certifies
-/// unconditional unsatisfiability).
-fn validate_terminal(
-    name: &str,
-    proof: &Proof,
-    terminal_step: usize,
-    assumptions: &[Lit],
-) -> Result<(), CertifyError> {
+/// verdict: the addition of the empty clause.
+fn validate_terminal(name: &str, proof: &Proof, terminal_step: usize) -> Result<(), CertifyError> {
     let terminal = proof
         .step(terminal_step)
         .ok_or_else(|| CertifyError::TerminalMismatch {
@@ -269,15 +235,11 @@ fn validate_terminal(
             detail: "terminal step is a deletion".to_owned(),
         });
     }
-    let negated: Vec<i32> = assumptions
-        .iter()
-        .map(|a| -(a.to_dimacs() as i32))
-        .collect();
-    if let Some(&l) = terminal.lits().iter().find(|l| !negated.contains(l)) {
+    if let Some(&l) = terminal.lits().first() {
         return Err(CertifyError::TerminalMismatch {
             name: name.to_owned(),
             detail: format!(
-                "terminal clause literal {l} does not negate an assumption of this obligation"
+                "terminal clause has literal {l}; a refutation ends in the empty clause"
             ),
         });
     }
@@ -338,27 +300,27 @@ fn equality_classes(
     (classes, roots.len())
 }
 
-/// Validates a SAT model as a genuine counterexample of one obligation.
-#[allow(clippy::too_many_arguments)]
+/// Validates a SAT model as a genuine counterexample of one translation.
 fn validate_model(
-    name: &str,
-    ctx: &Context,
-    primary_vars: &std::collections::BTreeMap<Symbol, Var>,
-    eij_pairs: &[(Symbol, Symbol, Var)],
-    encoded: FormulaId,
-    side_constraints: FormulaId,
-    solved: &CnfFormula,
+    translation: &Translation,
     added: &[Vec<Lit>],
-    assumptions: &[Lit],
     model: &Model,
 ) -> Result<(Counterexample, ModelCertificate), CertifyError> {
+    let Translation {
+        name,
+        ctx,
+        primary_vars,
+        eij_pairs,
+        cnf: solved,
+        ..
+    } = translation;
     let start = Instant::now();
     let spurious = |detail: String| CertifyError::SpuriousModel {
-        name: name.to_owned(),
+        name: name.clone(),
         detail,
     };
     // 1. Propositional level: the model satisfies every clause the solver was
-    //    given, and the assumptions that select this obligation.
+    //    given.
     if !verify_model(solved, model) {
         return Err(spurious("the model does not satisfy the solved CNF".into()));
     }
@@ -371,11 +333,6 @@ fn validate_model(
         return Err(spurious(
             "the model does not satisfy a clause added during refinement".into(),
         ));
-    }
-    for &a in assumptions {
-        if a.var().index() >= model.len() || model.value(a.var()) != a.is_positive() {
-            return Err(spurious(format!("the model violates the assumption {a}")));
-        }
     }
     // 2. Equality level: the eij assignment must be transitivity-consistent,
     //    so one value per connected component lifts it to a real equality
@@ -402,12 +359,12 @@ fn validate_model(
         // Distinct small values per equality class witness the lifting.
         interp.term_vars.insert(sym, 1 + class as u64);
     }
-    if !evaluate_deep(ctx, &interp, side_constraints) {
+    if !evaluate_deep(ctx, &interp, translation.side_constraints) {
         return Err(spurious(
             "the side constraints evaluate to false under the model".into(),
         ));
     }
-    if evaluate_deep(ctx, &interp, encoded) {
+    if evaluate_deep(ctx, &interp, translation.encoded) {
         return Err(spurious(
             "the encoded correctness formula still evaluates to true under the model".into(),
         ));
@@ -443,7 +400,6 @@ pub(crate) fn check_certified(
     let result = {
         let mut driver = IncrementalDriver {
             solver: &mut solver,
-            assumptions: Vec::new(),
         };
         // Certified checking refines *eager* translations too: the sparse
         // triangulation connects large elimination neighbourhoods along a
@@ -475,7 +431,6 @@ pub(crate) fn check_certified(
                         &added,
                         &recorded,
                         terminal,
-                        &[],
                         certify,
                     )?)
                 }
@@ -488,18 +443,7 @@ pub(crate) fn check_certified(
         }
         SatResult::Sat(model) => {
             if certify.validate_counterexamples {
-                let (cex, certificate) = validate_model(
-                    &translation.name,
-                    &translation.ctx,
-                    &translation.primary_vars,
-                    &translation.eij_pairs,
-                    translation.encoded,
-                    translation.side_constraints,
-                    &translation.cnf,
-                    &added,
-                    &[],
-                    &model,
-                )?;
+                let (cex, certificate) = validate_model(translation, &added, &model)?;
                 CertifiedVerdict {
                     verdict: Verdict::Buggy(cex),
                     certificate: Certificate::Sat(certificate),
@@ -521,185 +465,6 @@ pub(crate) fn check_certified(
         },
     };
     Ok((certified, stats))
-}
-
-/// Certified check of every obligation of a shared translation on one
-/// persistent proof-logging solver.  The DRAT log accumulates across the
-/// obligations and is replayed *once* at the end; each UNSAT obligation is
-/// then certified by its terminal step (the clause over its negated
-/// assumptions), and each SAT obligation by model validation.
-pub(crate) fn check_shared_certified(
-    shared: &SharedTranslation,
-    config: CdclConfig,
-    certify: &CertifyOptions,
-    budget: Budget,
-) -> Result<SharedCertifiedOutcome, CertifyError> {
-    let _span = velv_obs::span_fields(
-        "certify",
-        &[
-            ("formula", shared.name.as_str().into()),
-            ("obligations", shared.obligations.len().into()),
-        ],
-    );
-    velv_obs::global()
-        .counter(
-            "velv_core_certifications_total",
-            "Certified verification runs started.",
-        )
-        .inc();
-    let mut solver = IncrementalSolver::with_formula(config, &shared.cnf);
-    solver.enable_trace();
-    let proof = certify.check_unsat_proofs.then(|| solver.enable_proof());
-    let mut resolved = budget.started();
-    resolved.max_time = None;
-    let mut stats = RefinementStats::default();
-    let mut overall = Verdict::Correct;
-    // Per obligation: the verdict plus, for UNSAT ones, the terminal step.
-    let mut outcomes: Vec<(String, CertifiedVerdict, Option<usize>)> = Vec::new();
-    // The trace's clause additions are append-only: keep an incrementally
-    // extended copy instead of re-collecting the full trace per obligation.
-    let mut added: Vec<Vec<Lit>> = Vec::new();
-    let mut consumed_events = 0usize;
-    for obligation in &shared.obligations {
-        let result = {
-            let mut driver = IncrementalDriver {
-                solver: &mut solver,
-                assumptions: obligation.assumptions.clone(),
-            };
-            // Violations are checked for eager translations too — see
-            // `check_certified`: the sparse triangulation alone does not
-            // guarantee liftable models.
-            refine::refinement_loop(&shared.eij_pairs, true, &resolved, &mut stats, &mut driver)
-        };
-        let events = solver.trace().unwrap_or(&[]);
-        for event in &events[consumed_events..] {
-            if let IcnfEvent::AddClause(lits) = event {
-                added.push(lits.clone());
-            }
-        }
-        consumed_events = events.len();
-        let (certified, terminal) = match result {
-            SatResult::Unsat => {
-                let terminal = proof.as_ref().map(|p| p.len().saturating_sub(1));
-                (
-                    CertifiedVerdict {
-                        verdict: Verdict::Correct,
-                        // Filled in after the whole-session proof check.
-                        certificate: Certificate::Unchecked("proof logging disabled".to_owned()),
-                    },
-                    terminal,
-                )
-            }
-            SatResult::Sat(model) => {
-                if certify.validate_counterexamples {
-                    let (cex, certificate) = validate_model(
-                        &obligation.name,
-                        &shared.ctx,
-                        &shared.primary_vars,
-                        &shared.eij_pairs,
-                        obligation.encoded,
-                        obligation.side_constraints,
-                        &shared.cnf,
-                        &added,
-                        &obligation.assumptions,
-                        &model,
-                    )?;
-                    (
-                        CertifiedVerdict {
-                            verdict: Verdict::Buggy(cex),
-                            certificate: Certificate::Sat(certificate),
-                        },
-                        None,
-                    )
-                } else {
-                    (
-                        CertifiedVerdict {
-                            verdict: Verdict::Buggy(Counterexample::from_model(
-                                &shared.ctx,
-                                &shared.primary_vars,
-                                &model,
-                            )),
-                            certificate: Certificate::Unchecked(
-                                "model validation disabled".to_owned(),
-                            ),
-                        },
-                        None,
-                    )
-                }
-            }
-            other => (
-                CertifiedVerdict {
-                    verdict: Verdict::undecided(&other),
-                    certificate: Certificate::Unchecked("the solver did not decide".to_owned()),
-                },
-                None,
-            ),
-        };
-        if certified.verdict.is_buggy() && !overall.is_buggy() {
-            overall = certified.verdict.clone();
-        }
-        if let Verdict::Unknown(reason) = &certified.verdict {
-            if overall.is_correct() {
-                overall = Verdict::Unknown(reason.clone());
-            }
-        }
-        outcomes.push((obligation.name.clone(), certified, terminal));
-    }
-    // One replay of the accumulated proof certifies every UNSAT obligation:
-    // the checker validates all steps, then each obligation's terminal step
-    // must be a clause over that obligation's negated assumptions.
-    if let Some(handle) = &proof {
-        // No further solving happens: take the proof instead of cloning it.
-        let recorded = handle.take();
-        let mut clauses = cnf_to_dimacs_i32(&shared.cnf);
-        clauses.extend(added.iter().map(|c| clause_to_dimacs_i32(c)));
-        let start = Instant::now();
-        // Seed the backward trim with *every* obligation's terminal step, so
-        // the reported core covers all refutations of the session (the
-        // per-obligation certificates share this session-wide core).
-        let options = CheckOptions {
-            trim: certify.trim_proofs,
-            trim_seeds: outcomes
-                .iter()
-                .filter_map(|(_, _, terminal)| *terminal)
-                .collect(),
-        };
-        let report = check_proof(&clauses, &recorded, &options).map_err(|e| {
-            CertifyError::ProofRejected {
-                name: shared.name.clone(),
-                detail: e.to_string(),
-            }
-        })?;
-        let check_time = start.elapsed();
-        for (index, obligation) in shared.obligations.iter().enumerate() {
-            let (_, certified, terminal) = &mut outcomes[index];
-            if let Some(terminal_step) = *terminal {
-                validate_terminal(
-                    &obligation.name,
-                    &recorded,
-                    terminal_step,
-                    &obligation.assumptions,
-                )?;
-                certified.certificate = Certificate::Unsat(ProofCertificate {
-                    proof_steps: recorded.len(),
-                    checked_clauses: clauses.len(),
-                    refinement_clauses: added.len(),
-                    terminal_step,
-                    input_core_size: report.input_core.as_ref().map(Vec::len),
-                    trimmed_steps: report.trimmed_additions,
-                    check_time,
-                });
-            }
-        }
-    }
-    Ok(SharedCertifiedOutcome {
-        overall,
-        obligations: outcomes
-            .into_iter()
-            .map(|(name, certified, _)| CertifiedObligation { name, certified })
-            .collect(),
-        stats,
-    })
 }
 
 #[cfg(test)]
@@ -766,37 +531,72 @@ mod tests {
     }
 
     #[test]
-    fn shared_toy_decomposition_certifies_every_obligation() {
+    fn every_toy_obligation_certifies_eager_and_lazy() {
+        let designs = [
+            PipelinedToy::correct(),
+            PipelinedToy::buggy(ToyBug::ForwardingIgnoresValid),
+            PipelinedToy::buggy(ToyBug::WritesWrongData),
+        ];
         for options in [
             TranslationOptions::default(),
             TranslationOptions::default().with_lazy_transitivity(),
         ] {
             let verifier = Verifier::new(options);
-            let problem = verifier.build_problem(&PipelinedToy::correct(), &ToySpec);
-            let shared = verifier.translate_obligations_shared(&problem, 8);
-            let outcome = verifier
-                .check_shared_certified(
-                    &shared,
-                    CdclConfig::chaff(),
-                    &CertifyOptions::default(),
-                    Budget::unlimited(),
-                )
-                .unwrap();
-            assert!(outcome.overall.is_correct(), "{:?}", outcome.overall);
-            assert!(!outcome.obligations.is_empty());
-            for obligation in &outcome.obligations {
-                assert!(
-                    obligation.certified.verdict.is_correct(),
-                    "{}",
-                    obligation.name
-                );
-                assert!(
-                    matches!(obligation.certified.certificate, Certificate::Unsat(_)),
-                    "{}: every UNSAT obligation carries a proof certificate",
-                    obligation.name
-                );
+            for (index, implementation) in designs.iter().enumerate() {
+                let problem = verifier.build_problem(implementation, &ToySpec);
+                let obligations = verifier.translate_obligations(&problem, 8);
+                assert!(!obligations.is_empty());
+                let mut overall = Verdict::Correct;
+                for obligation in &obligations {
+                    let (certified, _) = verifier
+                        .check_certified(
+                            obligation,
+                            CdclConfig::chaff(),
+                            &CertifyOptions::default(),
+                            Budget::unlimited(),
+                        )
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    match (&certified.certificate, &certified.verdict) {
+                        (Certificate::Unsat(_), Verdict::Correct) => {}
+                        (Certificate::Sat(_), Verdict::Buggy(_)) => {}
+                        (certificate, verdict) => panic!(
+                            "{}: verdict {verdict:?} with certificate {certificate:?}",
+                            obligation.name
+                        ),
+                    }
+                    overall.absorb_obligation(&certified.verdict);
+                }
+                assert_eq!(overall.is_correct(), index == 0, "{overall:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_refutation_must_end_in_the_empty_clause() {
+        // (x1) ∧ (¬x1 ∨ x2) ∧ (¬x2): deriving (x2) is valid RUP, but a proof
+        // that stops there never refutes the formula.
+        let mut cnf = CnfFormula::new(0);
+        let (x1, x2) = (cnf.new_var(), cnf.new_var());
+        cnf.add_clause(vec![Lit::positive(x1)]);
+        cnf.add_clause(vec![Lit::negative(x1), Lit::positive(x2)]);
+        cnf.add_clause(vec![Lit::negative(x2)]);
+        let check = |proof: &Proof| {
+            let terminal = proof.len() - 1;
+            check_unsat_proof("toy", &cnf, &[], proof, terminal, &CertifyOptions::full())
+        };
+        let mut short = Proof::new();
+        short.add(vec![2]);
+        assert!(matches!(
+            check(&short),
+            Err(CertifyError::TerminalMismatch { .. })
+        ));
+        assert!(matches!(
+            validate_terminal("toy", &short, 0),
+            Err(CertifyError::TerminalMismatch { .. })
+        ));
+        let mut complete = short.clone();
+        complete.add(Vec::new());
+        assert!(check(&complete).is_ok());
     }
 
     #[test]

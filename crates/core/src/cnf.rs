@@ -39,34 +39,26 @@ impl CnfTranslation {
 /// Panics if a root still contains equations, uninterpreted predicates or
 /// term-level structure (the encoding stage must run first).
 pub fn formula_to_cnf(ctx: &Context, roots: &[(FormulaId, bool)]) -> CnfTranslation {
-    let mut builder = CnfBuilder::new();
+    let mut builder = CnfBuilder::default();
     let mut units = Vec::new();
     for &(root, value) in roots {
         let lit = builder.literal(ctx, root);
         units.push(if value { lit } else { !lit });
     }
     for unit in units {
-        builder.assert_lit(unit);
+        builder.cnf.add_clause(vec![unit]);
     }
     builder.finish()
 }
 
-/// A persistent Tseitin translator: formulas from one [`Context`] are turned
-/// into definitional clauses (one auxiliary variable per `∧`/`∨`/`ITE` node,
-/// negations absorbed into literal polarity), with the memo table shared
-/// across calls.
-///
-/// Because the emitted clauses are purely *definitional* — each auxiliary
-/// variable is constrained to equal its operator's value, never asserted —
-/// the clause set stays satisfiable no matter how many formulas are
-/// translated into it.  Roots are asserted separately, either with unit
-/// clauses ([`CnfBuilder::assert_lit`]) or, for the shared-solver
-/// decomposition, as per-obligation *assumptions* over the root literals:
-/// obligations translated into one builder share every common subformula's
-/// clauses, which is what lets one incremental solver carry its learned
-/// clauses across all of them.
-#[derive(Clone, Debug, Default)]
-pub struct CnfBuilder {
+/// The Tseitin translator behind [`formula_to_cnf`]: one auxiliary variable
+/// per `∧`/`∨`/`ITE` node, negations absorbed into literal polarity, and a
+/// memo table so every shared subformula is translated once.  The emitted
+/// clauses are purely *definitional* — each auxiliary variable equals its
+/// operator's value — and the roots are asserted afterwards with unit
+/// clauses.
+#[derive(Default)]
+struct CnfBuilder {
     cnf: CnfFormula,
     primary_vars: BTreeMap<Symbol, Var>,
     memo: HashMap<FormulaId, Lit>,
@@ -75,28 +67,7 @@ pub struct CnfBuilder {
 }
 
 impl CnfBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        CnfBuilder::default()
-    }
-
-    /// The CNF accumulated so far.
-    pub fn cnf(&self) -> &CnfFormula {
-        &self.cnf
-    }
-
-    /// CNF variables of the primary (propositional) variables seen so far.
-    pub fn primary_vars(&self) -> &BTreeMap<Symbol, Var> {
-        &self.primary_vars
-    }
-
-    /// Asserts a literal with a unit clause.
-    pub fn assert_lit(&mut self, lit: Lit) {
-        self.cnf.add_clause(vec![lit]);
-    }
-
-    /// Consumes the builder into a [`CnfTranslation`].
-    pub fn finish(self) -> CnfTranslation {
+    fn finish(self) -> CnfTranslation {
         CnfTranslation {
             cnf: self.cnf,
             primary_vars: self.primary_vars,
@@ -121,12 +92,7 @@ impl CnfBuilder {
 
     /// The CNF literal representing formula `f`, emitting definitional
     /// clauses for every operator node not yet translated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` still contains equations or uninterpreted predicates
-    /// (the encoding stage must run first).
-    pub fn literal(&mut self, ctx: &Context, f: FormulaId) -> Lit {
+    fn literal(&mut self, ctx: &Context, f: FormulaId) -> Lit {
         if let Some(&l) = self.memo.get(&f) {
             return l;
         }

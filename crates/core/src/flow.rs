@@ -5,11 +5,11 @@ use crate::backend::{
     bdd_verdict, check_validity_with_bdds, race_backends, sat_verdict, Backend, PortfolioOutcome,
 };
 use crate::burch_dill::VerificationProblem;
-use crate::certify::{self, CertifiedVerdict, CertifyError, SharedCertifiedOutcome};
-use crate::cnf::{formula_to_cnf, CnfBuilder};
+use crate::certify::{self, CertifiedVerdict, CertifyError};
+use crate::cnf::formula_to_cnf;
 use crate::counterexample::Counterexample;
 use crate::decompose::decompose;
-use crate::encode::{encode, EncodedFormula};
+use crate::encode::encode;
 use crate::memory_elim::eliminate_memories;
 use crate::options::{CertifyOptions, GEncoding, TransitivityMode, TranslationOptions};
 use crate::positive_equality::Classification;
@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use velv_eufm::{Context, DagStats, FormulaId, Support, Symbol};
 use velv_hdl::Processor;
 use velv_sat::cdcl::CdclConfig;
-use velv_sat::{Budget, CnfFormula, IncrementalSolver, Lit, SatResult, Solver, Var};
+use velv_sat::{Budget, CnfFormula, SatResult, Solver, Var};
 
 /// A fully translated verification obligation, ready for a SAT or BDD back end.
 #[derive(Clone, Debug)]
@@ -46,54 +46,6 @@ pub struct Translation {
     /// [`crate::refine`]).  [`Verifier::check`] routes automatically.
     pub lazy_transitivity: bool,
     /// Size statistics.
-    pub stats: TranslationStats,
-}
-
-/// One obligation of a [`SharedTranslation`]: asserting its assumptions
-/// selects the obligation inside the shared CNF.
-#[derive(Clone, Debug)]
-pub struct SharedObligation {
-    /// Obligation name (`problem::obligation`).
-    pub name: String,
-    /// Assumption literals activating this obligation: its side constraints
-    /// hold, its encoded criterion fails.
-    pub assumptions: Vec<Lit>,
-    /// The obligation's encoded correctness formula (certified checking
-    /// re-evaluates it under a counterexample model: it must be false).
-    pub encoded: FormulaId,
-    /// The obligation's side constraints (must hold under the model).
-    pub side_constraints: FormulaId,
-}
-
-/// All obligations of a decomposed correctness criterion translated into
-/// *one* CNF over one context.
-///
-/// The CNF contains only definitional (Tseitin) clauses — no obligation is
-/// asserted — so it is satisfiable by construction and one persistent
-/// [`IncrementalSolver`] can check every obligation by assuming that
-/// obligation's root literals.  Obligations share the clauses of every common
-/// subformula (windows, match formulas, *e*ij definitions), and the solver
-/// carries its learned clauses and heuristic state from one obligation to the
-/// next — the incremental counterpart of [`Verifier::translate_obligations`],
-/// which re-translates and re-learns per obligation.
-#[derive(Clone, Debug)]
-pub struct SharedTranslation {
-    /// Name of the underlying problem.
-    pub name: String,
-    /// The expression context owning all encoded obligations.
-    pub ctx: Context,
-    /// The shared definitional CNF.
-    pub cnf: CnfFormula,
-    /// The obligations, selected by assumption.
-    pub obligations: Vec<SharedObligation>,
-    /// CNF variables of the primary Boolean variables (all obligations).
-    pub primary_vars: BTreeMap<Symbol, Var>,
-    /// The *e*ij equality variables of the shared CNF (all obligations).
-    pub eij_pairs: Vec<(Symbol, Symbol, Var)>,
-    /// Whether the obligations were encoded without transitivity constraints.
-    pub lazy_transitivity: bool,
-    /// Aggregate size statistics (summed over the obligations where
-    /// per-obligation, final CNF size otherwise).
     pub stats: TranslationStats,
 }
 
@@ -124,6 +76,22 @@ impl Verdict {
         match self {
             Verdict::Buggy(cex) => Some(cex),
             _ => None,
+        }
+    }
+
+    /// Folds one obligation's verdict into the overall verdict of a
+    /// decomposed check, which starts as [`Verdict::Correct`]: buggy beats
+    /// unknown, unknown beats correct, and the first verdict of the winning
+    /// kind is kept.
+    pub fn absorb_obligation(&mut self, obligation: &Verdict) {
+        let replace = match (&*self, obligation) {
+            (Verdict::Buggy(_), _) => false,
+            (_, Verdict::Buggy(_)) => true,
+            (Verdict::Correct, Verdict::Unknown(_)) => true,
+            _ => false,
+        };
+        if replace {
+            *self = obligation.clone();
         }
     }
 
@@ -251,17 +219,20 @@ impl Verifier {
             .expect("the translation thread does not panic")
     }
 
-    /// Stages 1–4 of the pipeline (memory elimination, positive-equality
-    /// classification, UF/UP elimination, equation encoding) on one formula,
-    /// in place in `ctx`.  Returns the encoded formula plus the statistics
-    /// that do not depend on the CNF stage.
-    fn eliminate_and_encode(
+    /// Whether the current options produce lazily refined translations.
+    fn is_lazy(&self) -> bool {
+        self.options.encoding == GEncoding::Eij
+            && self.options.transitivity == TransitivityMode::Lazy
+    }
+
+    fn translate_formula_impl(
         &self,
-        ctx: &mut Context,
+        mut ctx: Context,
         criterion: FormulaId,
         memory_vars: &BTreeSet<Symbol>,
-    ) -> (EncodedFormula, TranslationStats) {
-        let eufm_stats = DagStats::of_formula(ctx, criterion);
+        name: String,
+    ) -> Translation {
+        let eufm_stats = DagStats::of_formula(&ctx, criterion);
 
         // 1. Memory elimination (precise or conservative per options).
         let memless = {
@@ -272,14 +243,14 @@ impl Verifier {
                 .iter()
                 .map(|n| ctx.symbol(n))
                 .collect();
-            eliminate_memories(ctx, criterion, memory_vars, &abstract_memories)
+            eliminate_memories(&mut ctx, criterion, memory_vars, &abstract_memories)
         };
 
         // 2. p/g classification (positive equality) of the memory-free formula.
         let mut classification = {
             let _span = velv_obs::span("translate.classify");
             if self.options.positive_equality {
-                Classification::from_formula(ctx, memless.formula)
+                Classification::from_formula(&ctx, memless.formula)
             } else {
                 Classification::all_general()
             }
@@ -288,7 +259,12 @@ impl Verifier {
         // 3. UF/UP elimination.
         let eliminated = {
             let _span = velv_obs::span("translate.eliminate_ufs");
-            eliminate_ufs(ctx, memless.formula, &self.options, &mut classification)
+            eliminate_ufs(
+                &mut ctx,
+                memless.formula,
+                &self.options,
+                &mut classification,
+            )
         };
         // Ackermann constraints (if any) are assumptions of the validity check.
         let to_prove = ctx.implies(eliminated.constraints, eliminated.formula);
@@ -297,7 +273,7 @@ impl Verifier {
         let encoded = {
             let _span = velv_obs::span("translate.encode");
             encode(
-                ctx,
+                &mut ctx,
                 to_prove,
                 &classification,
                 self.options.encoding,
@@ -305,60 +281,11 @@ impl Verifier {
             )
         };
 
-        let mut primary_support = Support::of_formula(ctx, encoded.formula);
-        let constraint_support = Support::of_formula(ctx, encoded.side_constraints);
+        let mut primary_support = Support::of_formula(&ctx, encoded.formula);
+        let constraint_support = Support::of_formula(&ctx, encoded.side_constraints);
         primary_support
             .prop_vars
             .extend(constraint_support.prop_vars);
-
-        let stats = TranslationStats {
-            primary_bool_vars: primary_support.prop_vars.len(),
-            eij_vars: encoded.num_eij_vars,
-            indexing_vars: encoded.num_indexing_vars,
-            g_pairs: encoded.num_g_pairs,
-            transitivity_triangles: encoded.num_triangles,
-            cnf_vars: 0,
-            cnf_clauses: 0,
-            eufm_equations: eufm_stats.equations,
-            uf_applications: eliminated.introduced_vars.len(),
-        };
-        (encoded, stats)
-    }
-
-    /// Whether the current options produce lazily refined translations.
-    fn is_lazy(&self) -> bool {
-        self.options.encoding == GEncoding::Eij
-            && self.options.transitivity == TransitivityMode::Lazy
-    }
-
-    /// Maps the encoder's *e*ij variables (formula nodes) to their CNF
-    /// variables; pairs whose variable was simplified out of the CNF are
-    /// dropped (they are unconstrained).
-    fn map_eij_pairs(
-        ctx: &Context,
-        encoded_pairs: &[(Symbol, Symbol, FormulaId)],
-        primary_vars: &BTreeMap<Symbol, Var>,
-    ) -> Vec<(Symbol, Symbol, Var)> {
-        encoded_pairs
-            .iter()
-            .filter_map(|&(x, y, fid)| {
-                let sym = match ctx.formula(fid) {
-                    velv_eufm::Formula::Var(sym) => *sym,
-                    _ => return None,
-                };
-                primary_vars.get(&sym).map(|&var| (x, y, var))
-            })
-            .collect()
-    }
-
-    fn translate_formula_impl(
-        &self,
-        mut ctx: Context,
-        criterion: FormulaId,
-        memory_vars: &BTreeSet<Symbol>,
-        name: String,
-    ) -> Translation {
-        let (encoded, mut stats) = self.eliminate_and_encode(&mut ctx, criterion, memory_vars);
 
         // 5. CNF generation: side constraints hold, encoded criterion fails.
         let cnf_translation = {
@@ -374,11 +301,35 @@ impl Verifier {
                 "EUFM formulas translated to CNF.",
             )
             .inc();
-        stats.cnf_vars = cnf_translation.cnf.num_vars();
-        stats.cnf_clauses = cnf_translation.cnf.num_clauses();
+        let stats = TranslationStats {
+            primary_bool_vars: primary_support.prop_vars.len(),
+            eij_vars: encoded.num_eij_vars,
+            indexing_vars: encoded.num_indexing_vars,
+            g_pairs: encoded.num_g_pairs,
+            transitivity_triangles: encoded.num_triangles,
+            cnf_vars: cnf_translation.cnf.num_vars(),
+            cnf_clauses: cnf_translation.cnf.num_clauses(),
+            eufm_equations: eufm_stats.equations,
+            uf_applications: eliminated.introduced_vars.len(),
+        };
 
-        let eij_pairs =
-            Self::map_eij_pairs(&ctx, &encoded.eij_pairs, &cnf_translation.primary_vars);
+        // The encoder's eij variables are formula nodes; map them to their
+        // CNF variables.  Pairs whose variable was simplified out of the CNF
+        // are dropped (they are unconstrained).
+        let eij_pairs = encoded
+            .eij_pairs
+            .iter()
+            .filter_map(|&(x, y, fid)| {
+                let sym = match ctx.formula(fid) {
+                    velv_eufm::Formula::Var(sym) => *sym,
+                    _ => return None,
+                };
+                cnf_translation
+                    .primary_vars
+                    .get(&sym)
+                    .map(|&var| (x, y, var))
+            })
+            .collect();
         Translation {
             name,
             ctx,
@@ -387,102 +338,6 @@ impl Verifier {
             cnf: cnf_translation.cnf,
             primary_vars: cnf_translation.primary_vars,
             eij_pairs,
-            lazy_transitivity: self.is_lazy(),
-            stats,
-        }
-    }
-
-    /// Translates the decomposed criteria of a problem into one shared CNF
-    /// (see [`SharedTranslation`]): every obligation runs through the full
-    /// pipeline inside one context, and one persistent [`CnfBuilder`] emits
-    /// the definitional clauses, so identical subformulas across obligations
-    /// are translated exactly once.
-    pub fn translate_obligations_shared(
-        &self,
-        problem: &VerificationProblem,
-        max_obligations: usize,
-    ) -> SharedTranslation {
-        let this = self.clone();
-        let problem = problem.clone();
-        let parent = velv_obs::current_span_id();
-        std::thread::Builder::new()
-            .name(format!("velv-translate-shared-{}", problem.name))
-            .stack_size(256 * 1024 * 1024)
-            .spawn(move || {
-                let _span = velv_obs::span_child_of(
-                    "translate.shared",
-                    parent,
-                    &[("problem", problem.name.as_str().into())],
-                );
-                this.translate_obligations_shared_impl(&problem, max_obligations)
-            })
-            .expect("spawning the translation thread succeeds")
-            .join()
-            .expect("the translation thread does not panic")
-    }
-
-    fn translate_obligations_shared_impl(
-        &self,
-        problem: &VerificationProblem,
-        max_obligations: usize,
-    ) -> SharedTranslation {
-        let mut ctx = problem.ctx.clone();
-        let obligations = decompose(problem, &mut ctx, max_obligations);
-        let _span = velv_obs::span_fields(
-            "translate",
-            &[
-                ("formula", problem.name.as_str().into()),
-                ("obligations", obligations.len().into()),
-            ],
-        );
-        velv_obs::global()
-            .counter(
-                "velv_core_translations_total",
-                "EUFM formulas translated to CNF.",
-            )
-            .inc();
-        let mut builder = CnfBuilder::new();
-        let mut shared_obligations = Vec::new();
-        let mut eij_map: BTreeMap<(Symbol, Symbol), Var> = BTreeMap::new();
-        let mut stats = TranslationStats::default();
-        for obligation in obligations {
-            let (encoded, obligation_stats) =
-                self.eliminate_and_encode(&mut ctx, obligation.formula, &problem.memory_vars);
-            stats.primary_bool_vars += obligation_stats.primary_bool_vars;
-            stats.eij_vars += obligation_stats.eij_vars;
-            stats.indexing_vars += obligation_stats.indexing_vars;
-            stats.g_pairs += obligation_stats.g_pairs;
-            stats.transitivity_triangles += obligation_stats.transitivity_triangles;
-            stats.eufm_equations += obligation_stats.eufm_equations;
-            stats.uf_applications += obligation_stats.uf_applications;
-            // Definitional clauses only: the roots are *assumed*, not
-            // asserted, so the shared CNF serves every obligation.
-            let side_lit = builder.literal(&ctx, encoded.side_constraints);
-            let encoded_lit = builder.literal(&ctx, encoded.formula);
-            for (x, y, var) in Self::map_eij_pairs(&ctx, &encoded.eij_pairs, builder.primary_vars())
-            {
-                eij_map.entry(crate::encode::ordered(x, y)).or_insert(var);
-            }
-            shared_obligations.push(SharedObligation {
-                name: format!("{}::{}", problem.name, obligation.name),
-                assumptions: vec![side_lit, !encoded_lit],
-                encoded: encoded.formula,
-                side_constraints: encoded.side_constraints,
-            });
-        }
-        let translation = builder.finish();
-        stats.cnf_vars = translation.cnf.num_vars();
-        stats.cnf_clauses = translation.cnf.num_clauses();
-        SharedTranslation {
-            name: problem.name.clone(),
-            ctx,
-            cnf: translation.cnf,
-            obligations: shared_obligations,
-            primary_vars: translation.primary_vars,
-            eij_pairs: eij_map
-                .into_iter()
-                .map(|((x, y), var)| (x, y, var))
-                .collect(),
             lazy_transitivity: self.is_lazy(),
             stats,
         }
@@ -526,84 +381,6 @@ impl Verifier {
         refine::check_incremental(translation, config, budget)
     }
 
-    /// Checks every obligation of a [`SharedTranslation`] with one
-    /// persistent [`IncrementalSolver`]: the shared definitional CNF is
-    /// loaded once, each obligation is selected by assumption, and learned
-    /// clauses carry over from one obligation to the next.  Lazily encoded
-    /// obligations are refined in place — transitivity constraints are valid
-    /// for every obligation, so the clauses asserted while refining one
-    /// remain for all later ones.
-    ///
-    /// Returns the overall verdict (correct iff every obligation is correct,
-    /// buggy as soon as one is falsified), the per-obligation verdicts, and
-    /// the aggregate refinement statistics.
-    pub fn check_shared(
-        &self,
-        shared: &SharedTranslation,
-        config: CdclConfig,
-        budget: Budget,
-    ) -> (Verdict, Vec<(String, Verdict)>, RefinementStats) {
-        let mut solver = IncrementalSolver::with_formula(config, &shared.cnf);
-        self.check_shared_with(shared, &mut solver, budget)
-    }
-
-    /// [`Verifier::check_shared`] on a caller-supplied solver (which may
-    /// already hold clauses from earlier runs of the same shared CNF).
-    pub fn check_shared_with(
-        &self,
-        shared: &SharedTranslation,
-        solver: &mut IncrementalSolver,
-        budget: Budget,
-    ) -> (Verdict, Vec<(String, Verdict)>, RefinementStats) {
-        // Resolve the relative time limit once: the deadline then bounds the
-        // whole run, while each obligation's refinement loop charges the
-        // step budgets internally (per obligation, matching the
-        // per-obligation budgets of `verify_decomposed`).
-        let mut resolved = budget.started();
-        resolved.max_time = None;
-        let mut results = Vec::new();
-        let mut stats = RefinementStats::default();
-        let mut overall = Verdict::Correct;
-        for obligation in &shared.obligations {
-            // Once the budget is spent (deadline passed, cancel token
-            // raised), the remaining obligations are answered without
-            // touching the solver at all.
-            let verdict = if let Some(reason) = resolved.exceeded() {
-                Verdict::undecided(&SatResult::Unknown(reason))
-            } else {
-                let mut driver = refine::IncrementalDriver {
-                    solver,
-                    assumptions: obligation.assumptions.clone(),
-                };
-                match refine::refinement_loop(
-                    &shared.eij_pairs,
-                    shared.lazy_transitivity,
-                    &resolved,
-                    &mut stats,
-                    &mut driver,
-                ) {
-                    SatResult::Unsat => Verdict::Correct,
-                    SatResult::Sat(model) => Verdict::Buggy(Counterexample::from_model(
-                        &shared.ctx,
-                        &shared.primary_vars,
-                        &model,
-                    )),
-                    other => Verdict::undecided(&other),
-                }
-            };
-            if verdict.is_buggy() && !overall.is_buggy() {
-                overall = verdict.clone();
-            }
-            if let Verdict::Unknown(reason) = &verdict {
-                if overall.is_correct() {
-                    overall = Verdict::Unknown(reason.clone());
-                }
-            }
-            results.push((obligation.name.clone(), verdict));
-        }
-        (overall, results, stats)
-    }
-
     /// Checks a translation and *certifies* the verdict per `certify`: an
     /// UNSAT answer carries a DRAT proof replayed by the independent checker
     /// of `velv_proof` against the exact CNF that was solved (including every
@@ -626,26 +403,6 @@ impl Verifier {
         budget: Budget,
     ) -> Result<(CertifiedVerdict, RefinementStats), CertifyError> {
         certify::check_certified(translation, config, certify, budget)
-    }
-
-    /// [`Verifier::check_shared`] with certification: every obligation of the
-    /// shared translation is checked on one persistent proof-logging solver,
-    /// the accumulated DRAT log is replayed once by the independent checker,
-    /// and each UNSAT obligation is certified by its terminal step — the
-    /// clause over that obligation's negated assumptions.  SAT obligations
-    /// get the same model validation as [`Verifier::check_certified`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CertifyError`] when any obligation's evidence fails.
-    pub fn check_shared_certified(
-        &self,
-        shared: &SharedTranslation,
-        config: CdclConfig,
-        certify: &CertifyOptions,
-        budget: Budget,
-    ) -> Result<SharedCertifiedOutcome, CertifyError> {
-        certify::check_shared_certified(shared, config, certify, budget)
     }
 
     /// End-to-end certified verification: translate, check, certify.
@@ -784,9 +541,10 @@ impl Verifier {
         self.check(&translation, solver, budget)
     }
 
-    /// Convenience: decomposed verification.  Returns the per-obligation
-    /// verdicts; the design is correct when every obligation is correct, and
-    /// buggy as soon as one obligation is falsified.
+    /// Convenience: decomposed verification.  Every obligation of
+    /// [`Verifier::translate_obligations`] is checked on its own solver from
+    /// `make_solver`; returns the overall verdict (see
+    /// [`Verdict::absorb_obligation`]) and the per-obligation verdicts.
     pub fn verify_decomposed(
         &self,
         implementation: &dyn Processor,
@@ -802,36 +560,9 @@ impl Verifier {
         for translation in &translations {
             let mut solver = make_solver();
             let verdict = self.check(translation, solver.as_mut(), budget.clone());
-            if verdict.is_buggy() && !overall.is_buggy() {
-                overall = verdict.clone();
-            }
-            if let Verdict::Unknown(reason) = &verdict {
-                if overall.is_correct() {
-                    overall = Verdict::Unknown(reason.clone());
-                }
-            }
+            overall.absorb_obligation(&verdict);
             results.push((translation.name.clone(), verdict));
         }
-        (overall, results)
-    }
-
-    /// Decomposed verification on one shared solver instance: the weak
-    /// criteria are translated into a single CNF
-    /// ([`Verifier::translate_obligations_shared`]) and checked by one
-    /// persistent incremental engine ([`Verifier::check_shared`]), so the
-    /// clauses and learned facts common to the obligations are processed
-    /// once instead of once per obligation.
-    pub fn verify_decomposed_shared(
-        &self,
-        implementation: &dyn Processor,
-        specification: &dyn Processor,
-        max_obligations: usize,
-        config: CdclConfig,
-        budget: Budget,
-    ) -> (Verdict, Vec<(String, Verdict)>) {
-        let problem = self.build_problem(implementation, specification);
-        let shared = self.translate_obligations_shared(&problem, max_obligations);
-        let (overall, results, _) = self.check_shared(&shared, config, budget);
         (overall, results)
     }
 }
@@ -1015,27 +746,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_decomposition_matches_per_obligation_decomposition() {
+    fn decomposition_agrees_under_eager_and_lazy_encodings() {
         for options in [
             TranslationOptions::default(),
             TranslationOptions::default().with_lazy_transitivity(),
         ] {
             let verifier = Verifier::new(options);
-            let (overall, parts) = verifier.verify_decomposed_shared(
+            let (overall, parts) = verifier.verify_decomposed(
                 &PipelinedToy::correct(),
                 &ToySpec,
                 8,
-                velv_sat::cdcl::CdclConfig::chaff(),
+                || Box::new(CdclSolver::chaff()),
                 Budget::unlimited(),
             );
             assert!(overall.is_correct(), "got {overall:?}");
-            assert!(!parts.is_empty());
+            assert!(parts[0].0.contains("coverage"), "{:?}", parts[0].0);
             assert!(parts.iter().all(|(_, v)| v.is_correct()));
-            let (overall, parts) = verifier.verify_decomposed_shared(
+            let (overall, parts) = verifier.verify_decomposed(
                 &PipelinedToy::buggy(ToyBug::WritesWrongData),
                 &ToySpec,
                 8,
-                velv_sat::cdcl::CdclConfig::chaff(),
+                || Box::new(CdclSolver::chaff()),
                 Budget::unlimited(),
             );
             assert!(overall.is_buggy(), "got {overall:?}");
@@ -1044,19 +775,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_translation_is_definitional() {
-        // With no obligation asserted the shared CNF must be satisfiable —
-        // it contains Tseitin definitions only.
-        let verifier = Verifier::new(TranslationOptions::default());
-        let problem = verifier.build_problem(&PipelinedToy::correct(), &ToySpec);
-        let shared = verifier.translate_obligations_shared(&problem, 8);
-        assert!(!shared.obligations.is_empty());
-        let mut solver = CdclSolver::chaff();
-        assert!(solver.solve(&shared.cnf).is_sat());
-        // And the obligations must cover at least the coverage obligation
-        // plus one group per instruction count.
-        assert!(shared.obligations[0].name.contains("coverage"));
-        assert!(shared.stats.cnf_clauses > 0);
+    fn buggy_beats_unknown_beats_correct() {
+        let unknown = |reason: &str| Verdict::Unknown(reason.to_owned());
+        let buggy = Verdict::Buggy(Counterexample::default());
+        let mut overall = Verdict::Correct;
+        overall.absorb_obligation(&Verdict::Correct);
+        assert_eq!(overall, Verdict::Correct);
+        overall.absorb_obligation(&unknown("first"));
+        overall.absorb_obligation(&unknown("second"));
+        overall.absorb_obligation(&Verdict::Correct);
+        assert_eq!(overall, unknown("first"));
+        overall.absorb_obligation(&buggy);
+        overall.absorb_obligation(&unknown("third"));
+        overall.absorb_obligation(&Verdict::Correct);
+        assert_eq!(overall, buggy);
     }
 
     #[test]

@@ -65,11 +65,10 @@ pub mod uf_elim;
 pub use backend::{Backend, BackendRun, BddOutcome, PortfolioOutcome};
 pub use burch_dill::VerificationProblem;
 pub use certify::{
-    Certificate, CertifiedObligation, CertifiedVerdict, CertifyError, ModelCertificate,
-    ProofCertificate, SharedCertifiedOutcome,
+    Certificate, CertifiedVerdict, CertifyError, ModelCertificate, ProofCertificate,
 };
 pub use counterexample::Counterexample;
 pub use fingerprint::problem_fingerprint;
-pub use flow::{SharedObligation, SharedTranslation, Translation, Verdict, Verifier};
+pub use flow::{Translation, Verdict, Verifier};
 pub use options::{CertifyOptions, GEncoding, TransitivityMode, TranslationOptions, UpElimination};
 pub use stats::{RefinementStats, TranslationStats};

@@ -174,18 +174,16 @@ impl TranslationOptions {
 }
 
 /// Configuration of *certified* checking
-/// ([`crate::Verifier::check_certified`] and
-/// [`crate::Verifier::check_shared_certified`]).
+/// ([`crate::Verifier::check_certified`]).
 ///
 /// A certified run turns both poles of a verdict into checkable artifacts
 /// instead of articles of faith in the solver:
 ///
 /// * **UNSAT** — the CDCL engine logs a DRAT proof (every learned clause,
-///   every deletion, and the terminal clause: the empty clause, or the clause
-///   over the negated assumptions for assumption-selected obligations).  The
-///   proof is replayed by the *independent* forward RUP checker in
-///   `velv_proof` against the exact CNF that was solved — the translation's
-///   clauses plus every clause asserted during lazy transitivity refinement.
+///   every deletion, and the terminal empty clause).  The proof is replayed
+///   by the *independent* forward RUP checker in `velv_proof` against the
+///   exact CNF that was solved — the translation's clauses plus every clause
+///   asserted during lazy transitivity refinement.
 /// * **SAT** — the model is lifted through
 ///   [`crate::Counterexample::from_model`] into a `velv_eufm`
 ///   [`velv_eufm::Interpretation`] and the encoded correctness formula is

@@ -146,17 +146,16 @@ pub(crate) trait RefineDriver {
     fn assert_clause(&mut self, clause: &[Lit]);
 }
 
-/// An [`IncrementalSolver`] under fixed assumptions: constraint clauses land
-/// in the live engine, step usage is the delta of its cumulative statistics.
+/// An [`IncrementalSolver`]: constraint clauses land in the live engine,
+/// step usage is the delta of its cumulative statistics.
 pub(crate) struct IncrementalDriver<'a> {
     pub solver: &'a mut IncrementalSolver,
-    pub assumptions: Vec<Lit>,
 }
 
 impl RefineDriver for IncrementalDriver<'_> {
     fn solve(&mut self, budget: Budget) -> (SatResult, velv_sat::SolverStats) {
         let before = self.solver.stats();
-        let result = self.solver.solve_assuming(&self.assumptions, budget);
+        let result = self.solver.solve(budget);
         let after = self.solver.stats();
         (
             result,
@@ -192,7 +191,7 @@ impl RefineDriver for MonolithicDriver<'_> {
 }
 
 /// The generic solve → detect-violations → assert → re-solve loop shared by
-/// the incremental, monolithic and shared-decomposition checks.
+/// the incremental, monolithic and certified checks.
 ///
 /// The caller's budget bounds the *whole loop*: the relative time limit is
 /// resolved into one deadline up front, and the conflict/decision budgets are
@@ -278,10 +277,7 @@ pub fn check_with_refinement(
     budget: Budget,
 ) -> (Verdict, RefinementStats) {
     let mut stats = RefinementStats::default();
-    let mut driver = IncrementalDriver {
-        solver,
-        assumptions: Vec::new(),
-    };
+    let mut driver = IncrementalDriver { solver };
     let result = refinement_loop(
         &translation.eij_pairs,
         translation.lazy_transitivity,

@@ -28,6 +28,22 @@ pub struct TranslationStats {
     pub uf_applications: usize,
 }
 
+/// Sums the statistics of several translations — the obligations of one
+/// decomposed criterion.
+impl std::ops::AddAssign for TranslationStats {
+    fn add_assign(&mut self, other: Self) {
+        self.primary_bool_vars += other.primary_bool_vars;
+        self.eij_vars += other.eij_vars;
+        self.indexing_vars += other.indexing_vars;
+        self.g_pairs += other.g_pairs;
+        self.transitivity_triangles += other.transitivity_triangles;
+        self.cnf_vars += other.cnf_vars;
+        self.cnf_clauses += other.cnf_clauses;
+        self.eufm_equations += other.eufm_equations;
+        self.uf_applications += other.uf_applications;
+    }
+}
+
 impl fmt::Display for TranslationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -44,8 +60,7 @@ impl fmt::Display for TranslationStats {
     }
 }
 
-/// Statistics of one lazy-transitivity refinement run (or of a shared-solver
-/// decomposition check, where the counters aggregate over all obligations).
+/// Statistics of one lazy-transitivity refinement run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RefinementStats {
     /// Solver calls made, including the final one that produced the verdict

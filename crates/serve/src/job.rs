@@ -321,9 +321,12 @@ impl BackendChoice {
 pub enum SolveMode {
     /// One monolithic correctness criterion, one back-end run.
     Monolithic,
-    /// Decompose into at most `max_obligations` weak criteria and check them
-    /// all on one shared incremental session
-    /// ([`velv_core::Verifier::translate_obligations_shared`]).
+    /// Decompose into at most `max_obligations` weak criteria
+    /// ([`velv_core::Verifier::translate_obligations`]) and run one CDCL
+    /// check per obligation, in obligation order, stopping at the first
+    /// falsified one.  Each check uses the CDCL preset named by
+    /// [`JobSpec::backend`] (`chaff`, `berkmin`, `grasp` or `sato`); any
+    /// other back-end choice runs chaff.
     Decomposed {
         /// Obligation cap passed to the decomposition.
         max_obligations: usize,
@@ -359,7 +362,9 @@ pub struct JobSpec {
     pub model: ModelRef,
     /// Translation options.
     pub options: TranslationOptions,
-    /// Back end deciding the job.
+    /// Back end deciding the job.  Certified and decomposed jobs always run
+    /// a CDCL preset: the named one for `chaff`, `berkmin`, `grasp` and
+    /// `sato`, chaff for every other choice.
     pub backend: BackendChoice,
     /// Scheduling mode.
     pub mode: SolveMode,

@@ -49,9 +49,9 @@ use velv_core::{
     VerificationProblem, Verifier,
 };
 use velv_eufm::Fingerprint;
-use velv_sat::cdcl::CdclConfig;
+use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::presets::SolverKind;
-use velv_sat::{Budget, CancelToken, IncrementalSolver, SatResult, Solver};
+use velv_sat::{Budget, CancelToken, SatResult, Solver};
 
 /// Builds a replacement engine for monolithic uncertified jobs; a test and
 /// extension hook (e.g. plugging a custom engine into a service instance).
@@ -1581,35 +1581,42 @@ fn run_single(inner: &Inner, job: &SingleJob) {
 
     let (verdict, certificate, proof, stats) = match job.spec.mode {
         SolveMode::Decomposed { max_obligations } => {
-            let problem = &job.problem;
-            let shared = {
+            let obligations = {
                 let _span = velv_obs::span("serve.translate");
                 let _mem_scope = velv_obs::MemScope::enter("eufm");
-                verifier.translate_obligations_shared(problem, max_obligations)
+                verifier.translate_obligations(&job.problem, max_obligations)
             };
+            let mut stats = TranslationStats::default();
+            for obligation in &obligations {
+                stats += obligation.stats;
+            }
             inner.counters.fresh_solves.inc();
             let _solve_span = velv_obs::span("serve.solve");
-            if job.spec.certified {
-                match verifier.check_shared_certified(
-                    &shared,
-                    cdcl_config_for(job.spec.backend),
-                    &job.spec.certify_options(),
-                    budget,
-                ) {
-                    Ok(outcome) => (outcome.overall, None, None, Some(shared.stats)),
-                    Err(e) => (
-                        Verdict::Unknown(format!("certification failed: {e}")),
-                        None,
-                        None,
-                        Some(shared.stats),
-                    ),
+            let mut overall = Verdict::Correct;
+            for obligation in &obligations {
+                let verdict = if job.spec.certified {
+                    match verifier.check_certified(
+                        obligation,
+                        cdcl_config_for(job.spec.backend),
+                        &job.spec.certify_options(),
+                        budget.clone(),
+                    ) {
+                        Ok((certified, _)) => certified.verdict,
+                        Err(e) => {
+                            overall = Verdict::Unknown(format!("certification failed: {e}"));
+                            break;
+                        }
+                    }
+                } else {
+                    let mut solver = CdclSolver::new(cdcl_config_for(job.spec.backend));
+                    verifier.check(obligation, &mut solver, budget.clone())
+                };
+                overall.absorb_obligation(&verdict);
+                if overall.is_buggy() {
+                    break;
                 }
-            } else {
-                let mut solver =
-                    IncrementalSolver::with_formula(cdcl_config_for(job.spec.backend), &shared.cnf);
-                let (overall, _, _) = verifier.check_shared_with(&shared, &mut solver, budget);
-                (overall, None, None, Some(shared.stats))
             }
+            (overall, None, None, Some(stats))
         }
         SolveMode::Monolithic => {
             let translation = {

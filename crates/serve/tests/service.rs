@@ -384,12 +384,49 @@ fn dropping_one_queued_batch_entry_cancels_only_that_entry() {
 }
 
 #[test]
-fn decomposed_mode_verifies_through_the_shared_session() {
+fn decomposed_mode_checks_each_obligation() {
     let service = ServeHandle::start(ServiceConfig::default().with_workers(2));
-    let mut spec = JobSpec::new(ModelRef::dlx1_correct());
-    spec.mode = SolveMode::Decomposed { max_obligations: 8 };
-    let result = service.submit(spec).expect("accepted").wait();
-    assert!(result.verdict.is_correct(), "{:?}", result.verdict);
+    let decomposed = |model, certified| {
+        let mut spec = JobSpec::new(model);
+        spec.mode = SolveMode::Decomposed { max_obligations: 8 };
+        spec.certified = certified;
+        spec
+    };
+    for certified in [false, true] {
+        let ticket = service
+            .submit(decomposed(ModelRef::dlx1_correct(), certified))
+            .expect("accepted");
+        let result = ticket.wait();
+        assert!(
+            result.verdict.is_correct(),
+            "certified={certified}: {:?}",
+            result.verdict
+        );
+        assert!(!result.from_cache, "certified={certified}");
+        // The cache entry carries the obligations' summed statistics.
+        let (implementation, specification) = ModelRef::dlx1_correct().build().unwrap();
+        let verifier = velv_core::Verifier::default();
+        let problem = verifier.build_problem(implementation.as_ref(), specification.as_ref());
+        let clauses: usize = verifier
+            .translate_obligations(&problem, 8)
+            .iter()
+            .map(|t| t.stats.cnf_clauses)
+            .sum();
+        let entry = service.cached(ticket.fingerprint()).expect("cached");
+        let stats = entry.translation_stats.expect("translation stats");
+        assert_eq!(stats.cnf_clauses, clauses, "certified={certified}");
+        let result = service
+            .submit(decomposed(ModelRef::dlx1_bug(0), certified))
+            .expect("accepted")
+            .wait();
+        assert!(
+            result.verdict.counterexample().is_some(),
+            "certified={certified}: {:?}",
+            result.verdict
+        );
+    }
+    let stats = service.stats();
+    assert_eq!(stats.fresh_solves, 4, "certified and plain jobs differ");
     service.shutdown();
 }
 

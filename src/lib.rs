@@ -54,8 +54,8 @@ pub mod prelude {
     pub use velv_bdd::BddManager;
     pub use velv_core::{
         Backend, BackendRun, Certificate, CertifiedVerdict, CertifyError, CertifyOptions,
-        GEncoding, PortfolioOutcome, RefinementStats, SharedTranslation, TransitivityMode,
-        Translation, TranslationOptions, TranslationStats, Verdict, Verifier,
+        GEncoding, PortfolioOutcome, RefinementStats, TransitivityMode, Translation,
+        TranslationOptions, TranslationStats, Verdict, Verifier,
     };
     pub use velv_eufm::Context;
     pub use velv_hdl::{Processor, StateElement, SymbolicState};

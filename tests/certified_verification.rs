@@ -1,7 +1,7 @@
 //! Acceptance suite for certified verdicts at the verification level: every
 //! verdict across the DLX/VLIW/OOO catalog must be certifiable end to end —
 //! UNSAT answers replay through `velv_proof`'s independent checker (eager and
-//! lazy transitivity, shared and per-obligation decomposition), SAT answers
+//! lazy transitivity, monolithic and per-obligation decomposition), SAT answers
 //! survive counterexample validation against the encoded EUFM formula, and a
 //! corrupted proof is rejected.
 
@@ -148,7 +148,7 @@ fn ooo_certifies_with_lazy_refinement_clauses_in_the_checked_cnf() {
 }
 
 #[test]
-fn shared_decomposition_certifies_across_the_dlx_catalog() {
+fn every_obligation_certifies_across_the_dlx_catalog() {
     let config = DlxConfig::single_issue();
     let spec = DlxSpecification::new(config);
     let mut designs: Vec<(String, Dlx, bool)> =
@@ -166,27 +166,18 @@ fn shared_decomposition_certifies_across_the_dlx_catalog() {
         let verifier = Verifier::new(options);
         for (name, implementation, expect_buggy) in &designs {
             let problem = verifier.build_problem(implementation, &spec);
-            let shared = verifier.translate_obligations_shared(&problem, 8);
-            let outcome = verifier
-                .check_shared_certified(
-                    &shared,
-                    CdclConfig::chaff(),
-                    &CertifyOptions::default(),
-                    Budget::unlimited(),
-                )
-                .unwrap_or_else(|e| panic!("{name}-{mode}: {e}"));
-            assert_eq!(
-                outcome.overall.is_buggy(),
-                *expect_buggy,
-                "{name}-{mode}: {:?}",
-                outcome.overall
-            );
-            assert_eq!(outcome.obligations.len(), shared.obligations.len());
-            for obligation in &outcome.obligations {
-                match (
-                    &obligation.certified.certificate,
-                    &obligation.certified.verdict,
-                ) {
+            let obligations = verifier.translate_obligations(&problem, 8);
+            let mut overall = Verdict::Correct;
+            for obligation in &obligations {
+                let (certified, _) = verifier
+                    .check_certified(
+                        obligation,
+                        CdclConfig::chaff(),
+                        &CertifyOptions::default(),
+                        Budget::unlimited(),
+                    )
+                    .unwrap_or_else(|e| panic!("{name}-{mode}: {e}"));
+                match (&certified.certificate, &certified.verdict) {
                     (Certificate::Unsat(_), Verdict::Correct) => {}
                     (Certificate::Sat(_), Verdict::Buggy(_)) => {}
                     (certificate, verdict) => panic!(
@@ -194,7 +185,13 @@ fn shared_decomposition_certifies_across_the_dlx_catalog() {
                         obligation.name
                     ),
                 }
+                overall.absorb_obligation(&certified.verdict);
             }
+            assert_eq!(
+                overall.is_buggy(),
+                *expect_buggy,
+                "{name}-{mode}: {overall:?}"
+            );
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Acceptance suite for the incremental subsystem at the verification level:
-//! lazy transitivity refinement and shared-solver decomposition must produce
-//! verdicts identical to the eager / one-shot paths across the DLX, VLIW and
-//! OOO model catalog.
+//! lazy transitivity refinement must produce verdicts identical to the eager
+//! encoding across the DLX, VLIW and OOO model catalog, and decomposed
+//! verification (one check per weak-criterion obligation) must agree with
+//! the monolithic criterion under both encodings.
 
 use velv::prelude::*;
 use velv_sat::cdcl::CdclConfig;
-use velv_sat::IncrementalSolver;
 
 fn eager() -> Verifier {
     Verifier::new(TranslationOptions::default())
@@ -90,88 +90,51 @@ fn lazy_transitivity_matches_eager_on_ooo() {
 }
 
 #[test]
-fn shared_decomposition_matches_per_obligation_on_the_dlx_catalog() {
+fn decomposition_matches_monolithic_on_the_dlx_catalog() {
     let config = DlxConfig::single_issue();
     let spec = DlxSpecification::new(config);
-    let verifier = eager();
     let mut designs: Vec<(String, Dlx, bool)> =
         vec![("correct".to_owned(), Dlx::correct(config), false)];
     for bug in dlx_bug_catalog(config).into_iter().take(6) {
         designs.push((format!("{bug:?}"), Dlx::buggy(config, bug), true));
     }
-    for (name, implementation, expect_buggy) in &designs {
-        let (reference, reference_parts) = verifier.verify_decomposed(
-            implementation,
-            &spec,
-            8,
-            || Box::new(CdclSolver::chaff()),
-            Budget::unlimited(),
-        );
-        let (shared, shared_parts) = verifier.verify_decomposed_shared(
-            implementation,
-            &spec,
-            8,
-            CdclConfig::chaff(),
-            Budget::unlimited(),
-        );
-        assert_eq!(
-            reference.is_buggy(),
-            shared.is_buggy(),
-            "{name}: per-obligation {reference:?} vs shared {shared:?}"
-        );
-        assert_eq!(shared.is_buggy(), *expect_buggy, "{name}: {shared:?}");
-        assert_eq!(
-            reference_parts.len(),
-            shared_parts.len(),
-            "{name}: same obligation count"
-        );
-        // Obligation-level verdicts agree pairwise (same decomposition).
-        for ((ref_name, ref_verdict), (shared_name, shared_verdict)) in
-            reference_parts.iter().zip(&shared_parts)
-        {
-            assert_eq!(ref_name, shared_name, "{name}");
-            assert_eq!(
-                ref_verdict.is_buggy(),
-                shared_verdict.is_buggy(),
-                "{name} / {ref_name}"
+    for (mode, verifier) in [("eager", eager()), ("lazy", lazy())] {
+        for (name, implementation, expect_buggy) in &designs {
+            let mut solver = CdclSolver::chaff();
+            let monolithic = verifier.verify(implementation, &spec, &mut solver);
+            let (decomposed, parts) = verifier.verify_decomposed(
+                implementation,
+                &spec,
+                8,
+                || Box::new(CdclSolver::chaff()),
+                Budget::unlimited(),
             );
+            assert_eq!(
+                monolithic.is_buggy(),
+                decomposed.is_buggy(),
+                "{name}-{mode}: monolithic {monolithic:?} vs decomposed {decomposed:?}"
+            );
+            assert_eq!(decomposed.is_buggy(), *expect_buggy, "{name}-{mode}");
+            assert!(!parts.is_empty(), "{name}-{mode}");
+            if !*expect_buggy {
+                assert!(decomposed.is_correct(), "{name}-{mode}: {decomposed:?}");
+                assert!(parts.iter().all(|(_, v)| v.is_correct()), "{name}-{mode}");
+            }
         }
     }
 }
 
 #[test]
-fn shared_decomposition_reuses_one_solver_across_obligations() {
-    // The whole point of the shared translation: one persistent solver
-    // instance checks every obligation.  Verify the plumbing end to end on
-    // the dual-issue DLX (the decomposition-heavy design) and let the solver
-    // show its statistics accumulate across the obligations.
-    let config = DlxConfig::dual_issue();
-    let spec = DlxSpecification::new(config);
-    let verifier = eager();
-    let problem = verifier.build_problem(&Dlx::correct(config), &spec);
-    let shared = verifier.translate_obligations_shared(&problem, 8);
-    assert!(shared.obligations.len() >= 3);
-    let mut solver = IncrementalSolver::with_formula(CdclConfig::chaff(), &shared.cnf);
-    let (overall, parts, _) = verifier.check_shared_with(&shared, &mut solver, Budget::unlimited());
-    assert!(overall.is_correct(), "{overall:?}");
-    assert_eq!(parts.len(), shared.obligations.len());
-    assert!(
-        solver.stats().decisions > 0,
-        "the shared solver did all the work"
-    );
-}
-
-#[test]
-fn lazy_shared_decomposition_on_vliw_matches_eager_shared() {
+fn decomposed_verification_on_vliw_passes_eager_and_lazy() {
     let config = VliwConfig::base();
     let spec = VliwSpecification::new(config);
     let implementation = Vliw::correct(config);
     for verifier in [eager(), lazy()] {
-        let (overall, parts) = verifier.verify_decomposed_shared(
+        let (overall, parts) = verifier.verify_decomposed(
             &implementation,
             &spec,
             6,
-            CdclConfig::chaff(),
+            || Box::new(CdclSolver::chaff()),
             Budget::unlimited(),
         );
         assert!(overall.is_correct(), "{overall:?}");

@@ -92,14 +92,7 @@ fn main() -> ExitCode {
         proof.num_additions(),
     );
     let start = Instant::now();
-    match check_proof(
-        &clauses,
-        &proof,
-        &CheckOptions {
-            trim,
-            ..Default::default()
-        },
-    ) {
+    match check_proof(&clauses, &proof, &CheckOptions { trim }) {
         Ok(report) => {
             let elapsed = start.elapsed();
             println!(

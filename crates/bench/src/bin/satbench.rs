@@ -632,7 +632,7 @@ fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
         let meter = HeapMeter::start();
         let start = Instant::now();
         let logged_result = logging
-            .solve_with_proof(&translation.cnf, &[], Budget::unlimited(), &shared)
+            .solve_with_proof(&translation.cnf, Budget::unlimited(), &shared)
             .expect("the CDCL presets produce proofs");
         let logging_time = start.elapsed().as_secs_f64();
         let (peak_heap_bytes, scope_deltas) = meter.finish();

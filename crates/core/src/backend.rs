@@ -297,7 +297,11 @@ pub struct PortfolioOutcome {
 /// default thread stack (the translation pipeline uses the same bound).
 const RACE_STACK_SIZE: usize = 256 * 1024 * 1024;
 
-pub(crate) fn sat_verdict(translation: &Translation, result: SatResult) -> Verdict {
+/// The verdict a SAT result gives on `translation`: `Unsat` proves the design
+/// correct, a model is lifted into a counterexample, and an undecided result
+/// becomes [`Verdict::Unknown`] with the spelling every back end shares
+/// (`"cancelled"` for a raised cancel token).
+pub fn sat_verdict(translation: &Translation, result: SatResult) -> Verdict {
     match result {
         SatResult::Unsat => Verdict::Correct,
         SatResult::Sat(model) => Verdict::Buggy(Counterexample::from_model(
@@ -359,7 +363,7 @@ fn undecided_reason(runs: &[BackendRun]) -> String {
 /// a whole: its step limits and deadline are inherited by the SAT members and
 /// an outer cancellation is forwarded into the race.
 ///
-/// This collector shares the generic [`velv_sat::race`] helper with
+/// This collector shares the generic [`velv_sat::race()`] helper with
 /// [`velv_sat::portfolio::PortfolioSolver`] but intentionally does not
 /// delegate to the portfolio solver itself: that race is over `SatResult`s
 /// on one CNF, while this one is over [`Verdict`]s — the BDD member works on

@@ -11,9 +11,10 @@
 //!   attached (see `velv_sat::proof`), and the recorded proof is replayed by
 //!   the independent forward RUP checker of `velv_proof` against the *exact*
 //!   CNF that was solved: the translation's clauses plus every transitivity
-//!   clause asserted by the lazy refinement loop (captured through the
-//!   solver's iCNF trace).  Every refutation — of a monolithic criterion or
-//!   of one decomposed obligation — must end in the empty clause.
+//!   clause asserted by the lazy refinement loop (recorded as the loop
+//!   asserts them).  Every refutation — of a monolithic
+//!   criterion or of one decomposed obligation — must end in the empty
+//!   clause.
 //! * **SAT (the design is buggy).**  The model is checked against every
 //!   clause handed to the solver, its *e*ij assignment is re-checked for
 //!   transitivity consistency (so it lifts to a genuine equality
@@ -27,7 +28,7 @@
 //! What remains trusted is deliberately small: the EUFM → CNF translation
 //! capture, the tiny RUP checker and the EUFM evaluator.  The search — with
 //! its heuristics, restarts, clause database management, garbage collection
-//! and incremental scope machinery — is entirely outside the trusted base.
+//! and incremental clause addition — is entirely outside the trusted base.
 
 use crate::counterexample::Counterexample;
 use crate::flow::{Translation, Verdict};
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 use velv_eufm::{Context, FormulaId, Interpretation, Symbol};
 use velv_proof::{check_proof, CheckOptions, Proof};
 use velv_sat::cdcl::CdclConfig;
-use velv_sat::dimacs::{clause_to_dimacs_i32, cnf_to_dimacs_i32, IcnfEvent};
+use velv_sat::dimacs::{clause_to_dimacs_i32, cnf_to_dimacs_i32};
 use velv_sat::solver::verify_model;
 use velv_sat::{Budget, CnfFormula, IncrementalSolver, Lit, Model, SatResult, Var};
 
@@ -158,20 +159,6 @@ impl fmt::Display for CertifyError {
 
 impl std::error::Error for CertifyError {}
 
-/// The clauses added to the solver after its initial formula, recovered from
-/// the iCNF trace (lazy transitivity constraints, in certification runs).
-fn trace_additions(solver: &IncrementalSolver) -> Vec<Vec<Lit>> {
-    solver
-        .trace()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|event| match event {
-            IcnfEvent::AddClause(lits) => Some(lits.clone()),
-            IcnfEvent::Solve(_) => None,
-        })
-        .collect()
-}
-
 /// Replays `proof` against `base` plus `added` and validates the terminal
 /// step: the empty clause.
 fn check_unsat_proof(
@@ -194,7 +181,6 @@ fn check_unsat_proof(
     let start = Instant::now();
     let options = CheckOptions {
         trim: certify.trim_proofs,
-        trim_seeds: vec![terminal_step],
     };
     let report =
         check_proof(&clauses, proof, &options).map_err(|e| CertifyError::ProofRejected {
@@ -394,30 +380,28 @@ pub(crate) fn check_certified(
         )
         .inc();
     let mut solver = IncrementalSolver::with_formula(config, &translation.cnf);
-    solver.enable_trace();
     let proof = certify.check_unsat_proofs.then(|| solver.enable_proof());
     let mut stats = RefinementStats::default();
-    let result = {
-        let mut driver = IncrementalDriver {
-            solver: &mut solver,
-        };
-        // Certified checking refines *eager* translations too: the sparse
-        // triangulation connects large elimination neighbourhoods along a
-        // path (the paper's Section-6 scheme), which is not chordal, so an
-        // eager model may still assign the eij variables transitivity-
-        // inconsistently.  Running the violation check for both modes
-        // asserts the (valid) path clauses and re-solves until the model
-        // lifts to a genuine equality interpretation — certification closes
-        // that gap instead of reporting an unliftable counterexample.
-        refine::refinement_loop(
-            &translation.eij_pairs,
-            true,
-            &budget,
-            &mut stats,
-            &mut driver,
-        )
+    let mut driver = IncrementalDriver {
+        solver: &mut solver,
+        added: Vec::new(),
     };
-    let added = trace_additions(&solver);
+    // Certified checking refines *eager* translations too: the sparse
+    // triangulation connects large elimination neighbourhoods along a path
+    // (the paper's Section-6 scheme), which is not chordal, so an eager
+    // model may still assign the eij variables transitivity-inconsistently.
+    // Running the violation check for both modes asserts the (valid) path
+    // clauses and re-solves until the model lifts to a genuine equality
+    // interpretation — certification closes that gap instead of reporting
+    // an unliftable counterexample.
+    let result = refine::refinement_loop(
+        &translation.eij_pairs,
+        true,
+        &budget,
+        &mut stats,
+        &mut driver,
+    );
+    let added = driver.added;
     let certified = match result {
         SatResult::Unsat => {
             let certificate = match &proof {

@@ -366,7 +366,7 @@ impl Verifier {
         )
     }
 
-    /// Checks a translation with a fresh persistent [`IncrementalSolver`]
+    /// Checks a translation with a fresh persistent [`IncrementalSolver`](velv_sat::IncrementalSolver)
     /// built from `config`: for lazily encoded translations the refinement
     /// loop asserts violated transitivity constraints into the live engine
     /// (keeping all learned clauses); for eager translations this is a

@@ -62,7 +62,7 @@ pub mod stats;
 pub(crate) mod test_models;
 pub mod uf_elim;
 
-pub use backend::{Backend, BackendRun, BddOutcome, PortfolioOutcome};
+pub use backend::{sat_verdict, Backend, BackendRun, BddOutcome, PortfolioOutcome};
 pub use burch_dill::VerificationProblem;
 pub use certify::{
     Certificate, CertifiedVerdict, CertifyError, ModelCertificate, ProofCertificate,

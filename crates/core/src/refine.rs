@@ -29,7 +29,7 @@
 //! a growing CNF with any [`Solver`], which is also the baseline the
 //! `satbench` harness measures the incremental win against.
 
-use crate::counterexample::Counterexample;
+use crate::backend::sat_verdict;
 use crate::flow::{Translation, Verdict};
 use crate::stats::RefinementStats;
 use std::collections::HashMap;
@@ -127,14 +127,6 @@ pub fn transitivity_violations(pairs: &[(Symbol, Symbol, Var)], model: &Model) -
     clauses
 }
 
-fn sat_model_verdict(translation: &Translation, model: &Model) -> Verdict {
-    Verdict::Buggy(Counterexample::from_model(
-        &translation.ctx,
-        &translation.primary_vars,
-        model,
-    ))
-}
-
 /// One back end inside the refinement loop: something that can re-solve the
 /// current formula (reporting the steps the attempt consumed) and accept a
 /// violated-transitivity clause for the next round.
@@ -147,9 +139,12 @@ pub(crate) trait RefineDriver {
 }
 
 /// An [`IncrementalSolver`]: constraint clauses land in the live engine,
-/// step usage is the delta of its cumulative statistics.
+/// step usage is the delta of its cumulative statistics.  Every asserted
+/// clause is also kept in `added`, in assertion order, so certification can
+/// check proofs and models against exactly the clauses the solver saw.
 pub(crate) struct IncrementalDriver<'a> {
     pub solver: &'a mut IncrementalSolver,
+    pub added: Vec<Vec<Lit>>,
 }
 
 impl RefineDriver for IncrementalDriver<'_> {
@@ -169,6 +164,7 @@ impl RefineDriver for IncrementalDriver<'_> {
 
     fn assert_clause(&mut self, clause: &[Lit]) {
         self.solver.add_clause(clause);
+        self.added.push(clause.to_vec());
     }
 }
 
@@ -277,7 +273,10 @@ pub fn check_with_refinement(
     budget: Budget,
 ) -> (Verdict, RefinementStats) {
     let mut stats = RefinementStats::default();
-    let mut driver = IncrementalDriver { solver };
+    let mut driver = IncrementalDriver {
+        solver,
+        added: Vec::new(),
+    };
     let result = refinement_loop(
         &translation.eij_pairs,
         translation.lazy_transitivity,
@@ -285,12 +284,7 @@ pub fn check_with_refinement(
         &mut stats,
         &mut driver,
     );
-    let verdict = match &result {
-        SatResult::Unsat => Verdict::Correct,
-        SatResult::Sat(model) => sat_model_verdict(translation, model),
-        other => Verdict::undecided(other),
-    };
-    (verdict, stats)
+    (sat_verdict(translation, result), stats)
 }
 
 /// Convenience wrapper: builds a fresh [`IncrementalSolver`] with `config`,
@@ -326,12 +320,7 @@ pub fn check_with_refinement_monolithic(
         &mut stats,
         &mut driver,
     );
-    let verdict = match &result {
-        SatResult::Unsat => Verdict::Correct,
-        SatResult::Sat(model) => sat_model_verdict(translation, model),
-        other => Verdict::undecided(other),
-    };
-    (verdict, stats)
+    (sat_verdict(translation, result), stats)
 }
 
 #[cfg(test)]

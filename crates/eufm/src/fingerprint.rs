@@ -5,7 +5,7 @@
 //! child fingerprints, and commutative connectives (`∧`, `∨`, `=`) hash their
 //! operands order-insensitively.  The result is independent of
 //!
-//! * the [`Context`](crate::Context) the expression lives in,
+//! * the [`Context`] the expression lives in,
 //! * the order in which the DAG was constructed (node ids never enter the
 //!   hash), and
 //! * any unrelated scratch nodes interned in the same context,

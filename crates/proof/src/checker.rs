@@ -18,14 +18,12 @@
 //! Every accepted addition is therefore a *logical consequence* of the input
 //! clauses — this checker verifies pure RUP proofs and does not accept RAT
 //! steps, which only preserve satisfiability.  A verified proof whose terminal
-//! step is the empty clause certifies unsatisfiability; a terminal clause
-//! `¬a₁ ∨ … ∨ ¬aₖ` certifies unsatisfiability under the assumptions
-//! `a₁ … aₖ`.
+//! step is the empty clause certifies unsatisfiability.
 //!
 //! **Backward trimming.**  With [`CheckOptions::trim`] the checker records,
 //! for each verified step, the clauses participating in its conflict cone,
-//! then walks the proof backwards from the terminal step marking what was
-//! actually used.  The report lists the used input clauses (the core) and how
+//! then walks the proof backwards from the last addition step marking what
+//! was actually used.  The report lists the used input clauses (the core) and how
 //! many proof steps survive the trim.
 
 use crate::drat::{Proof, ProofStep};
@@ -35,15 +33,9 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct CheckOptions {
     /// Backward-trim the verified proof: report which input clauses and which
-    /// proof steps the terminal step(s) actually depend on.  Costs extra
+    /// proof steps the last addition step actually depends on.  Costs extra
     /// memory (one antecedent list per addition step).
     pub trim: bool,
-    /// Step indices seeding the backward trim.  Empty means "the last
-    /// addition step" (the usual single-refutation case); a multi-query
-    /// session — one terminal clause per assumption-selected obligation —
-    /// passes all its terminal steps so the reported core covers every
-    /// refutation.  Ignored without [`CheckOptions::trim`].
-    pub trim_seeds: Vec<usize>,
 }
 
 /// Result of a successful [`check_proof`] run.
@@ -495,7 +487,7 @@ pub fn check_proof(
     let mut deletions = 0usize;
     let mut ignored_deletions = 0usize;
     // Per addition step: (clause id, conflict cone), for trimming.
-    let mut step_records: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+    let mut step_records: Vec<(usize, Vec<usize>)> = Vec::new();
     for (index, step) in proof.steps().iter().enumerate() {
         if step.lits().contains(&0) {
             return Err(CheckError::ZeroLiteral { step: index });
@@ -511,7 +503,7 @@ pub fn check_proof(
                 let cid = checker.install(lits.clone());
                 additions += 1;
                 if options.trim {
-                    step_records.push((index, cid, cone));
+                    step_records.push((cid, cone));
                 }
             }
             ProofStep::Delete(lits) => {
@@ -530,26 +522,13 @@ pub fn check_proof(
         .add((additions + deletions) as u64);
     let (input_core, trimmed_additions) = if options.trim {
         let num_inputs = cnf.len();
-        // Seed the backward pass: every requested terminal step, or the last
-        // addition step by default.
+        // Seed the backward pass with the last addition step.
         let mut needed: Vec<bool> = vec![false; checker.clauses.len()];
         let mut trimmed = 0usize;
-        if options.trim_seeds.is_empty() {
-            if let Some(&(_, terminal_cid, _)) = step_records.last() {
-                needed[terminal_cid] = true;
-            }
-        } else {
-            let by_step: HashMap<usize, usize> = step_records
-                .iter()
-                .map(|&(step, cid, _)| (step, cid))
-                .collect();
-            for seed in &options.trim_seeds {
-                if let Some(&cid) = by_step.get(seed) {
-                    needed[cid] = true;
-                }
-            }
+        if let Some(&(terminal_cid, _)) = step_records.last() {
+            needed[terminal_cid] = true;
         }
-        for &(_, cid, ref cone) in step_records.iter().rev() {
+        for &(cid, ref cone) in step_records.iter().rev() {
             if !needed[cid] {
                 continue;
             }
@@ -669,9 +648,9 @@ mod tests {
     }
 
     #[test]
-    fn assumption_terminal_clause_checks() {
-        // x1 → x2 → x3; under assumptions {x1, ¬x3} this is UNSAT, and the
-        // clause ¬x1 ∨ x3 over the negated assumptions is RUP.
+    fn non_empty_terminal_clause_checks_without_refuting() {
+        // x1 → x2 → x3: the clause ¬x1 ∨ x3 is RUP, and a proof ending there
+        // checks without deriving the empty clause.
         let cnf = vec![vec![-1, 2], vec![-2, 3]];
         let mut proof = Proof::new();
         proof.add(vec![-1, 3]);
@@ -686,15 +665,7 @@ mod tests {
         let cnf = vec![vec![1], vec![-1, 2], vec![-2], vec![4, 5]];
         let mut proof = Proof::new();
         proof.add(vec![]);
-        let report = check_proof(
-            &cnf,
-            &proof,
-            &CheckOptions {
-                trim: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let report = check_proof(&cnf, &proof, &CheckOptions { trim: true }).unwrap();
         assert!(report.derived_empty);
         let core = report.input_core.unwrap();
         assert!(
@@ -715,51 +686,23 @@ mod tests {
         proof.add(vec![2]); // needed
         proof.add(vec![2, 1]); // subsumed, never used
         proof.add(vec![]);
-        let report = check_proof(
-            &cnf,
-            &proof,
-            &CheckOptions {
-                trim: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let report = check_proof(&cnf, &proof, &CheckOptions { trim: true }).unwrap();
         assert_eq!(report.additions, 3);
         assert_eq!(report.trimmed_additions, Some(2));
     }
 
     #[test]
-    fn trim_seeds_cover_multiple_terminals() {
-        // Two independent "obligations" over disjoint clause sets: terminal
-        // clauses ¬1 (from clauses 0–1) and ¬4 (from clauses 2–3).  Seeding
-        // both terminals must pull both halves into the core; the default
-        // (last-step) seed only needs the second half.
+    fn trimming_starts_from_the_last_addition() {
+        // Two independent derivations over disjoint clause sets: ¬1 (from
+        // clauses 0–1) and then ¬4 (from clauses 2–3).  The trim follows the
+        // last addition only, so only the second half is in the core.
         let cnf = vec![vec![-1, 2], vec![-2], vec![-4, 5], vec![-5]];
         let mut proof = Proof::new();
         proof.add(vec![-1]);
         proof.add(vec![-4]);
-        let both = check_proof(
-            &cnf,
-            &proof,
-            &CheckOptions {
-                trim: true,
-                trim_seeds: vec![0, 1],
-            },
-        )
-        .unwrap();
-        assert_eq!(both.input_core.unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(both.trimmed_additions, Some(2));
-        let last_only = check_proof(
-            &cnf,
-            &proof,
-            &CheckOptions {
-                trim: true,
-                trim_seeds: Vec::new(),
-            },
-        )
-        .unwrap();
-        assert_eq!(last_only.input_core.unwrap(), vec![2, 3]);
-        assert_eq!(last_only.trimmed_additions, Some(1));
+        let report = check_proof(&cnf, &proof, &CheckOptions { trim: true }).unwrap();
+        assert_eq!(report.input_core.unwrap(), vec![2, 3]);
+        assert_eq!(report.trimmed_additions, Some(1));
     }
 
     #[test]

@@ -14,9 +14,9 @@ use std::io::{self, Write};
 /// One step of a DRAT proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProofStep {
-    /// A clause addition (a learned clause, a strengthened clause, the final
-    /// clause over negated assumptions, or the empty clause).  Must be
-    /// RUP-derivable from the clause database at this point of the proof.
+    /// A clause addition (a learned clause, a strengthened clause, or the
+    /// empty clause).  Must be RUP-derivable from the clause database at this
+    /// point of the proof.
     Add(Vec<i32>),
     /// A clause deletion (database reduction, oversize purge, subsumption).
     Delete(Vec<i32>),

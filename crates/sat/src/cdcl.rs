@@ -23,7 +23,7 @@
 //!
 //! * **Flat clause arena** — all clauses live in one `Vec<u32>`; a clause is a
 //!   two-word header (length + flags, packed activity) followed by its literal
-//!   codes, addressed by a [`ClauseRef`] word offset.  Deletion marks the
+//!   codes, addressed by a `ClauseRef` word offset.  Deletion marks the
 //!   header and counts the waste; when enough of the arena is dead, a copying
 //!   garbage collection compacts it and rewrites every watcher, reason and
 //!   learned-clause reference.
@@ -185,21 +185,19 @@ impl CdclSolver {
         &self.config
     }
 
-    /// Solves `cnf` under `assumptions` while streaming DRAT proof steps into
-    /// `writer`: every learned clause and clause deletion is recorded, and an
-    /// `Unsat` answer ends with the empty clause (no assumptions involved) or
-    /// the clause over the negated final-core assumptions — exactly what the
-    /// independent checker in `velv_proof` needs to replay the refutation.
+    /// Solves `cnf` while streaming DRAT proof steps into `writer`: every
+    /// learned clause and clause deletion is recorded, and an `Unsat` answer
+    /// ends with the empty clause — exactly what the independent checker in
+    /// `velv_proof` needs to replay the refutation.
     pub fn solve_with_proof_writer(
         &mut self,
         cnf: &CnfFormula,
-        assumptions: &[Lit],
         budget: Budget,
         writer: Box<dyn ProofWriter>,
     ) -> SatResult {
         let mut engine = Engine::new(cnf, self.config.clone());
         engine.set_proof_writer(writer);
-        let result = engine.search(assumptions, budget);
+        let result = engine.search(budget);
         self.stats = engine.stats;
         result
     }
@@ -209,12 +207,10 @@ impl CdclSolver {
     pub fn solve_recording_proof(
         &mut self,
         cnf: &CnfFormula,
-        assumptions: &[Lit],
         budget: Budget,
     ) -> (SatResult, velv_proof::Proof) {
         let shared = SharedProof::new();
-        let result =
-            self.solve_with_proof_writer(cnf, assumptions, budget, Box::new(shared.clone()));
+        let result = self.solve_with_proof_writer(cnf, budget, Box::new(shared.clone()));
         (result, shared.take())
     }
 }
@@ -230,22 +226,7 @@ impl Solver for CdclSolver {
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         let mut engine = Engine::new(cnf, self.config.clone());
-        let result = engine.run(budget);
-        self.stats = engine.stats;
-        result
-    }
-
-    /// Native assumption handling: assumptions are treated as pseudo-decisions
-    /// by the engine instead of being copied into the formula as unit clauses
-    /// (`Unsat` then means "unsatisfiable under the assumptions").
-    fn solve_assuming(
-        &mut self,
-        cnf: &CnfFormula,
-        assumptions: &[Lit],
-        budget: Budget,
-    ) -> SatResult {
-        let mut engine = Engine::new(cnf, self.config.clone());
-        let result = engine.search(assumptions, budget);
+        let result = engine.search(budget);
         self.stats = engine.stats;
         result
     }
@@ -255,11 +236,10 @@ impl Solver for CdclSolver {
     fn solve_with_proof(
         &mut self,
         cnf: &CnfFormula,
-        assumptions: &[Lit],
         budget: Budget,
         proof: &SharedProof,
     ) -> Option<SatResult> {
-        Some(self.solve_with_proof_writer(cnf, assumptions, budget, Box::new(proof.clone())))
+        Some(self.solve_with_proof_writer(cnf, budget, Box::new(proof.clone())))
     }
 
     fn stats(&self) -> SolverStats {
@@ -536,17 +516,12 @@ pub(crate) struct Engine {
     num_learnts: usize,
     reduce_limit: usize,
     unsat: bool,
-    /// Final-conflict core of the last [`Engine::search`] that returned
-    /// `Unsat` under assumptions: the subset of the assumption literals that
-    /// already suffices for unsatisfiability.  Empty when the formula is
-    /// unsatisfiable outright.
-    final_core: Vec<Lit>,
     /// Preset-labelled metric handles and heartbeat state (see
     /// [`crate::obs`]): counters are delta-flushed from `stats` at heartbeat
     /// boundaries and at the end of every `search` call.
     obs: crate::obs::EngineObs,
-    /// Optional DRAT sink: learned clauses, deletions, the root empty clause
-    /// and the final clause of failing assumption queries are recorded here.
+    /// Optional DRAT sink: learned clauses, deletions and the root empty
+    /// clause are recorded here.
     proof: Option<Box<dyn ProofWriter>>,
     /// Reusable buffer for proof steps read out of the arena.
     proof_buf: Vec<Lit>,
@@ -589,7 +564,6 @@ impl Engine {
             num_learnts: 0,
             reduce_limit: (cnf.num_clauses() / 3).max(4000),
             unsat: false,
-            final_core: Vec::new(),
             obs,
             proof: None,
             proof_buf: Vec::new(),
@@ -678,11 +652,6 @@ impl Engine {
         self.unsat
     }
 
-    /// The assumption subset extracted by the last failing [`Engine::search`].
-    pub(crate) fn final_core(&self) -> &[Lit] {
-        &self.final_core
-    }
-
     /// Attaches a DRAT proof sink.  From here on every learned clause, every
     /// clause deletion and the terminal clause of each UNSAT answer are
     /// recorded, making the engine's refutations independently checkable.
@@ -705,24 +674,6 @@ impl Engine {
         if let Some(proof) = self.proof.as_mut() {
             proof.add_clause(&[]);
             self.proof_empty_logged = true;
-        }
-    }
-
-    /// Records the terminal clause of a failing assumption query: the
-    /// disjunction of the negated final-core literals, which is RUP with
-    /// respect to the clause database (resolving the reasons along the final
-    /// conflict's implication graph yields exactly this clause).
-    fn proof_log_final_core(&mut self) {
-        if self.proof.is_none() {
-            return;
-        }
-        self.proof_buf.clear();
-        for i in 0..self.final_core.len() {
-            let assumption = self.final_core[i];
-            self.proof_buf.push(!assumption);
-        }
-        if let Some(proof) = self.proof.as_mut() {
-            proof.add_clause(&self.proof_buf);
         }
     }
 
@@ -830,8 +781,7 @@ impl Engine {
         self.vals[var] = lit.index() as u8 & 1;
         self.level[var] = self.decision_level();
         // Root-level facts need no reason (conflict analysis never resolves
-        // on them), and recording none keeps their clauses unlocked so that
-        // incremental sessions may retract scope clauses safely.
+        // on them), and recording none keeps their clauses unlocked.
         self.reason[var] = if self.decision_level() == 0 {
             UNDEF_CLAUSE
         } else {
@@ -1090,7 +1040,9 @@ impl Engine {
 
     /// Deletes queued oversize learned clauses (SATO length bound) as soon as
     /// they stop being locked, keeping the live learned set bounded even for
-    /// presets that never run full database reduction.
+    /// presets that never run full database reduction.  The arena is
+    /// compacted by the same waste-ratio rule as after a reduction, whether
+    /// or not some oversize clause is still locked.
     fn purge_oversize(&mut self) {
         if self.oversize.is_empty() {
             return;
@@ -1109,9 +1061,7 @@ impl Engine {
             }
         }
         self.oversize.truncate(kept);
-        if kept == 0 {
-            self.collect_garbage_if_needed();
-        }
+        self.collect_garbage_if_needed();
     }
 
     fn decay_activities(&mut self) {
@@ -1297,59 +1247,13 @@ impl Engine {
     /// keep the check off the per-iteration path.
     const BUDGET_POLL_MASK: u64 = 63;
 
-    fn run(&mut self, budget: Budget) -> SatResult {
-        self.search(&[], budget)
-    }
-
-    /// Final-conflict analysis (MiniSat's `analyzeFinal`): the assumption `p`
-    /// is false under the current partial assignment, and the returned core is
-    /// a subset of the assumption literals that already forces the conflict —
-    /// `p` itself plus every assumption reachable backwards through the
-    /// implication graph from `¬p`.
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
-        let pv = p.var().index();
-        if self.trail_lim.is_empty() || self.level[pv] == 0 {
-            // ¬p is a root-level fact: assuming p alone is contradictory.
-            return core;
-        }
-        self.seen[pv] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let x = self.trail[i];
-            let v = x.var().index();
-            if !self.seen[v] {
-                continue;
-            }
-            self.seen[v] = false;
-            let r = self.reason[v];
-            if r == UNDEF_CLAUSE {
-                // A pseudo-decision: every decision below the current point is
-                // an assumption, and this one contributes to the conflict.
-                debug_assert!(self.level[v] > 0);
-                core.push(x);
-            } else {
-                for k in 1..self.arena.len(r) {
-                    let q = self.arena.lit(r, k);
-                    if self.level[q.var().index()] > 0 {
-                        self.seen[q.var().index()] = true;
-                    }
-                }
-            }
-        }
-        self.seen[pv] = false;
-        core
-    }
-
-    /// CDCL search under `assumptions`, treated as pseudo-decisions at the
-    /// bottom of the decision stack (MiniSat-style).  `Unsat` means
-    /// unsatisfiable *under the assumptions*; [`Engine::final_core`] then
-    /// holds the responsible assumption subset (empty when the formula is
-    /// unsatisfiable outright).  Step budgets are counted relative to this
-    /// call, so a persistent engine can be re-solved with fresh limits.
-    pub(crate) fn search(&mut self, assumptions: &[Lit], budget: Budget) -> SatResult {
+    /// CDCL search of the current clause database within `budget`.  Step
+    /// budgets are counted relative to this call, so a persistent engine can
+    /// be re-solved with fresh limits after clauses were added.
+    pub(crate) fn search(&mut self, budget: Budget) -> SatResult {
         let start_stats = self.stats;
         self.obs.begin_solve(&start_stats);
-        let result = self.search_inner(assumptions, budget);
+        let result = self.search_inner(budget);
         let stats = self.stats;
         let trail_depth = self.trail.len();
         let mem = self.arena_figures();
@@ -1358,16 +1262,12 @@ impl Engine {
         result
     }
 
-    fn search_inner(&mut self, assumptions: &[Lit], budget: Budget) -> SatResult {
-        self.final_core.clear();
+    fn search_inner(&mut self, budget: Budget) -> SatResult {
         if self.unsat {
             // The refutation may predate the proof writer (e.g. a conflicting
             // unit in the initial clauses): make sure it is on record.
             self.proof_log_empty();
             return SatResult::Unsat;
-        }
-        for a in assumptions {
-            self.ensure_vars(a.var().index() + 1);
         }
         // Return to the root; `qhead` still covers any units enqueued by
         // `add_clause_dynamic` since the last call, so only genuinely new
@@ -1428,34 +1328,6 @@ impl Engine {
                         self.backtrack_to(0);
                         continue;
                     }
-                }
-                // Re-establish the assumptions as pseudo-decisions before any
-                // real decision is taken (restarts drop them, the decision
-                // loop puts them back).
-                let mut asserted_assumption = false;
-                while (self.decision_level() as usize) < assumptions.len() {
-                    let p = assumptions[self.decision_level() as usize];
-                    match self.value_lit(p) {
-                        VAL_TRUE => {
-                            // Already implied: open a dummy level so the
-                            // level ↔ assumption-index correspondence holds.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        VAL_FALSE => {
-                            self.final_core = self.analyze_final(p);
-                            self.proof_log_final_core();
-                            return SatResult::Unsat;
-                        }
-                        _ => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(p, UNDEF_CLAUSE);
-                            asserted_assumption = true;
-                            break;
-                        }
-                    }
-                }
-                if asserted_assumption {
-                    continue;
                 }
                 match self.pick_branch_lit() {
                     None => return SatResult::Sat(self.extract_model()),

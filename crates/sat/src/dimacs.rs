@@ -1,6 +1,5 @@
-//! Reading and writing CNF formulas in the DIMACS format, incremental
-//! sessions in the iCNF format, and DRAT proofs in their text and binary
-//! encodings.
+//! Reading and writing CNF formulas in the DIMACS format, and DRAT proofs in
+//! their text and binary encodings.
 
 use crate::cnf::{CnfFormula, Lit};
 use std::fmt;
@@ -122,136 +121,6 @@ pub fn to_dimacs_string(cnf: &CnfFormula) -> String {
     let mut out = Vec::new();
     write_dimacs(&mut out, cnf).expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("DIMACS output is ASCII")
-}
-
-/// One event of an incremental solving session, in the order it happened.
-///
-/// The iCNF format (the `p inccnf` incremental-track format) interleaves
-/// ordinary clause lines with *solve cues*: a line `a l1 l2 ... 0` asks for a
-/// `solve_assuming(&[l1, l2, ...])` call under the clauses seen so far.
-/// [`crate::incremental::IncrementalSolver`] can record its session as a list
-/// of these events and [`crate::incremental::replay_icnf`] re-executes one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IcnfEvent {
-    /// A clause added to the formula.
-    AddClause(Vec<Lit>),
-    /// A `solve_assuming` call with the given assumption literals.
-    Solve(Vec<Lit>),
-}
-
-/// Writes an incremental session in iCNF format: a `p inccnf` header, one
-/// line per clause (terminated by `0`) and one `a <lits> 0` line per solve
-/// cue, in event order.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `writer`.
-pub fn write_icnf<W: Write>(mut writer: W, events: &[IcnfEvent]) -> io::Result<()> {
-    writeln!(writer, "p inccnf")?;
-    for event in events {
-        let lits = match event {
-            IcnfEvent::AddClause(lits) => lits,
-            IcnfEvent::Solve(lits) => {
-                write!(writer, "a ")?;
-                lits
-            }
-        };
-        for lit in lits {
-            write!(writer, "{} ", lit.to_dimacs())?;
-        }
-        writeln!(writer, "0")?;
-    }
-    Ok(())
-}
-
-/// Renders an incremental session as an iCNF string.
-pub fn to_icnf_string(events: &[IcnfEvent]) -> String {
-    let mut out = Vec::new();
-    write_icnf(&mut out, events).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("iCNF output is ASCII")
-}
-
-/// Parses an iCNF incremental session from `reader`.
-///
-/// Comments (`c`/`%`), blank lines and stray whitespace are tolerated, as in
-/// [`read_dimacs`]; each clause or assumption line must be terminated by `0`
-/// on the same line.
-///
-/// # Errors
-///
-/// Returns [`ParseDimacsError`] if the input is not a well-formed iCNF
-/// session or the reader fails.
-pub fn read_icnf<R: BufRead>(reader: R) -> Result<Vec<IcnfEvent>, ParseDimacsError> {
-    let mut events = Vec::new();
-    let mut saw_problem_line = false;
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        if line.starts_with('%') {
-            // SATLIB-style end marker: everything after it (typically a
-            // stray "0" line) is padding, not an empty clause.
-            break;
-        }
-        if let Some(rest) = line.strip_prefix('p') {
-            let format = rest.split_whitespace().next().unwrap_or("");
-            if format != "inccnf" {
-                return Err(ParseDimacsError::Malformed(format!(
-                    "unsupported problem format `{format}` (expected inccnf)"
-                )));
-            }
-            saw_problem_line = true;
-            continue;
-        }
-        if !saw_problem_line {
-            return Err(ParseDimacsError::Malformed(
-                "missing `p inccnf` problem line".into(),
-            ));
-        }
-        let (is_solve, body) = match line.strip_prefix('a') {
-            Some(rest) => (true, rest),
-            None => (false, line),
-        };
-        let mut lits = Vec::new();
-        let mut terminated = false;
-        for token in body.split_whitespace() {
-            let value: i64 = token
-                .parse()
-                .map_err(|_| ParseDimacsError::Malformed(format!("invalid literal `{token}`")))?;
-            if value == 0 {
-                terminated = true;
-                break;
-            }
-            lits.push(Lit::from_dimacs(value));
-        }
-        if !terminated {
-            return Err(ParseDimacsError::Malformed(format!(
-                "unterminated iCNF line `{line}`"
-            )));
-        }
-        events.push(if is_solve {
-            IcnfEvent::Solve(lits)
-        } else {
-            IcnfEvent::AddClause(lits)
-        });
-    }
-    if !saw_problem_line {
-        return Err(ParseDimacsError::Malformed(
-            "missing `p inccnf` problem line".into(),
-        ));
-    }
-    Ok(events)
-}
-
-/// Parses an iCNF incremental session from a string.
-///
-/// # Errors
-///
-/// See [`read_icnf`].
-pub fn parse_icnf(input: &str) -> Result<Vec<IcnfEvent>, ParseDimacsError> {
-    read_icnf(input.as_bytes())
 }
 
 /// DIMACS-codes one clause as the `i32` literals the `velv_proof` checker
@@ -392,45 +261,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn icnf_roundtrip() {
-        let events = vec![
-            IcnfEvent::AddClause(vec![Lit::from_dimacs(1), Lit::from_dimacs(-2)]),
-            IcnfEvent::Solve(vec![Lit::from_dimacs(2)]),
-            IcnfEvent::AddClause(vec![Lit::from_dimacs(-1)]),
-            IcnfEvent::Solve(vec![]),
-            IcnfEvent::AddClause(vec![]),
-        ];
-        let text = to_icnf_string(&events);
-        assert!(text.starts_with("p inccnf\n"));
-        assert!(text.contains("a 2 0"));
-        let parsed = parse_icnf(&text).unwrap();
-        assert_eq!(parsed, events);
-    }
-
-    #[test]
-    fn icnf_tolerates_comments_and_whitespace() {
-        // The '%' end marker and its stray "0" line must not be parsed as an
-        // (unsatisfiable) empty clause.
-        let input = "c session dump\n\np inccnf   \r\n  1 -2 0  \nc solve now\n a 2 0\t\n%\n0\n";
-        let parsed = parse_icnf(input).unwrap();
-        assert_eq!(
-            parsed,
-            vec![
-                IcnfEvent::AddClause(vec![Lit::from_dimacs(1), Lit::from_dimacs(-2)]),
-                IcnfEvent::Solve(vec![Lit::from_dimacs(2)]),
-            ]
-        );
-    }
-
-    #[test]
-    fn icnf_rejects_malformed_input() {
-        assert!(parse_icnf("1 2 0\n").is_err(), "missing problem line");
-        assert!(parse_icnf("p cnf 2 1\n1 0\n").is_err(), "wrong format");
-        assert!(parse_icnf("p inccnf\n1 2\n").is_err(), "unterminated line");
-        assert!(parse_icnf("p inccnf\na 1 junk 0\n").is_err(), "bad literal");
-    }
-
     fn sample_proof() -> Proof {
         let mut proof = Proof::new();
         proof.add(vec![3, -1]);
@@ -478,8 +308,7 @@ mod tests {
         use crate::generators::pigeonhole;
         use crate::solver::Budget;
         let cnf = pigeonhole(4);
-        let (result, proof) =
-            CdclSolver::chaff().solve_recording_proof(&cnf, &[], Budget::unlimited());
+        let (result, proof) = CdclSolver::chaff().solve_recording_proof(&cnf, Budget::unlimited());
         assert!(result.is_unsat());
         assert!(!proof.is_empty(), "a real refutation has steps");
         let text = parse_drat_text(&to_drat_text_string(&proof)).unwrap();

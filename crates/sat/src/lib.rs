@@ -17,26 +17,23 @@
 //! * [`local_search`] — incomplete stochastic solvers: **WalkSAT** and a
 //!   **DLM**-style clause-weighting search.
 //! * [`incremental`] — a persistent CDCL session ([`IncrementalSolver`]):
-//!   MiniSat-style assumptions, clause addition between solves,
-//!   activation-literal `push`/`pop` scopes and UNSAT cores over the
-//!   assumption literals.  This is the substrate for the shared-solver
-//!   decomposition and lazy transitivity refinement in `velv_core`.
-//! * [`cnf`] + [`dimacs`] — clause representation and DIMACS I/O (including
-//!   the `p inccnf` incremental session format).
+//!   one live engine that accepts clauses between solves and keeps its
+//!   learned clauses.  This is the engine of the lazy transitivity
+//!   refinement in `velv_core`.
+//! * [`cnf`] + [`dimacs`] — clause representation and DIMACS I/O.
 //! * [`preprocess`] — the "simplify before solving" experiments of Section 4.
 //! * [`proof`] — pluggable DRAT proof logging: with a [`proof::ProofWriter`]
 //!   attached, the CDCL engine records every learned clause and deletion so
 //!   UNSAT answers can be replayed by the independent checker in
-//!   `velv_proof` (including assumption-based answers, whose final step is
-//!   the clause over the negated assumptions).
+//!   `velv_proof`.
 //! * [`portfolio`] — a parallel portfolio that races several engines on
 //!   threads and returns the first decided answer, cancelling the losers
 //!   through the cooperative [`CancelToken`] carried by [`Budget`].  The paper
 //!   observes that no single procedure wins on every benchmark; the portfolio
 //!   turns that observation into a "fastest engine wins" execution mode.
-//! * [`race`] — the generic scoped-spawn / first-decided-wins / cancel-token
-//!   collector underlying both the CNF-level portfolio and the verdict-level
-//!   back-end race in `velv_core`.
+//! * [`mod@race`] — the generic scoped-spawn / first-decided-wins /
+//!   cancel-token collector underlying both the CNF-level portfolio and the
+//!   verdict-level back-end race in `velv_core`.
 //! * [`rng`] — the small deterministic PRNG shared by the stochastic searches.
 //!
 //! # Example

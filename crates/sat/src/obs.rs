@@ -1,6 +1,6 @@
 //! Observability hooks for the SAT layer.
 //!
-//! Every CDCL [`Engine`](crate::cdcl) carries an [`EngineObs`]: a bundle of
+//! Every CDCL [`Engine`](crate::cdcl) carries an `EngineObs`: a bundle of
 //! `velv_obs` handles registered on the process-global registry under the
 //! engine's preset label (`velv_sat_conflicts_total{preset="chaff"}`, ...).
 //! Counter updates are *delta-flushed* — the engine keeps counting into its

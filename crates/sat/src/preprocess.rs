@@ -472,7 +472,6 @@ mod tests {
         assert!(!pre.stats.proved_unsat, "PHP needs real search");
         let result = CdclSolver::chaff().solve_with_proof_writer(
             &pre.cnf,
-            &[],
             Budget::unlimited(),
             Box::new(shared.clone()),
         );

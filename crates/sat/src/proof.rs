@@ -2,9 +2,8 @@
 //!
 //! When a [`ProofWriter`] is attached, the engine records every inference it
 //! performs on the clause database — learned clauses, clause deletions
-//! (database reduction, SATO oversize purge), the empty clause on a root
-//! conflict, and the clause over the negated assumptions when a query fails —
-//! so that an UNSAT answer comes with a replayable
+//! (database reduction, SATO oversize purge) and the empty clause on a root
+//! conflict — so that an UNSAT answer comes with a replayable
 //! [DRAT](https://satcompetition.github.io/2024/certificates.html) proof.
 //! Checking is *not* done here: the independent checker lives in
 //! [`velv_proof::checker`], which deliberately shares no code with this crate.

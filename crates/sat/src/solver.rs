@@ -1,6 +1,6 @@
 //! The common interface of all SAT procedures.
 
-use crate::cnf::{CnfFormula, Lit, Var};
+use crate::cnf::{CnfFormula, Var};
 use crate::proof::SharedProof;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -263,37 +263,10 @@ pub trait Solver {
         self.solve_with_budget(cnf, Budget::unlimited())
     }
 
-    /// Solves `cnf` under the given `assumptions` within `budget`: `Sat`
-    /// models satisfy every assumption, `Unsat` means unsatisfiable *under
-    /// the assumptions* (for a complete procedure).
-    ///
-    /// The default implementation adds the assumptions to a copy of the
-    /// formula as temporary unit clauses, so every procedure — DPLL, the
-    /// local searches, the portfolio — is assumption-capable without bespoke
-    /// incremental code.  Engines with native assumption handling (the CDCL
-    /// presets, [`crate::incremental::IncrementalSolver`]) override this with
-    /// pseudo-decision assumptions, which additionally support UNSAT cores.
-    fn solve_assuming(
-        &mut self,
-        cnf: &CnfFormula,
-        assumptions: &[Lit],
-        budget: Budget,
-    ) -> SatResult {
-        if assumptions.is_empty() {
-            return self.solve_with_budget(cnf, budget);
-        }
-        let mut augmented = cnf.clone();
-        for &lit in assumptions {
-            augmented.add_clause(vec![lit]);
-        }
-        self.solve_with_budget(&augmented, budget)
-    }
-
-    /// Solves `cnf` under `assumptions` while logging a DRAT proof of every
-    /// inference into `proof`, so that an `Unsat` answer can be replayed by
-    /// the independent checker in `velv_proof`.  The terminal proof step of a
-    /// refutation is the empty clause, or — under assumptions — the clause
-    /// over the negated assumption subset responsible for the conflict.
+    /// Solves `cnf` while logging a DRAT proof of every inference into
+    /// `proof`, so that an `Unsat` answer can be replayed by the independent
+    /// checker in `velv_proof`.  The terminal proof step of a refutation is
+    /// the empty clause.
     ///
     /// Returns `None` when the procedure cannot produce proofs; only the
     /// clause-learning engines override this (DPLL and the local searches
@@ -302,11 +275,10 @@ pub trait Solver {
     fn solve_with_proof(
         &mut self,
         cnf: &CnfFormula,
-        assumptions: &[Lit],
         budget: Budget,
         proof: &SharedProof,
     ) -> Option<SatResult> {
-        let _ = (cnf, assumptions, budget, proof);
+        let _ = (cnf, budget, proof);
         None
     }
 

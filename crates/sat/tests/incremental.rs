@@ -1,106 +1,50 @@
-//! Differential and core-soundness suite for the incremental subsystem.
-//!
-//! * `solve_assuming` verdicts must agree with one-shot solving of the
-//!   assumption-augmented formula, across seeded random instances and across
-//!   every preset's `Solver::solve_assuming` (native or default).
-//! * Every UNSAT core must itself re-solve UNSAT: the formula plus the core
-//!   as unit clauses is unsatisfiable.
-//! * Recorded iCNF sessions must replay to the same verdicts.
+//! Differential suite for the incremental solver: a persistent
+//! [`IncrementalSolver`] that grows its formula between solves must agree
+//! with a one-shot [`CdclSolver`] on the grown formula after every round, and
+//! its models must satisfy every clause added so far.
 
-use velv_sat::cdcl::{CdclConfig, CdclSolver};
-use velv_sat::dimacs::{parse_icnf, to_icnf_string};
-use velv_sat::generators::{pigeonhole, random_3sat};
-use velv_sat::incremental::{replay_icnf, IncrementalSolver};
-use velv_sat::presets::SolverKind;
-use velv_sat::rng::SmallRng;
+use velv_sat::cdcl::CdclSolver;
+use velv_sat::generators::random_3sat;
+use velv_sat::incremental::IncrementalSolver;
 use velv_sat::solver::verify_model;
-use velv_sat::{Budget, CnfFormula, Lit, SatResult, Solver, Var};
-
-/// Seeded random assumption set over the formula's variables.
-fn random_assumptions(rng: &mut SmallRng, num_vars: usize, count: usize) -> Vec<Lit> {
-    let mut assumptions = Vec::new();
-    while assumptions.len() < count {
-        let v = rng.gen_range(0..num_vars) as u32;
-        let lit = Lit::new(Var::new(v), rng.gen_bool(0.5));
-        if !assumptions.contains(&lit) && !assumptions.contains(&!lit) {
-            assumptions.push(lit);
-        }
-    }
-    assumptions
-}
-
-/// One-shot reference: the formula with the assumptions as unit clauses.
-fn reference_verdict(cnf: &CnfFormula, assumptions: &[Lit]) -> bool {
-    let mut augmented = cnf.clone();
-    for &lit in assumptions {
-        augmented.add_clause(vec![lit]);
-    }
-    match CdclSolver::chaff().solve(&augmented) {
-        SatResult::Sat(_) => true,
-        SatResult::Unsat => false,
-        SatResult::Unknown(reason) => panic!("reference gave up: {reason:?}"),
-    }
-}
-
-/// Checks that `core` is a subset of `assumptions`, that the formula is
-/// unsatisfiable under the core alone, and that the re-solve's DRAT proof
-/// replays through the independent checker (the core *re-certifies*).
-fn assert_core_sound(cnf: &CnfFormula, assumptions: &[Lit], core: &[Lit], label: &str) {
-    assert!(
-        core.iter().all(|l| assumptions.contains(l)),
-        "{label}: core {core:?} is not a subset of the assumptions"
-    );
-    let mut augmented = cnf.clone();
-    for &lit in core {
-        augmented.add_clause(vec![lit]);
-    }
-    let (result, proof) =
-        CdclSolver::chaff().solve_recording_proof(&augmented, &[], Budget::unlimited());
-    assert!(
-        result.is_unsat(),
-        "{label}: core {core:?} does not re-solve UNSAT"
-    );
-    let clauses = velv_sat::dimacs::cnf_to_dimacs_i32(&augmented);
-    let report = velv_proof::check_proof(&clauses, &proof, &velv_proof::CheckOptions::default())
-        .unwrap_or_else(|e| panic!("{label}: core refutation proof rejected: {e}"));
-    assert!(
-        report.derived_empty,
-        "{label}: the core refutation derives the empty clause"
-    );
-}
+use velv_sat::{Budget, SatResult, Solver};
 
 #[test]
 fn incremental_verdicts_match_one_shot_on_random_3sat() {
-    let mut rng = SmallRng::seed_from_u64(0xD1FF);
+    let num_vars = 40;
+    let (mut sat_rounds, mut unsat_rounds) = (0, 0);
     for seed in 1..=6u64 {
-        let num_vars = 40;
-        let cnf = random_3sat(num_vars, 168, seed); // ratio 4.2
+        // Start below the phase transition (ratio 3.0) and add eight clauses
+        // per round, ending above it (ratio 4.6): the verdicts flip from SAT
+        // to UNSAT somewhere along the way.
+        let mut grown = random_3sat(num_vars, 120, seed);
         let mut solver = IncrementalSolver::chaff();
-        solver.add_formula(&cnf);
-        // A sequence of queries against the same persistent solver.
-        for round in 0..8 {
-            let assumptions = random_assumptions(&mut rng, num_vars, 1 + round % 5);
-            let expected_sat = reference_verdict(&cnf, &assumptions);
-            match solver.solve_assuming(&assumptions, Budget::unlimited()) {
+        solver.add_formula(&grown);
+        for round in 0..8u64 {
+            for clause in random_3sat(num_vars, 8, seed * 100 + round).clauses() {
+                solver.add_clause(clause);
+                grown.add_clause(clause.clone());
+            }
+            let expected = CdclSolver::chaff().solve(&grown);
+            match solver.solve(Budget::unlimited()) {
                 SatResult::Sat(model) => {
-                    assert!(expected_sat, "seed {seed} round {round}: expected UNSAT");
-                    assert!(verify_model(&cnf, &model), "seed {seed} round {round}");
-                    for &a in &assumptions {
-                        assert_eq!(
-                            model.value(a.var()),
-                            a.is_positive(),
-                            "seed {seed} round {round}: assumption {a:?} not honoured"
-                        );
-                    }
+                    assert!(
+                        expected.is_sat(),
+                        "seed {seed} round {round}: one-shot says {expected:?}"
+                    );
+                    assert!(
+                        verify_model(&grown, &model),
+                        "seed {seed} round {round}: model misses an added clause"
+                    );
+                    sat_rounds += 1;
                 }
                 SatResult::Unsat => {
-                    assert!(!expected_sat, "seed {seed} round {round}: expected SAT");
-                    assert_core_sound(
-                        &cnf,
-                        &assumptions,
-                        solver.unsat_core(),
-                        &format!("seed {seed} round {round}"),
+                    assert!(
+                        expected.is_unsat(),
+                        "seed {seed} round {round}: one-shot says {expected:?}"
                     );
+                    assert!(solver.is_unsat(), "seed {seed} round {round}");
+                    unsat_rounds += 1;
                 }
                 SatResult::Unknown(reason) => {
                     panic!("seed {seed} round {round}: gave up: {reason:?}")
@@ -108,181 +52,8 @@ fn incremental_verdicts_match_one_shot_on_random_3sat() {
             }
         }
     }
-}
-
-#[test]
-fn every_preset_solve_assuming_agrees_with_the_reference() {
-    // The trait-level `solve_assuming` (native for CDCL, unit-clause default
-    // for DPLL and the local searches) must agree with one-shot solving —
-    // the incomplete searches may return Unknown but must never contradict.
-    let mut rng = SmallRng::seed_from_u64(0xA55);
-    for seed in 1..=3u64 {
-        let num_vars = 25;
-        let cnf = random_3sat(num_vars, 95, seed);
-        for _ in 0..4 {
-            let assumptions = random_assumptions(&mut rng, num_vars, 3);
-            let expected_sat = reference_verdict(&cnf, &assumptions);
-            for kind in SolverKind::all() {
-                let mut solver = kind.build();
-                let budget = Budget::step_limit(200_000);
-                match solver.solve_assuming(&cnf, &assumptions, budget) {
-                    SatResult::Sat(model) => {
-                        assert!(expected_sat, "{}: expected UNSAT", kind.label());
-                        for &a in &assumptions {
-                            assert_eq!(
-                                model.value(a.var()),
-                                a.is_positive(),
-                                "{}: assumption {a:?} not honoured",
-                                kind.label()
-                            );
-                        }
-                    }
-                    SatResult::Unsat => {
-                        assert!(!expected_sat, "{}: expected SAT", kind.label());
-                    }
-                    SatResult::Unknown(_) => {
-                        assert!(
-                            !solver.is_complete(),
-                            "{}: a complete solver gave up within the budget",
-                            kind.label()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn unsat_cores_on_structured_instances_re_solve_unsat() {
-    // Implication ladders: assuming the bottom true and the top false is
-    // unsatisfiable, and the core must say so on re-solving.
-    let n = 30;
-    let mut cnf = CnfFormula::new(n);
-    for i in 0..n - 1 {
-        cnf.add_clause(vec![
-            Lit::negative(Var::new(i as u32)),
-            Lit::positive(Var::new((i + 1) as u32)),
-        ]);
-    }
-    let mut solver = IncrementalSolver::chaff();
-    solver.add_formula(&cnf);
-    for top in [5usize, 12, n - 1] {
-        let assumptions = vec![
-            Lit::positive(Var::new(0)),
-            Lit::negative(Var::new(top as u32)),
-        ];
-        assert!(solver
-            .solve_assuming(&assumptions, Budget::unlimited())
-            .is_unsat());
-        let core = solver.unsat_core().to_vec();
-        assert_core_sound(&cnf, &assumptions, &core, &format!("ladder top {top}"));
-        assert_eq!(core.len(), 2, "both endpoints are needed: {core:?}");
-    }
-    // The solver is still usable and satisfiable afterwards.
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-}
-
-#[test]
-fn cores_from_pigeonhole_slices_re_solve_unsat() {
-    // PHP(n+1, n) with each pigeon's placement clause replaced by an
-    // assumption-selectable activation: assuming all pigeons in gives the
-    // full (UNSAT) instance and the core must cover enough pigeons to
-    // re-derive unsatisfiability.
-    let holes = 4;
-    let pigeons = holes + 1;
-    let base = pigeonhole(holes);
-    // Selector variable s_p per pigeon: s_p -> (pigeon p placed somewhere).
-    let mut cnf = CnfFormula::new(base.num_vars() + pigeons);
-    let selector = |p: usize| Var::new((base.num_vars() + p) as u32);
-    for (i, clause) in base.clauses().iter().enumerate() {
-        if i < pigeons {
-            // The first `pigeons` clauses of the generator are the placement
-            // clauses, in pigeon order.
-            let mut guarded = clause.clone();
-            guarded.push(Lit::negative(selector(i)));
-            cnf.add_clause(guarded);
-        } else {
-            cnf.add_clause(clause.clone());
-        }
-    }
-    let mut solver = IncrementalSolver::chaff();
-    solver.add_formula(&cnf);
-    let assumptions: Vec<Lit> = (0..pigeons).map(|p| Lit::positive(selector(p))).collect();
-    assert!(solver
-        .solve_assuming(&assumptions, Budget::unlimited())
-        .is_unsat());
-    let core = solver.unsat_core().to_vec();
-    assert_core_sound(&cnf, &assumptions, &core, "pigeonhole selectors");
-    assert_eq!(
-        core.len(),
-        pigeons,
-        "all pigeons are needed for PHP unsatisfiability: {core:?}"
+    assert!(
+        sat_rounds > 0 && unsat_rounds > 0,
+        "the sweep must cover both verdicts: {sat_rounds} SAT, {unsat_rounds} UNSAT"
     );
-    // Dropping any one pigeon must be satisfiable.
-    for skip in 0..pigeons {
-        let partial: Vec<Lit> = assumptions
-            .iter()
-            .enumerate()
-            .filter_map(|(p, &l)| (p != skip).then_some(l))
-            .collect();
-        assert!(
-            solver
-                .solve_assuming(&partial, Budget::unlimited())
-                .is_sat(),
-            "without pigeon {skip} the instance is satisfiable"
-        );
-    }
-}
-
-#[test]
-fn portfolio_solve_assuming_races_all_engines() {
-    // The portfolio inherits the trait-default `solve_assuming` (temporary
-    // unit clauses), so assumption-based callers can race every preset —
-    // including the incomplete local searches — without bespoke incremental
-    // code per engine.
-    use velv_sat::PortfolioSolver;
-    let cnf = random_3sat(30, 126, 5);
-    let mut rng = SmallRng::seed_from_u64(0xBEEF);
-    for _ in 0..3 {
-        let assumptions = random_assumptions(&mut rng, 30, 2);
-        let expected_sat = reference_verdict(&cnf, &assumptions);
-        let mut portfolio = PortfolioSolver::default_presets();
-        match portfolio.solve_assuming(&cnf, &assumptions, Budget::unlimited()) {
-            SatResult::Sat(model) => {
-                assert!(expected_sat, "portfolio: expected UNSAT");
-                for &a in &assumptions {
-                    assert_eq!(model.value(a.var()), a.is_positive());
-                }
-            }
-            SatResult::Unsat => assert!(!expected_sat, "portfolio: expected SAT"),
-            SatResult::Unknown(reason) => panic!("portfolio gave up: {reason:?}"),
-        }
-    }
-}
-
-#[test]
-fn icnf_dump_of_a_session_replays_identically() {
-    let cnf = random_3sat(30, 126, 11);
-    let mut solver = IncrementalSolver::chaff();
-    solver.enable_trace();
-    solver.add_formula(&cnf);
-    let mut rng = SmallRng::seed_from_u64(0x1C4F);
-    let mut live = Vec::new();
-    for round in 0..6 {
-        let assumptions = random_assumptions(&mut rng, 30, 1 + round % 3);
-        live.push(solver.solve_assuming(&assumptions, Budget::unlimited()));
-        if round == 2 {
-            // Mutate the formula mid-session.
-            solver.add_clause(&[Lit::negative(Var::new(0)), Lit::negative(Var::new(1))]);
-        }
-    }
-    let text = to_icnf_string(solver.trace().unwrap());
-    let events = parse_icnf(&text).unwrap();
-    let replayed = replay_icnf(&events, CdclConfig::chaff(), Budget::unlimited());
-    assert_eq!(replayed.len(), live.len());
-    for (i, (a, b)) in live.iter().zip(&replayed).enumerate() {
-        assert_eq!(a.is_sat(), b.is_sat(), "round {i}");
-        assert_eq!(a.is_unsat(), b.is_unsat(), "round {i}");
-    }
 }

@@ -1,6 +1,6 @@
-//! Tracing and registry integration for the SAT layer: incremental
-//! push/pop scopes must produce properly nested spans, and portfolio races
-//! must surface per-member statistics on the global registry.
+//! Tracing and registry integration for the SAT layer: incremental solves
+//! must each produce one closed span, and portfolio races must surface
+//! per-member statistics on the global registry.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use velv_sat::presets::SolverKind;
@@ -18,21 +18,17 @@ fn lit(i: i64) -> Lit {
 }
 
 #[test]
-fn incremental_push_pop_scopes_nest_as_spans() {
+fn incremental_solves_open_and_close_one_span_each() {
     let _guard = tracer_lock().lock().unwrap();
     let sink = Arc::new(velv_obs::MemorySink::new());
     velv_obs::install_sink(sink.clone());
 
     let mut solver = IncrementalSolver::chaff();
     solver.add_clause(&[lit(1), lit(2)]);
-    solver.push();
     solver.add_clause(&[lit(-1)]);
-    solver.push();
+    assert!(solver.solve(Budget::unlimited()).is_sat());
     solver.add_clause(&[lit(-2)]);
     assert!(solver.solve(Budget::unlimited()).is_unsat());
-    solver.pop();
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-    solver.pop();
 
     velv_obs::uninstall_sink();
     let text = sink.contents();
@@ -44,32 +40,21 @@ fn incremental_push_pop_scopes_nest_as_spans() {
         .filter(|l| !l.trim().is_empty())
         .map(|l| velv_obs::parse_trace_line(l).unwrap())
         .collect();
-    let scope_opens: Vec<&velv_obs::TraceRecord> = records
-        .iter()
-        .filter(|r| r.kind() == "span_open" && r.get("name") == Some("incr.scope"))
-        .collect();
-    assert_eq!(scope_opens.len(), 2);
-    // The second scope opened inside the first: parent chain reflects it.
-    assert_eq!(
-        scope_opens[1].get_u64("parent"),
-        scope_opens[0].get_u64("id")
-    );
-    assert_eq!(scope_opens[0].get("depth"), Some("1"));
-    assert_eq!(scope_opens[1].get("depth"), Some("2"));
-    // Both solves happened inside the innermost open scope at the time.
-    let solve_opens: Vec<&velv_obs::TraceRecord> = records
-        .iter()
-        .filter(|r| r.kind() == "span_open" && r.get("name") == Some("incr.solve"))
-        .collect();
-    assert_eq!(solve_opens.len(), 2);
-    assert_eq!(
-        solve_opens[0].get_u64("parent"),
-        scope_opens[1].get_u64("id")
-    );
-    assert_eq!(
-        solve_opens[1].get_u64("parent"),
-        scope_opens[0].get_u64("id")
-    );
+    let solve_ids = |kind: &str| -> Vec<Option<u64>> {
+        records
+            .iter()
+            .filter(|r| r.kind() == kind && r.get("name") == Some("incr.solve"))
+            .map(|r| r.get_u64("id"))
+            .collect()
+    };
+    let opens = solve_ids("span_open");
+    assert_eq!(opens.len(), 2, "one span per solve");
+    assert_ne!(opens[0], opens[1], "each solve has its own span");
+    let mut closes = solve_ids("span_close");
+    closes.sort();
+    let mut expected = opens.clone();
+    expected.sort();
+    assert_eq!(closes, expected, "both solve spans close");
 }
 
 #[test]

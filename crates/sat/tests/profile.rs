@@ -122,9 +122,8 @@ fn incremental_solves_share_one_recorder_with_markers() {
         solver.add_clause(&[lit(1), lit(2)]);
         solver.add_clause(&[lit(-1), lit(2)]);
         assert!(solver.solve(Budget::unlimited()).is_sat());
-        assert!(solver
-            .solve_assuming(&[lit(-2)], Budget::unlimited())
-            .is_unsat());
+        solver.add_clause(&[lit(-2)]);
+        assert!(solver.solve(Budget::unlimited()).is_unsat());
     }
     let rec = recorder.lock().unwrap();
     let solves = rec.markers().iter().filter(|m| m.kind == "solve").count();

@@ -1,13 +1,13 @@
 //! End-to-end certification suite for DRAT proof logging: refutations
 //! recorded by the CDCL engine must replay through the independent checker in
-//! `velv_proof`, across presets, assumptions, incremental sessions and
-//! deletion-heavy runs — and corrupted proofs must be rejected.
+//! `velv_proof`, across presets, incremental sessions and deletion-heavy
+//! runs — and corrupted proofs must be rejected.
 
 use velv_proof::{check_proof, CheckOptions, Proof, ProofStep};
 use velv_sat::cdcl::CdclSolver;
 use velv_sat::generators::{pigeonhole, random_3sat};
 use velv_sat::incremental::IncrementalSolver;
-use velv_sat::{Budget, CnfFormula, Lit, Solver, Var};
+use velv_sat::{Budget, Lit, Solver};
 
 use velv_sat::dimacs::cnf_to_dimacs_i32 as dimacs_clauses;
 
@@ -26,7 +26,7 @@ fn every_preset_refutation_of_pigeonhole_checks() {
         CdclSolver::sato(), // exercises the oversize purge's deletions
     ] {
         let name = solver.name().to_owned();
-        let (result, proof) = solver.solve_recording_proof(&cnf, &[], Budget::unlimited());
+        let (result, proof) = solver.solve_recording_proof(&cnf, Budget::unlimited());
         assert!(result.is_unsat(), "{name}");
         assert!(!proof.is_empty(), "{name}: refutations have steps");
         assert_eq!(
@@ -45,7 +45,7 @@ fn deletion_heavy_chaff_run_still_checks() {
     // PHP(8, 7) under chaff crosses the database-reduction threshold, so the
     // proof interleaves additions with real deletions.
     let cnf = pigeonhole(7);
-    let (result, proof) = CdclSolver::chaff().solve_recording_proof(&cnf, &[], Budget::unlimited());
+    let (result, proof) = CdclSolver::chaff().solve_recording_proof(&cnf, Budget::unlimited());
     assert!(result.is_unsat());
     let deletions = proof
         .steps()
@@ -63,20 +63,12 @@ fn unsat_random_3sat_proofs_check_with_trimming() {
     let mut checked = 0;
     for seed in 1..=6u64 {
         let cnf = random_3sat(40, 180, seed); // ratio 4.5: usually UNSAT
-        let (result, proof) =
-            CdclSolver::chaff().solve_recording_proof(&cnf, &[], Budget::unlimited());
+        let (result, proof) = CdclSolver::chaff().solve_recording_proof(&cnf, Budget::unlimited());
         if !result.is_unsat() {
             continue;
         }
-        let report = check_proof(
-            &dimacs_clauses(&cnf),
-            &proof,
-            &CheckOptions {
-                trim: true,
-                ..Default::default()
-            },
-        )
-        .expect("seeded refutation checks");
+        let report = check_proof(&dimacs_clauses(&cnf), &proof, &CheckOptions { trim: true })
+            .expect("seeded refutation checks");
         assert!(report.derived_empty, "seed {seed}");
         let core = report.input_core.expect("trim reports a core");
         assert!(!core.is_empty(), "seed {seed}");
@@ -94,104 +86,54 @@ fn unsat_random_3sat_proofs_check_with_trimming() {
 }
 
 #[test]
-fn assumption_refutations_end_with_the_negated_core_clause() {
-    // x1 → x2 → x3: UNSAT under {x1, ¬x3}, and the terminal proof step is a
-    // clause over the negated assumptions.
-    let mut cnf = CnfFormula::new(3);
-    cnf.add_clause(vec![lit(-1), lit(2)]);
-    cnf.add_clause(vec![lit(-2), lit(3)]);
-    let assumptions = [lit(1), lit(-3)];
-    let (result, proof) =
-        CdclSolver::chaff().solve_recording_proof(&cnf, &assumptions, Budget::unlimited());
-    assert!(result.is_unsat());
-    let terminal = proof.last().expect("the proof is non-empty");
-    assert!(terminal.is_addition());
-    let negated: Vec<i32> = assumptions
-        .iter()
-        .map(|a| -(a.to_dimacs() as i32))
-        .collect();
-    assert!(
-        terminal.lits().iter().all(|l| negated.contains(l)),
-        "terminal clause {:?} over the negated assumptions {negated:?}",
-        terminal.lits()
-    );
-    check_proof(&dimacs_clauses(&cnf), &proof, &CheckOptions::default())
-        .expect("the assumption refutation checks");
-}
-
-#[test]
 fn incremental_session_proof_checks_against_all_added_clauses() {
     // A session with clause additions between solves: the proof accumulates
-    // across queries and must check against the *union* of everything added.
+    // across solves and must check against the *union* of everything added.
+    // PHP(6, 5) without pigeon 0's placement clause is satisfiable, so the
+    // first solve searches and learns; adding the clause back makes the
+    // second solve a refutation that may resolve on those learned clauses.
+    let cnf = pigeonhole(5);
+    let (placement, rest) = cnf.clauses().split_first().expect("PHP has clauses");
+    let mut solver = IncrementalSolver::chaff();
+    let proof = solver.enable_proof();
+    for clause in rest {
+        solver.add_clause(clause);
+    }
+    assert!(solver.solve(Budget::unlimited()).is_sat());
+    let first_conflicts = solver.stats().conflicts;
+    solver.add_clause(placement);
+    assert!(solver.solve(Budget::unlimited()).is_unsat());
+    assert!(
+        solver.stats().conflicts > first_conflicts,
+        "the re-solve searches"
+    );
+    let recorded = proof.snapshot();
+    let report = check_proof(&dimacs_clauses(&cnf), &recorded, &CheckOptions::default())
+        .expect("the session proof checks");
+    assert!(report.derived_empty, "the final solve is a root refutation");
+
+    // The same holds for small hand-written additions, one solve apart.
     let mut solver = IncrementalSolver::chaff();
     let proof = solver.enable_proof();
     solver.add_clause(&[lit(1), lit(2)]);
     solver.add_clause(&[lit(-1), lit(3)]);
-    assert!(solver
-        .solve_assuming(&[lit(-2), lit(-3)], Budget::unlimited())
-        .is_unsat());
-    let first_len = proof.len();
-    assert!(first_len > 0, "the failing query leaves a terminal clause");
+    assert!(solver.solve(Budget::unlimited()).is_sat());
     solver.add_clause(&[lit(-3), lit(2)]);
     assert!(solver.solve(Budget::unlimited()).is_sat());
     solver.add_clause(&[lit(-2)]);
     solver.add_clause(&[lit(3)]);
     assert!(solver.solve(Budget::unlimited()).is_unsat());
     let axioms: Vec<Vec<i32>> = vec![vec![1, 2], vec![-1, 3], vec![-3, 2], vec![-2], vec![3]];
-    let recorded = proof.snapshot();
-    let report = check_proof(&axioms, &recorded, &CheckOptions::default())
+    let report = check_proof(&axioms, &proof.snapshot(), &CheckOptions::default())
         .expect("the session proof checks");
-    assert!(report.derived_empty, "the final query is a root refutation");
-}
-
-#[test]
-fn pigeonhole_core_proofs_recertify() {
-    // The selector-guarded pigeonhole of the incremental suite: the UNSAT
-    // core's negation must appear as the terminal proof step and the whole
-    // proof must check.
-    let holes = 4;
-    let pigeons = holes + 1;
-    let base = pigeonhole(holes);
-    let mut cnf = CnfFormula::new(base.num_vars() + pigeons);
-    let selector = |p: usize| Var::new((base.num_vars() + p) as u32);
-    for (i, clause) in base.clauses().iter().enumerate() {
-        if i < pigeons {
-            let mut guarded = clause.clone();
-            guarded.push(Lit::negative(selector(i)));
-            cnf.add_clause(guarded);
-        } else {
-            cnf.add_clause(clause.clone());
-        }
-    }
-    let mut solver = IncrementalSolver::chaff();
-    let proof = solver.enable_proof();
-    solver.add_formula(&cnf);
-    let assumptions: Vec<Lit> = (0..pigeons).map(|p| Lit::positive(selector(p))).collect();
-    assert!(solver
-        .solve_assuming(&assumptions, Budget::unlimited())
-        .is_unsat());
-    let core = solver.unsat_core().to_vec();
-    assert!(!core.is_empty());
-    let recorded = proof.snapshot();
-    let report = check_proof(&dimacs_clauses(&cnf), &recorded, &CheckOptions::default())
-        .expect("the core-producing refutation checks");
-    assert!(!report.derived_empty, "UNSAT only under the assumptions");
-    // The terminal step is the clause over the negated core.
-    let negated: Vec<i32> = core.iter().map(|a| -(a.to_dimacs() as i32)).collect();
-    let terminal = recorded.last().unwrap();
-    assert!(terminal.is_addition());
-    let mut terminal_lits = terminal.lits().to_vec();
-    terminal_lits.sort_unstable();
-    let mut expected = negated.clone();
-    expected.sort_unstable();
-    assert_eq!(terminal_lits, expected, "terminal clause = negated core");
+    assert!(report.derived_empty, "the final solve is a root refutation");
 }
 
 #[test]
 fn corrupted_proofs_are_rejected() {
     let cnf = pigeonhole(4);
     let clauses = dimacs_clauses(&cnf);
-    let (result, proof) = CdclSolver::chaff().solve_recording_proof(&cnf, &[], Budget::unlimited());
+    let (result, proof) = CdclSolver::chaff().solve_recording_proof(&cnf, Budget::unlimited());
     assert!(result.is_unsat());
     check_proof(&clauses, &proof, &CheckOptions::default()).expect("the honest proof checks");
 

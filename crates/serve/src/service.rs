@@ -45,13 +45,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use velv_core::{
-    Backend, Certificate, Counterexample, Translation, TranslationStats, Verdict,
-    VerificationProblem, Verifier,
+    sat_verdict, Backend, Certificate, TranslationStats, Verdict, VerificationProblem, Verifier,
 };
 use velv_eufm::Fingerprint;
 use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::presets::SolverKind;
-use velv_sat::{Budget, CancelToken, SatResult, Solver};
+use velv_sat::{Budget, CancelToken, Solver};
 
 /// Builds a replacement engine for monolithic uncertified jobs; a test and
 /// extension hook (e.g. plugging a custom engine into a service instance).
@@ -1382,18 +1381,6 @@ impl Inner {
     }
 }
 
-fn verdict_of_result(translation: &Translation, result: SatResult) -> Verdict {
-    match result {
-        SatResult::Unsat => Verdict::Correct,
-        SatResult::Sat(model) => Verdict::Buggy(Counterexample::from_model(
-            &translation.ctx,
-            &translation.primary_vars,
-            &model,
-        )),
-        SatResult::Unknown(reason) => Verdict::Unknown(format!("{reason:?}")),
-    }
-}
-
 fn cdcl_config_for(backend: BackendChoice) -> CdclConfig {
     match backend {
         BackendChoice::Sat(SolverKind::BerkMin) => CdclConfig::berkmin(),
@@ -1659,7 +1646,6 @@ fn run_single(inner: &Inner, job: &SingleJob) {
                             let shared_proof = velv_sat::SharedProof::new();
                             match solver.solve_with_proof(
                                 &translation.cnf,
-                                &[],
                                 budget.clone(),
                                 &shared_proof,
                             ) {
@@ -1673,12 +1659,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
                                     } else {
                                         None
                                     };
-                                    (
-                                        verdict_of_result(&translation, result),
-                                        None,
-                                        proof,
-                                        Some(stats),
-                                    )
+                                    (sat_verdict(&translation, result), None, proof, Some(stats))
                                 }
                                 // The engine cannot log proofs: plain solve.
                                 None => (

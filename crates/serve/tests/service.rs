@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use velv_obs::{ProfileSink, SolveProfile};
 use velv_sat::{Budget, CnfFormula, SatResult, Solver, SolverStats};
 use velv_serve::{
-    BackendChoice, JobSpec, JobStatus, ModelRef, ServeHandle, ServiceConfig, SolveMode,
+    BackendChoice, DlxVariant, JobSpec, JobStatus, ModelRef, ServeHandle, ServiceConfig, SolveMode,
 };
 
 /// An engine that never answers: it spins until its budget (cancel token or
@@ -447,6 +447,32 @@ fn keep_proof_stores_a_drat_artifact() {
     assert!(text.lines().last().unwrap_or("").trim_end().ends_with('0'));
     assert_eq!(service.stats().proofs_kept, 1);
     service.shutdown();
+}
+
+#[test]
+fn shutdown_under_a_keep_proof_job_reports_cancelled() {
+    // The keep-proof path solves through `Solver::solve_with_proof`; a
+    // cancelled solve there must read like every other cancelled job.
+    let service = ServeHandle::start(ServiceConfig::default().with_workers(1));
+    let mut spec = JobSpec::new(ModelRef::Dlx {
+        config: DlxVariant::DualFull,
+        bug: None,
+    });
+    spec.keep_proof = true;
+    let ticket = service.submit(spec).expect("accepted");
+    wait_until("the proof-logging solve to heartbeat", || {
+        service
+            .progress_rows()
+            .iter()
+            .any(|row| row.progress.heartbeats > 0)
+    });
+    service.shutdown();
+    let result = ticket.wait();
+    assert_eq!(
+        result.verdict,
+        velv_core::Verdict::Unknown("cancelled".to_owned())
+    );
+    assert_eq!(service.stats().proofs_kept, 0);
 }
 
 #[test]

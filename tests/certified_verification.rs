@@ -207,7 +207,7 @@ fn corrupting_the_recorded_proof_is_detected() {
     let verifier = Verifier::new(TranslationOptions::default());
     let translation = verifier.translate(&Dlx::correct(config), &spec);
     let mut solver = velv_sat::cdcl::CdclSolver::chaff();
-    let (result, proof) = solver.solve_recording_proof(&translation.cnf, &[], Budget::unlimited());
+    let (result, proof) = solver.solve_recording_proof(&translation.cnf, Budget::unlimited());
     assert!(result.is_unsat());
     let clauses = velv_sat::dimacs::cnf_to_dimacs_i32(&translation.cnf);
     check_proof(&clauses, &proof, &CheckOptions::default()).expect("the honest refutation checks");

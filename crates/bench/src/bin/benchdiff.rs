@@ -19,7 +19,10 @@
 //!   baseline.  Heap peaks are near-deterministic, so unlike wall clock a
 //!   20% ceiling catches a leaked arena or an unbounded learnt DB without
 //!   flaking on machine speed.  Baseline rows with a zero or missing peak
-//!   are skipped.
+//!   are skipped.  Then the **hint gate**: every `drat-checker` row of the
+//!   current file must report zero `proof_hint_fallbacks` in its metrics, so
+//!   the checker's replay along the solver's antecedent hints cannot
+//!   silently decay to full unit propagation.
 //! * **`satbench-serve`** (`BENCH_serve.json`), `sweeps` keyed by `label`:
 //!   the **throughput floor**.  Every shared sweep's `jobs_per_sec` must
 //!   stay at or above 0.10× the baseline.  CI machines vary wildly, so the
@@ -42,6 +45,10 @@ const THRESHOLD: f64 = 0.05;
 const MIN_JOBS_RATIO: f64 = 0.10;
 /// The cdcl gate's ceiling: `peak_heap_bytes` as a multiple of the baseline.
 const MAX_HEAP_RATIO: f64 = 1.2;
+/// The preset of the proof checker's rows.
+const CHECKER_PRESET: &str = "drat-checker";
+/// The checker-row metric that must stay zero.
+const HINT_FALLBACKS: &str = "proof_hint_fallbacks";
 
 /// What a benchmark file measures, from its `harness` field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,6 +62,7 @@ enum Kind {
 /// One benchmark row; a serve sweep fills only `jobs_per_sec`.
 #[derive(Clone, Debug, Default)]
 struct Row {
+    preset: String,
     result: String,
     time_s: f64,
     conflicts: f64,
@@ -112,6 +120,7 @@ fn parse_bench(text: &str) -> Result<Bench, String> {
                     })
                     .unwrap_or_default();
                 let row = Row {
+                    preset: text("preset")?.to_owned(),
                     result: text("result").unwrap_or("").to_owned(),
                     time_s: field("time_s"),
                     conflicts: field("conflicts"),
@@ -140,7 +149,8 @@ fn parse_bench(text: &str) -> Result<Bench, String> {
 }
 
 /// Applies the files' gate to every row both carry, printing one line per
-/// compared row.  `Ok(true)` when some row breached its bound.
+/// compared row, then the hint gate to the current file's checker rows.
+/// `Ok(true)` when some row breached its bound.
 ///
 /// # Errors
 ///
@@ -183,8 +193,17 @@ fn gate(baseline: &Bench, current: &Bench) -> Result<bool, String> {
     if compared == 0 {
         return Err("no gated row is shared between baseline and current".to_owned());
     }
+    for (key, row) in &current.rows {
+        let fallbacks = row.metrics.get(HINT_FALLBACKS).copied().unwrap_or(0.0);
+        if row.preset == CHECKER_PRESET && fallbacks > 0.0 {
+            breached = true;
+            println!("gate: {key:<44} {fallbacks:.0} hint fallback(s) (REGRESSION)");
+        }
+    }
     let bound = match baseline.kind {
-        Kind::Cdcl => format!("peak heap within {MAX_HEAP_RATIO}x of the baseline"),
+        Kind::Cdcl => format!(
+            "peak heap within {MAX_HEAP_RATIO}x of the baseline, no {CHECKER_PRESET} hint fallback"
+        ),
         Kind::Serve => format!("jobs/s at or above {MIN_JOBS_RATIO}x of the baseline"),
     };
     if breached {
@@ -585,6 +604,27 @@ mod tests {
         assert_eq!(gate(&baseline, &one_row(Kind::Cdcl, 1201.0)), Ok(true));
         // A zero-peak baseline row is skipped, leaving nothing to gate.
         assert!(gate(&one_row(Kind::Cdcl, 0.0), &one_row(Kind::Cdcl, 5.0)).is_err());
+    }
+
+    #[test]
+    fn a_checker_hint_fallback_fails_the_gate() {
+        let doc = |fallbacks: u32| {
+            bench(&format!(
+                r#"{{"harness": "satbench", "runs": [
+                  {{"preset": "chaff", "instance": "x", "peak_heap_bytes": 10}},
+                  {{"preset": "drat-checker", "instance": "x", "peak_heap_bytes": 10,
+                    "metrics": {{"proof_hint_fallbacks": {fallbacks}}}}}]}}"#
+            ))
+        };
+        assert_eq!(gate(&doc(0), &doc(0)), Ok(false));
+        assert_eq!(gate(&doc(0), &doc(1)), Ok(true));
+        // Only the current file is held to it, and only checker rows.
+        assert_eq!(gate(&doc(3), &doc(0)), Ok(false));
+        let solver_row = bench(
+            r#"{"harness": "satbench", "runs": [{"preset": "chaff", "instance": "x",
+               "peak_heap_bytes": 10, "metrics": {"proof_hint_fallbacks": 5}}]}"#,
+        );
+        assert_eq!(gate(&one_row(Kind::Cdcl, 10.0), &solver_row), Ok(false));
     }
 
     #[test]

@@ -592,6 +592,9 @@ fn transitivity_pair(
 /// correct-design proofs (plain chaff vs. proof-logging chaff) and the
 /// independent checker's replay time.  The acceptance bar for the subsystem
 /// is logging overhead within 2× of the plain solve on the 2×DLX proof.
+/// The `drat-checker` row counts the checker's unit propagations in
+/// `propagations` and, in `metrics`, the additions its hints settled and
+/// the hint fallbacks — which `benchdiff` requires to be zero.
 fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
     let configs: &[DlxConfig] = if smoke {
         &[DlxConfig::single_issue()]
@@ -663,18 +666,29 @@ fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
         let check_time = start.elapsed().as_secs_f64();
         let (peak_heap_bytes, scope_deltas) = meter.finish();
         assert!(report.derived_empty, "{instance}");
+        let mut metrics = vec![
+            (
+                "proof_hinted_additions".to_owned(),
+                report.hinted_additions as u64,
+            ),
+            (
+                "proof_hint_fallbacks".to_owned(),
+                report.hint_fallbacks as u64,
+            ),
+        ];
+        metrics.extend(scope_deltas);
         measurements.push(Measurement {
             preset: "drat-checker",
             instance,
             result: "verified",
             time_s: check_time,
             conflicts: steps, // proof steps replayed, in the conflicts column
-            propagations: 0,
+            propagations: report.propagations,
             decisions: 0,
             conflicts_per_sec: steps as f64 / check_time.max(1e-9),
-            propagations_per_sec: 0.0,
+            propagations_per_sec: report.propagations as f64 / check_time.max(1e-9),
             peak_heap_bytes,
-            metrics: scope_deltas,
+            metrics,
         });
     }
 }

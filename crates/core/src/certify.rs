@@ -14,7 +14,12 @@
 //!   clause asserted by the lazy refinement loop (recorded as the loop
 //!   asserts them).  Every refutation — of a monolithic
 //!   criterion or of one decomposed obligation — must end in the empty
-//!   clause.
+//!   clause.  Each learned clause carries the antecedent hints of its
+//!   conflict analysis, so the checker verifies it by propagating those
+//!   clauses alone.  Hints only choose which live clauses to propagate
+//!   first: the checker evaluates every hinted clause itself and falls back
+//!   to full propagation when the hints miss, so they make the replay
+//!   cheaper without making it more trusting.
 //! * **SAT (the design is buggy).**  The model is checked against every
 //!   clause handed to the solver, its *e*ij assignment is re-checked for
 //!   transitivity consistency (so it lifts to a genuine equality
@@ -26,9 +31,10 @@
 //!   evaluate to *false* while the side constraints evaluate to *true*.
 //!
 //! What remains trusted is deliberately small: the EUFM → CNF translation
-//! capture, the tiny RUP checker and the EUFM evaluator.  The search — with
-//! its heuristics, restarts, clause database management, garbage collection
-//! and incremental clause addition — is entirely outside the trusted base.
+//! capture, the tiny RUP checker (with its hint-evaluation loop) and the
+//! EUFM evaluator.  The search — with its heuristics, restarts, clause
+//! database management, garbage collection, incremental clause addition and
+//! the hints it records — is entirely outside the trusted base.
 
 use crate::counterexample::Counterexample;
 use crate::flow::{Translation, Verdict};
@@ -161,6 +167,11 @@ impl std::error::Error for CertifyError {}
 
 /// Replays `proof` against `base` plus `added` and validates the terminal
 /// step: the empty clause.
+///
+/// The input order is the hint id contract: `base`'s clauses in order, then
+/// `added` in the order the refinement loop asserted them, which is the
+/// order the incremental engine received its clauses.  Input clause `i` of
+/// the checker is therefore the clause the proof's hints call input `i`.
 fn check_unsat_proof(
     name: &str,
     base: &CnfFormula,
@@ -176,9 +187,10 @@ fn check_unsat_proof(
             ("proof_steps", proof.len().into()),
         ],
     );
+    // The replay's input is part of the replay: time it with the check.
+    let start = Instant::now();
     let mut clauses = cnf_to_dimacs_i32(base);
     clauses.extend(added.iter().map(|c| clause_to_dimacs_i32(c)));
-    let start = Instant::now();
     let options = CheckOptions {
         trim: certify.trim_proofs,
     };

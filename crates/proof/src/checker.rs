@@ -10,10 +10,25 @@
 //! the negations of the step's literals are asserted on top of the root trail
 //! and unit propagation must derive a conflict; the clause is then installed
 //! permanently (so later steps may use it) and any unit it contributes is
-//! propagated at the root.  `Delete` steps remove the matching clause, except
-//! when it is currently the reason of a root-level assignment (solvers may
-//! delete clauses the checker still relies on; such deletions are counted and
+//! propagated at the root.  `Delete` steps remove the matching clause — found
+//! through an order-independent hash of its literal set — except when it is
+//! currently the reason of a root-level assignment (solvers may delete
+//! clauses the checker still relies on; such deletions are counted and
 //! ignored, the standard DRAT-checker behaviour).
+//!
+//! **Hints.**  When an `Add` step carries antecedent hints
+//! ([`Proof::hints`]), the checker first propagates just the hinted clauses,
+//! in the order given, over the asserted negation: a hinted clause with one
+//! open literal assigns it, one with none is the conflict.  Hints only
+//! choose which live clauses to propagate first.  A hint naming no live
+//! clause of the checker's own database is skipped, and every hinted clause
+//! is evaluated by the checker itself, so each assignment is a unit
+//! implication full propagation would make too.  When the hints reach no
+//! conflict, their assignments are undone and the step is checked by full
+//! propagation, exactly as without hints.  Hints therefore never change
+//! which proofs are accepted or at which step one is rejected; they save the
+//! search.  [`CheckReport`] counts the additions settled by hints and the
+//! fallbacks.
 //!
 //! Every accepted addition is therefore a *logical consequence* of the input
 //! clauses — this checker verifies pure RUP proofs and does not accept RAT
@@ -26,7 +41,7 @@
 //! was actually used.  The report lists the used input clauses (the core) and how
 //! many proof steps survive the trim.
 
-use crate::drat::{Proof, ProofStep};
+use crate::drat::{ClauseId, Proof, ProofStep};
 use std::collections::HashMap;
 
 /// Options of a [`check_proof`] run.
@@ -43,6 +58,17 @@ pub struct CheckOptions {
 pub struct CheckReport {
     /// Number of verified addition steps.
     pub additions: usize,
+    /// Additions verified by propagating their antecedent hints alone.
+    pub hinted_additions: usize,
+    /// Additions whose hints (if any) did not reach a conflict, so the
+    /// checker fell back to full unit propagation.  The remaining additions
+    /// were trivial: the database was already contradictory, or the clause
+    /// was satisfied by the root assignment or a tautology.
+    pub hint_fallbacks: usize,
+    /// Literals the checker assigned by unit propagation: at the root, while
+    /// following hints, and in full RUP checks.  Deterministic for a given
+    /// CNF and proof.
+    pub propagations: u64,
     /// Number of processed deletion steps.
     pub deletions: usize,
     /// Deletions that were ignored because no matching live clause existed or
@@ -103,6 +129,8 @@ impl std::error::Error for CheckError {}
 const NO_REASON: usize = usize::MAX;
 /// Reason marker for literals asserted during a RUP check.
 const ASSUMED: usize = usize::MAX - 1;
+/// End of a same-key chain of the deletion lookup.
+const NO_CLAUSE: u32 = u32::MAX;
 
 /// Watch-list index of a literal: `2·(|lit| − 1) + (lit < 0)`.
 fn code(lit: i32) -> usize {
@@ -114,14 +142,45 @@ fn var_index(lit: i32) -> usize {
     lit.unsigned_abs() as usize - 1
 }
 
+/// Order-independent hash of a literal multiset: the wrapping sum of one
+/// mixed word per literal, so a clause and any permutation of it share a key.
+fn lit_set_key(lits: &[i32]) -> u64 {
+    lits.iter().fold(0u64, |key, &lit| {
+        // The SplitMix64 finalizer: adjacent literals get unrelated words.
+        let mut z = (lit as i64 as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        key.wrapping_add(z ^ (z >> 31))
+    })
+}
+
+/// One clause of the database; its literals live in [`Checker::lits`].
 struct ClauseEntry {
-    lits: Vec<i32>,
+    start: u32,
+    len: u32,
+    /// The next live clause with the same literal-set key, newest first.
+    next_same_key: u32,
     deleted: bool,
+}
+
+/// How a RUP check succeeded.
+enum Verified {
+    /// The database was already contradictory, or the clause was satisfied
+    /// by the root assignment or a tautology.
+    Trivially,
+    /// Propagating the step's hints reached a conflict.
+    ByHints,
+    /// Full unit propagation reached a conflict.
+    ByPropagation,
 }
 
 /// The checker state: clause database, watches, root-persistent assignment.
 struct Checker {
     clauses: Vec<ClauseEntry>,
+    /// The literals of every clause, back to back.
+    lits: Vec<i32>,
+    /// Input clauses come first: lemma `k` is clause `num_inputs + k`.
+    num_inputs: usize,
     watches: Vec<Vec<usize>>,
     /// Per variable: 0 unassigned, 1 true, -1 false.
     assign: Vec<i8>,
@@ -129,6 +188,8 @@ struct Checker {
     reason: Vec<usize>,
     trail: Vec<i32>,
     qhead: usize,
+    /// Literals assigned so far, by any propagation.
+    propagations: u64,
     /// The database is contradictory at the root: every further step is a
     /// trivial consequence.
     root_conflict: bool,
@@ -136,8 +197,8 @@ struct Checker {
     root_conflict_cone: Vec<usize>,
     /// Scratch stamps for conflict-cone collection, per variable.
     seen: Vec<bool>,
-    /// Lookup from sorted literals to live clause ids, for deletions.
-    by_lits: HashMap<Vec<i32>, Vec<usize>>,
+    /// Newest live clause per literal-set key, for deletions.
+    by_key: HashMap<u64, u32>,
     trim: bool,
 }
 
@@ -145,15 +206,18 @@ impl Checker {
     fn new(trim: bool) -> Self {
         Checker {
             clauses: Vec::new(),
+            lits: Vec::new(),
+            num_inputs: 0,
             watches: Vec::new(),
             assign: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
             qhead: 0,
+            propagations: 0,
             root_conflict: false,
             root_conflict_cone: Vec::new(),
             seen: Vec::new(),
-            by_lits: HashMap::new(),
+            by_key: HashMap::new(),
             trim,
         }
     }
@@ -166,6 +230,23 @@ impl Checker {
             self.seen.resize(v + 1, false);
             self.watches.resize_with(2 * (v + 1), Vec::new);
         }
+    }
+
+    /// The literals of clause `cid`.
+    fn clause(&self, cid: usize) -> &[i32] {
+        let entry = &self.clauses[cid];
+        &self.lits[entry.start as usize..(entry.start + entry.len) as usize]
+    }
+
+    #[inline]
+    fn lit(&self, cid: usize, k: usize) -> i32 {
+        self.lits[self.clauses[cid].start as usize + k]
+    }
+
+    #[inline]
+    fn swap_lits(&mut self, cid: usize, i: usize, j: usize) {
+        let start = self.clauses[cid].start as usize;
+        self.lits.swap(start + i, start + j);
     }
 
     fn value(&self, lit: i32) -> i8 {
@@ -183,6 +264,18 @@ impl Checker {
         self.assign[v] = if lit > 0 { 1 } else { -1 };
         self.reason[v] = reason;
         self.trail.push(lit);
+        self.propagations += 1;
+    }
+
+    /// Unassigns every trail literal from position `mark` on.
+    fn undo_to(&mut self, mark: usize) {
+        for i in (mark..self.trail.len()).rev() {
+            let v = var_index(self.trail[i]);
+            self.assign[v] = 0;
+            self.reason[v] = NO_REASON;
+        }
+        self.trail.truncate(mark);
+        self.qhead = self.qhead.min(mark);
     }
 
     /// Unit propagation; returns the conflicting clause id, if any.
@@ -202,20 +295,20 @@ impl Checker {
                     continue;
                 }
                 // Establish the invariant: the falsified watch sits at index 1.
-                if self.clauses[cid].lits[0] == false_lit {
-                    self.clauses[cid].lits.swap(0, 1);
+                if self.lit(cid, 0) == false_lit {
+                    self.swap_lits(cid, 0, 1);
                 }
-                let first = self.clauses[cid].lits[0];
+                let first = self.lit(cid, 0);
                 if self.value(first) > 0 {
                     self.watches[widx][keep] = cid;
                     keep += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                for k in 2..self.clauses[cid].lits.len() {
-                    let candidate = self.clauses[cid].lits[k];
+                for k in 2..self.clauses[cid].len as usize {
+                    let candidate = self.lit(cid, k);
                     if self.value(candidate) >= 0 {
-                        self.clauses[cid].lits.swap(1, k);
+                        self.swap_lits(cid, 1, k);
                         self.watches[code(candidate)].push(cid);
                         continue 'watchers;
                     }
@@ -243,6 +336,56 @@ impl Checker {
         None
     }
 
+    /// The database clause a hint names, if it names a live one.  Hints come
+    /// from the untrusted solver: an id out of range or of a deleted clause
+    /// is skipped, never trusted.
+    fn resolve(&self, hint: ClauseId) -> Option<usize> {
+        let cid = match (hint.as_input(), hint.as_lemma()) {
+            (Some(index), _) if index < self.num_inputs => index,
+            (_, Some(index)) => self.num_inputs.checked_add(index)?,
+            _ => return None,
+        };
+        (cid < self.clauses.len() && !self.clauses[cid].deleted).then_some(cid)
+    }
+
+    /// Propagates the hinted clauses alone, in order, on top of the asserted
+    /// negation of a step: each hint is evaluated under the current
+    /// assignment, and a unit one assigns its open literal.  Returns the
+    /// first hinted clause falsified outright.  Every assignment made here
+    /// is a unit implication of a live database clause, so a conflict found
+    /// this way is one full propagation would find too.
+    fn propagate_hints(&mut self, hints: &[ClauseId]) -> Option<usize> {
+        for &hint in hints {
+            let Some(cid) = self.resolve(hint) else {
+                continue;
+            };
+            let mut open = 0usize;
+            let mut unit = 0i32;
+            for &lit in self.clause(cid) {
+                match self.value(lit) {
+                    1 => {
+                        open = 2; // satisfied: propagates nothing
+                        break;
+                    }
+                    0 if lit != unit => {
+                        open += 1;
+                        unit = lit;
+                        if open > 1 {
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            match open {
+                0 => return Some(cid),
+                1 => self.assign(unit, cid),
+                _ => {}
+            }
+        }
+        None
+    }
+
     /// Collects the clause ids in the conflict cone: the conflicting clause
     /// (or root-true literal) plus, transitively, the reasons of every
     /// falsified literal involved.  Only runs when trimming is enabled.
@@ -255,8 +398,8 @@ impl Checker {
         match seed {
             ConeSeed::Clause(cid) => {
                 cone.push(cid);
-                for k in 0..self.clauses[cid].lits.len() {
-                    let v = var_index(self.clauses[cid].lits[k]);
+                for k in 0..self.clauses[cid].len as usize {
+                    let v = var_index(self.lit(cid, k));
                     if !self.seen[v] {
                         self.seen[v] = true;
                         stack.push(v);
@@ -276,8 +419,8 @@ impl Checker {
                 continue;
             }
             cone.push(r);
-            for k in 0..self.clauses[r].lits.len() {
-                let w = var_index(self.clauses[r].lits[k]);
+            for k in 0..self.clauses[r].len as usize {
+                let w = var_index(self.lit(r, k));
                 if !self.seen[w] {
                     self.seen[w] = true;
                     stack.push(w);
@@ -294,12 +437,14 @@ impl Checker {
     }
 
     /// RUP check of `lits`: asserting the negation of every literal and
-    /// propagating must conflict.  Returns the conflict cone (empty when
-    /// trimming is off) or `None` when the check fails.  The trail is
-    /// restored to the root fixpoint afterwards.
-    fn check_rup(&mut self, lits: &[i32]) -> Option<Vec<usize>> {
+    /// propagating must conflict.  The hints are propagated first; only when
+    /// they do not reach a conflict are their assignments undone and the
+    /// whole database propagated.  Returns how the check succeeded with the
+    /// conflict cone (empty when trimming is off), or `None` when it fails.
+    /// The trail is restored to the root fixpoint afterwards.
+    fn check_rup(&mut self, lits: &[i32], hints: &[ClauseId]) -> Option<(Verified, Vec<usize>)> {
         if self.root_conflict {
-            return Some(self.root_conflict_cone.clone());
+            return Some((Verified::Trivially, self.root_conflict_cone.clone()));
         }
         for &lit in lits {
             self.ensure_var(lit);
@@ -311,7 +456,8 @@ impl Checker {
                 1 => {
                     // The literal is already true: ¬C contradicts the current
                     // trail immediately.
-                    outcome = Some(self.conflict_cone(ConeSeed::TrueLiteral(lit)));
+                    let cone = self.conflict_cone(ConeSeed::TrueLiteral(lit));
+                    outcome = Some((Verified::Trivially, cone));
                     break;
                 }
                 -1 => {}
@@ -319,60 +465,61 @@ impl Checker {
             }
         }
         if outcome.is_none() {
-            if let Some(conflict) = self.propagate() {
-                outcome = Some(self.conflict_cone(ConeSeed::Clause(conflict)));
+            let assumed = self.trail.len();
+            if let Some(conflict) = self.propagate_hints(hints) {
+                let cone = self.conflict_cone(ConeSeed::Clause(conflict));
+                outcome = Some((Verified::ByHints, cone));
+            } else {
+                self.undo_to(assumed);
+                if let Some(conflict) = self.propagate() {
+                    let cone = self.conflict_cone(ConeSeed::Clause(conflict));
+                    outcome = Some((Verified::ByPropagation, cone));
+                }
             }
         }
-        // Undo the temporary assignments.
-        for i in (mark..self.trail.len()).rev() {
-            let v = var_index(self.trail[i]);
-            self.assign[v] = 0;
-            self.reason[v] = NO_REASON;
-        }
-        self.trail.truncate(mark);
-        self.qhead = mark;
+        self.undo_to(mark);
         outcome
     }
 
-    /// Installs a clause permanently: registers watches, propagates any unit
-    /// it contributes at the root, and records it for deletion lookup.
-    fn install(&mut self, lits: Vec<i32>) -> usize {
-        for &lit in &lits {
+    /// Installs a clause permanently: copies its literals into the database,
+    /// registers watches, propagates any unit it contributes at the root, and
+    /// links it for deletion lookup.
+    fn install(&mut self, lits: &[i32]) -> usize {
+        for &lit in lits {
             self.ensure_var(lit);
         }
         let cid = self.clauses.len();
-        let mut sorted = lits.clone();
-        sorted.sort_unstable();
-        self.by_lits.entry(sorted).or_default().push(cid);
+        let start = u32::try_from(self.lits.len()).expect("checker literal store exceeds u32");
+        self.lits.extend_from_slice(lits);
+        let key = lit_set_key(lits);
+        let next_same_key = self.by_key.insert(key, cid as u32).unwrap_or(NO_CLAUSE);
         self.clauses.push(ClauseEntry {
-            lits,
+            start,
+            len: lits.len() as u32,
+            next_same_key,
             deleted: false,
         });
         if self.root_conflict {
             return cid;
         }
-        let entry = &mut self.clauses[cid];
-        if entry.lits.is_empty() {
+        if lits.is_empty() {
             self.root_conflict = true;
             return cid;
         }
         // Move (up to) two non-false literals to the watch positions.
         let mut front = 0;
-        for k in 0..entry.lits.len() {
+        for k in 0..lits.len() {
             if front >= 2 {
                 break;
             }
-            let lit = entry.lits[k];
-            let a = self.assign[var_index(lit)];
-            let value = if lit < 0 { -a } else { a };
-            if value >= 0 {
-                entry.lits.swap(front, k);
+            if self.value(self.lit(cid, k)) >= 0 {
+                self.swap_lits(cid, front, k);
                 front += 1;
             }
         }
-        let first = entry.lits[0];
-        if entry.lits.len() >= 2 {
-            let second = entry.lits[1];
+        let first = self.lit(cid, 0);
+        if lits.len() >= 2 {
+            let second = self.lit(cid, 1);
             self.watches[code(first)].push(cid);
             self.watches[code(second)].push(cid);
         }
@@ -396,44 +543,63 @@ impl Checker {
         cid
     }
 
-    /// Processes a deletion: the matching live clause is marked dead unless it
-    /// is currently the reason of a root assignment.  Returns whether a clause
-    /// was actually deleted.
+    /// Processes a deletion: the newest matching live clause is marked dead
+    /// unless it is currently the reason of a root assignment.  A clause
+    /// matches when its literals, sorted, equal the deletion's literals
+    /// sorted and deduplicated, or sorted verbatim (installation does not
+    /// deduplicate).  Returns whether a clause was actually deleted.
     fn delete(&mut self, lits: &[i32]) -> bool {
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        // Candidate ids under both the deduplicated and the verbatim key
-        // (installation does not deduplicate).
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(ids) = self.by_lits.get(&sorted) {
-            candidates.extend_from_slice(ids);
+        let mut target = lits.to_vec();
+        target.sort_unstable();
+        target.dedup();
+        if self.delete_matching(&target) {
+            return true;
+        }
+        if target.len() == lits.len() {
+            return false;
         }
         let mut verbatim = lits.to_vec();
         verbatim.sort_unstable();
-        if verbatim != sorted {
-            if let Some(ids) = self.by_lits.get(&verbatim) {
-                candidates.extend_from_slice(ids);
+        self.delete_matching(&verbatim)
+    }
+
+    /// Deletes the newest live, non-reason clause whose sorted literals equal
+    /// `sorted`, unlinking it from its key chain.
+    fn delete_matching(&mut self, sorted: &[i32]) -> bool {
+        let key = lit_set_key(sorted);
+        let Some(&head) = self.by_key.get(&key) else {
+            return false;
+        };
+        let mut prev = NO_CLAUSE;
+        let mut cid = head;
+        while cid != NO_CLAUSE {
+            let c = cid as usize;
+            let next = self.clauses[c].next_same_key;
+            // Reasons of root assignments stay alive (the solver may delete
+            // clauses the checker's root propagation relied on).
+            if self.clauses[c].len as usize == sorted.len() && !self.is_reason(c) {
+                let mut candidate = self.clause(c).to_vec();
+                candidate.sort_unstable();
+                if candidate == sorted {
+                    self.clauses[c].deleted = true;
+                    if prev != NO_CLAUSE {
+                        self.clauses[prev as usize].next_same_key = next;
+                    } else if next != NO_CLAUSE {
+                        self.by_key.insert(key, next);
+                    } else {
+                        self.by_key.remove(&key);
+                    }
+                    return true;
+                }
             }
-        }
-        for cid in candidates {
-            if self.clauses[cid].deleted {
-                continue;
-            }
-            if self.is_reason(cid) {
-                // Keep reasons of root assignments alive (the solver may
-                // delete clauses the checker's root propagation relied on).
-                continue;
-            }
-            self.clauses[cid].deleted = true;
-            return true;
+            prev = cid;
+            cid = next;
         }
         false
     }
 
     fn is_reason(&self, cid: usize) -> bool {
-        self.clauses[cid]
-            .lits
+        self.clause(cid)
             .iter()
             .any(|&lit| self.value(lit) > 0 && self.reason[var_index(lit)] == cid)
     }
@@ -448,9 +614,13 @@ enum ConeSeed {
 ///
 /// Every `Add` step must be RUP with respect to the clause database at that
 /// point of the proof; verified additions join the database, deletions leave
-/// it.  On success the report says whether the empty clause was derived and,
-/// with [`CheckOptions::trim`], which input clauses the terminal step
-/// transitively used.
+/// it.  An addition's hints ([`Proof::hints`]) name the clauses to propagate
+/// first, input clauses by their index in `cnf`; when they do not reach a
+/// conflict the step is checked by full propagation, so hints never change
+/// which proofs are accepted.  On success the report says whether the empty
+/// clause was derived, how many additions the hints settled and, with
+/// [`CheckOptions::trim`], which input clauses the terminal step transitively
+/// used.
 ///
 /// # Errors
 ///
@@ -474,8 +644,9 @@ pub fn check_proof(
         if clause.contains(&0) {
             return Err(CheckError::InputZeroLiteral { clause: index });
         }
-        checker.install(clause.clone());
+        checker.install(clause);
     }
+    checker.num_inputs = cnf.len();
     // Propagate the input units to the root fixpoint.
     if !checker.root_conflict {
         if let Some(conflict) = checker.propagate() {
@@ -484,6 +655,8 @@ pub fn check_proof(
         }
     }
     let mut additions = 0usize;
+    let mut hinted_additions = 0usize;
+    let mut hint_fallbacks = 0usize;
     let mut deletions = 0usize;
     let mut ignored_deletions = 0usize;
     // Per addition step: (clause id, conflict cone), for trimming.
@@ -494,13 +667,18 @@ pub fn check_proof(
         }
         match step {
             ProofStep::Add(lits) => {
-                let cone = checker
-                    .check_rup(lits)
-                    .ok_or_else(|| CheckError::StepNotRup {
+                let (how, cone) = checker.check_rup(lits, proof.hints(index)).ok_or_else(|| {
+                    CheckError::StepNotRup {
                         step: index,
                         clause: lits.clone(),
-                    })?;
-                let cid = checker.install(lits.clone());
+                    }
+                })?;
+                match how {
+                    Verified::Trivially => {}
+                    Verified::ByHints => hinted_additions += 1,
+                    Verified::ByPropagation => hint_fallbacks += 1,
+                }
+                let cid = checker.install(lits);
                 additions += 1;
                 if options.trim {
                     step_records.push((cid, cone));
@@ -544,6 +722,9 @@ pub fn check_proof(
     };
     Ok(CheckReport {
         additions,
+        hinted_additions,
+        hint_fallbacks,
+        propagations: checker.propagations,
         deletions,
         ignored_deletions,
         derived_empty: checker.root_conflict,
@@ -703,6 +884,69 @@ mod tests {
         let report = check_proof(&cnf, &proof, &CheckOptions { trim: true }).unwrap();
         assert_eq!(report.input_core.unwrap(), vec![2, 3]);
         assert_eq!(report.trimmed_additions, Some(1));
+    }
+
+    #[test]
+    fn hints_settle_a_step_and_misses_fall_back() {
+        // x1 → x2 → x3: ¬x1 ∨ x3 follows from both implications.
+        let cnf = vec![vec![-1, 2], vec![-2, 3]];
+        let hinted = |hints: &[ClauseId]| {
+            let mut proof = Proof::new();
+            proof.add_hinted(vec![-1, 3], hints);
+            check(&cnf, &proof).unwrap()
+        };
+        let report = hinted(&[ClauseId::input(0), ClauseId::input(1)]);
+        assert_eq!((report.hinted_additions, report.hint_fallbacks), (1, 0));
+        // One antecedent short: the hints reach no conflict, full
+        // propagation does.
+        let report = hinted(&[ClauseId::input(1)]);
+        assert_eq!((report.hinted_additions, report.hint_fallbacks), (0, 1));
+        // Ids naming no clause are skipped, never trusted.
+        let report = hinted(&[ClauseId::input(2), ClauseId::lemma(0)]);
+        assert_eq!((report.hinted_additions, report.hint_fallbacks), (0, 1));
+        assert!(report.propagations >= 2);
+    }
+
+    #[test]
+    fn a_hint_naming_a_deleted_clause_is_skipped() {
+        // Input 2 duplicates input 0; the deletion takes the newest copy, so
+        // a hint naming it misses and the step falls back to input 0.
+        let cnf = vec![vec![-1, 2], vec![-2, 3], vec![2, -1]];
+        let mut proof = Proof::new();
+        proof.delete(vec![-1, 2]);
+        proof.add_hinted(vec![-1, 3], &[ClauseId::input(2), ClauseId::input(1)]);
+        let report = check(&cnf, &proof).unwrap();
+        assert_eq!(report.ignored_deletions, 0);
+        assert_eq!((report.hinted_additions, report.hint_fallbacks), (0, 1));
+        // A lemma is named by its addition index.
+        let mut proof = Proof::new();
+        let lemma = proof.add_hinted(vec![-1, 3], &[ClauseId::input(0), ClauseId::input(1)]);
+        proof.add_hinted(vec![-1, 3, 4], &[lemma]);
+        let report = check(&cnf, &proof).unwrap();
+        assert_eq!((report.hinted_additions, report.hint_fallbacks), (2, 0));
+    }
+
+    #[test]
+    fn a_non_rup_step_is_rejected_whatever_its_hints() {
+        let cnf = vec![vec![1, 2]];
+        let mut proof = Proof::new();
+        proof.add_hinted(vec![1], &[ClauseId::input(0), ClauseId::input(0)]);
+        assert!(matches!(
+            check(&cnf, &proof),
+            Err(CheckError::StepNotRup { step: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn deletion_matches_literal_sets_not_orders() {
+        let cnf = vec![vec![1, 2, 3], vec![-1, 2], vec![4, 4, 5]];
+        let mut proof = Proof::new();
+        proof.delete(vec![3, 1, 2]); // a permutation
+        proof.delete(vec![2, -1, 2]); // with a duplicate, matched deduplicated
+        proof.delete(vec![5, 4, 4]); // matched verbatim
+        proof.delete(vec![1, 2]); // a subset is not a match
+        let report = check(&cnf, &proof).unwrap();
+        assert_eq!((report.deletions, report.ignored_deletions), (4, 1));
     }
 
     #[test]

@@ -36,12 +36,79 @@ impl ProofStep {
     }
 }
 
+/// The name of a clause in an antecedent hint: an input clause by its
+/// position in the checked CNF, or a lemma by its position among the proof's
+/// additions (the first addition is lemma 0, deletions are not counted).
+///
+/// Packed into one `u32` — the high bit tells lemmas from inputs — because a
+/// proof carries one hint per resolved literal of every learned clause.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClauseId(u32);
+
+impl ClauseId {
+    const LEMMA: u32 = 1 << 31;
+
+    /// The input clause at `index` of the checked CNF.
+    ///
+    /// # Panics
+    ///
+    /// When `index` does not fit in 31 bits.
+    pub fn input(index: usize) -> Self {
+        assert!(index < Self::LEMMA as usize, "input clause id out of range");
+        ClauseId(index as u32)
+    }
+
+    /// The lemma added by the proof's `index`-th addition step.
+    ///
+    /// # Panics
+    ///
+    /// When `index` does not fit in 31 bits.
+    pub fn lemma(index: usize) -> Self {
+        assert!(index < Self::LEMMA as usize, "lemma id out of range");
+        ClauseId(index as u32 | Self::LEMMA)
+    }
+
+    /// The input position, when this names an input clause.
+    pub fn as_input(self) -> Option<usize> {
+        (self.0 & Self::LEMMA == 0).then_some(self.0 as usize)
+    }
+
+    /// The addition index, when this names a lemma.
+    pub fn as_lemma(self) -> Option<usize> {
+        (self.0 & Self::LEMMA != 0).then_some((self.0 & !Self::LEMMA) as usize)
+    }
+}
+
 /// An ordered DRAT proof: the additions and deletions a solver performed, in
 /// the order it performed them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// An addition may carry *antecedent hints*: the clauses the solver resolved
+/// on to derive it, listed in the order unit propagation uses them (the
+/// conflict clause last).  Hints name clauses by [`ClauseId`], which fixes the
+/// id contract between a solver and the checker: input ids are positions in
+/// the clause list the checker is given, in the order the solver received
+/// those clauses.  Hints only speed checking up — the checker evaluates every
+/// hinted clause itself and falls back to full propagation when they do not
+/// reach a conflict — so they are neither compared by `==` nor written by the
+/// DRAT text and binary formats.
+#[derive(Clone, Debug, Default)]
 pub struct Proof {
     steps: Vec<ProofStep>,
+    /// The hints of every step, back to back.
+    hints: Vec<ClauseId>,
+    /// `hint_ends[i]` is where step `i`'s hints end in `hints`.
+    hint_ends: Vec<u32>,
+    /// Addition steps so far: the index the next lemma gets.
+    additions: usize,
 }
+
+impl PartialEq for Proof {
+    fn eq(&self, other: &Self) -> bool {
+        self.steps == other.steps
+    }
+}
+
+impl Eq for Proof {}
 
 impl Proof {
     /// Creates an empty proof.
@@ -49,19 +116,48 @@ impl Proof {
         Proof::default()
     }
 
-    /// Appends a clause addition.
+    /// Appends a clause addition without hints.
     pub fn add(&mut self, lits: Vec<i32>) {
-        self.steps.push(ProofStep::Add(lits));
+        self.add_hinted(lits, &[]);
+    }
+
+    /// Appends a clause addition with its antecedent hints and returns the
+    /// id later hints use to name the new lemma.
+    pub fn add_hinted(&mut self, lits: Vec<i32>, hints: &[ClauseId]) -> ClauseId {
+        let id = ClauseId::lemma(self.additions);
+        self.additions += 1;
+        self.push(ProofStep::Add(lits), hints);
+        id
     }
 
     /// Appends a clause deletion.
     pub fn delete(&mut self, lits: Vec<i32>) {
-        self.steps.push(ProofStep::Delete(lits));
+        self.push(ProofStep::Delete(lits), &[]);
+    }
+
+    fn push(&mut self, step: ProofStep, hints: &[ClauseId]) {
+        reserve_gently(&mut self.steps, 1);
+        reserve_gently(&mut self.hints, hints.len());
+        reserve_gently(&mut self.hint_ends, 1);
+        self.steps.push(step);
+        self.hints.extend_from_slice(hints);
+        let end = u32::try_from(self.hints.len()).expect("hint pool exceeds u32 offsets");
+        self.hint_ends.push(end);
     }
 
     /// The steps of the proof, in order.
     pub fn steps(&self) -> &[ProofStep] {
         &self.steps
+    }
+
+    /// The antecedent hints of the step at `index` (empty for deletions,
+    /// unhinted additions and out-of-range indices).
+    pub fn hints(&self, index: usize) -> &[ClauseId] {
+        let Some(&end) = self.hint_ends.get(index) else {
+            return &[];
+        };
+        let start = index.checked_sub(1).map_or(0, |i| self.hint_ends[i]);
+        &self.hints[start as usize..end as usize]
     }
 
     /// Number of steps.
@@ -85,7 +181,8 @@ impl Proof {
     }
 
     /// Mutable access to a step (used by mutation tests that corrupt a proof
-    /// on purpose to check that the checker rejects it).
+    /// on purpose to check that the checker rejects it).  The step keeps its
+    /// hints.
     pub fn step_mut(&mut self, index: usize) -> Option<&mut ProofStep> {
         self.steps.get_mut(index)
     }
@@ -93,6 +190,16 @@ impl Proof {
     /// Number of addition steps.
     pub fn num_additions(&self) -> usize {
         self.steps.iter().filter(|s| s.is_addition()).count()
+    }
+}
+
+/// Makes room for `additional` more entries of an append-only buffer,
+/// growing it by an eighth instead of doubling: a proof of a large
+/// refutation holds tens of megabytes, and a doubled buffer can carry as
+/// much slack as data.
+fn reserve_gently<T>(buffer: &mut Vec<T>, additional: usize) {
+    if buffer.capacity() - buffer.len() < additional {
+        buffer.reserve_exact(additional.max(buffer.len() / 8).max(64));
     }
 }
 
@@ -364,6 +471,29 @@ mod tests {
         assert!(parse_binary(&[b'x', 0]).is_err(), "bad tag");
         assert!(parse_binary(&[b'a', 0x82]).is_err(), "truncated varint");
         assert!(parse_binary(&[b'a', 2]).is_err(), "missing terminator");
+    }
+
+    #[test]
+    fn hints_ride_along_but_stay_out_of_equality_and_the_formats() {
+        let mut hinted = Proof::new();
+        let first = hinted.add_hinted(vec![1], &[ClauseId::input(0), ClauseId::input(2)]);
+        hinted.delete(vec![-1, 2]);
+        let second = hinted.add_hinted(vec![], &[first]);
+        assert_eq!(first.as_lemma(), Some(0));
+        assert_eq!(second.as_lemma(), Some(1));
+        assert_eq!(ClauseId::input(2).as_input(), Some(2));
+        assert_eq!(first.as_input(), None);
+        assert_eq!(hinted.hints(0), [ClauseId::input(0), ClauseId::input(2)]);
+        assert!(hinted.hints(1).is_empty());
+        assert_eq!(hinted.hints(2), [first]);
+        assert!(hinted.hints(3).is_empty());
+        let mut plain = Proof::new();
+        plain.add(vec![1]);
+        plain.delete(vec![-1, 2]);
+        plain.add(vec![]);
+        assert_eq!(hinted, plain);
+        assert_eq!(to_binary(&hinted), to_binary(&plain));
+        assert_eq!(to_text_string(&hinted), to_text_string(&plain));
     }
 
     #[test]

@@ -16,6 +16,18 @@
 //! clause management therefore cannot silently re-validate its own faulty
 //! proofs.
 //!
+//! **Hinted replay.**  A solver may attach *antecedent hints* to an addition
+//! (in the spirit of LRAT, Cruz-Filipe et al., CADE 2017): the clauses its
+//! conflict analysis resolved on, named by [`ClauseId`].  The checker then
+//! propagates just those clauses, in order, and falls back to full unit
+//! propagation when they do not reach a conflict.  Hints only choose which
+//! live clauses to propagate first: a hint counts only if it names a live
+//! clause of the checker's own database, the checker evaluates that clause
+//! itself, and a conflict reached this way is one full propagation reaches
+//! too.  So the checker accepts exactly the proofs it accepts without hints,
+//! rejects the others at the same step, and only gets faster.  The trusted
+//! base grows by that one evaluation loop.
+//!
 //! Besides forward checking, the checker can backward-*trim* a verified proof:
 //! starting from the terminal step it marks the clauses actually used in each
 //! RUP derivation, reporting the subset of the input clauses (the used-clause
@@ -41,4 +53,4 @@ pub mod checker;
 pub mod drat;
 
 pub use checker::{check_proof, CheckError, CheckOptions, CheckReport};
-pub use drat::{Proof, ProofStep};
+pub use drat::{ClauseId, Proof, ProofStep};

@@ -44,9 +44,11 @@
 //!   asks the `reason` array instead of scanning the trail.
 
 use crate::cnf::{CnfFormula, Lit, Var};
-use crate::proof::{ProofWriter, SharedProof};
+use crate::proof::SharedProof;
 use crate::rng::SmallRng;
 use crate::solver::{Budget, Model, SatResult, Solver, SolverStats, StopReason};
+use std::collections::HashMap;
+use velv_proof::ClauseId;
 
 /// Tuning knobs of the CDCL engine.
 #[derive(Clone, Debug)]
@@ -185,33 +187,30 @@ impl CdclSolver {
         &self.config
     }
 
-    /// Solves `cnf` while streaming DRAT proof steps into `writer`: every
-    /// learned clause and clause deletion is recorded, and an `Unsat` answer
-    /// ends with the empty clause — exactly what the independent checker in
-    /// `velv_proof` needs to replay the refutation.
-    pub fn solve_with_proof_writer(
-        &mut self,
-        cnf: &CnfFormula,
-        budget: Budget,
-        writer: Box<dyn ProofWriter>,
-    ) -> SatResult {
-        let mut engine = Engine::new(cnf, self.config.clone());
-        engine.set_proof_writer(writer);
-        let result = engine.search(budget);
-        self.stats = engine.stats;
-        result
-    }
-
-    /// Convenience wrapper around [`CdclSolver::solve_with_proof_writer`]
-    /// that records into a fresh in-memory proof and returns it.
+    /// Solves `cnf` while recording a DRAT proof into a fresh in-memory
+    /// proof and returns it: every learned clause (with its antecedent
+    /// hints) and clause deletion, and for an `Unsat` answer the empty
+    /// clause — exactly what the independent checker in `velv_proof` needs
+    /// to replay the refutation.
     pub fn solve_recording_proof(
         &mut self,
         cnf: &CnfFormula,
         budget: Budget,
     ) -> (SatResult, velv_proof::Proof) {
         let shared = SharedProof::new();
-        let result = self.solve_with_proof_writer(cnf, budget, Box::new(shared.clone()));
+        let result = self.run(cnf, budget, Some(&shared));
         (result, shared.take())
+    }
+
+    /// One search of `cnf` on a fresh engine, logging into `proof` if given.
+    fn run(&mut self, cnf: &CnfFormula, budget: Budget, proof: Option<&SharedProof>) -> SatResult {
+        let mut engine = Engine::new(cnf, self.config.clone());
+        if let Some(proof) = proof {
+            engine.set_proof(proof.clone());
+        }
+        let result = engine.search(budget);
+        self.stats = engine.stats;
+        result
     }
 }
 
@@ -225,21 +224,18 @@ impl Solver for CdclSolver {
     }
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
-        let mut engine = Engine::new(cnf, self.config.clone());
-        let result = engine.search(budget);
-        self.stats = engine.stats;
-        result
+        self.run(cnf, budget, None)
     }
 
-    /// CDCL is a proof-producing procedure: the search is re-run with the
-    /// shared proof attached as the engine's DRAT sink.
+    /// CDCL is a proof-producing procedure: the search runs with the shared
+    /// proof attached as the engine's DRAT sink.
     fn solve_with_proof(
         &mut self,
         cnf: &CnfFormula,
         budget: Budget,
         proof: &SharedProof,
     ) -> Option<SatResult> {
-        Some(self.solve_with_proof_writer(cnf, budget, Box::new(proof.clone())))
+        Some(self.run(cnf, budget, Some(proof)))
     }
 
     fn stats(&self) -> SolverStats {
@@ -252,7 +248,9 @@ type ClauseRef = u32;
 
 const UNDEF_CLAUSE: ClauseRef = u32::MAX;
 
-/// Header flag: the clause was learned (has a meaningful activity).
+/// Header flag: the clause was learned.  A learned clause's second header
+/// word is its activity; an input clause's is its input id (see
+/// [`ClauseArena::input_id`]).
 const FLAG_LEARNT: u32 = 0b001;
 /// Header flag: the clause is dead; watchers drop it lazily, GC reclaims it.
 const FLAG_DELETED: u32 = 0b010;
@@ -326,6 +324,27 @@ impl ClauseArena {
         self.data.swap(base + i, base + j);
     }
 
+    /// The position of an input clause in the order the engine received its
+    /// clauses, kept in the header word learned clauses use for activity.
+    #[inline]
+    fn input_id(&self, c: ClauseRef) -> u32 {
+        debug_assert!(!self.is_learnt(c));
+        self.data[c as usize + 1]
+    }
+
+    #[inline]
+    fn set_input_id(&mut self, c: ClauseRef, id: u32) {
+        debug_assert!(!self.is_learnt(c));
+        self.data[c as usize + 1] = id;
+    }
+
+    /// Where GC moved a relocated clause.
+    #[inline]
+    fn forwarded(&self, c: ClauseRef) -> ClauseRef {
+        debug_assert!(self.data[c as usize] & FLAG_RELOCATED != 0);
+        self.data[c as usize + 1]
+    }
+
     #[inline]
     fn activity(&self, c: ClauseRef) -> f32 {
         f32::from_bits(self.data[c as usize + 1])
@@ -345,7 +364,7 @@ impl ClauseArena {
     /// reference stashed in the old header).
     fn reloc(&mut self, c: ClauseRef, to: &mut ClauseArena) -> ClauseRef {
         if self.data[c as usize] & FLAG_RELOCATED != 0 {
-            return self.data[c as usize + 1];
+            return self.forwarded(c);
         }
         debug_assert!(!self.is_deleted(c));
         let words = HEADER_WORDS + self.len(c);
@@ -522,7 +541,15 @@ pub(crate) struct Engine {
     obs: crate::obs::EngineObs,
     /// Optional DRAT sink: learned clauses, deletions and the root empty
     /// clause are recorded here.
-    proof: Option<Box<dyn ProofWriter>>,
+    proof: Option<SharedProof>,
+    /// Input clauses received so far: the next one's input id.
+    num_inputs: u32,
+    /// Proof ids of the live learned clauses in the arena; filled only while
+    /// a proof is attached, rebuilt by GC.
+    lemma_ids: HashMap<ClauseRef, ClauseId>,
+    /// The antecedent hints of the clause in `learnt_buf`, collected by
+    /// `analyze` while a proof is attached.
+    hint_buf: Vec<ClauseId>,
     /// Reusable buffer for proof steps read out of the arena.
     proof_buf: Vec<Lit>,
     /// Whether the empty clause has already been emitted to the proof.
@@ -566,6 +593,9 @@ impl Engine {
             unsat: false,
             obs,
             proof: None,
+            num_inputs: 0,
+            lemma_ids: HashMap::new(),
+            hint_buf: Vec::new(),
             proof_buf: Vec::new(),
             proof_empty_logged: false,
         };
@@ -655,15 +685,34 @@ impl Engine {
     /// Attaches a DRAT proof sink.  From here on every learned clause, every
     /// clause deletion and the terminal clause of each UNSAT answer are
     /// recorded, making the engine's refutations independently checkable.
-    pub(crate) fn set_proof_writer(&mut self, writer: Box<dyn ProofWriter>) {
-        self.proof = Some(writer);
+    pub(crate) fn set_proof(&mut self, proof: SharedProof) {
+        self.proof = Some(proof);
     }
 
-    /// Records the clause currently held in `learnt_buf` as a proof addition.
-    fn proof_log_learnt(&mut self) {
-        if let Some(proof) = self.proof.as_mut() {
-            proof.add_clause(&self.learnt_buf);
+    /// Takes the next input id.
+    fn next_input_id(&mut self) -> u32 {
+        let id = self.num_inputs;
+        self.num_inputs += 1;
+        id
+    }
+
+    /// The proof id of an arena clause, if the proof knows it (a clause
+    /// learned before the proof was attached has none).
+    fn clause_id(&self, cref: ClauseRef) -> Option<ClauseId> {
+        if self.arena.is_learnt(cref) {
+            self.lemma_ids.get(&cref).copied()
+        } else {
+            Some(ClauseId::input(self.arena.input_id(cref) as usize))
         }
+    }
+
+    /// Records the clause currently held in `learnt_buf` as a proof addition
+    /// with the hints `analyze` collected; returns its lemma id.
+    fn proof_log_learnt(&mut self) -> Option<ClauseId> {
+        let proof = self.proof.as_ref()?;
+        // `analyze` collected the antecedents from the conflict backwards.
+        self.hint_buf.reverse();
+        Some(proof.add_clause(&self.learnt_buf, &self.hint_buf))
     }
 
     /// Records the empty clause (at most once): the formula is refuted.
@@ -671,8 +720,8 @@ impl Engine {
         if self.proof_empty_logged {
             return;
         }
-        if let Some(proof) = self.proof.as_mut() {
-            proof.add_clause(&[]);
+        if let Some(proof) = &self.proof {
+            proof.add_clause(&[], &[]);
             self.proof_empty_logged = true;
         }
     }
@@ -686,7 +735,7 @@ impl Engine {
         for k in 0..self.arena.len(cref) {
             self.proof_buf.push(self.arena.lit(cref, k));
         }
-        if let Some(proof) = self.proof.as_mut() {
+        if let Some(proof) = &self.proof {
             proof.delete_clause(&self.proof_buf);
         }
     }
@@ -698,6 +747,7 @@ impl Engine {
     /// and propagated by the next [`Engine::search`]; an empty clause marks
     /// the formula unsatisfiable.
     pub(crate) fn add_clause_dynamic(&mut self, lits: &[Lit]) {
+        let input_id = self.next_input_id();
         if self.unsat {
             return;
         }
@@ -729,6 +779,7 @@ impl Engine {
             1 => self.enqueue(clause[0], UNDEF_CLAUSE),
             _ => {
                 let cref = self.arena.alloc(&clause, false);
+                self.arena.set_input_id(cref, input_id);
                 self.watch(clause[0], cref, clause[1]);
                 self.watch(clause[1], cref, clause[0]);
             }
@@ -736,6 +787,7 @@ impl Engine {
     }
 
     fn add_initial_clause(&mut self, lits: &[Lit]) {
+        let input_id = self.next_input_id();
         match lits.len() {
             0 => self.unsat = true,
             1 => {
@@ -748,6 +800,7 @@ impl Engine {
             }
             _ => {
                 let cref = self.arena.alloc(lits, false);
+                self.arena.set_input_id(cref, input_id);
                 self.watch(lits[0], cref, lits[1]);
                 self.watch(lits[1], cref, lits[0]);
             }
@@ -902,7 +955,11 @@ impl Engine {
     /// First-UIP conflict analysis.  The learned clause is accumulated in
     /// `self.learnt_buf` (asserting literal first); returns the backtrack
     /// level.  Clauses are read straight from the arena — nothing is cloned.
+    /// With a proof attached, the id of every clause resolved on goes to
+    /// `hint_buf`, conflict clause first.
     fn analyze(&mut self, mut conflict: ClauseRef) -> u32 {
+        let hinting = self.proof.is_some();
+        self.hint_buf.clear();
         self.learnt_buf.clear();
         self.learnt_buf.push(Lit::positive(Var::new(0))); // placeholder
         let mut counter = 0usize;
@@ -912,6 +969,11 @@ impl Engine {
         // on (the propagation invariant keeps the asserted literal there).
         let mut start = 0usize;
         loop {
+            if hinting {
+                if let Some(id) = self.clause_id(conflict) {
+                    self.hint_buf.push(id);
+                }
+            }
             if self.arena.is_learnt(conflict) {
                 self.bump_clause(conflict);
             }
@@ -996,7 +1058,7 @@ impl Engine {
     /// still needed as the reason of the backjump assertion, so it is kept
     /// but queued for deletion as soon as it is no longer locked.
     fn learn_clause(&mut self) {
-        self.proof_log_learnt();
+        let lemma = self.proof_log_learnt();
         if self.learnt_buf.len() == 1 {
             let lit = self.learnt_buf[0];
             self.enqueue(lit, UNDEF_CLAUSE);
@@ -1005,6 +1067,9 @@ impl Engine {
         let _mem_scope = velv_obs::MemScope::enter("sat.learnts");
         let cref = self.arena.alloc(&self.learnt_buf, true);
         self.arena.set_activity(cref, self.cla_inc);
+        if let Some(id) = lemma {
+            self.lemma_ids.insert(cref, id);
+        }
         let asserting = self.learnt_buf[0];
         let second = self.learnt_buf[1];
         self.watch(asserting, cref, second);
@@ -1032,6 +1097,7 @@ impl Engine {
         debug_assert!(!self.is_locked(cref));
         self.proof_log_delete(cref);
         if self.arena.is_learnt(cref) {
+            self.lemma_ids.remove(&cref);
             self.num_learnts -= 1;
             self.stats.learned_clauses = self.num_learnts as u64;
         }
@@ -1212,6 +1278,14 @@ impl Engine {
         }
         Self::compact_refs(&mut self.learnt_refs, &mut self.arena, &mut to);
         Self::compact_refs(&mut self.oversize, &mut self.arena, &mut to);
+        if !self.lemma_ids.is_empty() {
+            // Every live learned clause is watched, hence relocated above.
+            let arena = &self.arena;
+            self.lemma_ids = std::mem::take(&mut self.lemma_ids)
+                .into_iter()
+                .map(|(cref, id)| (arena.forwarded(cref), id))
+                .collect();
+        }
         self.arena = to;
         // The fragmentation gauges must follow the compaction immediately,
         // not at the next heartbeat: a monitoring poll between GC and the

@@ -81,7 +81,7 @@ impl IncrementalSolver {
             return handle.clone();
         }
         let handle = SharedProof::new();
-        self.engine.set_proof_writer(Box::new(handle.clone()));
+        self.engine.set_proof(handle.clone());
         self.proof = Some(handle.clone());
         handle
     }

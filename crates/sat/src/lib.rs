@@ -22,10 +22,10 @@
 //!   refinement in `velv_core`.
 //! * [`cnf`] + [`dimacs`] — clause representation and DIMACS I/O.
 //! * [`preprocess`] — the "simplify before solving" experiments of Section 4.
-//! * [`proof`] — pluggable DRAT proof logging: with a [`proof::ProofWriter`]
-//!   attached, the CDCL engine records every learned clause and deletion so
-//!   UNSAT answers can be replayed by the independent checker in
-//!   `velv_proof`.
+//! * [`proof`] — DRAT proof logging: with a [`SharedProof`] attached, the
+//!   CDCL engine records every learned clause (with the antecedent hints of
+//!   its conflict analysis) and every deletion, so UNSAT answers can be
+//!   replayed by the independent checker in `velv_proof`.
 //! * [`portfolio`] — a parallel portfolio that races several engines on
 //!   threads and returns the first decided answer, cancelling the losers
 //!   through the cooperative [`CancelToken`] carried by [`Budget`].  The paper
@@ -80,6 +80,6 @@ pub use obs::{
     ProgressGuard, ProgressSnapshot, SolveRecorderGuard,
 };
 pub use portfolio::{EngineReport, PortfolioHandle, PortfolioReport, PortfolioSolver};
-pub use proof::{ProofWriter, SharedProof};
+pub use proof::SharedProof;
 pub use race::{race, race_with_token, RaceOutcome, RaceRun};
 pub use solver::{Budget, CancelToken, Model, SatResult, Solver, SolverStats, StopReason};

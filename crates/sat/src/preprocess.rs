@@ -12,8 +12,8 @@
 //! Preprocessing rewrites the clause database, so a DRAT proof produced by a
 //! solver run on the *simplified* formula does not check against the
 //! *original* one unless the rewrite itself is part of the proof.
-//! [`preprocess_with_proof`] records every rewrite through the same
-//! [`ProofWriter`] the solver uses: a strengthened clause is logged as an
+//! [`preprocess_with_proof`] records every rewrite into the same
+//! [`SharedProof`] the solver logs into: a strengthened clause is logged as an
 //! addition (it is RUP — a resolvent, or the remainder after removing
 //! root-false literals) followed by the deletion of its old version, and
 //! satisfied, duplicate or subsumed clauses are logged as deletions.
@@ -23,7 +23,7 @@
 //! would poison the proof.
 
 use crate::cnf::{CnfFormula, Lit};
-use crate::proof::ProofWriter;
+use crate::proof::SharedProof;
 
 /// Statistics of one preprocessing pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,10 +65,15 @@ pub fn preprocess(cnf: &CnfFormula, with_subsumption: bool) -> Preprocessed {
 /// Pure-literal elimination is skipped — its units are not RUP-derivable —
 /// which is the "refuse the unsound part" half of the proof-logging contract;
 /// everything this variant *does* run is certified.
+///
+/// The solver numbers its input clauses by the *simplified* formula, so the
+/// antecedent hints of its learned clauses name the wrong input clauses of
+/// the original CNF.  The checker then falls back to full propagation:
+/// slower, never wrong.
 pub fn preprocess_with_proof(
     cnf: &CnfFormula,
     with_subsumption: bool,
-    proof: &mut dyn ProofWriter,
+    proof: &SharedProof,
 ) -> Preprocessed {
     preprocess_impl(cnf, with_subsumption, Some(proof))
 }
@@ -76,7 +81,7 @@ pub fn preprocess_with_proof(
 fn preprocess_impl(
     cnf: &CnfFormula,
     with_subsumption: bool,
-    mut proof: Option<&mut dyn ProofWriter>,
+    proof: Option<&SharedProof>,
 ) -> Preprocessed {
     let _span = velv_obs::span_fields(
         "preprocess",
@@ -94,14 +99,14 @@ fn preprocess_impl(
 
     macro_rules! log_add {
         ($lits:expr) => {
-            if let Some(p) = proof.as_deref_mut() {
-                p.add_clause($lits);
+            if let Some(p) = proof {
+                p.add_clause($lits, &[]);
             }
         };
     }
     macro_rules! log_delete {
         ($lits:expr) => {
-            if let Some(p) = proof.as_deref_mut() {
+            if let Some(p) = proof {
                 p.delete_clause($lits);
             }
         };
@@ -409,8 +414,7 @@ mod tests {
     #[test]
     fn proof_mode_skips_pure_literals() {
         let cnf = cnf_of(&[&[1, 3], &[-1, 3], &[1, -2]]);
-        let mut writer = SharedProof::new();
-        let result = preprocess_with_proof(&cnf, false, &mut writer);
+        let result = preprocess_with_proof(&cnf, false, &SharedProof::new());
         assert_eq!(
             result.stats.pure_literals, 0,
             "pure-literal units are not RUP and must not be used"
@@ -446,7 +450,7 @@ mod tests {
     fn preprocessed_unsat_refutations_check_against_the_original_cnf() {
         use crate::cdcl::CdclSolver;
         use crate::generators::pigeonhole;
-        use crate::solver::Budget;
+        use crate::solver::{Budget, Solver};
         // Pigeonhole with redundant decoration: forced units, a duplicate,
         // a subsumed clause and a self-subsumption opportunity.
         let php = pigeonhole(4);
@@ -467,14 +471,11 @@ mod tests {
             cnf.add_clause(c.iter().map(|&i| lit(i)).collect());
         }
         let shared = SharedProof::new();
-        let mut writer = shared.clone();
-        let pre = preprocess_with_proof(&cnf, true, &mut writer);
+        let pre = preprocess_with_proof(&cnf, true, &shared);
         assert!(!pre.stats.proved_unsat, "PHP needs real search");
-        let result = CdclSolver::chaff().solve_with_proof_writer(
-            &pre.cnf,
-            Budget::unlimited(),
-            Box::new(shared.clone()),
-        );
+        let result = CdclSolver::chaff()
+            .solve_with_proof(&pre.cnf, Budget::unlimited(), &shared)
+            .expect("CDCL logs proofs");
         assert!(result.is_unsat());
         let proof = shared.take();
         let original = crate::dimacs::cnf_to_dimacs_i32(&cnf);

@@ -245,3 +245,32 @@ fn corrupting_the_recorded_proof_is_detected() {
         other => panic!("expected StepNotRup at {target}, got {other:?}"),
     }
 }
+
+#[test]
+fn dlx_refutations_replay_along_hints_under_every_preset() {
+    // Every learnt clause carries the antecedents of its conflict analysis,
+    // so the checker verifies each one without a full propagation.
+    use velv_proof::{check_proof, CheckOptions};
+    use velv_sat::cdcl::CdclSolver;
+    use velv_sat::Solver;
+    let config = DlxConfig::single_issue();
+    let spec = DlxSpecification::new(config);
+    let verifier = Verifier::new(TranslationOptions::default());
+    let translation = verifier.translate(&Dlx::correct(config), &spec);
+    let clauses = velv_sat::dimacs::cnf_to_dimacs_i32(&translation.cnf);
+    for mut solver in [
+        CdclSolver::chaff(),
+        CdclSolver::berkmin(),
+        CdclSolver::grasp(),
+        CdclSolver::sato(),
+    ] {
+        let name = solver.name().to_owned();
+        let (result, proof) = solver.solve_recording_proof(&translation.cnf, Budget::unlimited());
+        assert!(result.is_unsat(), "{name}");
+        let report = check_proof(&clauses, &proof, &CheckOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: proof rejected: {e}"));
+        assert!(report.derived_empty, "{name}");
+        assert_eq!(report.hint_fallbacks, 0, "{name}: {report:?}");
+        assert!(report.hinted_additions > 0, "{name}");
+    }
+}

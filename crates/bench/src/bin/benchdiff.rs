@@ -22,7 +22,11 @@
 //!   are skipped.  Then the **hint gate**: every `drat-checker` row of the
 //!   current file must report zero `proof_hint_fallbacks` in its metrics, so
 //!   the checker's replay along the solver's antecedent hints cannot
-//!   silently decay to full unit propagation.
+//!   silently decay to full unit propagation.  Last the **translation
+//!   counter gate**: every shared `translate` row must report the baseline's
+//!   `cnf_clauses`, `eij_vars` and `triangles` exactly.  These counters are
+//!   deterministic, so any difference means the translator emitted another
+//!   CNF, which would change every search downstream.
 //! * **`satbench-serve`** (`BENCH_serve.json`), `sweeps` keyed by `label`:
 //!   the **throughput floor**.  Every shared sweep's `jobs_per_sec` must
 //!   stay at or above 0.10× the baseline.  CI machines vary wildly, so the
@@ -49,6 +53,10 @@ const MAX_HEAP_RATIO: f64 = 1.2;
 const CHECKER_PRESET: &str = "drat-checker";
 /// The checker-row metric that must stay zero.
 const HINT_FALLBACKS: &str = "proof_hint_fallbacks";
+/// The preset of the translator's rows.
+const TRANSLATE_PRESET: &str = "translate";
+/// The translate-row metrics that must equal the baseline's.
+const TRANSLATE_COUNTERS: [&str; 3] = ["cnf_clauses", "eij_vars", "triangles"];
 
 /// What a benchmark file measures, from its `harness` field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,8 +157,9 @@ fn parse_bench(text: &str) -> Result<Bench, String> {
 }
 
 /// Applies the files' gate to every row both carry, printing one line per
-/// compared row, then the hint gate to the current file's checker rows.
-/// `Ok(true)` when some row breached its bound.
+/// compared row, then the hint gate to the current file's checker rows and
+/// the counter gate to the shared translate rows.  `Ok(true)` when some row
+/// breached its bound.
 ///
 /// # Errors
 ///
@@ -200,9 +209,25 @@ fn gate(baseline: &Bench, current: &Bench) -> Result<bool, String> {
             println!("gate: {key:<44} {fallbacks:.0} hint fallback(s) (REGRESSION)");
         }
     }
+    for (key, base) in &baseline.rows {
+        let Some(cur) = current.rows.get(key) else {
+            continue;
+        };
+        if base.preset != TRANSLATE_PRESET {
+            continue;
+        }
+        for counter in TRANSLATE_COUNTERS {
+            let (was, now) = (base.metrics.get(counter), cur.metrics.get(counter));
+            if was != now {
+                breached = true;
+                println!("gate: {key:<44} {counter} {was:?} -> {now:?} (REGRESSION)");
+            }
+        }
+    }
     let bound = match baseline.kind {
         Kind::Cdcl => format!(
-            "peak heap within {MAX_HEAP_RATIO}x of the baseline, no {CHECKER_PRESET} hint fallback"
+            "peak heap within {MAX_HEAP_RATIO}x of the baseline, no {CHECKER_PRESET} hint fallback, \
+             {TRANSLATE_PRESET} counters equal to the baseline's"
         ),
         Kind::Serve => format!("jobs/s at or above {MIN_JOBS_RATIO}x of the baseline"),
     };
@@ -625,6 +650,38 @@ mod tests {
                "peak_heap_bytes": 10, "metrics": {"proof_hint_fallbacks": 5}}]}"#,
         );
         assert_eq!(gate(&one_row(Kind::Cdcl, 10.0), &solver_row), Ok(false));
+    }
+
+    #[test]
+    fn a_translation_counter_change_fails_the_gate() {
+        let doc = |preset: &str, clauses: u32, triangles: &str| {
+            bench(&format!(
+                r#"{{"harness": "satbench", "runs": [
+                  {{"preset": "{preset}", "instance": "x", "peak_heap_bytes": 10,
+                    "metrics": {{"cnf_vars": 7, "cnf_clauses": {clauses}, "eij_vars": 3{triangles}}}}}]}}"#
+            ))
+        };
+        let base = doc("translate", 100, r#", "triangles": 4"#);
+        assert_eq!(
+            gate(&base, &doc("translate", 100, r#", "triangles": 4"#)),
+            Ok(false)
+        );
+        assert_eq!(
+            gate(&base, &doc("translate", 101, r#", "triangles": 4"#)),
+            Ok(true)
+        );
+        assert_eq!(
+            gate(&base, &doc("translate", 100, r#", "triangles": 5"#)),
+            Ok(true)
+        );
+        assert_eq!(
+            gate(&base, &doc("translate", 100, "")),
+            Ok(true),
+            "a counter went missing"
+        );
+        // Only translate rows are held to it.
+        let solver = |clauses| doc("chaff", clauses, "");
+        assert_eq!(gate(&solver(100), &solver(101)), Ok(false));
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //!   with DRAT proof logging, plus the independent checker's replay time, on
 //!   the DLX correct-design proofs.
 //!
+//! A **translate** row per large correct design (2×DLX-CC-MC-EX-BP, and
+//! 9VLIW-MC-BP-EX outside `--smoke`) times the EUFM → CNF translation on its
+//! own and records the CNF's size counters in `metrics`; `benchdiff` fails
+//! when those counters differ from the baseline's, since a faster translator
+//! must still emit the same CNF.
+//!
 //! A fourth subsystem benchmark, **serve**, measures the serving layer of
 //! `velv_serve`: a bug-catalog sweep is submitted twice to an in-process
 //! verification service as one batch — the cold sweep pays translation +
@@ -67,6 +73,7 @@ use velv_core::{TranslationOptions, Verdict, Verifier};
 static ALLOC: velv_obs::CountingAlloc = velv_obs::CountingAlloc;
 use velv_models::dlx::{bug_catalog, Dlx, DlxConfig, DlxSpecification};
 use velv_models::ooo::{Ooo, OooSpecification};
+use velv_models::vliw::{Vliw, VliwConfig, VliwSpecification};
 use velv_obs::json::quoted;
 use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::generators::{pigeonhole, random_3sat};
@@ -693,6 +700,51 @@ fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
     }
 }
 
+/// Translation benchmark: the EUFM → CNF translation of one built problem,
+/// timed and heap-metered without the symbolic simulation that builds it.
+/// The row's `metrics` carry the CNF's deterministic size counters, which
+/// `benchdiff` requires to equal the baseline row's.
+fn run_translate(measurements: &mut Vec<Measurement>, smoke: bool) {
+    let verifier = Verifier::new(TranslationOptions::default());
+    let (dlx, vliw) = (DlxConfig::dual_issue_full(), VliwConfig::with_exceptions());
+    let build_dlx = || verifier.build_problem(&Dlx::correct(dlx), &DlxSpecification::new(dlx));
+    let build_vliw = || verifier.build_problem(&Vliw::correct(vliw), &VliwSpecification::new(vliw));
+    let designs: &[&dyn Fn() -> velv_core::VerificationProblem] = if smoke {
+        &[&build_dlx]
+    } else {
+        &[&build_dlx, &build_vliw]
+    };
+    for build in designs {
+        let problem = build();
+        let meter = HeapMeter::start();
+        let start = Instant::now();
+        let translation = verifier.translate_problem(&problem);
+        let time = start.elapsed().as_secs_f64();
+        let (peak_heap_bytes, scope_deltas) = meter.finish();
+        let stats = translation.stats;
+        let mut metrics = vec![
+            ("cnf_vars".to_owned(), stats.cnf_vars as u64),
+            ("cnf_clauses".to_owned(), stats.cnf_clauses as u64),
+            ("eij_vars".to_owned(), stats.eij_vars as u64),
+            ("triangles".to_owned(), stats.transitivity_triangles as u64),
+        ];
+        metrics.extend(scope_deltas);
+        measurements.push(Measurement {
+            preset: "translate",
+            instance: format!("{}-correct", problem.name),
+            result: "translated",
+            time_s: time,
+            conflicts: 0,
+            propagations: 0,
+            decisions: 0,
+            conflicts_per_sec: 0.0,
+            propagations_per_sec: 0.0,
+            peak_heap_bytes,
+            metrics,
+        });
+    }
+}
+
 /// One measured phase of the serve benchmark.
 struct ServeSweep {
     label: &'static str,
@@ -1072,13 +1124,17 @@ fn main() {
     }
 
     if run_cdcl_suites {
+        // Translation first: its peak heap then holds nothing of the suite,
+        // so a smoke row and a full-suite row measure the same region.
+        let mut measurements = Vec::new();
+        run_translate(&mut measurements, smoke);
         let instances = suite(smoke);
         println!(
             "satbench: {} instances x 4 presets{}",
             instances.len(),
             if smoke { " (smoke)" } else { "" }
         );
-        let mut measurements = run(&instances, smoke, profiler.as_ref());
+        measurements.extend(run(&instances, smoke, profiler.as_ref()));
         run_decomposition(&mut measurements, smoke);
         run_transitivity(&mut measurements, smoke);
         run_certify(&mut measurements, smoke);

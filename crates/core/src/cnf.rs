@@ -6,7 +6,7 @@
 //! of the literal of their argument (Fig. 6).  The final CNF asserts the
 //! required value of each root with a unit clause.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use velv_eufm::{Context, Formula, FormulaId, Symbol};
 use velv_sat::{CnfFormula, Lit, Var};
 
@@ -39,7 +39,13 @@ impl CnfTranslation {
 /// Panics if a root still contains equations, uninterpreted predicates or
 /// term-level structure (the encoding stage must run first).
 pub fn formula_to_cnf(ctx: &Context, roots: &[(FormulaId, bool)]) -> CnfTranslation {
-    let mut builder = CnfBuilder::default();
+    let mut builder = CnfBuilder {
+        cnf: CnfFormula::default(),
+        primary_vars: BTreeMap::new(),
+        memo: vec![None; ctx.num_formulas()],
+        constant_true: None,
+        num_aux_vars: 0,
+    };
     let mut units = Vec::new();
     for &(root, value) in roots {
         let lit = builder.literal(ctx, root);
@@ -57,11 +63,11 @@ pub fn formula_to_cnf(ctx: &Context, roots: &[(FormulaId, bool)]) -> CnfTranslat
 /// clauses are purely *definitional* — each auxiliary variable equals its
 /// operator's value — and the roots are asserted afterwards with unit
 /// clauses.
-#[derive(Default)]
 struct CnfBuilder {
     cnf: CnfFormula,
     primary_vars: BTreeMap<Symbol, Var>,
-    memo: HashMap<FormulaId, Lit>,
+    /// The literal of each translated formula, by id.
+    memo: Vec<Option<Lit>>,
     constant_true: Option<Lit>,
     num_aux_vars: usize,
 }
@@ -93,10 +99,10 @@ impl CnfBuilder {
     /// The CNF literal representing formula `f`, emitting definitional
     /// clauses for every operator node not yet translated.
     fn literal(&mut self, ctx: &Context, f: FormulaId) -> Lit {
-        if let Some(&l) = self.memo.get(&f) {
+        if let Some(l) = self.memo[f.index()] {
             return l;
         }
-        let lit = match ctx.formula(f).clone() {
+        let lit = match *ctx.formula(f) {
             Formula::True => self.constant_true_lit(),
             Formula::False => !self.constant_true_lit(),
             Formula::Var(sym) => {
@@ -149,7 +155,7 @@ impl CnfBuilder {
                 panic!("equations and predicates must be encoded before CNF generation")
             }
         };
-        self.memo.insert(f, lit);
+        self.memo[f.index()] = Some(lit);
         lit
     }
 }

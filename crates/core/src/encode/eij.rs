@@ -45,11 +45,7 @@ impl EijEncoder {
         let mut all_edges: Vec<(Symbol, Symbol)> = pairs.iter().copied().collect();
         all_edges.extend(triangulation.added_edges.iter().copied());
         for (x, y) in all_edges {
-            let name = format!(
-                "e!{}={}",
-                ctx.symbol_name(x).to_owned(),
-                ctx.symbol_name(y).to_owned()
-            );
+            let name = format!("e!{}={}", ctx.symbol_name(x), ctx.symbol_name(y));
             let var = ctx.prop_var(&name);
             vars.insert(ordered(x, y), var);
         }
@@ -82,11 +78,7 @@ impl PairEncoder for EijEncoder {
             Some(&v) => v,
             None => {
                 // A pair that pass 1 did not see (defensive): allocate lazily.
-                let name = format!(
-                    "e!{}={}",
-                    ctx.symbol_name(x).to_owned(),
-                    ctx.symbol_name(y).to_owned()
-                );
+                let name = format!("e!{}={}", ctx.symbol_name(x), ctx.symbol_name(y));
                 let var = ctx.prop_var(&name);
                 self.vars.insert(ordered(x, y), var);
                 var

@@ -12,6 +12,21 @@
 //! * a pair of distinct **g-term** variables is encoded with either a fresh
 //!   *e*ij Boolean variable ([`eij`]) plus sparse transitivity constraints
 //!   ([`transitivity`]) or with the small-domain encoding ([`small_domain`]).
+//!
+//! # Identical output
+//!
+//! The encoder runs in two walks over the same equations: the first
+//! (`collect_g_pairs`) finds every compared g-term pair so the pair encoder
+//! can number its *e*ij variables and triangulate the comparison graph before
+//! any equation is rewritten; the second (`Rewriter`) builds the
+//! propositional formula.  Their output is pinned bit for bit (the golden
+//! translation test): `And`/`Or` operands are ordered by [`FormulaId`], so
+//! the order in which nodes and *e*ij variables are created decides the
+//! formula, the CNF's clause and variable order, and with them every step of
+//! CDCL search.  The walks are therefore not fused, and their memo tables are
+//! plain bookkeeping — dense vectors indexed by id, and [`IdSet`]/[`IdMap`]
+//! keyed by `pair_key` — that may change for speed only as long as the
+//! output does not.
 
 pub mod eij;
 pub mod small_domain;
@@ -19,8 +34,8 @@ pub mod transitivity;
 
 use crate::options::{GEncoding, TransitivityMode};
 use crate::positive_equality::Classification;
-use std::collections::{BTreeSet, HashMap};
-use velv_eufm::{Context, Formula, FormulaId, Symbol, Term, TermId};
+use std::collections::BTreeSet;
+use velv_eufm::{Context, Formula, FormulaId, IdMap, IdSet, Symbol, Term, TermId};
 
 /// The propositional form of a correctness formula.
 #[derive(Clone, Debug)]
@@ -71,8 +86,8 @@ pub fn encode(
     let mut rewriter = Rewriter {
         classification,
         pair_encoder: pair_encoder.as_mut(),
-        formula_memo: HashMap::new(),
-        eq_memo: HashMap::new(),
+        formula_memo: vec![None; ctx.num_formulas()],
+        eq_memo: IdMap::default(),
     };
     let formula = rewriter.rewrite_formula(ctx, root);
 
@@ -124,6 +139,15 @@ pub(crate) fn ordered(x: Symbol, y: Symbol) -> (Symbol, Symbol) {
     }
 }
 
+/// The memo key of an unordered pair of node ids: the smaller id in the high
+/// word, so `pair_key(a, b) == pair_key(b, a)`, and distinct pairs of ids
+/// below 2³² get distinct keys.
+pub(crate) fn pair_key(a: usize, b: usize) -> u64 {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    debug_assert!(hi <= u32::MAX as usize, "node ids fit in 32 bits");
+    ((lo as u64) << 32) | hi as u64
+}
+
 /// Collects every pair of distinct g-term variables that equation evaluation
 /// can compare, by pushing each equation through the ITE structure of its sides.
 fn collect_g_pairs(
@@ -133,14 +157,14 @@ fn collect_g_pairs(
 ) -> BTreeSet<(Symbol, Symbol)> {
     let mut pairs = BTreeSet::new();
     // Find all equation nodes (including those inside term-level ITE conditions).
-    let mut seen_f: BTreeSet<FormulaId> = BTreeSet::new();
-    let mut seen_t: BTreeSet<TermId> = BTreeSet::new();
+    let mut seen_f = vec![false; ctx.num_formulas()];
+    let mut seen_t = vec![false; ctx.num_terms()];
     let mut fstack = vec![root];
     let mut tstack: Vec<TermId> = Vec::new();
     let mut equations: Vec<(TermId, TermId)> = Vec::new();
     while !fstack.is_empty() || !tstack.is_empty() {
         while let Some(f) = fstack.pop() {
-            if !seen_f.insert(f) {
+            if std::mem::replace(&mut seen_f[f.index()], true) {
                 continue;
             }
             match ctx.formula(f) {
@@ -164,7 +188,7 @@ fn collect_g_pairs(
             }
         }
         while let Some(t) = tstack.pop() {
-            if !seen_t.insert(t) {
+            if std::mem::replace(&mut seen_t[t.index()], true) {
                 continue;
             }
             match ctx.term(t) {
@@ -188,7 +212,7 @@ fn collect_g_pairs(
         }
     }
     // For each equation, enumerate the leaf-variable pairs it can compare.
-    let mut pair_seen: BTreeSet<(TermId, TermId)> = BTreeSet::new();
+    let mut pair_seen = IdSet::default();
     for (a, b) in equations {
         collect_pairs_rec(ctx, classification, a, b, &mut pair_seen, &mut pairs);
     }
@@ -200,26 +224,22 @@ fn collect_pairs_rec(
     classification: &Classification,
     a: TermId,
     b: TermId,
-    seen: &mut BTreeSet<(TermId, TermId)>,
+    seen: &mut IdSet<u64>,
     pairs: &mut BTreeSet<(Symbol, Symbol)>,
 ) {
-    if a == b {
+    if a == b || !seen.insert(pair_key(a.index(), b.index())) {
         return;
     }
-    let key = if a <= b { (a, b) } else { (b, a) };
-    if !seen.insert(key) {
-        return;
-    }
-    match (ctx.term(a).clone(), ctx.term(b).clone()) {
-        (Term::Ite(_, t, e), _) => {
+    match (ctx.term(a), ctx.term(b)) {
+        (&Term::Ite(_, t, e), _) => {
             collect_pairs_rec(ctx, classification, t, b, seen, pairs);
             collect_pairs_rec(ctx, classification, e, b, seen, pairs);
         }
-        (_, Term::Ite(_, t, e)) => {
+        (_, &Term::Ite(_, t, e)) => {
             collect_pairs_rec(ctx, classification, a, t, seen, pairs);
             collect_pairs_rec(ctx, classification, a, e, seen, pairs);
         }
-        (Term::Var(x), Term::Var(y))
+        (&Term::Var(x), &Term::Var(y))
             if x != y && classification.is_general(x) && classification.is_general(y) =>
         {
             pairs.insert(ordered(x, y));
@@ -234,17 +254,18 @@ fn collect_pairs_rec(
 struct Rewriter<'a> {
     classification: &'a Classification,
     pair_encoder: &'a mut dyn PairEncoder,
-    formula_memo: HashMap<FormulaId, FormulaId>,
-    eq_memo: HashMap<(TermId, TermId), FormulaId>,
+    /// Rewritten form of each formula of the input DAG, by id.
+    formula_memo: Vec<Option<FormulaId>>,
+    /// Encoded equations, keyed by [`pair_key`] of their sides.
+    eq_memo: IdMap<u64, FormulaId>,
 }
 
 impl Rewriter<'_> {
     fn rewrite_formula(&mut self, ctx: &mut Context, f: FormulaId) -> FormulaId {
-        if let Some(&r) = self.formula_memo.get(&f) {
+        if let Some(r) = self.formula_memo[f.index()] {
             return r;
         }
-        let node = ctx.formula(f).clone();
-        let result = match node {
+        let result = match *ctx.formula(f) {
             Formula::True | Formula::False | Formula::Var(_) => f,
             Formula::Up(_, _) => {
                 panic!("uninterpreted predicates must be eliminated before encoding")
@@ -271,7 +292,7 @@ impl Rewriter<'_> {
             }
             Formula::Eq(a, b) => self.encode_eq(ctx, a, b),
         };
-        self.formula_memo.insert(f, result);
+        self.formula_memo[f.index()] = Some(result);
         result
     }
 
@@ -279,24 +300,24 @@ impl Rewriter<'_> {
         if a == b {
             return ctx.true_id();
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
+        let key = pair_key(a.index(), b.index());
         if let Some(&r) = self.eq_memo.get(&key) {
             return r;
         }
-        let result = match (ctx.term(a).clone(), ctx.term(b).clone()) {
-            (Term::Ite(c, t, e), _) => {
+        let result = match (ctx.term(a), ctx.term(b)) {
+            (&Term::Ite(c, t, e), _) => {
                 let rc = self.rewrite_formula(ctx, c);
                 let rt = self.encode_eq(ctx, t, b);
                 let re = self.encode_eq(ctx, e, b);
                 ctx.ite_formula(rc, rt, re)
             }
-            (_, Term::Ite(c, t, e)) => {
+            (_, &Term::Ite(c, t, e)) => {
                 let rc = self.rewrite_formula(ctx, c);
                 let rt = self.encode_eq(ctx, a, t);
                 let re = self.encode_eq(ctx, a, e);
                 ctx.ite_formula(rc, rt, re)
             }
-            (Term::Var(x), Term::Var(y)) => {
+            (&Term::Var(x), &Term::Var(y)) => {
                 if x == y {
                     ctx.true_id()
                 } else if !self.classification.is_general(x) || !self.classification.is_general(y) {
@@ -331,6 +352,24 @@ mod tests {
             root = ctx.and(root, neq);
         }
         Classification::from_formula(ctx, root)
+    }
+
+    #[test]
+    fn pair_key_is_symmetric_and_injective() {
+        let max = u32::MAX as usize;
+        let ids = [0, 1, 2, 3, 255, 256, 65_535, 65_536, max - 1, max];
+        let mut keys = std::collections::BTreeMap::new();
+        for &a in &ids {
+            for &b in &ids {
+                let key = pair_key(a, b);
+                assert_eq!(key, pair_key(b, a), "({a}, {b})");
+                let pair = (a.min(b), a.max(b));
+                assert_eq!(*keys.entry(key).or_insert(pair), pair, "({a}, {b})");
+            }
+        }
+        assert_eq!(keys.len(), ids.len() * (ids.len() + 1) / 2);
+        // The key decodes back to its pair, so no two pairs can share it.
+        assert_eq!(pair_key(max, 7), (7 << 32) | max as u64);
     }
 
     #[test]

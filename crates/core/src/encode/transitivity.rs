@@ -8,6 +8,7 @@
 //! `(eab ∧ ebc → eac)`, `(eab ∧ eac → ebc)`, `(ebc ∧ eac → eab)` — the sparse
 //! method of Bryant & Velev (2002) referenced in Section 6 of the paper.
 
+use super::ordered;
 use std::collections::{BTreeMap, BTreeSet};
 use velv_eufm::Symbol;
 
@@ -21,14 +22,6 @@ pub struct Triangulation {
     pub added_edges: Vec<(Symbol, Symbol)>,
     /// All triangles whose transitivity must be constrained.
     pub triangles: Vec<Triangle>,
-}
-
-fn ordered(a: Symbol, b: Symbol) -> (Symbol, Symbol) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 /// Triangulates the graph given by `edges`.
@@ -128,12 +121,7 @@ mod tests {
     }
 
     fn edge(a: u32, b: u32) -> (Symbol, Symbol) {
-        let (x, y) = (sym(a), sym(b));
-        if x <= y {
-            (x, y)
-        } else {
-            (y, x)
-        }
+        ordered(sym(a), sym(b))
     }
 
     #[test]

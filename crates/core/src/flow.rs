@@ -17,7 +17,7 @@ use crate::refine;
 use crate::stats::{RefinementStats, TranslationStats};
 use crate::uf_elim::eliminate_ufs;
 use std::collections::{BTreeMap, BTreeSet};
-use velv_eufm::{Context, DagStats, FormulaId, Support, Symbol};
+use velv_eufm::{Context, DagStats, FormulaId, Symbol};
 use velv_hdl::Processor;
 use velv_sat::cdcl::CdclConfig;
 use velv_sat::{Budget, CnfFormula, SatResult, Solver, Var};
@@ -281,12 +281,6 @@ impl Verifier {
             )
         };
 
-        let mut primary_support = Support::of_formula(&ctx, encoded.formula);
-        let constraint_support = Support::of_formula(&ctx, encoded.side_constraints);
-        primary_support
-            .prop_vars
-            .extend(constraint_support.prop_vars);
-
         // 5. CNF generation: side constraints hold, encoded criterion fails.
         let cnf_translation = {
             let _span = velv_obs::span("translate.cnf");
@@ -302,7 +296,9 @@ impl Verifier {
             )
             .inc();
         let stats = TranslationStats {
-            primary_bool_vars: primary_support.prop_vars.len(),
+            // The CNF builder reaches exactly the propositional variables of
+            // both roots, so its variable map is their joint support.
+            primary_bool_vars: cnf_translation.primary_vars.len(),
             eij_vars: encoded.num_eij_vars,
             indexing_vars: encoded.num_indexing_vars,
             g_pairs: encoded.num_g_pairs,

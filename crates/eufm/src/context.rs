@@ -1,8 +1,9 @@
 //! The hash-consing expression context and its construction API.
 
+use crate::idhash::IdMap;
 use crate::node::{Formula, FormulaId, Term, TermId};
 use crate::symbols::{Symbol, SymbolTable};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Owner of all EUFM expressions of one verification problem.
 ///
@@ -11,6 +12,10 @@ use std::collections::HashMap;
 /// methods apply cheap local simplifications (constant folding, `x = x`,
 /// double negation, identical ITE branches) which keeps the DAG small without
 /// changing its meaning.
+///
+/// The hash-consing maps use [`IdHasher`](crate::IdHasher), which does not
+/// resist hash flooding; that is sound because every node is built by the
+/// program itself (see the [`idhash`](crate::idhash) module docs).
 ///
 /// # Example
 ///
@@ -26,9 +31,9 @@ use std::collections::HashMap;
 pub struct Context {
     symbols: SymbolTable,
     terms: Vec<Term>,
-    term_map: HashMap<Term, TermId>,
+    term_map: IdMap<Term, TermId>,
     formulas: Vec<Formula>,
-    formula_map: HashMap<Formula, FormulaId>,
+    formula_map: IdMap<Formula, FormulaId>,
     fresh_counter: u64,
 }
 
@@ -68,23 +73,25 @@ impl Context {
     // ------------------------------------------------------------------
 
     fn intern_term(&mut self, node: Term) -> TermId {
-        if let Some(&id) = self.term_map.get(&node) {
-            return id;
+        match self.term_map.entry(node) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = TermId(self.terms.len() as u32);
+                self.terms.push(entry.key().clone());
+                *entry.insert(id)
+            }
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(node.clone());
-        self.term_map.insert(node, id);
-        id
     }
 
     fn intern_formula(&mut self, node: Formula) -> FormulaId {
-        if let Some(&id) = self.formula_map.get(&node) {
-            return id;
+        match self.formula_map.entry(node) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = FormulaId(self.formulas.len() as u32);
+                self.formulas.push(entry.key().clone());
+                *entry.insert(id)
+            }
         }
-        let id = FormulaId(self.formulas.len() as u32);
-        self.formulas.push(node.clone());
-        self.formula_map.insert(node, id);
-        id
     }
 
     // ------------------------------------------------------------------
@@ -407,6 +414,31 @@ mod tests {
         assert_eq!(f1, f2);
         let g = ctx.uf("f", vec![b, a]);
         assert_ne!(f1, g);
+    }
+
+    #[test]
+    fn argument_vectors_are_hash_consed_by_content() {
+        let mut ctx = Context::new();
+        let args: Vec<TermId> = (0..5).map(|i| ctx.term_var(&format!("x{i}"))).collect();
+        for len in 1..=args.len() {
+            let uf = ctx.uf("f", args[..len].to_vec());
+            assert_eq!(uf, ctx.uf("f", args[..len].to_vec()));
+            let up = ctx.up("p", args[..len].to_vec());
+            assert_eq!(up, ctx.up("p", args[..len].to_vec()));
+        }
+        // Prefixes, permutations and other symbols are distinct nodes.
+        let nodes = ctx.num_terms();
+        let prefix = ctx.uf("f", args[..2].to_vec());
+        let extended = ctx.uf("f", args[..3].to_vec());
+        let swapped = ctx.uf("f", vec![args[1], args[0]]);
+        let other = ctx.uf("g", args[..2].to_vec());
+        assert_eq!(ctx.num_terms(), nodes + 2, "only the swap and `g` are new");
+        assert_ne!(prefix, extended);
+        assert_ne!(prefix, swapped);
+        assert_ne!(prefix, other);
+        let p = ctx.up("p", args[..2].to_vec());
+        let q = ctx.up("p", vec![args[1], args[0]]);
+        assert_ne!(p, q);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! * [`eval`] — a concrete evaluator used for counterexample validation and
 //!   differential testing of the propositional translation,
 //! * [`printer`] — an s-expression pretty printer,
-//! * [`stats`] — DAG statistics.
+//! * [`stats`] — DAG statistics,
+//! * [`idhash`] — the deterministic id hasher behind the hash-consing maps
+//!   and the translator's memo tables.
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@
 pub mod context;
 pub mod eval;
 pub mod fingerprint;
+pub mod idhash;
 pub mod node;
 pub mod polarity;
 pub mod printer;
@@ -63,6 +66,7 @@ pub mod symbols;
 pub use context::Context;
 pub use eval::{evaluate, Evaluator, Interpretation, Value};
 pub use fingerprint::{formula_fingerprint, term_fingerprint, Fingerprint};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use node::{Formula, FormulaId, Term, TermId};
 pub use polarity::{EquationPolarity, PolarityAnalysis};
 pub use stats::DagStats;

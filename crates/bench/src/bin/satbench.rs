@@ -20,7 +20,7 @@
 //! * **decomposition**: the weak criteria of a design, each obligation
 //!   translated and checked on its own solver;
 //! * **transitivity**: eager triangulated side constraints vs. lazy
-//!   refinement with the incremental solver, on the transitivity-heavy
+//!   refinement on one live CDCL engine, on the transitivity-heavy
 //!   out-of-order designs;
 //! * **certify**: the cost of certified verdicts — plain solving vs. solving
 //!   with DRAT proof logging, plus the independent checker's replay time, on
@@ -75,7 +75,7 @@ use velv_models::dlx::{bug_catalog, Dlx, DlxConfig, DlxSpecification};
 use velv_models::ooo::{Ooo, OooSpecification};
 use velv_models::vliw::{Vliw, VliwConfig, VliwSpecification};
 use velv_obs::json::quoted;
-use velv_sat::cdcl::{CdclConfig, CdclSolver};
+use velv_sat::cdcl::CdclSolver;
 use velv_sat::generators::{pigeonhole, random_3sat};
 use velv_sat::{Budget, CnfFormula, SatResult, Solver};
 
@@ -480,7 +480,7 @@ fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
 }
 
 /// Transitivity benchmark: eager triangulated side constraints vs. lazy
-/// incremental refinement, on the workloads whose encodings are
+/// refinement on one live engine, on the workloads whose encodings are
 /// transitivity-heavy — the out-of-order cores, and the DLX pipelines with
 /// positive equality disabled (every term variable general, so the
 /// comparison graph is dense and the eager triangulation large).
@@ -565,21 +565,16 @@ fn transitivity_pair(
     let meter = HeapMeter::start();
     let start = Instant::now();
     let lazy_translation = lazy.translate(implementation, spec);
-    let mut incremental =
-        velv_sat::IncrementalSolver::with_formula(CdclConfig::chaff(), &lazy_translation.cnf);
-    let (lazy_verdict, refinement) = velv_core::refine::check_with_refinement(
-        &lazy_translation,
-        &mut incremental,
-        Budget::unlimited(),
-    );
+    let mut solver = CdclSolver::chaff();
+    let lazy_verdict = lazy.check(&lazy_translation, &mut solver, Budget::unlimited());
     let time = start.elapsed().as_secs_f64();
     let (peak_heap_bytes, scope_deltas) = meter.finish();
     assert_eq!(
         eager_verdict.is_correct(),
         lazy_verdict.is_correct(),
-        "lazy and eager transitivity must agree on {instance} ({refinement} refinement)"
+        "lazy and eager transitivity must agree on {instance}"
     );
-    let stats = incremental.stats();
+    let stats = solver.stats();
     measurements.push(Measurement {
         preset: "chaff-lazy-incremental",
         instance: instance.to_owned(),

@@ -14,6 +14,7 @@
 
 use crate::counterexample::Counterexample;
 use crate::flow::{Translation, Verdict};
+use crate::refine;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use std::time::Duration;
 use velv_bdd::{Bdd, BddHalt, BddManager};
 use velv_eufm::{Context, Formula, FormulaId, Symbol};
 use velv_sat::presets::SolverKind;
-use velv_sat::{race, Budget, SatResult, SolverStats};
+use velv_sat::{race, Budget, Model, SolverStats};
 
 /// Outcome of a BDD-based validity check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -297,39 +298,36 @@ pub struct PortfolioOutcome {
 /// default thread stack (the translation pipeline uses the same bound).
 const RACE_STACK_SIZE: usize = 256 * 1024 * 1024;
 
-/// The verdict a SAT result gives on `translation`: `Unsat` proves the design
-/// correct, a model is lifted into a counterexample, and an undecided result
-/// becomes [`Verdict::Unknown`] with the spelling every back end shares
-/// (`"cancelled"` for a raised cancel token).
-pub fn sat_verdict(translation: &Translation, result: SatResult) -> Verdict {
-    match result {
-        SatResult::Unsat => Verdict::Correct,
-        SatResult::Sat(model) => Verdict::Buggy(Counterexample::from_model(
-            &translation.ctx,
-            &translation.primary_vars,
-            &model,
-        )),
-        // One spelling for cancellation across SAT and BDD members, so
-        // `undecided_reason` and callers inspecting the runs see one value.
-        other => Verdict::undecided(&other),
-    }
-}
-
+/// The verdict a BDD outcome gives on `translation`.  A falsifying
+/// assignment passes the lift rule of [`crate::refine`]; one that does not
+/// lift is [`Verdict::Unknown`], since a BDD build cannot refine.
 pub(crate) fn bdd_verdict(translation: &Translation, outcome: BddOutcome) -> Verdict {
     match outcome {
         BddOutcome::Valid => Verdict::Correct,
         BddOutcome::Falsifiable(assignment) => {
-            let mut ctx = translation.ctx.clone();
-            let mut vars = std::collections::BTreeMap::new();
-            let mut values = Vec::new();
-            let sorted: std::collections::BTreeMap<String, bool> = assignment.into_iter().collect();
-            for (i, (name, value)) in sorted.iter().enumerate() {
-                let sym = ctx.symbol(name);
-                vars.insert(sym, velv_sat::Var::new(i as u32));
-                values.push(*value);
+            // Variables the assignment leaves open are don't-cares: any
+            // value keeps the formula falsified.
+            let mut values = vec![false; translation.cnf.num_vars()];
+            for (name, value) in assignment {
+                let var = translation
+                    .ctx
+                    .symbols()
+                    .lookup(&name)
+                    .and_then(|sym| translation.primary_vars.get(&sym));
+                if let Some(var) = var {
+                    values[var.index()] = value;
+                }
             }
-            let model = velv_sat::Model::new(values);
-            Verdict::Buggy(Counterexample::from_model(&ctx, &vars, &model))
+            match refine::lift(translation, &Model::new(values)) {
+                Ok(lifted) => Verdict::Buggy(Counterexample::from_model(
+                    &translation.ctx,
+                    &translation.primary_vars,
+                    &lifted,
+                )),
+                Err(_) => {
+                    Verdict::Unknown("the bdd falsifying assignment does not lift".to_owned())
+                }
+            }
         }
         BddOutcome::LimitExceeded => Verdict::Unknown("bdd node limit exceeded".to_owned()),
         BddOutcome::Cancelled => Verdict::Unknown("cancelled".to_owned()),
@@ -356,7 +354,8 @@ fn undecided_reason(runs: &[BackendRun]) -> String {
 /// Races the leaf back ends of `members` against one translated obligation.
 ///
 /// Every member runs on its own thread against the same [`Translation`]; the
-/// first member to reach a decided verdict wins, the shared cancel token is
+/// first member to reach a decided verdict wins (a counterexample only once
+/// it has passed the lift rule of [`crate::refine`]), the shared cancel token is
 /// raised, and the losers stop from their hot loops (CDCL conflict loop, DPLL
 /// decision loop, local-search flip loop, BDD node allocation) without
 /// finishing their search.  The caller's `budget` is honoured for the race as
@@ -377,24 +376,6 @@ pub fn race_backends(
     members: &[Backend],
     budget: Budget,
 ) -> PortfolioOutcome {
-    // A lazily encoded translation is a *relaxation*: its SAT/falsifiable
-    // answers are only trustworthy after the transitivity refinement loop
-    // (`crate::refine`) has validated them, and the race's first-decided-wins
-    // collector has no place to iterate.  Refuse rather than risk reporting a
-    // spurious counterexample — lazy mode pairs with the SAT/incremental
-    // checks (`Verifier::check`, `Verifier::check_incremental`).
-    if translation.lazy_transitivity {
-        return PortfolioOutcome {
-            verdict: Verdict::Unknown(
-                "lazy transitivity requires the refinement loop; \
-                 use a SAT back end or Verifier::check_incremental"
-                    .to_owned(),
-            ),
-            winner: None,
-            runs: Vec::new(),
-            wall_time: Duration::ZERO,
-        };
-    }
     let leaves: Vec<Backend> = members.iter().flat_map(Backend::leaves).collect();
     if leaves.is_empty() {
         return PortfolioOutcome {
@@ -415,8 +396,10 @@ pub fn race_backends(
         |index, member_budget| match &leaves[index] {
             Backend::Sat(kind) => {
                 let mut solver = kind.build();
-                let result = solver.solve_with_budget(&translation.cnf, member_budget);
-                (sat_verdict(translation, result), Some(solver.stats()))
+                let checked = refine::check(translation, |refine| {
+                    solver.solve_refining(&translation.cnf, member_budget, refine)
+                });
+                (checked.verdict(translation), Some(solver.stats()))
             }
             Backend::Bdd { node_limit } => {
                 let flag = member_budget

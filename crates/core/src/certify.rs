@@ -3,16 +3,16 @@
 //!
 //! The paper's thesis is that SAT procedures can be *trusted* to discharge
 //! the Burch–Dill correctness formulas — but a bare `Correct`/`Buggy` verdict
-//! still asks the user to trust the CDCL engine, the incremental session and
-//! the whole *e*ij/lazy-transitivity translation machinery.  This module
+//! still asks the user to trust the CDCL engine, its refinement rounds and
+//! the whole *e*ij/transitivity translation machinery.  This module
 //! closes the gap on both poles:
 //!
 //! * **UNSAT (the design is correct).**  The solver runs with a DRAT sink
 //!   attached (see `velv_sat::proof`), and the recorded proof is replayed by
 //!   the independent forward RUP checker of `velv_proof` against the *exact*
 //!   CNF that was solved: the translation's clauses plus every transitivity
-//!   clause asserted by the lazy refinement loop (recorded as the loop
-//!   asserts them).  Every refutation — of a monolithic
+//!   clause asserted by the refinement loop (recorded as the loop asserts
+//!   them).  Every refutation — of a monolithic
 //!   criterion or of one decomposed obligation — must end in the empty
 //!   clause.  Each learned clause carries the antecedent hints of its
 //!   conflict analysis, so the checker verifies it by propagating those
@@ -21,35 +21,34 @@
 //!   to full propagation when the hints miss, so they make the replay
 //!   cheaper without making it more trusting.
 //! * **SAT (the design is buggy).**  The model is checked against every
-//!   clause handed to the solver, its *e*ij assignment is re-checked for
-//!   transitivity consistency (so it lifts to a genuine equality
+//!   clause handed to the solver, and the assignment the lift rule of
+//!   [`crate::refine`] accepted is re-checked: its *e*ij values must be
+//!   transitivity-consistent (so it lifts to a genuine equality
 //!   interpretation — the Bryant–German–Velev direction: one value per
-//!   connected component of true equality edges), and the counterexample is
-//!   lifted into a `velv_eufm` interpretation (the primary-variable
-//!   assignment of [`Counterexample::from_model`] plus one term value per
-//!   equality class) under which the encoded correctness formula must
-//!   evaluate to *false* while the side constraints evaluate to *true*.
+//!   connected component of true equality edges), and under the `velv_eufm`
+//!   interpretation it induces (the primary-variable assignment of
+//!   [`crate::Counterexample::from_model`] plus one term value per equality class)
+//!   the encoded correctness formula must evaluate to *false* while the side
+//!   constraints evaluate to *true*.
 //!
 //! What remains trusted is deliberately small: the EUFM → CNF translation
 //! capture, the tiny RUP checker (with its hint-evaluation loop) and the
 //! EUFM evaluator.  The search — with its heuristics, restarts, clause
-//! database management, garbage collection, incremental clause addition and
-//! the hints it records — is entirely outside the trusted base.
+//! database management, garbage collection, clause addition between
+//! refinement rounds and the hints it records — is entirely outside the
+//! trusted base.
 
-use crate::counterexample::Counterexample;
 use crate::flow::{Translation, Verdict};
 use crate::options::CertifyOptions;
-use crate::refine::{self, IncrementalDriver};
+use crate::refine;
 use crate::stats::RefinementStats;
-use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
-use velv_eufm::{Context, FormulaId, Interpretation, Symbol};
 use velv_proof::{check_proof, CheckOptions, Proof};
-use velv_sat::cdcl::CdclConfig;
+use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::dimacs::{clause_to_dimacs_i32, cnf_to_dimacs_i32};
 use velv_sat::solver::verify_model;
-use velv_sat::{Budget, CnfFormula, IncrementalSolver, Lit, Model, SatResult, Var};
+use velv_sat::{Budget, CnfFormula, Lit, Model, SatResult, SharedProof, Solver};
 
 /// The evidence attached to a certified verdict.
 #[derive(Clone, Debug)]
@@ -78,7 +77,7 @@ pub struct ProofCertificate {
     /// Clauses the proof was checked against (translation CNF plus clauses
     /// added during refinement).
     pub checked_clauses: usize,
-    /// Clauses asserted by the lazy transitivity refinement loop (part of
+    /// Clauses asserted by the transitivity refinement loop (part of
     /// `checked_clauses`).
     pub refinement_clauses: usize,
     /// Index of this verdict's terminal proof step (the empty clause).
@@ -170,7 +169,7 @@ impl std::error::Error for CertifyError {}
 ///
 /// The input order is the hint id contract: `base`'s clauses in order, then
 /// `added` in the order the refinement loop asserted them, which is the
-/// order the incremental engine received its clauses.  Input clause `i` of
+/// order the CDCL engine received its clauses.  Input clause `i` of
 /// the checker is therefore the clause the proof's hints call input `i`.
 fn check_unsat_proof(
     name: &str,
@@ -244,69 +243,17 @@ fn validate_terminal(name: &str, proof: &Proof, terminal_step: usize) -> Result<
     Ok(())
 }
 
-/// Evaluates `root` on a dedicated thread with a large stack: the evaluator
-/// recurses over the encoded correctness formula, whose depth on the wide
-/// superscalar and VLIW designs overflows a default thread stack (the
-/// translation pipeline uses the same bound).
-fn evaluate_deep(ctx: &Context, interp: &Interpretation, root: FormulaId) -> bool {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("velv-certify-eval".to_owned())
-            .stack_size(256 * 1024 * 1024)
-            .spawn_scoped(scope, || velv_eufm::evaluate(ctx, interp, root))
-            .expect("spawning the evaluation thread succeeds")
-            .join()
-            .expect("the evaluation thread does not panic")
-    })
-}
-
-/// Union-find over the *e*ij endpoints under `model`: every symbol gets the
-/// id of its equality class (connected component of true edges).
-fn equality_classes(
-    pairs: &[(Symbol, Symbol, Var)],
-    model: &Model,
-) -> (HashMap<Symbol, usize>, usize) {
-    let mut index: HashMap<Symbol, usize> = HashMap::new();
-    for &(x, y, _) in pairs {
-        let n = index.len();
-        index.entry(x).or_insert(n);
-        let n = index.len();
-        index.entry(y).or_insert(n);
-    }
-    let mut parent: Vec<usize> = (0..index.len()).collect();
-    fn find(parent: &mut [usize], mut v: usize) -> usize {
-        while parent[v] != v {
-            parent[v] = parent[parent[v]];
-            v = parent[v];
-        }
-        v
-    }
-    for &(x, y, v) in pairs {
-        if v.index() < model.len() && model.value(v) {
-            let (rx, ry) = (find(&mut parent, index[&x]), find(&mut parent, index[&y]));
-            parent[rx] = ry;
-        }
-    }
-    let mut roots: HashMap<usize, usize> = HashMap::new();
-    let mut classes: HashMap<Symbol, usize> = HashMap::new();
-    for (&sym, &i) in &index {
-        let root = find(&mut parent, i);
-        let n = roots.len();
-        let class = *roots.entry(root).or_insert(n);
-        classes.insert(sym, class);
-    }
-    (classes, roots.len())
-}
-
-/// Validates a SAT model as a genuine counterexample of one translation.
+/// Validates a SAT answer as a genuine counterexample of one translation:
+/// `model` is what the solver returned, `lifted` the assignment the lift rule
+/// accepted for it.
 fn validate_model(
     translation: &Translation,
     added: &[Vec<Lit>],
     model: &Model,
-) -> Result<(Counterexample, ModelCertificate), CertifyError> {
+    lifted: &Model,
+) -> Result<ModelCertificate, CertifyError> {
     let Translation {
         name,
-        ctx,
         primary_vars,
         eij_pairs,
         cnf: solved,
@@ -332,52 +279,31 @@ fn validate_model(
             "the model does not satisfy a clause added during refinement".into(),
         ));
     }
-    // 2. Equality level: the eij assignment must be transitivity-consistent,
-    //    so one value per connected component lifts it to a real equality
-    //    interpretation.
-    if !refine::transitivity_violations(eij_pairs, model).is_empty() {
+    // 2. Equality level: the lifted eij assignment must be
+    //    transitivity-consistent, so one value per connected component lifts
+    //    it to a real equality interpretation.
+    if !refine::transitivity_violations(eij_pairs, lifted).is_empty() {
         return Err(spurious(
             "the eij assignment violates transitivity (spurious model)".into(),
         ));
     }
-    let (classes, num_classes) = equality_classes(eij_pairs, model);
-    // 3. EUFM level: lift the counterexample into an interpretation and
-    //    re-evaluate the encoded correctness formula.  The interpretation is
-    //    built symbol-keyed straight from the primary-variable map — the same
-    //    assignment `Counterexample::to_interpretation` produces by name,
-    //    without cloning the hash-consed context for the interning round-trip.
-    let cex = Counterexample::from_model(ctx, primary_vars, model);
-    let mut interp = Interpretation::new();
-    for (&sym, &var) in primary_vars {
-        if var.index() < model.len() {
-            interp.prop_vars.insert(sym, model.value(var));
-        }
-    }
-    for (&sym, &class) in &classes {
-        // Distinct small values per equality class witness the lifting.
-        interp.term_vars.insert(sym, 1 + class as u64);
-    }
-    if !evaluate_deep(ctx, &interp, translation.side_constraints) {
-        return Err(spurious(
-            "the side constraints evaluate to false under the model".into(),
-        ));
-    }
-    if evaluate_deep(ctx, &interp, translation.encoded) {
-        return Err(spurious(
-            "the encoded correctness formula still evaluates to true under the model".into(),
-        ));
-    }
-    let certificate = ModelCertificate {
+    // 3. EUFM level: re-evaluate the encoded correctness formula and the
+    //    side constraints under the lifted interpretation.
+    let equality_classes =
+        refine::falsifies(translation, lifted).map_err(|e| spurious(e.into()))?;
+    Ok(ModelCertificate {
         checked_clauses: solved.num_clauses() + added.len(),
-        primary_assignments: cex.len(),
-        equality_classes: num_classes,
+        primary_assignments: primary_vars
+            .values()
+            .filter(|var| var.index() < lifted.len())
+            .count(),
+        equality_classes,
         check_time: start.elapsed(),
-    };
-    Ok((cex, certificate))
+    })
 }
 
-/// Certified check of one translation: runs the (refining, incremental)
-/// check and certifies the outcome per [`CertifyOptions`].
+/// Certified check of one translation: runs the lift-or-refine check on a
+/// CDCL engine and certifies the outcome per [`CertifyOptions`].
 pub(crate) fn check_certified(
     translation: &Translation,
     config: CdclConfig,
@@ -391,76 +317,43 @@ pub(crate) fn check_certified(
             "Certified verification runs started.",
         )
         .inc();
-    let mut solver = IncrementalSolver::with_formula(config, &translation.cnf);
-    let proof = certify.check_unsat_proofs.then(|| solver.enable_proof());
-    let mut stats = RefinementStats::default();
-    let mut driver = IncrementalDriver {
-        solver: &mut solver,
-        added: Vec::new(),
-    };
-    // Certified checking refines *eager* translations too: the sparse
-    // triangulation connects large elimination neighbourhoods along a path
-    // (the paper's Section-6 scheme), which is not chordal, so an eager
-    // model may still assign the eij variables transitivity-inconsistently.
-    // Running the violation check for both modes asserts the (valid) path
-    // clauses and re-solves until the model lifts to a genuine equality
-    // interpretation — certification closes that gap instead of reporting
-    // an unliftable counterexample.
-    let result = refine::refinement_loop(
-        &translation.eij_pairs,
-        true,
-        &budget,
-        &mut stats,
-        &mut driver,
-    );
-    let added = driver.added;
-    let certified = match result {
-        SatResult::Unsat => {
-            let certificate = match &proof {
-                Some(handle) => {
-                    // No further solving happens: take the proof instead of cloning it.
-                    let recorded = handle.take();
-                    let terminal = recorded.len().saturating_sub(1);
-                    Certificate::Unsat(check_unsat_proof(
-                        &translation.name,
-                        &translation.cnf,
-                        &added,
-                        &recorded,
-                        terminal,
-                        certify,
-                    )?)
-                }
-                None => Certificate::Unchecked("proof logging disabled".to_owned()),
-            };
-            CertifiedVerdict {
-                verdict: Verdict::Correct,
-                certificate,
+    let mut solver = CdclSolver::new(config);
+    let proof = certify.check_unsat_proofs.then(SharedProof::new);
+    let checked = refine::check(translation, |refine| match &proof {
+        Some(proof) => solver.solve_refining_with_proof(&translation.cnf, budget, proof, refine),
+        None => solver.solve_refining(&translation.cnf, budget, refine),
+    });
+    let verdict = checked.verdict(translation);
+    let certificate = match (&checked.result, &checked.lifted) {
+        (SatResult::Unsat, _) => match &proof {
+            Some(handle) => {
+                // No further solving happens: take the proof instead of cloning it.
+                let recorded = handle.take();
+                let terminal = recorded.len().saturating_sub(1);
+                Certificate::Unsat(check_unsat_proof(
+                    &translation.name,
+                    &translation.cnf,
+                    &checked.added,
+                    &recorded,
+                    terminal,
+                    certify,
+                )?)
             }
-        }
-        SatResult::Sat(model) => {
-            if certify.validate_counterexamples {
-                let (cex, certificate) = validate_model(translation, &added, &model)?;
-                CertifiedVerdict {
-                    verdict: Verdict::Buggy(cex),
-                    certificate: Certificate::Sat(certificate),
-                }
-            } else {
-                CertifiedVerdict {
-                    verdict: Verdict::Buggy(Counterexample::from_model(
-                        &translation.ctx,
-                        &translation.primary_vars,
-                        &model,
-                    )),
-                    certificate: Certificate::Unchecked("model validation disabled".to_owned()),
-                }
-            }
-        }
-        other => CertifiedVerdict {
-            verdict: Verdict::undecided(&other),
-            certificate: Certificate::Unchecked("the solver did not decide".to_owned()),
+            None => Certificate::Unchecked("proof logging disabled".to_owned()),
         },
+        (SatResult::Sat(model), Some(lifted)) if certify.validate_counterexamples => {
+            Certificate::Sat(validate_model(translation, &checked.added, model, lifted)?)
+        }
+        (SatResult::Sat(_), _) => Certificate::Unchecked("model validation disabled".to_owned()),
+        _ => Certificate::Unchecked("the solver did not decide".to_owned()),
     };
-    Ok((certified, stats))
+    Ok((
+        CertifiedVerdict {
+            verdict,
+            certificate,
+        },
+        checked.stats,
+    ))
 }
 
 #[cfg(test)]

@@ -42,9 +42,10 @@ impl Counterexample {
     /// primary propositional variables (by name, interning into `ctx`), so a
     /// reported counterexample — including one parsed back from a serialized
     /// artifact — can be replayed against any formula with `velv_eufm::eval`.
-    /// [`crate::certify`] performs the same lift symbol-keyed straight from
-    /// the primary-variable map (avoiding the interning round-trip) and adds
-    /// one term value per *e*ij equality class.
+    /// The lift rule of [`crate::refine`] performs the same lift
+    /// symbol-keyed straight from the primary-variable map (avoiding the
+    /// interning round-trip) and adds one term value per *e*ij equality
+    /// class.
     pub fn to_interpretation(&self, ctx: &mut Context) -> Interpretation {
         let mut interp = Interpretation::new();
         for (name, &value) in &self.assignments {

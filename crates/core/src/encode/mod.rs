@@ -48,8 +48,8 @@ pub struct EncodedFormula {
     /// enforced by refinement instead).
     pub side_constraints: FormulaId,
     /// The *e*ij equality variables, one per encoded pair of g-term
-    /// variables `(x, y, variable)` — the input of the lazy transitivity
-    /// refinement loop.  Empty for the small-domain encoding.
+    /// variables `(x, y, variable)` — the input of the lift rule of
+    /// [`crate::refine`].  Empty for the small-domain encoding.
     pub eij_pairs: Vec<(Symbol, Symbol, FormulaId)>,
     /// Number of fresh *e*ij variables introduced.
     pub num_eij_vars: usize,

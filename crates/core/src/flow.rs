@@ -2,7 +2,7 @@
 //! formula → CNF → SAT/BDD back end → verdict.
 
 use crate::backend::{
-    bdd_verdict, check_validity_with_bdds, race_backends, sat_verdict, Backend, PortfolioOutcome,
+    bdd_verdict, check_validity_with_bdds, race_backends, Backend, PortfolioOutcome,
 };
 use crate::burch_dill::VerificationProblem;
 use crate::certify::{self, CertifiedVerdict, CertifyError};
@@ -11,7 +11,7 @@ use crate::counterexample::Counterexample;
 use crate::decompose::decompose;
 use crate::encode::encode;
 use crate::memory_elim::eliminate_memories;
-use crate::options::{CertifyOptions, GEncoding, TransitivityMode, TranslationOptions};
+use crate::options::{CertifyOptions, TranslationOptions};
 use crate::positive_equality::Classification;
 use crate::refine;
 use crate::stats::{RefinementStats, TranslationStats};
@@ -19,8 +19,8 @@ use crate::uf_elim::eliminate_ufs;
 use std::collections::{BTreeMap, BTreeSet};
 use velv_eufm::{Context, DagStats, FormulaId, Symbol};
 use velv_hdl::Processor;
-use velv_sat::cdcl::CdclConfig;
-use velv_sat::{Budget, CnfFormula, SatResult, Solver, Var};
+use velv_sat::cdcl::{CdclConfig, CdclSolver};
+use velv_sat::{Budget, CnfFormula, SatResult, SharedProof, Solver, Var};
 
 /// A fully translated verification obligation, ready for a SAT or BDD back end.
 #[derive(Clone, Debug)]
@@ -39,12 +39,8 @@ pub struct Translation {
     /// CNF variables of the primary Boolean variables.
     pub primary_vars: BTreeMap<Symbol, Var>,
     /// The *e*ij equality variables of the CNF, `(x, y, cnf_var)` per encoded
-    /// g-term pair — the input of the lazy transitivity refinement loop.
+    /// g-term pair — the input of the lift rule of [`crate::refine`].
     pub eij_pairs: Vec<(Symbol, Symbol, Var)>,
-    /// Whether the translation was encoded without transitivity constraints
-    /// (its SAT answers must then be validated by the refinement loop; see
-    /// [`crate::refine`]).  [`Verifier::check`] routes automatically.
-    pub lazy_transitivity: bool,
     /// Size statistics.
     pub stats: TranslationStats,
 }
@@ -219,12 +215,6 @@ impl Verifier {
             .expect("the translation thread does not panic")
     }
 
-    /// Whether the current options produce lazily refined translations.
-    fn is_lazy(&self) -> bool {
-        self.options.encoding == GEncoding::Eij
-            && self.options.transitivity == TransitivityMode::Lazy
-    }
-
     fn translate_formula_impl(
         &self,
         mut ctx: Context,
@@ -334,57 +324,55 @@ impl Verifier {
             cnf: cnf_translation.cnf,
             primary_vars: cnf_translation.primary_vars,
             eij_pairs,
-            lazy_transitivity: self.is_lazy(),
             stats,
         }
     }
 
     /// Checks a translation with a SAT back end.
     ///
-    /// Lazily encoded translations (see
-    /// [`crate::TransitivityMode::Lazy`]) are routed through the
-    /// model-driven refinement loop, which re-solves a growing CNF with the
-    /// given solver until the verdict is transitivity-consistent; use
-    /// [`Verifier::check_incremental`] to run the same loop on a persistent
-    /// incremental engine instead.
+    /// Every model passes the lift rule of [`crate::refine`] before it
+    /// becomes [`Verdict::Buggy`]; a model that does not lift is refuted by
+    /// its violated transitivity clauses and the solver solves again (see
+    /// [`Solver::solve_refining`]).  `budget` bounds the whole loop.
     pub fn check(
         &self,
         translation: &Translation,
         solver: &mut dyn Solver,
         budget: Budget,
     ) -> Verdict {
-        if translation.lazy_transitivity {
-            return refine::check_with_refinement_monolithic(translation, solver, budget).0;
-        }
-        sat_verdict(
-            translation,
-            solver.solve_with_budget(&translation.cnf, budget),
-        )
+        refine::check(translation, |refine| {
+            solver.solve_refining(&translation.cnf, budget, refine)
+        })
+        .verdict(translation)
     }
 
-    /// Checks a translation with a fresh persistent [`IncrementalSolver`](velv_sat::IncrementalSolver)
-    /// built from `config`: for lazily encoded translations the refinement
-    /// loop asserts violated transitivity constraints into the live engine
-    /// (keeping all learned clauses); for eager translations this is a
-    /// single solver call.  Returns the verdict together with the refinement
-    /// statistics.
-    pub fn check_incremental(
+    /// [`Verifier::check`] on a CDCL engine built from `config`, logging one
+    /// DRAT proof of every refinement round into `proof`.  The proof checks
+    /// against the translation's CNF followed by the refinement clauses, so
+    /// it replays against the CNF alone only when
+    /// [`RefinementStats::constraints_added`] is 0.
+    pub fn check_with_proof(
         &self,
         translation: &Translation,
         config: CdclConfig,
         budget: Budget,
+        proof: &SharedProof,
     ) -> (Verdict, RefinementStats) {
-        refine::check_incremental(translation, config, budget)
+        let mut solver = CdclSolver::new(config);
+        let checked = refine::check(translation, |refine| {
+            solver.solve_refining_with_proof(&translation.cnf, budget, proof, refine)
+        });
+        (checked.verdict(translation), checked.stats)
     }
 
     /// Checks a translation and *certifies* the verdict per `certify`: an
     /// UNSAT answer carries a DRAT proof replayed by the independent checker
     /// of `velv_proof` against the exact CNF that was solved (including every
-    /// clause the lazy transitivity refinement asserted), and a SAT answer is
+    /// clause the transitivity refinement asserted), and a SAT answer is
     /// validated as a genuine counterexample — the model must satisfy the
-    /// solved CNF, be transitivity-consistent over the *e*ij variables, and
-    /// falsify the encoded correctness formula under true side constraints
-    /// when re-evaluated with `velv_eufm::eval`.
+    /// solved CNF, and its lifted assignment must be transitivity-consistent
+    /// over the *e*ij variables and falsify the encoded correctness formula
+    /// under true side constraints when re-evaluated with `velv_eufm::eval`.
     ///
     /// # Errors
     ///
@@ -418,19 +406,11 @@ impl Verifier {
         self.check_certified(&translation, config, certify, budget)
     }
 
-    /// Checks a translation with the BDD back end.
-    ///
-    /// Lazily encoded translations are refused (see [`race_backends`]): the
-    /// BDD build cannot iterate the refinement loop, so its falsifiable
-    /// answers could be spurious.
+    /// Checks a translation with the BDD back end.  A falsifying assignment
+    /// passes the lift rule of [`crate::refine`] like a SAT model; one that
+    /// does not lift gives [`Verdict::Unknown`], since a BDD build cannot
+    /// refine.
     pub fn check_with_bdds(&self, translation: &Translation, node_limit: usize) -> Verdict {
-        if translation.lazy_transitivity {
-            return Verdict::Unknown(
-                "lazy transitivity requires the refinement loop; \
-                 use a SAT back end or Verifier::check_incremental"
-                    .to_owned(),
-            );
-        }
         let translation = translation.clone();
         std::thread::Builder::new()
             .name("velv-bdd-backend".to_owned())
@@ -689,8 +669,6 @@ mod tests {
         for bug in [ToyBug::ForwardingIgnoresValid, ToyBug::WritesWrongData] {
             let eager_translation = eager.translate(&PipelinedToy::buggy(bug), &ToySpec);
             let lazy_translation = lazy.translate(&PipelinedToy::buggy(bug), &ToySpec);
-            assert!(!eager_translation.lazy_transitivity);
-            assert!(lazy_translation.lazy_transitivity);
             assert!(
                 lazy_translation.stats.transitivity_triangles == 0,
                 "lazy encoding emits no triangles"
@@ -717,25 +695,25 @@ mod tests {
     }
 
     #[test]
-    fn lazy_incremental_check_agrees_and_reports_stats() {
+    fn lazy_check_with_proof_agrees_and_reports_stats() {
         let lazy = Verifier::new(
             TranslationOptions::default()
                 .without_positive_equality()
                 .with_lazy_transitivity(),
         );
         let good = lazy.translate(&PipelinedToy::correct(), &ToySpec);
-        let (verdict, stats) = lazy.check_incremental(
-            &good,
-            velv_sat::cdcl::CdclConfig::chaff(),
-            velv_sat::Budget::unlimited(),
-        );
+        let proof = SharedProof::new();
+        let (verdict, stats) =
+            lazy.check_with_proof(&good, CdclConfig::chaff(), Budget::unlimited(), &proof);
         assert!(verdict.is_correct(), "{verdict:?}");
         assert!(stats.iterations >= 1);
+        assert!(!proof.take().is_empty(), "the refutation is on record");
         let bad = lazy.translate(&PipelinedToy::buggy(ToyBug::WritesWrongData), &ToySpec);
-        let (verdict, _) = lazy.check_incremental(
+        let (verdict, _) = lazy.check_with_proof(
             &bad,
-            velv_sat::cdcl::CdclConfig::chaff(),
-            velv_sat::Budget::unlimited(),
+            CdclConfig::chaff(),
+            Budget::unlimited(),
+            &SharedProof::new(),
         );
         assert!(verdict.is_buggy(), "{verdict:?}");
         assert!(verdict.counterexample().is_some());

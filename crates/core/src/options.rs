@@ -18,17 +18,15 @@ pub enum GEncoding {
 pub enum TransitivityMode {
     /// Triangulate the equality-comparison graph up front and assume the
     /// three transitivity clauses of every triangle as side constraints
-    /// (Bryant & Velev's sparse method, Section 6 of the paper).  One solver
-    /// call decides the obligation.
+    /// (Bryant & Velev's sparse method, Section 6 of the paper).  The
+    /// triangulation is not chordal for large elimination neighbourhoods, so
+    /// models still pass the lift rule of [`crate::refine`].
     Eager,
-    /// Encode without any transitivity constraints and refine lazily: solve,
-    /// look for violated transitivity in the returned model (an equality
-    /// path between the endpoints of a false *e*ij edge), assert the violated
-    /// constraint, re-solve — the refinement loop of Bryant & Velev's
-    /// "Boolean Satisfiability with Transitivity Constraints", a natural fit
-    /// for the incremental solver which keeps learned clauses across the
-    /// iterations.  UNSAT answers need no refinement at all (fewer variables,
-    /// no chord edges); SAT answers are validated before being reported.
+    /// Seed no transitivity constraints at all and leave transitivity to the
+    /// lift-or-refine loop of [`crate::refine`] (Bryant & Velev's "Boolean
+    /// Satisfiability with Transitivity Constraints"): UNSAT answers need no
+    /// refinement at all (fewer variables, no chord edges), and violated
+    /// constraints are asserted only when a model needs them.
     Lazy,
 }
 
@@ -51,11 +49,9 @@ pub struct TranslationOptions {
     pub positive_equality: bool,
     /// Encoding of g-equations (Section 6).
     pub encoding: GEncoding,
-    /// Transitivity enforcement for the *e*ij encoding: eager triangulated
-    /// side constraints (the default) or lazy model-driven refinement.
-    /// Lazy translations are checked by the refinement loop in
-    /// [`crate::refine`]; [`crate::Verifier::check`] routes there
-    /// automatically.
+    /// How many transitivity triangles the *e*ij encoding seeds up front:
+    /// the triangulated side constraints (the default) or none.  Every check
+    /// runs the lift-or-refine loop of [`crate::refine`] either way.
     pub transitivity: TransitivityMode,
     /// Elimination scheme for uninterpreted predicates (Section 5, "AC").
     pub up_elimination: UpElimination,
@@ -111,7 +107,7 @@ impl TranslationOptions {
         self
     }
 
-    /// Switches transitivity enforcement to lazy model-driven refinement
+    /// Seeds no transitivity triangles, leaving transitivity to refinement
     /// (see [`TransitivityMode::Lazy`]).
     pub fn with_lazy_transitivity(mut self) -> Self {
         self.transitivity = TransitivityMode::Lazy;
@@ -183,7 +179,7 @@ impl TranslationOptions {
 ///   every deletion, and the terminal empty clause).  The proof is replayed
 ///   by the *independent* forward RUP checker in `velv_proof` against the
 ///   exact CNF that was solved — the translation's clauses plus every clause
-///   asserted during lazy transitivity refinement.
+///   asserted during transitivity refinement.
 /// * **SAT** — the model is lifted through
 ///   [`crate::Counterexample::from_model`] into a `velv_eufm`
 ///   [`velv_eufm::Interpretation`] and the encoded correctness formula is
@@ -196,7 +192,7 @@ impl TranslationOptions {
 /// The trusted base of a certified verdict is therefore reduced to: the
 /// EUFM translation pipeline (model → CNF), the tiny RUP checker, and the
 /// EUFM evaluator — the CDCL search, its heuristics, clause management and
-/// the incremental session machinery are all *outside* it.  See the
+/// the refinement rounds are all *outside* it.  See the
 /// "Certified verification" section of the README for the full threat model.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertifyOptions {

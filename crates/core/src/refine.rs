@@ -1,41 +1,41 @@
-//! Lazy transitivity refinement (Bryant & Velev, "Boolean Satisfiability
-//! with Transitivity Constraints").
+//! The lift rule and the one check path (Bryant & Velev, "Boolean
+//! Satisfiability with Transitivity Constraints").
 //!
-//! A lazily encoded translation ([`crate::TransitivityMode::Lazy`]) carries
-//! *no* transitivity constraints: the CNF is a relaxation whose UNSAT answers
-//! are final (fewer constraints ⇒ unsatisfiability still holds with them),
-//! while SAT answers may be *spurious* — the model can set `e(x,y)` and
-//! `e(y,z)` true but `e(x,z)` false, which no actual equality interpretation
-//! allows.  The refinement loop closes the gap:
+//! A SAT model of the *e*ij encoding is a counterexample only if its *e*ij
+//! assignment lifts to an equality interpretation (Bryant, German & Velev:
+//! one value per connected component of the true equality edges).  Neither
+//! encoding mode guarantees that: a lazily encoded translation
+//! ([`crate::TransitivityMode::Lazy`]) seeds no transitivity triangles, and
+//! the eager triangulation links large elimination neighbourhoods along a
+//! path, which is not chordal, so a model can still set `e(x,y)` and
+//! `e(y,z)` true but `e(x,z)` false.  Every SAT answer of every back end
+//! therefore passes the lift rule before it becomes [`Verdict::Buggy`]:
 //!
-//! 1. solve the relaxed CNF;
-//! 2. on SAT, look at the *e*ij assignment as a graph (one vertex per g-term
-//!    variable, the true edges connect them) and find every *e*ij variable
-//!    assigned false whose endpoints are nevertheless connected by true
-//!    edges;
-//! 3. for each violation, assert the valid clause
-//!    `¬e(p₁) ∨ … ∨ ¬e(pₖ) ∨ e(x,z)` along the connecting path and re-solve;
-//! 4. a model with no violations extends to a genuine equality
-//!    interpretation (give every connected component its own value) and is a
-//!    real counterexample.
+//! 1. a model whose *e*ij assignment is transitivity-consistent lifts as it
+//!    is;
+//! 2. otherwise its *closure repair* — every *e*ij variable set to whether
+//!    its endpoints share a component of the true edges — lifts when it
+//!    makes the side constraints true and the encoded correctness formula
+//!    false under `velv_eufm` evaluation;
+//! 3. otherwise every false *e*ij variable whose endpoints are connected by
+//!    true edges yields the valid clause `¬e(p₁) ∨ … ∨ ¬e(pₖ) ∨ e(x,z)`
+//!    along a connecting path, and
+//!    [`Solver::solve_refining`](velv_sat::Solver::solve_refining) asserts
+//!    them and solves again.
 //!
 //! The loop terminates: each added clause eliminates the current model, the
 //! model space is finite, and every added clause is *valid* for equality, so
-//! no real counterexample is ever excluded.
-//!
-//! This is exactly the workload the incremental solver is built for — the
-//! constraint clauses land in a live engine that keeps all learned clauses —
-//! but a monolithic fallback ([`check_with_refinement_monolithic`]) re-solves
-//! a growing CNF with any [`Solver`], which is also the baseline the
-//! `satbench` harness measures the incremental win against.
+//! no real counterexample is ever excluded and an UNSAT answer stays a
+//! proof of correctness.  The counterexample is built from the accepted
+//! assignment, so a `Buggy` verdict always carries a transitivity-consistent
+//! assignment that falsifies the encoded formula.
 
-use crate::backend::sat_verdict;
+use crate::counterexample::Counterexample;
 use crate::flow::{Translation, Verdict};
 use crate::stats::RefinementStats;
 use std::collections::HashMap;
-use velv_eufm::Symbol;
-use velv_sat::cdcl::CdclConfig;
-use velv_sat::{Budget, CnfFormula, IncrementalSolver, Lit, Model, SatResult, Solver, Var};
+use velv_eufm::{Evaluator, Interpretation, Symbol};
+use velv_sat::{Lit, Model, SatResult, Var};
 
 /// Detects transitivity violations of `model` over the *e*ij `pairs` and
 /// returns one correcting clause per violated pair.
@@ -127,200 +127,179 @@ pub fn transitivity_violations(pairs: &[(Symbol, Symbol, Var)], model: &Model) -
     clauses
 }
 
-/// One back end inside the refinement loop: something that can re-solve the
-/// current formula (reporting the steps the attempt consumed) and accept a
-/// violated-transitivity clause for the next round.
-pub(crate) trait RefineDriver {
-    /// Solves the current formula under `budget`; returns the result and the
-    /// conflicts/decisions *this attempt* consumed.
-    fn solve(&mut self, budget: Budget) -> (SatResult, velv_sat::SolverStats);
-    /// Permanently asserts a (valid) transitivity constraint clause.
-    fn assert_clause(&mut self, clause: &[Lit]);
-}
-
-/// An [`IncrementalSolver`]: constraint clauses land in the live engine,
-/// step usage is the delta of its cumulative statistics.  Every asserted
-/// clause is also kept in `added`, in assertion order, so certification can
-/// check proofs and models against exactly the clauses the solver saw.
-pub(crate) struct IncrementalDriver<'a> {
-    pub solver: &'a mut IncrementalSolver,
-    pub added: Vec<Vec<Lit>>,
-}
-
-impl RefineDriver for IncrementalDriver<'_> {
-    fn solve(&mut self, budget: Budget) -> (SatResult, velv_sat::SolverStats) {
-        let before = self.solver.stats();
-        let result = self.solver.solve(budget);
-        let after = self.solver.stats();
-        (
-            result,
-            velv_sat::SolverStats {
-                conflicts: after.conflicts - before.conflicts,
-                decisions: after.decisions - before.decisions,
-                ..after
-            },
-        )
+/// Union-find over the *e*ij endpoints under `model`: every symbol gets the
+/// id of its equality class (connected component of true edges).  Returns
+/// the classes and their number.
+fn equality_classes(
+    pairs: &[(Symbol, Symbol, Var)],
+    model: &Model,
+) -> (HashMap<Symbol, usize>, usize) {
+    let mut index: HashMap<Symbol, usize> = HashMap::new();
+    for &(x, y, _) in pairs {
+        let n = index.len();
+        index.entry(x).or_insert(n);
+        let n = index.len();
+        index.entry(y).or_insert(n);
     }
-
-    fn assert_clause(&mut self, clause: &[Lit]) {
-        self.solver.add_clause(clause);
-        self.added.push(clause.to_vec());
+    let mut parent: Vec<usize> = (0..index.len()).collect();
+    fn find(parent: &mut [usize], mut v: usize) -> usize {
+        while parent[v] != v {
+            parent[v] = parent[parent[v]];
+            v = parent[v];
+        }
+        v
     }
+    for &(x, y, v) in pairs {
+        if v.index() < model.len() && model.value(v) {
+            let (rx, ry) = (find(&mut parent, index[&x]), find(&mut parent, index[&y]));
+            parent[rx] = ry;
+        }
+    }
+    let mut roots: HashMap<usize, usize> = HashMap::new();
+    let mut classes: HashMap<Symbol, usize> = HashMap::new();
+    for (&sym, &i) in &index {
+        let root = find(&mut parent, i);
+        let n = roots.len();
+        let class = *roots.entry(root).or_insert(n);
+        classes.insert(sym, class);
+    }
+    (classes, roots.len())
 }
 
-/// Any [`Solver`] re-solving a growing copy of the CNF from scratch.
-pub(crate) struct MonolithicDriver<'a> {
-    pub solver: &'a mut dyn Solver,
-    pub cnf: CnfFormula,
-}
-
-impl RefineDriver for MonolithicDriver<'_> {
-    fn solve(&mut self, budget: Budget) -> (SatResult, velv_sat::SolverStats) {
-        let result = self.solver.solve_with_budget(&self.cnf, budget);
-        // `Solver::stats` reports the most recent call only.
-        (result, self.solver.stats())
-    }
-
-    fn assert_clause(&mut self, clause: &[Lit]) {
-        self.cnf.add_clause(clause.to_vec());
-    }
-}
-
-/// The generic solve → detect-violations → assert → re-solve loop shared by
-/// the incremental, monolithic and certified checks.
+/// Checks at the EUFM level that `assignment` is a counterexample of
+/// `translation`: under its primary-variable values and one term value per
+/// equality class, the side constraints must evaluate to true and the
+/// encoded correctness formula to false.  Returns the number of equality
+/// classes, or what failed.
 ///
-/// The caller's budget bounds the *whole loop*: the relative time limit is
-/// resolved into one deadline up front, and the conflict/decision budgets are
-/// charged with each iteration's consumption so a step-bounded check cannot
-/// do unbounded total work across refinement rounds.  Returns the final
-/// result: a validated `Sat` model, `Unsat`, or `Unknown`.
-pub(crate) fn refinement_loop(
-    eij_pairs: &[(Symbol, Symbol, Var)],
-    lazy: bool,
-    budget: &Budget,
-    stats: &mut RefinementStats,
-    driver: &mut dyn RefineDriver,
-) -> SatResult {
-    let rounds = velv_obs::global().counter(
-        "velv_core_refine_rounds_total",
-        "Solver calls made by the lazy-transitivity refinement loop.",
-    );
-    let constraints = velv_obs::global().counter(
-        "velv_core_refine_constraints_total",
-        "Transitivity constraints asserted by the refinement loop.",
-    );
-    let mut budget = budget.started();
-    budget.max_time = None; // the deadline above now carries the time limit
-    loop {
-        stats.iterations += 1;
-        rounds.inc();
-        let round_span =
-            velv_obs::span_fields("refine_round", &[("round", stats.iterations.into())]);
-        let (result, used) = driver.solve(budget.clone());
-        match result {
-            SatResult::Sat(model) => {
-                let clauses = if lazy {
-                    transitivity_violations(eij_pairs, &model)
+/// The evaluator recurses over the encoded formula, whose depth on the wide
+/// superscalar and VLIW designs overflows a default thread stack, so it runs
+/// on a dedicated thread with the translation pipeline's stack bound.
+pub(crate) fn falsifies(
+    translation: &Translation,
+    assignment: &Model,
+) -> Result<usize, &'static str> {
+    let (classes, num_classes) = equality_classes(&translation.eij_pairs, assignment);
+    let mut interp = Interpretation::new();
+    for (&sym, &var) in &translation.primary_vars {
+        if var.index() < assignment.len() {
+            interp.prop_vars.insert(sym, assignment.value(var));
+        }
+    }
+    for (sym, class) in classes {
+        // Distinct small values per equality class witness the lifting.
+        interp.term_vars.insert(sym, 1 + class as u64);
+    }
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("velv-lift-eval".to_owned())
+            .stack_size(256 * 1024 * 1024)
+            .spawn_scoped(scope, || {
+                // The encoded formula first: a failing lift usually fails
+                // there, and then the side constraints need no walk.
+                let mut evaluator = Evaluator::new(&translation.ctx, interp);
+                if evaluator.eval_formula(translation.encoded) {
+                    Err("the encoded correctness formula still evaluates to true under the model")
+                } else if !evaluator.eval_formula(translation.side_constraints) {
+                    Err("the side constraints evaluate to false under the model")
                 } else {
-                    Vec::new()
-                };
-                if clauses.is_empty() {
-                    return SatResult::Sat(model);
+                    Ok(num_classes)
                 }
-                stats.constraints_added += clauses.len();
-                constraints.add(clauses.len() as u64);
-                for clause in &clauses {
-                    driver.assert_clause(clause);
-                }
-                drop(round_span);
-            }
-            other => return other,
+            })
+            .expect("spawning the evaluation thread succeeds")
+            .join()
+            .expect("the evaluation thread does not panic")
+    })
+}
+
+/// The lift rule: the assignment a counterexample of `model` is built from,
+/// or the transitivity clauses that refute the model (see the module docs).
+pub(crate) fn lift(translation: &Translation, model: &Model) -> Result<Model, Vec<Vec<Lit>>> {
+    let pairs = &translation.eij_pairs;
+    let violations = transitivity_violations(pairs, model);
+    if violations.is_empty() {
+        return Ok(model.clone());
+    }
+    let (classes, _) = equality_classes(pairs, model);
+    let mut repaired = model.values().to_vec();
+    for &(x, y, v) in pairs {
+        if v.index() < repaired.len() {
+            repaired[v.index()] = classes[&x] == classes[&y];
         }
-        // Charge this iteration's steps against the loop-wide budget.
-        if let Some(max_conflicts) = &mut budget.max_conflicts {
-            *max_conflicts = max_conflicts.saturating_sub(used.conflicts);
-            if *max_conflicts == 0 {
-                return SatResult::Unknown(velv_sat::StopReason::ConflictLimit);
-            }
-        }
-        if let Some(max_decisions) = &mut budget.max_decisions {
-            *max_decisions = max_decisions.saturating_sub(used.decisions);
-            if *max_decisions == 0 {
-                return SatResult::Unknown(velv_sat::StopReason::DecisionLimit);
-            }
+    }
+    let repaired = Model::new(repaired);
+    match falsifies(translation, &repaired) {
+        Ok(_) => Ok(repaired),
+        Err(_) => Err(violations),
+    }
+}
+
+/// What one lift-or-refine check of a translation found.
+pub(crate) struct Checked {
+    /// The solver's answer.  A `Sat` model has passed the lift rule.
+    pub result: SatResult,
+    /// The accepted assignment of a `Sat` answer: the model, closure-repaired
+    /// when it needed it.
+    pub lifted: Option<Model>,
+    /// The refinement clauses asserted, in the order the solver received
+    /// them (after the translation's CNF).
+    pub added: Vec<Vec<Lit>>,
+    /// Rounds and refinement clauses.
+    pub stats: RefinementStats,
+}
+
+impl Checked {
+    /// The verdict: `Unsat` proves the design correct, a lifted model is a
+    /// counterexample, and an undecided result is [`Verdict::Unknown`].
+    pub fn verdict(&self, translation: &Translation) -> Verdict {
+        match &self.result {
+            SatResult::Unsat => Verdict::Correct,
+            SatResult::Sat(_) => Verdict::Buggy(Counterexample::from_model(
+                &translation.ctx,
+                &translation.primary_vars,
+                self.lifted
+                    .as_ref()
+                    .expect("a solver returns a model only once the lift rule accepts it"),
+            )),
+            other => Verdict::undecided(other),
         }
     }
 }
 
-/// Checks a lazily encoded translation with an [`IncrementalSolver`]: solve,
-/// assert the transitivity constraints violated by the model, re-solve, until
-/// the verdict is stable.  The solver keeps its learned clauses across the
-/// iterations (and may already contain the translation's CNF plus constraints
-/// from earlier runs — constraint clauses are valid, so they can only help).
-///
-/// Works for eager translations too: the loop then exits after one solver
-/// call and never checks the model for transitivity, which makes this the
-/// uniform incremental check.  An eager SAT model can still be unliftable:
-/// the sparse triangulation links large elimination neighbourhoods along a
-/// path, which is not chordal, so [`transitivity_violations`] may reject the
-/// model (it does on most SAT models of the 2×DLX and VLIW catalogs, and on
-/// the correct OOO-4..6 cores).  [`crate::Verifier::check_certified`] refines
-/// eager models until they lift; this eager check does not, which is why it
-/// answers `Buggy` for the correct OOO-4..6 cores.
-pub fn check_with_refinement(
+/// The one check path: `solve` solves the translation's CNF with the lift
+/// rule as its model check (through
+/// [`Solver::solve_refining`](velv_sat::Solver::solve_refining) or the proof-logging CDCL
+/// variant), and the outcome is collected.
+pub(crate) fn check(
     translation: &Translation,
-    solver: &mut IncrementalSolver,
-    budget: Budget,
-) -> (Verdict, RefinementStats) {
-    let mut stats = RefinementStats::default();
-    let mut driver = IncrementalDriver {
-        solver,
-        added: Vec::new(),
+    solve: impl FnOnce(&mut dyn FnMut(&Model) -> Vec<Vec<Lit>>) -> SatResult,
+) -> Checked {
+    let mut lifted = None;
+    let mut added = Vec::new();
+    let mut models = 0;
+    let result = solve(&mut |model: &Model| {
+        models += 1;
+        match lift(translation, model) {
+            Ok(assignment) => {
+                lifted = Some(assignment);
+                Vec::new()
+            }
+            Err(clauses) => {
+                added.extend_from_slice(&clauses);
+                clauses
+            }
+        }
+    });
+    let stats = RefinementStats {
+        iterations: models + usize::from(!result.is_sat()),
+        constraints_added: added.len(),
     };
-    let result = refinement_loop(
-        &translation.eij_pairs,
-        translation.lazy_transitivity,
-        &budget,
-        &mut stats,
-        &mut driver,
-    );
-    (sat_verdict(translation, result), stats)
-}
-
-/// Convenience wrapper: builds a fresh [`IncrementalSolver`] with `config`,
-/// loads the translation's CNF and runs [`check_with_refinement`].
-pub fn check_incremental(
-    translation: &Translation,
-    config: CdclConfig,
-    budget: Budget,
-) -> (Verdict, RefinementStats) {
-    let mut solver = IncrementalSolver::with_formula(config, &translation.cnf);
-    check_with_refinement(translation, &mut solver, budget)
-}
-
-/// The monolithic fallback: the same refinement loop, but each iteration
-/// re-solves a growing copy of the CNF from scratch with an arbitrary
-/// [`Solver`].  This keeps lazily encoded translations sound for every
-/// back end (including the portfolio), and serves as the baseline the
-/// incremental path is benchmarked against.
-pub fn check_with_refinement_monolithic(
-    translation: &Translation,
-    solver: &mut dyn Solver,
-    budget: Budget,
-) -> (Verdict, RefinementStats) {
-    let mut stats = RefinementStats::default();
-    let mut driver = MonolithicDriver {
-        solver,
-        cnf: translation.cnf.clone(),
-    };
-    let result = refinement_loop(
-        &translation.eij_pairs,
-        translation.lazy_transitivity,
-        &budget,
-        &mut stats,
-        &mut driver,
-    );
-    (sat_verdict(translation, result), stats)
+    Checked {
+        result,
+        lifted,
+        added,
+        stats,
+    }
 }
 
 #[cfg(test)]
@@ -388,60 +367,6 @@ mod tests {
         let clause = &clauses[0];
         assert_eq!(clause.len(), 5, "four path edges plus the violated pair");
         assert!(clause.contains(&Lit::positive(Var::new(4))));
-    }
-
-    #[test]
-    fn step_budget_bounds_the_whole_refinement_loop() {
-        // A driver that keeps returning transitivity-violating models: the
-        // loop must stop once the *cumulative* conflict budget is spent, not
-        // re-grant it every iteration.
-        struct Stubborn {
-            pairs_model: Model,
-            calls: usize,
-        }
-        impl RefineDriver for Stubborn {
-            fn solve(&mut self, _budget: Budget) -> (SatResult, velv_sat::SolverStats) {
-                self.calls += 1;
-                (
-                    SatResult::Sat(self.pairs_model.clone()),
-                    velv_sat::SolverStats {
-                        conflicts: 40,
-                        decisions: 40,
-                        ..Default::default()
-                    },
-                )
-            }
-            fn assert_clause(&mut self, _clause: &[Lit]) {}
-        }
-        let mut ctx = velv_eufm::Context::new();
-        let (x, y, z) = (sym(&mut ctx, "x"), sym(&mut ctx, "y"), sym(&mut ctx, "z"));
-        let pairs = vec![
-            (x, y, Var::new(0)),
-            (y, z, Var::new(1)),
-            (x, z, Var::new(2)),
-        ];
-        let mut driver = Stubborn {
-            // x=y, y=z, x≠z: always violated (the stub ignores the clauses).
-            pairs_model: Model::new(vec![true, true, false]),
-            calls: 0,
-        };
-        let mut stats = RefinementStats::default();
-        let result = refinement_loop(
-            &pairs,
-            true,
-            &Budget::step_limit(100),
-            &mut stats,
-            &mut driver,
-        );
-        assert!(
-            matches!(result, SatResult::Unknown(_)),
-            "the loop must give up: {result:?}"
-        );
-        assert!(
-            driver.calls <= 3,
-            "100 conflicts at 40 per call allow at most 3 calls, got {}",
-            driver.calls
-        );
     }
 
     #[test]

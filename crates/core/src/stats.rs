@@ -60,11 +60,11 @@ impl fmt::Display for TranslationStats {
     }
 }
 
-/// Statistics of one lazy-transitivity refinement run.
+/// Statistics of one lift-or-refine check (see [`crate::refine`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RefinementStats {
-    /// Solver calls made, including the final one that produced the verdict
-    /// (1 for an eager or UNSAT-first-try run).
+    /// Solver rounds, including the final one that produced the verdict
+    /// (1 when the first answer is UNSAT or lifts).
     pub iterations: usize,
     /// Transitivity constraint clauses asserted during refinement.
     pub constraints_added: usize,

@@ -10,6 +10,7 @@
 //! propositional translation.
 
 use crate::context::Context;
+use crate::idhash::IdMap;
 use crate::node::{Formula, FormulaId, Term, TermId};
 use crate::symbols::Symbol;
 use std::collections::HashMap;
@@ -115,8 +116,9 @@ pub struct Evaluator<'a> {
     interp: Interpretation,
     uf_memo: HashMap<(Symbol, Vec<u64>), u64>,
     up_memo: HashMap<(Symbol, Vec<u64>), bool>,
-    term_cache: HashMap<TermId, Value>,
-    formula_cache: HashMap<FormulaId, bool>,
+    term_cache: IdMap<TermId, Value>,
+    /// Values of evaluated formulas by id: `None` until evaluated.
+    formula_cache: Vec<Option<bool>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -127,8 +129,8 @@ impl<'a> Evaluator<'a> {
             uf_memo: interp.uf_entries.clone(),
             up_memo: interp.up_entries.clone(),
             interp,
-            term_cache: HashMap::new(),
-            formula_cache: HashMap::new(),
+            term_cache: IdMap::default(),
+            formula_cache: vec![None; ctx.num_formulas()],
         }
     }
 
@@ -193,8 +195,8 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates a formula.
     pub fn eval_formula(&mut self, id: FormulaId) -> bool {
-        if let Some(v) = self.formula_cache.get(&id) {
-            return *v;
+        if let Some(v) = self.formula_cache[id.index()] {
+            return v;
         }
         let value = match self.ctx.formula(id).clone() {
             Formula::True => true,
@@ -240,7 +242,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         };
-        self.formula_cache.insert(id, value);
+        self.formula_cache[id.index()] = Some(value);
         value
     }
 

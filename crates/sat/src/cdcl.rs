@@ -43,10 +43,10 @@
 //!   the recorded reason of its first literal, so clause-database reduction
 //!   asks the `reason` array instead of scanning the trail.
 
-use crate::cnf::{CnfFormula, Lit, Var};
+use crate::cnf::{Clause, CnfFormula, Lit, Var};
 use crate::proof::SharedProof;
 use crate::rng::SmallRng;
-use crate::solver::{Budget, Model, SatResult, Solver, SolverStats, StopReason};
+use crate::solver::{refining_rounds, Budget, Model, SatResult, Solver, SolverStats, StopReason};
 use std::collections::HashMap;
 use velv_proof::ClauseId;
 
@@ -198,17 +198,51 @@ impl CdclSolver {
         budget: Budget,
     ) -> (SatResult, velv_proof::Proof) {
         let shared = SharedProof::new();
-        let result = self.run(cnf, budget, Some(&shared));
+        let result = self.run(cnf, budget, Some(&shared), &mut |_| Vec::new());
         (result, shared.take())
     }
 
-    /// One search of `cnf` on a fresh engine, logging into `proof` if given.
-    fn run(&mut self, cnf: &CnfFormula, budget: Budget, proof: Option<&SharedProof>) -> SatResult {
+    /// [`Solver::solve_refining`] with one DRAT proof threaded through every
+    /// round.  The refinement clauses take the input ids after `cnf`'s, in
+    /// the order `refine` returned them, so the proof checks against `cnf`
+    /// followed by those clauses.
+    pub fn solve_refining_with_proof(
+        &mut self,
+        cnf: &CnfFormula,
+        budget: Budget,
+        proof: &SharedProof,
+        refine: &mut dyn FnMut(&Model) -> Vec<Clause>,
+    ) -> SatResult {
+        self.run(cnf, budget, Some(proof), refine)
+    }
+
+    /// The refinement rounds of `cnf` on one live engine, logging into
+    /// `proof` if given.  Refinement clauses land in the engine between
+    /// rounds, so learned clauses, activities and saved phases carry over.
+    fn run(
+        &mut self,
+        cnf: &CnfFormula,
+        budget: Budget,
+        proof: Option<&SharedProof>,
+        refine: &mut dyn FnMut(&Model) -> Vec<Clause>,
+    ) -> SatResult {
         let mut engine = Engine::new(cnf, self.config.clone());
         if let Some(proof) = proof {
             engine.set_proof(proof.clone());
         }
-        let result = engine.search(budget);
+        let result = refining_rounds(&budget, refine, |budget, clauses| {
+            let before = engine.stats;
+            for clause in clauses {
+                engine.add_clause_dynamic(clause);
+            }
+            let result = engine.search(budget);
+            let used = SolverStats {
+                conflicts: engine.stats.conflicts - before.conflicts,
+                decisions: engine.stats.decisions - before.decisions,
+                ..engine.stats
+            };
+            (result, used)
+        });
         self.stats = engine.stats;
         result
     }
@@ -224,7 +258,7 @@ impl Solver for CdclSolver {
     }
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
-        self.run(cnf, budget, None)
+        self.run(cnf, budget, None, &mut |_| Vec::new())
     }
 
     /// CDCL is a proof-producing procedure: the search runs with the shared
@@ -235,7 +269,17 @@ impl Solver for CdclSolver {
         budget: Budget,
         proof: &SharedProof,
     ) -> Option<SatResult> {
-        Some(self.run(cnf, budget, Some(proof)))
+        Some(self.run(cnf, budget, Some(proof), &mut |_| Vec::new()))
+    }
+
+    /// One live engine for all rounds; see [`CdclSolver::solve_refining_with_proof`].
+    fn solve_refining(
+        &mut self,
+        cnf: &CnfFormula,
+        budget: Budget,
+        refine: &mut dyn FnMut(&Model) -> Vec<Clause>,
+    ) -> SatResult {
+        self.run(cnf, budget, None, refine)
     }
 
     fn stats(&self) -> SolverStats {
@@ -501,9 +545,9 @@ const VAL_TRUE: u8 = 0;
 const VAL_FALSE: u8 = 1;
 const VAL_UNDEF: u8 = 2;
 
-pub(crate) struct Engine {
+struct Engine {
     config: CdclConfig,
-    pub(crate) stats: SolverStats,
+    stats: SolverStats,
     num_vars: usize,
     arena: ClauseArena,
     /// For each literal index, the watchers of that literal.
@@ -557,7 +601,7 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(cnf: &CnfFormula, config: CdclConfig) -> Self {
+    fn new(cnf: &CnfFormula, config: CdclConfig) -> Self {
         let _mem_scope = velv_obs::MemScope::enter("sat.arena");
         let num_vars = cnf.num_vars();
         let seed = config.seed;
@@ -621,7 +665,7 @@ impl Engine {
 
     /// Grows the variable tables (values, levels, reasons, activities, phases,
     /// watch lists, decision heap) to cover at least `n` variables.
-    pub(crate) fn ensure_vars(&mut self, n: usize) {
+    fn ensure_vars(&mut self, n: usize) {
         if n <= self.num_vars {
             return;
         }
@@ -640,11 +684,6 @@ impl Engine {
             }
         }
         self.num_vars = n;
-    }
-
-    /// Number of variables currently known to the engine.
-    pub(crate) fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     /// The engine's memory figures, measured from its own bookkeeping: arena
@@ -677,15 +716,10 @@ impl Engine {
         }
     }
 
-    /// Whether a root-level conflict has proven the formula unsatisfiable.
-    pub(crate) fn is_unsat(&self) -> bool {
-        self.unsat
-    }
-
     /// Attaches a DRAT proof sink.  From here on every learned clause, every
     /// clause deletion and the terminal clause of each UNSAT answer are
     /// recorded, making the engine's refutations independently checkable.
-    pub(crate) fn set_proof(&mut self, proof: SharedProof) {
+    fn set_proof(&mut self, proof: SharedProof) {
         self.proof = Some(proof);
     }
 
@@ -740,13 +774,13 @@ impl Engine {
         }
     }
 
-    /// Adds a clause between solves.  The engine first returns to decision
-    /// level 0; the clause is normalised (sorted, deduplicated, tautologies
-    /// dropped), simplified against the root-level assignment, and then
-    /// installed with regular watches.  Unit clauses are enqueued at the root
+    /// Adds a clause between refinement rounds.  The engine first returns to
+    /// decision level 0; the clause is normalised (sorted, deduplicated,
+    /// tautologies dropped), simplified against the root-level assignment,
+    /// and then installed with regular watches.  Unit clauses are enqueued at the root
     /// and propagated by the next [`Engine::search`]; an empty clause marks
     /// the formula unsatisfiable.
-    pub(crate) fn add_clause_dynamic(&mut self, lits: &[Lit]) {
+    fn add_clause_dynamic(&mut self, lits: &[Lit]) {
         let input_id = self.next_input_id();
         if self.unsat {
             return;
@@ -1047,7 +1081,7 @@ impl Engine {
             self.trail.truncate(start);
         }
         // Never advance qhead past a pending (unpropagated) entry: root
-        // units enqueued by `add_clause_dynamic` between solves sit below
+        // units enqueued by `add_clause_dynamic` between rounds sit below
         // the trail end and must still be propagated by the next search.
         self.qhead = self.qhead.min(self.trail.len());
         self.static_cursor = 0;
@@ -1307,7 +1341,7 @@ impl Engine {
         refs.truncate(kept);
     }
 
-    pub(crate) fn extract_model(&self) -> Model {
+    fn extract_model(&self) -> Model {
         Model::new(
             (0..self.num_vars)
                 .map(|v| self.vals[v] == VAL_TRUE)
@@ -1322,9 +1356,9 @@ impl Engine {
     const BUDGET_POLL_MASK: u64 = 63;
 
     /// CDCL search of the current clause database within `budget`.  Step
-    /// budgets are counted relative to this call, so a persistent engine can
-    /// be re-solved with fresh limits after clauses were added.
-    pub(crate) fn search(&mut self, budget: Budget) -> SatResult {
+    /// budgets are counted relative to this call, so each refinement round
+    /// runs under what the loop's budget has left.
+    fn search(&mut self, budget: Budget) -> SatResult {
         let start_stats = self.stats;
         self.obs.begin_solve(&start_stats);
         let result = self.search_inner(budget);

@@ -16,10 +16,11 @@
 //!   (the satz / posit / ntab class).
 //! * [`local_search`] — incomplete stochastic solvers: **WalkSAT** and a
 //!   **DLM**-style clause-weighting search.
-//! * [`incremental`] — a persistent CDCL session ([`IncrementalSolver`]):
-//!   one live engine that accepts clauses between solves and keeps its
-//!   learned clauses.  This is the engine of the lazy transitivity
-//!   refinement in `velv_core`.
+//! * [`Solver::solve_refining`] — solving with a model check between
+//!   rounds: clauses that refute a model are asserted and the formula is
+//!   solved again.  The CDCL engine adds them to one live engine that keeps
+//!   its learned clauses; this is the transitivity refinement loop of
+//!   `velv_core`.
 //! * [`cnf`] + [`dimacs`] — clause representation and DIMACS I/O.
 //! * [`preprocess`] — the "simplify before solving" experiments of Section 4.
 //! * [`proof`] — DRAT proof logging: with a [`SharedProof`] attached, the
@@ -62,7 +63,6 @@ pub mod cnf;
 pub mod dimacs;
 pub mod dpll;
 pub mod generators;
-pub mod incremental;
 pub mod local_search;
 pub mod obs;
 pub mod portfolio;
@@ -74,7 +74,6 @@ pub mod rng;
 pub mod solver;
 
 pub use cnf::{Clause, CnfFormula, Lit, Var};
-pub use incremental::IncrementalSolver;
 pub use obs::{
     current_solve_recorder, install_progress_cell, install_solve_recorder, ProgressCell,
     ProgressGuard, ProgressSnapshot, SolveRecorderGuard,

@@ -1,7 +1,8 @@
 //! The common interface of all SAT procedures.
 
-use crate::cnf::{CnfFormula, Var};
+use crate::cnf::{Clause, CnfFormula, Var};
 use crate::proof::SharedProof;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -282,8 +283,73 @@ pub trait Solver {
         None
     }
 
+    /// Solves `cnf` and asks `refine` about every model: an empty answer
+    /// accepts the model, and any clauses it returns are asserted before the
+    /// next round.  The clauses must be consequences the caller is entitled
+    /// to (the transitivity constraints of the *e*ij encoding are), since
+    /// later rounds solve the formula with them.
+    ///
+    /// `budget` bounds the whole loop: its time limit becomes one deadline,
+    /// and the conflicts and decisions of each round are charged against its
+    /// step limits.  This default re-solves a growing copy of the CNF from
+    /// scratch every round; the CDCL engine overrides it to add the clauses
+    /// to one live engine that keeps what it learned.
+    fn solve_refining(
+        &mut self,
+        cnf: &CnfFormula,
+        budget: Budget,
+        refine: &mut dyn FnMut(&Model) -> Vec<Clause>,
+    ) -> SatResult {
+        let mut grown = Cow::Borrowed(cnf);
+        refining_rounds(&budget, refine, |budget, clauses| {
+            for clause in clauses {
+                grown.to_mut().add_clause(clause.clone());
+            }
+            let result = self.solve_with_budget(&grown, budget);
+            (result, self.stats())
+        })
+    }
+
     /// Statistics of the most recent `solve` call.
     fn stats(&self) -> SolverStats;
+}
+
+/// The round loop of [`Solver::solve_refining`].  `round` asserts the given
+/// clauses (none in the first round), solves under the remaining budget and
+/// reports the result with the steps this round used.
+pub(crate) fn refining_rounds(
+    budget: &Budget,
+    refine: &mut dyn FnMut(&Model) -> Vec<Clause>,
+    mut round: impl FnMut(Budget, &[Clause]) -> (SatResult, SolverStats),
+) -> SatResult {
+    let mut budget = budget.started();
+    budget.max_time = None; // the deadline now carries the time limit
+    let mut clauses = Vec::new();
+    let mut index = 0u64;
+    loop {
+        index += 1;
+        let _span = velv_obs::span_fields("refine_round", &[("round", index.into())]);
+        let (result, used) = round(budget.clone(), &clauses);
+        let SatResult::Sat(model) = &result else {
+            return result;
+        };
+        clauses = refine(model);
+        if clauses.is_empty() {
+            return result;
+        }
+        if let Some(max_conflicts) = &mut budget.max_conflicts {
+            *max_conflicts = max_conflicts.saturating_sub(used.conflicts);
+            if *max_conflicts == 0 {
+                return SatResult::Unknown(StopReason::ConflictLimit);
+            }
+        }
+        if let Some(max_decisions) = &mut budget.max_decisions {
+            *max_decisions = max_decisions.saturating_sub(used.decisions);
+            if *max_decisions == 0 {
+                return SatResult::Unknown(StopReason::DecisionLimit);
+            }
+        }
+    }
 }
 
 /// Checks that `model` satisfies `cnf`; used by tests and by the verification
@@ -339,6 +405,50 @@ mod tests {
         assert!(b.max_time.is_none());
         let t = Budget::time_limit(Duration::from_millis(5));
         assert!(t.max_time.is_some());
+    }
+
+    #[test]
+    fn step_budget_bounds_the_whole_refinement_loop() {
+        // A solver that keeps returning the same model: the loop must stop
+        // once the *cumulative* conflict budget is spent, not re-grant it
+        // every round.
+        struct Stubborn {
+            calls: usize,
+        }
+        impl Solver for Stubborn {
+            fn name(&self) -> &str {
+                "stubborn"
+            }
+            fn is_complete(&self) -> bool {
+                false
+            }
+            fn solve_with_budget(&mut self, _cnf: &CnfFormula, _budget: Budget) -> SatResult {
+                self.calls += 1;
+                SatResult::Sat(Model::new(vec![true]))
+            }
+            fn stats(&self) -> SolverStats {
+                SolverStats {
+                    conflicts: 40,
+                    decisions: 40,
+                    ..Default::default()
+                }
+            }
+        }
+        let mut solver = Stubborn { calls: 0 };
+        let refuting = Lit::negative(Var::new(0));
+        let result =
+            solver.solve_refining(&CnfFormula::new(1), Budget::step_limit(100), &mut |_| {
+                vec![vec![refuting]]
+            });
+        assert!(
+            matches!(result, SatResult::Unknown(_)),
+            "the loop must give up: {result:?}"
+        );
+        assert!(
+            solver.calls <= 3,
+            "100 conflicts at 40 per round allow at most 3 rounds, got {}",
+            solver.calls
+        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Tracing and registry integration for the SAT layer: incremental solves
+//! Tracing and registry integration for the SAT layer: refinement rounds
 //! must each produce one closed span, and portfolio races must surface
 //! per-member statistics on the global registry.
 
 use std::sync::{Arc, Mutex, OnceLock};
+use velv_sat::cdcl::CdclSolver;
 use velv_sat::presets::SolverKind;
-use velv_sat::{Budget, CnfFormula, IncrementalSolver, Lit, PortfolioSolver, Solver};
+use velv_sat::{Budget, CnfFormula, Lit, PortfolioSolver, Solver};
 
-/// Sink-installing tests serialize on this lock: the tracer's sink slot is
-/// process-global.
+/// Every test here solves, and every solve opens spans: they serialize on
+/// this lock so the sink-installing test sees only its own spans (the
+/// tracer's sink slot is process-global).
 fn tracer_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -23,12 +25,15 @@ fn incremental_solves_open_and_close_one_span_each() {
     let sink = Arc::new(velv_obs::MemorySink::new());
     velv_obs::install_sink(sink.clone());
 
-    let mut solver = IncrementalSolver::chaff();
-    solver.add_clause(&[lit(1), lit(2)]);
-    solver.add_clause(&[lit(-1)]);
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-    solver.add_clause(&[lit(-2)]);
-    assert!(solver.solve(Budget::unlimited()).is_unsat());
+    let root = velv_obs::span("obs_trace.test");
+    let root_id = root.id();
+    let mut cnf = CnfFormula::new(2);
+    cnf.add_clause(vec![lit(1), lit(2)]);
+    cnf.add_clause(vec![lit(-1)]);
+    let result =
+        CdclSolver::chaff().solve_refining(&cnf, Budget::unlimited(), &mut |_| vec![vec![lit(-2)]]);
+    assert!(result.is_unsat());
+    drop(root);
 
     velv_obs::uninstall_sink();
     let text = sink.contents();
@@ -40,25 +45,31 @@ fn incremental_solves_open_and_close_one_span_each() {
         .filter(|l| !l.trim().is_empty())
         .map(|l| velv_obs::parse_trace_line(l).unwrap())
         .collect();
-    let solve_ids = |kind: &str| -> Vec<Option<u64>> {
-        records
-            .iter()
-            .filter(|r| r.kind() == kind && r.get("name") == Some("incr.solve"))
-            .map(|r| r.get_u64("id"))
-            .collect()
-    };
-    let opens = solve_ids("span_open");
-    assert_eq!(opens.len(), 2, "one span per solve");
-    assert_ne!(opens[0], opens[1], "each solve has its own span");
-    let mut closes = solve_ids("span_close");
+    let opens: Vec<Option<u64>> = records
+        .iter()
+        .filter(|r| {
+            r.kind() == "span_open"
+                && r.get("name") == Some("refine_round")
+                && r.get_u64("parent") == Some(root_id)
+        })
+        .map(|r| r.get_u64("id"))
+        .collect();
+    assert_eq!(opens.len(), 2, "one span per round");
+    assert_ne!(opens[0], opens[1], "each round has its own span");
+    let mut closes: Vec<Option<u64>> = records
+        .iter()
+        .filter(|r| r.kind() == "span_close" && opens.contains(&r.get_u64("id")))
+        .map(|r| r.get_u64("id"))
+        .collect();
     closes.sort();
     let mut expected = opens.clone();
     expected.sort();
-    assert_eq!(closes, expected, "both solve spans close");
+    assert_eq!(closes, expected, "both round spans close");
 }
 
 #[test]
 fn engine_work_reaches_the_global_registry() {
+    let _guard = tracer_lock().lock().unwrap();
     // A pigeonhole-style UNSAT instance forces real conflicts; the
     // preset-labelled global counters must strictly grow.  Other tests run
     // concurrently against the same registry, so assert monotone growth
@@ -98,6 +109,7 @@ fn engine_work_reaches_the_global_registry() {
 
 #[test]
 fn portfolio_race_surfaces_per_member_counters() {
+    let _guard = tracer_lock().lock().unwrap();
     let mut solver = PortfolioSolver::new()
         .with_kind(SolverKind::Chaff)
         .with_kind(SolverKind::Grasp);

@@ -1,6 +1,6 @@
 //! Solve-profiler integration: the per-conflict decision-level histogram
 //! must track conflicts (not heartbeats), and an installed solve recorder
-//! must receive a usable time-series from plain, incremental and portfolio
+//! must receive a usable time-series from plain, refining and portfolio
 //! solves — including budget-aborted runs that never reach a heartbeat.
 
 use velv_sat::cdcl::CdclSolver;
@@ -118,18 +118,21 @@ fn incremental_solves_share_one_recorder_with_markers() {
     let recorder = velv_obs::shared_recorder();
     {
         let _guard = velv_sat::install_solve_recorder(recorder.clone());
-        let mut solver = velv_sat::IncrementalSolver::chaff();
-        solver.add_clause(&[lit(1), lit(2)]);
-        solver.add_clause(&[lit(-1), lit(2)]);
-        assert!(solver.solve(Budget::unlimited()).is_sat());
-        solver.add_clause(&[lit(-2)]);
-        assert!(solver.solve(Budget::unlimited()).is_unsat());
+        let mut cnf = velv_sat::CnfFormula::new(2);
+        cnf.add_clause(vec![lit(1), lit(2)]);
+        cnf.add_clause(vec![lit(-1), lit(2)]);
+        let result = velv_sat::cdcl::CdclSolver::chaff().solve_refining(
+            &cnf,
+            Budget::unlimited(),
+            &mut |_| vec![vec![lit(-2)]],
+        );
+        assert!(result.is_unsat());
     }
     let rec = recorder.lock().unwrap();
     let solves = rec.markers().iter().filter(|m| m.kind == "solve").count();
     assert!(
         solves >= 2,
-        "each incremental query must mark a solve boundary, got {solves}"
+        "each refinement round must mark a solve boundary, got {solves}"
     );
     assert!(!rec.series().is_empty());
 }

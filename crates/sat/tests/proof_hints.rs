@@ -8,8 +8,7 @@ use velv_proof::{check_proof, CheckError, CheckOptions, ClauseId, Proof, ProofSt
 use velv_sat::cdcl::CdclSolver;
 use velv_sat::dimacs::cnf_to_dimacs_i32;
 use velv_sat::generators::pigeonhole;
-use velv_sat::incremental::IncrementalSolver;
-use velv_sat::{Budget, Solver};
+use velv_sat::{Budget, CnfFormula, SharedProof, Solver};
 
 fn presets() -> [CdclSolver; 4] {
     [
@@ -56,18 +55,22 @@ fn every_preset_refutation_of_pigeonhole_replays_without_fallback() {
 
 #[test]
 fn an_incremental_session_replays_without_fallback() {
-    // Clauses added between solves take the input ids after the formula's,
-    // in the order they were added: the checker's input order.
+    // Clauses added between refinement rounds take the input ids after the
+    // formula's, in the order they were added: the checker's input order.
     let cnf = pigeonhole(5);
     let (placement, rest) = cnf.clauses().split_first().expect("PHP has clauses");
-    let mut solver = IncrementalSolver::chaff();
-    let proof = solver.enable_proof();
+    let mut relaxed = CnfFormula::new(cnf.num_vars());
     for clause in rest {
-        solver.add_clause(clause);
+        relaxed.add_clause(clause.clone());
     }
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-    solver.add_clause(placement);
-    assert!(solver.solve(Budget::unlimited()).is_unsat());
+    let proof = SharedProof::new();
+    let result = CdclSolver::chaff().solve_refining_with_proof(
+        &relaxed,
+        Budget::unlimited(),
+        &proof,
+        &mut |_| vec![placement.clone()],
+    );
+    assert!(result.is_unsat());
     let mut inputs = cnf_to_dimacs_i32(&cnf);
     inputs.rotate_left(1);
     let report = check_proof(&inputs, &proof.snapshot(), &CheckOptions::default())

@@ -1,13 +1,12 @@
 //! End-to-end certification suite for DRAT proof logging: refutations
 //! recorded by the CDCL engine must replay through the independent checker in
-//! `velv_proof`, across presets, incremental sessions and deletion-heavy
+//! `velv_proof`, across presets, refinement rounds and deletion-heavy
 //! runs — and corrupted proofs must be rejected.
 
 use velv_proof::{check_proof, CheckOptions, Proof, ProofStep};
 use velv_sat::cdcl::CdclSolver;
 use velv_sat::generators::{pigeonhole, random_3sat};
-use velv_sat::incremental::IncrementalSolver;
-use velv_sat::{Budget, Lit, Solver};
+use velv_sat::{Budget, CnfFormula, Lit, SharedProof, Solver};
 
 use velv_sat::dimacs::cnf_to_dimacs_i32 as dimacs_clauses;
 
@@ -87,46 +86,58 @@ fn unsat_random_3sat_proofs_check_with_trimming() {
 
 #[test]
 fn incremental_session_proof_checks_against_all_added_clauses() {
-    // A session with clause additions between solves: the proof accumulates
-    // across solves and must check against the *union* of everything added.
+    // Refinement rounds on one engine: the proof accumulates across rounds
+    // and must check against the formula followed by every added clause.
     // PHP(6, 5) without pigeon 0's placement clause is satisfiable, so the
-    // first solve searches and learns; adding the clause back makes the
-    // second solve a refutation that may resolve on those learned clauses.
+    // first round searches and learns; adding the clause back makes the
+    // second round a refutation that may resolve on those learned clauses.
     let cnf = pigeonhole(5);
     let (placement, rest) = cnf.clauses().split_first().expect("PHP has clauses");
-    let mut solver = IncrementalSolver::chaff();
-    let proof = solver.enable_proof();
+    let mut relaxed = CnfFormula::new(cnf.num_vars());
     for clause in rest {
-        solver.add_clause(clause);
+        relaxed.add_clause(clause.clone());
     }
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-    let first_conflicts = solver.stats().conflicts;
-    solver.add_clause(placement);
-    assert!(solver.solve(Budget::unlimited()).is_unsat());
+    let mut first_round = CdclSolver::chaff();
+    assert!(first_round.solve(&relaxed).is_sat());
+    let mut solver = CdclSolver::chaff();
+    let proof = SharedProof::new();
+    let mut rounds = 0;
+    let result =
+        solver.solve_refining_with_proof(&relaxed, Budget::unlimited(), &proof, &mut |_| {
+            rounds += 1;
+            vec![placement.clone()]
+        });
+    assert!(result.is_unsat());
+    assert_eq!(rounds, 1, "the first round was SAT");
     assert!(
-        solver.stats().conflicts > first_conflicts,
-        "the re-solve searches"
+        solver.stats().conflicts > first_round.stats().conflicts,
+        "the second round searches"
     );
     let recorded = proof.snapshot();
     let report = check_proof(&dimacs_clauses(&cnf), &recorded, &CheckOptions::default())
         .expect("the session proof checks");
-    assert!(report.derived_empty, "the final solve is a root refutation");
+    assert!(report.derived_empty, "the final round is a root refutation");
 
-    // The same holds for small hand-written additions, one solve apart.
-    let mut solver = IncrementalSolver::chaff();
-    let proof = solver.enable_proof();
-    solver.add_clause(&[lit(1), lit(2)]);
-    solver.add_clause(&[lit(-1), lit(3)]);
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-    solver.add_clause(&[lit(-3), lit(2)]);
-    assert!(solver.solve(Budget::unlimited()).is_sat());
-    solver.add_clause(&[lit(-2)]);
-    solver.add_clause(&[lit(3)]);
-    assert!(solver.solve(Budget::unlimited()).is_unsat());
+    // The same holds for small hand-written additions, one round apart.
+    let mut axioms = CnfFormula::new(3);
+    axioms.add_clause(vec![lit(1), lit(2)]);
+    axioms.add_clause(vec![lit(-1), lit(3)]);
+    let mut additions = vec![
+        vec![vec![lit(-2)], vec![lit(3)]],
+        vec![vec![lit(-3), lit(2)]],
+    ];
+    let proof = SharedProof::new();
+    let result = CdclSolver::chaff().solve_refining_with_proof(
+        &axioms,
+        Budget::unlimited(),
+        &proof,
+        &mut |_| additions.pop().unwrap_or_default(),
+    );
+    assert!(result.is_unsat());
     let axioms: Vec<Vec<i32>> = vec![vec![1, 2], vec![-1, 3], vec![-3, 2], vec![-2], vec![3]];
     let report = check_proof(&axioms, &proof.snapshot(), &CheckOptions::default())
         .expect("the session proof checks");
-    assert!(report.derived_empty, "the final solve is a root refutation");
+    assert!(report.derived_empty, "the final round is a root refutation");
 }
 
 #[test]

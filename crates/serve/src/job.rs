@@ -372,8 +372,10 @@ pub struct JobSpec {
     /// see [`CertifyOptions`]); forces a CDCL back end.
     pub certified: bool,
     /// Keep the DRAT proof of an uncertified UNSAT verdict as a cache
-    /// artifact (eager monolithic CDCL jobs only; retrieved with the `proof`
-    /// wire command).
+    /// artifact (monolithic CDCL jobs only; retrieved with the `proof` wire
+    /// command).  The artifact replays against the job's CNF as shipped, so
+    /// it is omitted when the refutation needed transitivity refinement
+    /// clauses.
     pub keep_proof: bool,
     /// Scheduling priority: higher runs first.
     pub priority: i32,

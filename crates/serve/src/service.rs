@@ -44,9 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use velv_core::{
-    sat_verdict, Backend, Certificate, TranslationStats, Verdict, VerificationProblem, Verifier,
-};
+use velv_core::{Backend, Certificate, TranslationStats, Verdict, VerificationProblem, Verifier};
 use velv_eufm::Fingerprint;
 use velv_sat::cdcl::{CdclConfig, CdclSolver};
 use velv_sat::presets::SolverKind;
@@ -1381,6 +1379,14 @@ impl Inner {
     }
 }
 
+/// Whether `kind` is one of the CDCL presets, the engines that log proofs.
+fn is_cdcl(kind: SolverKind) -> bool {
+    matches!(
+        kind,
+        SolverKind::Chaff | SolverKind::BerkMin | SolverKind::Grasp | SolverKind::Sato
+    )
+}
+
 fn cdcl_config_for(backend: BackendChoice) -> CdclConfig {
     match backend {
         BackendChoice::Sat(SolverKind::BerkMin) => CdclConfig::berkmin(),
@@ -1640,43 +1646,34 @@ fn run_single(inner: &Inner, job: &SingleJob) {
                 (verdict, None, None, Some(stats))
             } else {
                 match job.spec.backend {
+                    BackendChoice::Sat(kind) if job.spec.keep_proof && is_cdcl(kind) => {
+                        let shared_proof = velv_sat::SharedProof::new();
+                        let (verdict, refinement) = verifier.check_with_proof(
+                            &translation,
+                            cdcl_config_for(job.spec.backend),
+                            budget,
+                            &shared_proof,
+                        );
+                        // The artifact must replay against the job's CNF as
+                        // shipped, so a refutation that needed refinement
+                        // clauses keeps no proof.
+                        let proof = (verdict.is_correct() && refinement.constraints_added == 0)
+                            .then(|| {
+                                let _mem_scope = velv_obs::MemScope::enter("proof");
+                                let text =
+                                    velv_sat::dimacs::to_drat_text_string(&shared_proof.take());
+                                Arc::new(text.into_bytes())
+                            });
+                        (verdict, None, proof, Some(stats))
+                    }
                     BackendChoice::Sat(kind) => {
                         let mut solver = kind.build();
-                        if job.spec.keep_proof && !translation.lazy_transitivity {
-                            let shared_proof = velv_sat::SharedProof::new();
-                            match solver.solve_with_proof(
-                                &translation.cnf,
-                                budget.clone(),
-                                &shared_proof,
-                            ) {
-                                Some(result) => {
-                                    let proof = if result.is_unsat() {
-                                        let _mem_scope = velv_obs::MemScope::enter("proof");
-                                        let text = velv_sat::dimacs::to_drat_text_string(
-                                            &shared_proof.take(),
-                                        );
-                                        Some(Arc::new(text.into_bytes()))
-                                    } else {
-                                        None
-                                    };
-                                    (sat_verdict(&translation, result), None, proof, Some(stats))
-                                }
-                                // The engine cannot log proofs: plain solve.
-                                None => (
-                                    verifier.check(&translation, solver.as_mut(), budget),
-                                    None,
-                                    None,
-                                    Some(stats),
-                                ),
-                            }
-                        } else {
-                            (
-                                verifier.check(&translation, solver.as_mut(), budget),
-                                None,
-                                None,
-                                Some(stats),
-                            )
-                        }
+                        (
+                            verifier.check(&translation, solver.as_mut(), budget),
+                            None,
+                            None,
+                            Some(stats),
+                        )
                     }
                     BackendChoice::Portfolio => (
                         verifier.check_with_backend(

@@ -450,8 +450,28 @@ fn keep_proof_stores_a_drat_artifact() {
 }
 
 #[test]
+fn keep_proof_on_ooo_4_lifts_and_answers_correct() {
+    // The keep-proof path runs the same lift-or-refine loop as every other
+    // check: OOO-4's unliftable models are refined away.  The refutation
+    // needs refinement clauses, so its proof would not replay against the
+    // job's CNF as shipped and no artifact is kept.
+    let service = ServeHandle::start(ServiceConfig::default().with_workers(1));
+    let mut spec = JobSpec::new(ModelRef::Ooo { width: 4 });
+    spec.keep_proof = true;
+    let ticket = service.submit(spec).expect("accepted");
+    let result = ticket.wait();
+    assert!(result.verdict.is_correct(), "{:?}", result.verdict);
+    let entry = service
+        .cached(ticket.fingerprint())
+        .expect("the verdict is cached");
+    assert!(entry.proof_drat.is_none());
+    assert_eq!(service.stats().proofs_kept, 0);
+    service.shutdown();
+}
+
+#[test]
 fn shutdown_under_a_keep_proof_job_reports_cancelled() {
-    // The keep-proof path solves through `Solver::solve_with_proof`; a
+    // The keep-proof path solves through `Verifier::check_with_proof`; a
     // cancelled solve there must read like every other cancelled job.
     let service = ServeHandle::start(ServiceConfig::default().with_workers(1));
     let mut spec = JobSpec::new(ModelRef::Dlx {

@@ -1,11 +1,12 @@
-//! Acceptance suite for the incremental subsystem at the verification level:
-//! lazy transitivity refinement must produce verdicts identical to the eager
-//! encoding across the DLX, VLIW and OOO model catalog, and decomposed
-//! verification (one check per weak-criterion obligation) must agree with
-//! the monolithic criterion under both encodings.
+//! Acceptance suite for transitivity refinement at the verification level:
+//! lazy transitivity (no triangles seeded) must produce verdicts identical
+//! to the eager encoding across the DLX, VLIW and OOO model catalog, and
+//! decomposed verification (one check per weak-criterion obligation) must
+//! agree with the monolithic criterion under both encodings.
 
 use velv::prelude::*;
 use velv_sat::cdcl::CdclConfig;
+use velv_sat::SharedProof;
 
 fn eager() -> Verifier {
     Verifier::new(TranslationOptions::default())
@@ -50,8 +51,12 @@ fn lazy_incremental_check_matches_eager_on_vliw() {
     }
     for (name, implementation, expect_buggy) in &designs {
         let translation = lazy().translate(implementation, &spec);
-        let (verdict, stats) =
-            lazy().check_incremental(&translation, CdclConfig::chaff(), Budget::unlimited());
+        let (verdict, stats) = lazy().check_with_proof(
+            &translation,
+            CdclConfig::chaff(),
+            Budget::unlimited(),
+            &SharedProof::new(),
+        );
         assert_eq!(verdict.is_buggy(), *expect_buggy, "{name}: {verdict:?}");
         assert!(stats.iterations >= 1, "{name}");
     }
@@ -60,10 +65,10 @@ fn lazy_incremental_check_matches_eager_on_vliw() {
 #[test]
 fn lazy_transitivity_matches_eager_on_ooo() {
     // The out-of-order designs are the transitivity-heavy workload: they are
-    // only correct *because* equality is transitive, so the lazy path must
-    // actually refine (UNSAT may come before any constraint is needed, but
-    // the verdict must match the eager one either way).
-    for width in [2usize, 3] {
+    // only correct *because* equality is transitive.  Lazily they must
+    // refine from no triangles at all, eagerly from a sparse triangulation
+    // that is not chordal from OOO-4 on; both must answer `Correct`.
+    for width in 2usize..=8 {
         let implementation = Ooo::new(width);
         let spec = OooSpecification::new();
         let eager_translation = eager().translate(&implementation, &spec);
@@ -82,10 +87,12 @@ fn lazy_transitivity_matches_eager_on_ooo() {
         );
         let mut solver = CdclSolver::chaff();
         let eager_verdict = eager().check(&eager_translation, &mut solver, Budget::unlimited());
-        let (lazy_verdict, _) =
-            lazy().check_incremental(&lazy_translation, CdclConfig::chaff(), Budget::unlimited());
+        let mut solver = CdclSolver::chaff();
+        let lazy_verdict = lazy().check(&lazy_translation, &mut solver, Budget::unlimited());
         assert!(eager_verdict.is_correct(), "OOO-{width}: {eager_verdict:?}");
         assert!(lazy_verdict.is_correct(), "OOO-{width}: {lazy_verdict:?}");
+        let bdd = lazy().check_with_bdds(&lazy_translation, 1 << 20);
+        assert!(!bdd.is_buggy(), "OOO-{width} lazy bdd: {bdd:?}");
     }
 }
 

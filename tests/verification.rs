@@ -4,6 +4,7 @@
 //! the paper (positive equality, eij vs small-domain) must hold structurally.
 
 use velv::prelude::*;
+use velv_sat::cdcl::CdclConfig;
 
 #[test]
 fn dlx1_correct_design_verifies() {
@@ -90,22 +91,153 @@ fn vliw_buggy_designs_are_detected() {
 
 #[test]
 fn ooo_requires_and_gets_transitivity() {
-    // The out-of-order designs need transitivity of equality: they must verify
-    // under both encodings (the eij encoding adds explicit constraints, the
-    // small-domain encoding enforces transitivity by construction).
-    for width in [2, 3] {
+    // The out-of-order designs are correct only because equality is
+    // transitive.  Their eij encodings link large elimination neighbourhoods
+    // along a path, so from OOO-4 on the solver finds models that violate
+    // transitivity; every path must lift or refine them and answer
+    // `Correct` (the small-domain encoding enforces transitivity by
+    // construction).
+    let service = ServeHandle::start(ServiceConfig::default().with_workers(2));
+    for width in 2..=8 {
         let implementation = Ooo::new(width);
         let spec = OooSpecification::new();
-        for options in [
-            TranslationOptions::default(),
-            TranslationOptions::default().with_small_domain(),
+        let eij = Verifier::new(TranslationOptions::default());
+        let translation = eij.translate(&implementation, &spec);
+        for mut solver in [
+            CdclSolver::chaff(),
+            CdclSolver::berkmin(),
+            CdclSolver::grasp(),
+            CdclSolver::sato(),
         ] {
-            let verifier = Verifier::new(options);
-            let mut solver = CdclSolver::chaff();
-            let verdict = verifier.verify(&implementation, &spec, &mut solver);
-            assert!(verdict.is_correct(), "OOO-{width} must verify: {verdict:?}");
+            let verdict = eij.check(&translation, &mut solver, Budget::unlimited());
+            assert!(
+                verdict.is_correct(),
+                "OOO-{width} {}: {verdict:?}",
+                solver.name()
+            );
+        }
+        let small_domain = Verifier::new(TranslationOptions::default().with_small_domain());
+        let verdict = small_domain.verify(&implementation, &spec, &mut CdclSolver::chaff());
+        assert!(
+            verdict.is_correct(),
+            "OOO-{width} small-domain: {verdict:?}"
+        );
+
+        let portfolio = eij.check_with_backend(
+            &translation,
+            &Backend::default_portfolio(),
+            Budget::unlimited(),
+        );
+        assert!(
+            portfolio.is_correct(),
+            "OOO-{width} portfolio: {portfolio:?}"
+        );
+        let bdd = eij.check_with_bdds(&translation, 1 << 20);
+        assert!(!bdd.is_buggy(), "OOO-{width} bdd: {bdd:?}");
+
+        let (certified, _) = eij
+            .check_certified(
+                &translation,
+                CdclConfig::chaff(),
+                &CertifyOptions::default(),
+                Budget::unlimited(),
+            )
+            .unwrap_or_else(|e| panic!("OOO-{width}: {e}"));
+        assert!(
+            certified.verdict.is_correct(),
+            "OOO-{width} certified: {:?}",
+            certified.verdict
+        );
+
+        if width >= 4 {
+            let job = service
+                .submit(JobSpec::new(ModelRef::Ooo { width }))
+                .expect("accepted")
+                .wait();
+            assert!(
+                job.verdict.is_correct(),
+                "ooo:{width} job: {:?}",
+                job.verdict
+            );
         }
     }
+    service.shutdown();
+}
+
+#[test]
+fn every_buggy_verdict_carries_a_lifted_counterexample() {
+    // Over the distinct problems of the dlx1, dlx2 and vliw catalogs, a
+    // `Buggy` verdict's counterexample must be a real one: its eij values
+    // are transitivity-consistent, and it falsifies the encoded correctness
+    // formula under true side constraints.
+    let options = TranslationOptions::default();
+    let verifier = Verifier::new(options.clone());
+    let mut seen = std::collections::HashSet::new();
+    let mut buggy = 0;
+    let mut check = |name: String, problem: velv_core::VerificationProblem| {
+        if !seen.insert(velv_core::problem_fingerprint(&problem, &options)) {
+            return;
+        }
+        let translation = verifier.translate_problem(&problem);
+        let verdict = verifier.check(&translation, &mut CdclSolver::chaff(), Budget::unlimited());
+        let Some(cex) = verdict.counterexample() else {
+            return;
+        };
+        buggy += 1;
+        let mut values = vec![false; translation.cnf.num_vars()];
+        for (&sym, &var) in &translation.primary_vars {
+            values[var.index()] = cex
+                .value(translation.ctx.symbol_name(sym))
+                .unwrap_or_else(|| panic!("{name}: the counterexample assigns every primary"));
+        }
+        let model = velv_sat::Model::new(values);
+        assert!(
+            velv_core::refine::transitivity_violations(&translation.eij_pairs, &model).is_empty(),
+            "{name}: the counterexample violates transitivity"
+        );
+        // The evaluator recurses over the encoded formula, deeper than a
+        // test thread's stack allows on the wide designs.
+        let (side, encoded) = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(256 << 20)
+                .spawn_scoped(scope, || {
+                    let mut ctx = translation.ctx.clone();
+                    let interp = cex.to_interpretation(&mut ctx);
+                    (
+                        velv_eufm::evaluate(&ctx, &interp, translation.side_constraints),
+                        velv_eufm::evaluate(&ctx, &interp, translation.encoded),
+                    )
+                })
+                .expect("spawning the evaluation thread succeeds")
+                .join()
+                .expect("evaluation does not panic")
+        });
+        assert!(
+            side,
+            "{name}: the side constraints are false under the counterexample"
+        );
+        assert!(
+            !encoded,
+            "{name}: the encoded formula holds under the counterexample"
+        );
+    };
+    for config in [DlxConfig::single_issue(), DlxConfig::dual_issue()] {
+        let spec = DlxSpecification::new(config);
+        for bug in dlx_bug_catalog(config) {
+            let problem = verifier.build_problem(&Dlx::buggy(config, bug), &spec);
+            check(format!("{} {bug:?}", config.name()), problem);
+        }
+    }
+    let config = VliwConfig::base();
+    let spec = VliwSpecification::new(config);
+    for bug in vliw_bug_catalog(config) {
+        let problem = verifier.build_problem(&Vliw::buggy(config, bug), &spec);
+        check(format!("vliw {bug:?}"), problem);
+    }
+    assert!(
+        buggy >= 70,
+        "the catalogs hold many distinct bugs, got {buggy}"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Named solver presets matching the SAT-procedure comparison of the paper.
 
-use crate::cdcl::CdclSolver;
+use crate::cdcl::{CdclConfig, CdclSolver};
 use crate::dpll::DpllSolver;
 use crate::local_search::{DlmSolver, WalkSatSolver};
 use crate::solver::Solver;
@@ -52,17 +52,29 @@ impl SolverKind {
         }
     }
 
+    /// The engine configuration of a CDCL preset — the engines that log
+    /// DRAT proofs; `None` for DPLL and local search.
+    pub fn cdcl_config(self) -> Option<CdclConfig> {
+        match self {
+            SolverKind::Chaff => Some(CdclConfig::chaff()),
+            SolverKind::BerkMin => Some(CdclConfig::berkmin()),
+            SolverKind::Grasp => Some(CdclConfig::grasp()),
+            SolverKind::Sato => Some(CdclConfig::sato()),
+            SolverKind::Dpll | SolverKind::WalkSat | SolverKind::Dlm => None,
+        }
+    }
+
     /// Instantiates the solver.  The box is `Send` so a preset can run on a
     /// portfolio worker thread.
     pub fn build(self) -> Box<dyn Solver + Send> {
         match self {
-            SolverKind::Chaff => Box::new(CdclSolver::chaff()),
-            SolverKind::BerkMin => Box::new(CdclSolver::berkmin()),
-            SolverKind::Grasp => Box::new(CdclSolver::grasp()),
-            SolverKind::Sato => Box::new(CdclSolver::sato()),
             SolverKind::Dpll => Box::new(DpllSolver::new()),
             SolverKind::WalkSat => Box::new(WalkSatSolver::new()),
             SolverKind::Dlm => Box::new(DlmSolver::new()),
+            cdcl => Box::new(CdclSolver::new(
+                cdcl.cdcl_config()
+                    .expect("every other preset is a CDCL engine"),
+            )),
         }
     }
 }

@@ -13,10 +13,16 @@
 //! ([`velv_core::problem_fingerprint`]) combined with the canonical encodings
 //! of the options, back end and mode ([`JobSpec::salt`]).  Two differently
 //! phrased submissions of structurally identical work therefore collide.
+//!
+//! Certification and kept proofs are CDCL-only: they rest on the DRAT proof
+//! the CDCL presets log.  The service rejects a spec asking for either on
+//! another back end, and a kept proof on a decomposed job, at admission
+//! ([`ServeHandle::submit`](crate::ServeHandle::submit)); parsing stays
+//! purely syntactic.
 
 use std::fmt;
 use std::time::Duration;
-use velv_core::{CertifyOptions, TranslationOptions};
+use velv_core::{Backend, TranslationOptions};
 use velv_hdl::Processor;
 use velv_models::dlx::{self, Dlx, DlxConfig, DlxSpecification};
 use velv_models::ooo::{Ooo, OooSpecification};
@@ -314,6 +320,27 @@ impl BackendChoice {
             other => return Err(parse_err(format!("unknown backend `{other}`"))),
         })
     }
+
+    /// The engine configuration of a CDCL preset (the back ends that log
+    /// proofs); `None` for every other choice.
+    pub(crate) fn cdcl_config(self) -> Option<velv_sat::cdcl::CdclConfig> {
+        match self {
+            BackendChoice::Sat(kind) => kind.cdcl_config(),
+            BackendChoice::Portfolio | BackendChoice::Bdd => None,
+        }
+    }
+}
+
+impl From<BackendChoice> for Backend {
+    fn from(choice: BackendChoice) -> Backend {
+        match choice {
+            BackendChoice::Sat(kind) => Backend::Sat(kind),
+            BackendChoice::Portfolio => Backend::default_portfolio(),
+            BackendChoice::Bdd => Backend::Bdd {
+                node_limit: Backend::DEFAULT_BDD_NODE_LIMIT,
+            },
+        }
+    }
 }
 
 /// How the scheduler runs a job.
@@ -322,11 +349,9 @@ pub enum SolveMode {
     /// One monolithic correctness criterion, one back-end run.
     Monolithic,
     /// Decompose into at most `max_obligations` weak criteria
-    /// ([`velv_core::Verifier::translate_obligations`]) and run one CDCL
-    /// check per obligation, in obligation order, stopping at the first
-    /// falsified one.  Each check uses the CDCL preset named by
-    /// [`JobSpec::backend`] (`chaff`, `berkmin`, `grasp` or `sato`); any
-    /// other back-end choice runs chaff.
+    /// ([`velv_core::Verifier::translate_obligations`]) and check them one
+    /// by one on the back end named by [`JobSpec::backend`], in obligation
+    /// order, stopping at the first falsified one.
     Decomposed {
         /// Obligation cap passed to the decomposition.
         max_obligations: usize,
@@ -362,20 +387,19 @@ pub struct JobSpec {
     pub model: ModelRef,
     /// Translation options.
     pub options: TranslationOptions,
-    /// Back end deciding the job.  Certified and decomposed jobs always run
-    /// a CDCL preset: the named one for `chaff`, `berkmin`, `grasp` and
-    /// `sato`, chaff for every other choice.
+    /// Back end deciding the job (every obligation of a decomposed one).
     pub backend: BackendChoice,
     /// Scheduling mode.
     pub mode: SolveMode,
     /// Certify the verdict (DRAT proof replay / counterexample validation,
-    /// see [`CertifyOptions`]); forces a CDCL back end.
+    /// see [`velv_core::CertifyOptions::full`]).  CDCL back ends only: the
+    /// service rejects a certified job on any other back end.
     pub certified: bool,
     /// Keep the DRAT proof of an uncertified UNSAT verdict as a cache
-    /// artifact (monolithic CDCL jobs only; retrieved with the `proof` wire
-    /// command).  The artifact replays against the job's CNF as shipped, so
-    /// it is omitted when the refutation needed transitivity refinement
-    /// clauses.
+    /// artifact (retrieved with the `proof` wire command).  Monolithic jobs
+    /// on a CDCL back end only: the service rejects any other.  The
+    /// artifact replays against the job's CNF as shipped, so it is omitted
+    /// when the refutation needed transitivity refinement clauses.
     pub keep_proof: bool,
     /// Scheduling priority: higher runs first.
     pub priority: i32,
@@ -422,9 +446,26 @@ impl JobSpec {
         self
     }
 
-    /// The certify configuration of a certified job.
-    pub fn certify_options(&self) -> CertifyOptions {
-        CertifyOptions::full()
+    /// Rejects the specs the service cannot honour: certification or a
+    /// kept proof on a back end that logs no proof, and a kept proof on a
+    /// decomposed job, whose obligations each have their own CNF.
+    pub(crate) fn check_runnable(&self) -> Result<(), ParseJobError> {
+        let cdcl = self.backend.cdcl_config().is_some();
+        for (asked, key) in [
+            (self.certified, "certified"),
+            (self.keep_proof, "keep-proof"),
+        ] {
+            if asked && !cdcl {
+                return Err(parse_err(format!(
+                    "{key}=1 needs a CDCL back end (chaff, berkmin, grasp or sato), got `{}`",
+                    self.backend.to_wire()
+                )));
+            }
+        }
+        if self.keep_proof && self.mode != SolveMode::Monolithic {
+            return Err(parse_err("keep-proof=1 needs mode=mono"));
+        }
+        Ok(())
     }
 
     /// The canonical *identity salt* of everything the structural problem

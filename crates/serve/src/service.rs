@@ -4,20 +4,27 @@
 //!
 //! Life of a submission:
 //!
-//! 1. [`ServeHandle::submit`] builds the Burch–Dill problem for the job's
-//!    model and computes its structural fingerprint
-//!    ([`velv_core::problem_fingerprint`] + [`JobSpec::salt`]).  This happens
-//!    *before* any translation or solving.
+//! 1. [`ServeHandle::submit`] rejects a spec the workers cannot honour
+//!    (evidence a back end cannot give, see [`crate::job`]), builds the
+//!    Burch–Dill problem for the job's model and computes its structural
+//!    fingerprint ([`velv_core::problem_fingerprint`] + [`JobSpec::salt`]).
+//!    This happens *before* any translation or solving.
 //! 2. The **verdict cache** is consulted: a hit resolves the ticket
 //!    immediately — no translation, no solver.
 //! 3. The **in-flight table** is consulted: if a job with the same
 //!    fingerprint is already queued or running, the new ticket *subscribes*
 //!    to that job's result instead of scheduling a second solve.
 //! 4. Otherwise the job enters the priority queue (higher priority first,
-//!    FIFO within a priority) and a worker picks it up: translate, solve
-//!    under the job's budget (deadline measured from submission, conflict
-//!    cap, and a per-job cancel token), certify if asked, store the decided
-//!    verdict in the cache, and wake every subscriber.
+//!    FIFO within a priority) and a worker picks it up.  Every job takes the
+//!    same path: translate it into a list of obligations (a monolithic job
+//!    is a list of one), decide each on the back end the spec names — with
+//!    a certificate or a kept proof when asked — under the job's budget
+//!    (deadline measured from submission, conflict cap, and a per-job cancel
+//!    token), and fold the obligations' verdicts into the job's.
+//! 5. Every ending — a cache hit, a fresh verdict, a cancellation, a shed,
+//!    a queue-full rejection, a worker panic or a rolled-back batch entry —
+//!    leaves through one resolve point, which caches a decided fresh
+//!    verdict, wakes every subscriber and counts the outcome once.
 //!
 //! **Batch submission** ([`ServeHandle::submit_batch`]) is atomic admission
 //! followed by one single job per entry: every entry passes steps 1–3 before
@@ -33,22 +40,25 @@
 //! whatever was still queued as cancelled.
 
 use crate::cache::{CacheStats, CachedVerdict, VerdictCache};
-use crate::job::{BackendChoice, JobSpec, ParseJobError, SolveMode};
+use crate::job::{JobSpec, ParseJobError};
 use crate::persist;
 use crate::proto::TraceContext;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use velv_core::{Backend, Certificate, TranslationStats, Verdict, VerificationProblem, Verifier};
+use velv_core::{Certificate, TranslationStats, Verdict, VerificationProblem, Verifier};
 use velv_eufm::Fingerprint;
-use velv_sat::cdcl::{CdclConfig, CdclSolver};
-use velv_sat::presets::SolverKind;
-use velv_sat::{Budget, CancelToken, Solver};
+use velv_sat::{CancelToken, Solver};
+
+// The worker side lives in its own file but stays a child of this module,
+// so it reaches the service's private state without widening its
+// visibility.
+#[path = "worker.rs"]
+mod worker;
 
 /// Builds a replacement engine for monolithic uncertified jobs; a test and
 /// extension hook (e.g. plugging a custom engine into a service instance).
@@ -142,12 +152,6 @@ impl ServiceConfig {
     /// Sets the cache byte budget.
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the latency SLO target.
-    pub fn with_slo_target(mut self, target: Duration) -> Self {
-        self.slo_target = target;
         self
     }
 
@@ -302,15 +306,6 @@ impl JobState {
     fn is_resolved(&self) -> bool {
         self.slot.lock().expect("job slot lock").result.is_some()
     }
-
-    fn resolve(&self, result: JobResult) {
-        let mut slot = self.slot.lock().expect("job slot lock");
-        if slot.result.is_none() {
-            slot.result = Some(result);
-            slot.status = JobStatus::Done;
-            self.done.notify_all();
-        }
-    }
 }
 
 /// A claim on a job's result.
@@ -382,22 +377,6 @@ impl JobTicket {
                 .expect("job slot lock");
             slot = next;
         }
-    }
-
-    /// The result, if already available.
-    pub fn try_result(&self) -> Option<JobResult> {
-        self.state
-            .slot
-            .lock()
-            .expect("job slot lock")
-            .result
-            .clone()
-            .map(|result| self.stamp(result))
-    }
-
-    /// Explicitly abandons this claim: equivalent to dropping the ticket.
-    pub fn cancel(self) {
-        drop(self);
     }
 }
 
@@ -574,7 +553,7 @@ impl Counters {
         Counters {
             submitted: registry.counter(
                 "velv_serve_jobs_submitted_total",
-                "Jobs submitted (batch entries and cached/deduplicated ones included).",
+                "Jobs submitted with a valid spec (batch entries and cached/deduplicated ones included).",
             ),
             batch_entries: registry.counter(
                 "velv_serve_batch_entries_total",
@@ -582,7 +561,9 @@ impl Counters {
             ),
             completed: registry.counter(
                 "velv_serve_jobs_completed_total",
-                "Jobs whose result was delivered.",
+                "Jobs resolved other than from the cache: worker verdicts, cancellations, sheds, \
+                 queue-full rejections, worker panics and rolled-back batch entries; each also \
+                 counts as correct, buggy or unknown.",
             ),
             cache_hits: registry.counter(
                 "velv_serve_cache_hits_total",
@@ -793,11 +774,16 @@ impl Counters {
 /// A point-in-time statistics snapshot of a service.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Jobs submitted (including batch entries and deduplicated/cached ones).
+    /// Jobs submitted with a valid spec (batch entries and cached/deduplicated
+    /// ones included).
     pub submitted: u64,
     /// Jobs submitted through the batch endpoint.
     pub batch_entries: u64,
-    /// Jobs whose result was delivered by a worker.
+    /// Jobs resolved other than from the cache: worker verdicts,
+    /// cancellations, sheds, queue-full rejections, worker panics and
+    /// rolled-back batch entries; each also counts as correct, buggy or
+    /// unknown.  At quiescence `submitted == cache_hits + dedup_joins +
+    /// completed + mem_pressure_rejections` (the last only in the registry).
     pub completed: u64,
     /// Submissions answered straight from the verdict cache.
     pub cache_hits: u64,
@@ -1142,7 +1128,7 @@ impl Inner {
         victims.sort();
         let excess = (queue.depth - target) as usize;
         for victim in victims.iter().take(excess) {
-            self.shed_state(&victim.job.state);
+            self.resolve(&victim.job.state, Outcome::Shed);
         }
         let freed = victims.len().min(excess) as u64;
         queue.depth -= freed;
@@ -1176,27 +1162,6 @@ impl Inner {
         self.registry.snapshot()
     }
 
-    /// Resolves a queued job as shed: the waiters get an `unknown` verdict
-    /// with a busy reason, never a hang.  Called under the queue lock (lock
-    /// order queue → in-flight → slot is taken nowhere in reverse).
-    fn shed_state(&self, state: &Arc<JobState>) {
-        self.counters.shed.inc();
-        self.counters.unknown.inc();
-        self.counters.completed.inc();
-        let wall = state.submitted.elapsed();
-        self.note_job_wall(state.priority, wall);
-        self.remove_in_flight(state);
-        state.resolve(JobResult {
-            name: state.name.clone(),
-            verdict: Verdict::Unknown("busy: shed under overload".to_owned()),
-            from_cache: false,
-            deduplicated: false,
-            wall,
-            solve_time: Duration::ZERO,
-            certificate: None,
-        });
-    }
-
     /// Enqueues under the admission bound.  When the queue is full the
     /// lowest-priority queued job is shed — but only if the incoming job
     /// strictly outranks it; otherwise the incoming job itself is rejected
@@ -1222,7 +1187,7 @@ impl Inner {
                     }
                     return Err(job);
                 };
-                self.shed_state(&state);
+                self.resolve(&state, Outcome::Shed);
                 queue.depth -= 1;
                 self.counters.queued.sub(1);
                 shed_any = true;
@@ -1243,24 +1208,6 @@ impl Inner {
         self.counters.queued.add(1);
         self.work.notify_one();
         Ok(())
-    }
-
-    /// Fails a fresh admission as busy: the in-flight entry is retired and
-    /// the ticket (if kept) resolves instead of hanging.
-    fn reject_busy(&self, state: &Arc<JobState>, reason: &str) {
-        self.counters.busy_rejections.inc();
-        self.counters.unknown.inc();
-        self.counters.completed.inc();
-        self.remove_in_flight(state);
-        state.resolve(JobResult {
-            name: state.name.clone(),
-            verdict: Verdict::Unknown(format!("busy: {reason}")),
-            from_cache: false,
-            deduplicated: false,
-            wall: state.submitted.elapsed(),
-            solve_time: Duration::ZERO,
-            certificate: None,
-        });
     }
 
     /// Blocks until work is available; `None` on shutdown.
@@ -1292,478 +1239,142 @@ impl Inner {
         }
     }
 
-    /// Delivers a freshly computed verdict: cache it (decided verdicts only,
-    /// *before* leaving the in-flight table so late submitters always find
-    /// one of the two), retire the in-flight entry, resolve every subscriber
-    /// and bump the counters.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_fresh(
-        &self,
-        job: &SingleJob,
-        verdict: Verdict,
-        certificate: Option<Certificate>,
-        proof: Option<Arc<Vec<u8>>>,
-        solve_time: Duration,
-        translation_stats: Option<TranslationStats>,
-        profile: Option<Arc<String>>,
-    ) {
-        let decided = !matches!(verdict, Verdict::Unknown(_));
-        if decided {
-            if proof.is_some() {
-                self.counters.proofs_kept.inc();
-            }
-            let entry = CachedVerdict {
-                verdict: verdict.clone(),
-                certificate: certificate.clone(),
-                proof_drat: proof,
-                solve_time,
-                translation_stats,
-                profile,
-            };
-            // Durability point: the verdict reaches the store (under the
-            // configured fsync policy) before any subscriber sees it, so a
-            // response on the wire implies a recoverable record.  An append
-            // failure is counted and the verdict still delivered — losing
-            // durability must not lose the result.
-            if let Some(store) = &self.store {
-                let _mem_scope = velv_obs::MemScope::enter("store.log");
-                let (payload, sidecar) = persist::encode(&entry);
-                match store.append(job.state.fingerprint.0, &payload, sidecar.as_deref()) {
-                    Ok(_) => self.counters.persisted.inc(),
-                    Err(_) => {
-                        self.counters.persist_errors.inc();
-                        // Durability just degraded: preserve the evidence.
-                        self.flight_dump_rate_limited("store-append-failure");
-                    }
-                }
-            }
-            let _mem_scope = velv_obs::MemScope::enter("serve.cache");
-            self.cache.insert(job.state.fingerprint, entry);
-        }
-        self.remove_in_flight(&job.state);
-        let wall = job.state.submitted.elapsed();
-        match &verdict {
-            Verdict::Correct => self.counters.correct.inc(),
-            Verdict::Buggy(_) => self.counters.buggy.inc(),
-            Verdict::Unknown(_) => self.counters.unknown.inc(),
+    /// The one exit of every job: builds the [`JobResult`], wakes every
+    /// subscriber and counts the outcome, once per job — a job that is
+    /// already resolved is left alone.  A fresh decided verdict is cached
+    /// *before* the in-flight entry is retired, so a late submitter always
+    /// finds one of the two.  Sheds call this under the queue lock (lock
+    /// order queue → in-flight → slot is taken nowhere in reverse).
+    fn resolve(&self, state: &Arc<JobState>, outcome: Outcome) {
+        let c = &self.counters;
+        let from_cache = matches!(outcome, Outcome::Cached(_));
+        let unknown = |reason: &str, counter| {
+            let verdict = Verdict::Unknown(reason.to_owned());
+            (verdict, None, Duration::ZERO, counter)
         };
-        if !decided && job.state.cancel.is_cancelled() {
-            self.counters.cancelled.inc();
+        // The verdict, and the counter the outcome bumps besides the
+        // verdict and completion counters.
+        let (verdict, certificate, solve_time, also_counted) = match outcome {
+            Outcome::Cached(hit) => (
+                hit.verdict.clone(),
+                hit.certificate.clone(),
+                Duration::ZERO,
+                None,
+            ),
+            Outcome::Fresh(fresh) => {
+                let decided = !matches!(fresh.verdict, Verdict::Unknown(_));
+                if decided {
+                    self.cache_fresh(state.fingerprint, &fresh);
+                }
+                let cancelled = !decided && state.cancel.is_cancelled();
+                let fresh = *fresh;
+                let counter = cancelled.then_some(&c.cancelled);
+                (fresh.verdict, fresh.certificate, fresh.solve_time, counter)
+            }
+            Outcome::Cancelled => unknown("cancelled", Some(&c.cancelled)),
+            Outcome::Shed => unknown("busy: shed under overload", Some(&c.shed)),
+            Outcome::QueueFull => unknown("busy: queue full", Some(&c.busy_rejections)),
+            Outcome::Panicked => unknown("worker panicked while running this job", None),
+            Outcome::RolledBack => unknown("batch rejected", None),
+        };
+        self.remove_in_flight(state);
+        let wall = state.submitted.elapsed();
+        let mut slot = state.slot.lock().expect("job slot lock");
+        if slot.result.is_some() {
+            return;
         }
-        self.counters.completed.inc();
-        self.counters
-            .solve_micros
-            .add(solve_time.as_micros() as u64);
-        self.note_job_wall(job.state.priority, wall);
-        job.state.resolve(JobResult {
-            name: job.state.name.clone(),
+        // Counted before the waiters wake, so a client that saw its result
+        // also sees it counted.
+        if from_cache {
+            c.cache_hits.inc();
+        } else {
+            c.completed.inc();
+            match &verdict {
+                Verdict::Correct => c.correct.inc(),
+                Verdict::Buggy(_) => c.buggy.inc(),
+                Verdict::Unknown(_) => c.unknown.inc(),
+            }
+            c.solve_micros.add(solve_time.as_micros() as u64);
+            self.note_job_wall(state.priority, wall);
+            if let Some(counter) = also_counted {
+                counter.inc();
+            }
+        }
+        slot.result = Some(JobResult {
+            name: state.name.clone(),
             verdict,
-            from_cache: false,
+            from_cache,
             deduplicated: false,
             wall,
             solve_time,
             certificate,
         });
+        slot.status = JobStatus::Done;
+        state.done.notify_all();
     }
 
-    fn finish_cancelled(&self, job: &SingleJob) {
-        self.finish_fresh(
-            job,
-            Verdict::Unknown("cancelled".to_owned()),
-            None,
-            None,
-            Duration::ZERO,
-            None,
-            None,
-        );
-    }
-}
-
-/// Whether `kind` is one of the CDCL presets, the engines that log proofs.
-fn is_cdcl(kind: SolverKind) -> bool {
-    matches!(
-        kind,
-        SolverKind::Chaff | SolverKind::BerkMin | SolverKind::Grasp | SolverKind::Sato
-    )
-}
-
-fn cdcl_config_for(backend: BackendChoice) -> CdclConfig {
-    match backend {
-        BackendChoice::Sat(SolverKind::BerkMin) => CdclConfig::berkmin(),
-        BackendChoice::Sat(SolverKind::Grasp) => CdclConfig::grasp(),
-        BackendChoice::Sat(SolverKind::Sato) => CdclConfig::sato(),
-        _ => CdclConfig::chaff(),
-    }
-}
-
-fn worker_loop(inner: Arc<Inner>) {
-    inner.counters.workers.add(1);
-    while let Some(job) = inner.pop() {
-        inner.counters.running.add(1);
-        inner.counters.workers_busy.add(1);
-        // Panic containment: a panicking translation or solver run must not
-        // take the worker thread (and eventually the pool) down.  The unwind
-        // is caught, the job resolves as `unknown` (never cached, never
-        // persisted), and the worker returns to the queue.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_single(&inner, &job)));
-        if outcome.is_err() {
-            inner.counters.worker_panics.inc();
-            // Dump the flight ring *before* resolving the victim: once a
-            // waiter observes the panic verdict, the post-mortem containing
-            // the panicking job's spans is already on disk.
-            let _ = velv_obs::flight::dump("worker-panic");
-            let state = &job.state;
-            inner.remove_in_flight(state);
-            if !state.is_resolved() {
-                inner.counters.unknown.inc();
-                inner.counters.completed.inc();
-                state.resolve(JobResult {
-                    name: state.name.clone(),
-                    verdict: Verdict::Unknown("worker panicked while running this job".to_owned()),
-                    from_cache: false,
-                    deduplicated: false,
-                    wall: state.submitted.elapsed(),
-                    solve_time: Duration::ZERO,
-                    certificate: None,
-                });
-            }
+    /// Persists (under the configured fsync policy) and caches a fresh
+    /// decided verdict.  An append failure is counted and the verdict still
+    /// delivered — losing durability must not lose the result.
+    fn cache_fresh(&self, fingerprint: Fingerprint, fresh: &Fresh) {
+        if fresh.proof.is_some() {
+            self.counters.proofs_kept.inc();
         }
-        inner.counters.workers_busy.sub(1);
-        inner.counters.running.sub(1);
-    }
-    inner.counters.workers.sub(1);
-}
-
-/// Registers a job in the live progress table for the duration of a worker
-/// run; removal on drop keeps the table clean across panics (the guard drops
-/// during the unwind caught by [`worker_loop`]).
-struct ProgressTableGuard<'a> {
-    inner: &'a Inner,
-    key: u128,
-}
-
-impl<'a> ProgressTableGuard<'a> {
-    fn insert(
-        inner: &'a Inner,
-        job: &SingleJob,
-        cell: &Arc<velv_sat::ProgressCell>,
-    ) -> ProgressTableGuard<'a> {
-        let key = job.state.fingerprint.0;
-        inner.progress.lock().expect("progress table lock").insert(
-            key,
-            ProgressEntry {
-                name: job.state.name.clone(),
-                priority: job.spec.priority,
-                started: job.state.submitted,
-                deadline: job.deadline,
-                cell: Arc::clone(cell),
-            },
-        );
-        ProgressTableGuard { inner, key }
-    }
-}
-
-impl Drop for ProgressTableGuard<'_> {
-    fn drop(&mut self) {
-        self.inner
-            .progress
-            .lock()
-            .expect("progress table lock")
-            .remove(&self.key);
-    }
-}
-
-/// The `serve.worker.run` failpoint, hit once per job *after* the
-/// `serve.job` span has opened, so an injected panic leaves the job's spans
-/// in the flight ring for the post-mortem dump.
-fn hit_worker_run_failpoint() {
-    if let Some(velv_store::FailAction::Panic) =
-        velv_store::failpoint::global().hit("serve.worker.run")
-    {
-        panic!("failpoint serve.worker.run: injected worker panic");
-    }
-}
-
-/// The `serve.job` span fields: the job's name plus, when the submitter
-/// sent a [`TraceContext`], the `trace`/`remote_parent` tags that let
-/// [`velv_obs::check_traces`] parent this span under the client's root span
-/// in a merged multi-process trace.
-fn job_span_fields(job: &SingleJob) -> Vec<(&'static str, velv_obs::FieldValue)> {
-    let mut fields = vec![("job", job.state.name.as_str().into())];
-    if let Some(context) = &job.trace {
-        fields.push(("trace", context.trace_id.into()));
-        fields.push(("remote_parent", context.parent_span.into()));
-    }
-    fields
-}
-
-fn job_budget(job: &SingleJob) -> Budget {
-    Budget {
-        max_conflicts: job.spec.max_conflicts,
-        max_decisions: None,
-        max_time: None,
-        deadline: job.deadline,
-        cancel: Some(job.state.cancel.clone()),
-    }
-}
-
-fn run_single(inner: &Inner, job: &SingleJob) {
-    if job.state.is_resolved() {
-        // Shed by admission control while it queued; the waiters already
-        // have their busy verdict.
-        return;
-    }
-    let _job_span = velv_obs::span_fields("serve.job", &job_span_fields(job));
-    let job_started = Instant::now();
-    let queued = job.state.submitted.elapsed();
-    inner
-        .counters
-        .queue_wait
-        .observe(job.spec.priority, queued.as_micros() as u64);
-    if velv_obs::enabled() {
-        velv_obs::event(
-            "serve.dequeue",
-            &[("queued_us", (queued.as_micros() as u64).into())],
-        );
-    }
-    hit_worker_run_failpoint();
-    job.state.set_status(JobStatus::Running);
-    if job.state.cancel.is_cancelled() {
-        inner.finish_cancelled(job);
-        return;
-    }
-    // A prior identical job may have finished while this one sat in the
-    // queue behind it is impossible (in-flight dedup), but a *shutdown* race
-    // is not; re-checking the cache is cheap and harmless.
-    if let Some(hit) = inner.cache.get(job.state.fingerprint) {
-        inner.remove_in_flight(&job.state);
-        let wall = job.state.submitted.elapsed();
-        inner.counters.cache_hits.inc();
-        inner.counters.completed.inc();
-        job.state.resolve(JobResult {
-            name: job.state.name.clone(),
-            verdict: hit.verdict.clone(),
-            from_cache: true,
-            deduplicated: false,
-            wall,
-            solve_time: Duration::ZERO,
-            certificate: hit.certificate.clone(),
-        });
-        return;
-    }
-
-    let started = Instant::now();
-    let verifier = Verifier::new(job.spec.options.clone());
-    let budget = job_budget(job);
-    inner.counters.translations.inc();
-
-    // Live introspection: the solver's heartbeats flow into this cell, which
-    // the `status` progress rows read concurrently.
-    let progress = Arc::new(velv_sat::ProgressCell::new());
-    let _table = ProgressTableGuard::insert(inner, job, &progress);
-    let _cell = velv_sat::install_progress_cell(Arc::clone(&progress));
-
-    // Solve profiling: the recorder rides the same heartbeats; the profile
-    // sink folds this job's spans into a phase tree once the solve is done.
-    let recorder = inner
-        .config
-        .profile_sink
-        .as_ref()
-        .map(|_| velv_obs::shared_recorder());
-    let _recorder_guard = recorder.clone().map(velv_sat::install_solve_recorder);
-
-    let (verdict, certificate, proof, stats) = match job.spec.mode {
-        SolveMode::Decomposed { max_obligations } => {
-            let obligations = {
-                let _span = velv_obs::span("serve.translate");
-                let _mem_scope = velv_obs::MemScope::enter("eufm");
-                verifier.translate_obligations(&job.problem, max_obligations)
-            };
-            let mut stats = TranslationStats::default();
-            for obligation in &obligations {
-                stats += obligation.stats;
-            }
-            inner.counters.fresh_solves.inc();
-            let _solve_span = velv_obs::span("serve.solve");
-            let mut overall = Verdict::Correct;
-            for obligation in &obligations {
-                let verdict = if job.spec.certified {
-                    match verifier.check_certified(
-                        obligation,
-                        cdcl_config_for(job.spec.backend),
-                        &job.spec.certify_options(),
-                        budget.clone(),
-                    ) {
-                        Ok((certified, _)) => certified.verdict,
-                        Err(e) => {
-                            overall = Verdict::Unknown(format!("certification failed: {e}"));
-                            break;
-                        }
-                    }
-                } else {
-                    let mut solver = CdclSolver::new(cdcl_config_for(job.spec.backend));
-                    verifier.check(obligation, &mut solver, budget.clone())
-                };
-                overall.absorb_obligation(&verdict);
-                if overall.is_buggy() {
-                    break;
-                }
-            }
-            (overall, None, None, Some(stats))
-        }
-        SolveMode::Monolithic => {
-            let translation = {
-                let _span = velv_obs::span("serve.translate");
-                let _mem_scope = velv_obs::MemScope::enter("eufm");
-                verifier.translate_problem(&job.problem)
-            };
-            let stats = translation.stats;
-            inner.counters.fresh_solves.inc();
-            let _solve_span = velv_obs::span("serve.solve");
-            if job.spec.certified {
-                match verifier.check_certified(
-                    &translation,
-                    cdcl_config_for(job.spec.backend),
-                    &job.spec.certify_options(),
-                    budget,
-                ) {
-                    Ok((certified, _)) => (
-                        certified.verdict,
-                        Some(certified.certificate),
-                        None,
-                        Some(stats),
-                    ),
-                    Err(e) => (
-                        Verdict::Unknown(format!("certification failed: {e}")),
-                        None,
-                        None,
-                        Some(stats),
-                    ),
-                }
-            } else if let Some(factory) = &inner.config.engine_override {
-                let mut solver = factory();
-                let verdict = verifier.check(&translation, solver.as_mut(), budget);
-                (verdict, None, None, Some(stats))
-            } else {
-                match job.spec.backend {
-                    BackendChoice::Sat(kind) if job.spec.keep_proof && is_cdcl(kind) => {
-                        let shared_proof = velv_sat::SharedProof::new();
-                        let (verdict, refinement) = verifier.check_with_proof(
-                            &translation,
-                            cdcl_config_for(job.spec.backend),
-                            budget,
-                            &shared_proof,
-                        );
-                        // The artifact must replay against the job's CNF as
-                        // shipped, so a refutation that needed refinement
-                        // clauses keeps no proof.
-                        let proof = (verdict.is_correct() && refinement.constraints_added == 0)
-                            .then(|| {
-                                let _mem_scope = velv_obs::MemScope::enter("proof");
-                                let text =
-                                    velv_sat::dimacs::to_drat_text_string(&shared_proof.take());
-                                Arc::new(text.into_bytes())
-                            });
-                        (verdict, None, proof, Some(stats))
-                    }
-                    BackendChoice::Sat(kind) => {
-                        let mut solver = kind.build();
-                        (
-                            verifier.check(&translation, solver.as_mut(), budget),
-                            None,
-                            None,
-                            Some(stats),
-                        )
-                    }
-                    BackendChoice::Portfolio => (
-                        verifier.check_with_backend(
-                            &translation,
-                            &Backend::default_portfolio(),
-                            budget,
-                        ),
-                        None,
-                        None,
-                        Some(stats),
-                    ),
-                    BackendChoice::Bdd => (
-                        verifier.check_with_backend(
-                            &translation,
-                            &Backend::Bdd {
-                                node_limit: Backend::DEFAULT_BDD_NODE_LIMIT,
-                            },
-                            budget,
-                        ),
-                        None,
-                        None,
-                        Some(stats),
-                    ),
+        let entry = CachedVerdict {
+            verdict: fresh.verdict.clone(),
+            certificate: fresh.certificate.clone(),
+            proof_drat: fresh.proof.clone(),
+            solve_time: fresh.solve_time,
+            translation_stats: Some(fresh.translation_stats),
+            profile: fresh.profile.clone(),
+        };
+        // Durability point: the verdict reaches the store before any
+        // subscriber sees it, so a response on the wire implies a
+        // recoverable record.
+        if let Some(store) = &self.store {
+            let _mem_scope = velv_obs::MemScope::enter("store.log");
+            let (payload, sidecar) = persist::encode(&entry);
+            match store.append(fingerprint.0, &payload, sidecar.as_deref()) {
+                Ok(_) => self.counters.persisted.inc(),
+                Err(_) => {
+                    self.counters.persist_errors.inc();
+                    // Durability just degraded: preserve the evidence.
+                    self.flight_dump_rate_limited("store-append-failure");
                 }
             }
         }
-    };
-    let profile = build_job_profile(inner, job, &verdict, _job_span.id(), job_started, recorder);
-    let _respond_span = velv_obs::span("serve.respond");
-    inner.finish_fresh(
-        job,
-        verdict,
-        certificate,
-        proof,
-        started.elapsed(),
-        stats,
-        profile,
-    );
+        let _mem_scope = velv_obs::MemScope::enter("serve.cache");
+        self.cache.insert(fingerprint, entry);
+    }
 }
 
-/// Assembles the [`velv_obs::SolveProfile`] of a fresh single-job solve:
-/// the recorder's time-series plus the phase tree folded out of the job's
-/// spans.  Runs after the translate/solve spans have closed but while the
-/// `serve.job` span is still open, so the job wall is passed in explicitly;
-/// the respond phase (microseconds of bookkeeping) is deliberately outside
-/// the profiled window.
-fn build_job_profile(
-    inner: &Inner,
-    job: &SingleJob,
-    verdict: &Verdict,
-    job_span_id: u64,
-    job_started: Instant,
-    recorder: Option<velv_obs::SharedSolveRecorder>,
-) -> Option<Arc<String>> {
-    let sink = inner.config.profile_sink.as_ref()?;
-    let recorder = recorder?;
-    // The translate thread already drained its trace buffer on exit; flush
-    // the remaining per-thread buffers so the sink holds every span of this
-    // job before the tree is folded.
-    velv_obs::flush();
-    let wall_us = job_started.elapsed().as_micros() as u64;
-    let phases = sink
-        .take_tree(job_span_id, Some(wall_us))
-        .map(|tree| vec![tree])
-        .unwrap_or_default();
-    let rec = recorder.lock().ok()?;
-    let series = rec.series();
-    let final_sample = series.last();
-    let profile = velv_obs::SolveProfile {
-        instance: job.state.name.clone(),
-        solver: final_sample
-            .map(|s| s.label.clone())
-            .unwrap_or_else(|| format!("{:?}", job.spec.backend)),
-        result: match verdict {
-            Verdict::Correct => "correct".to_owned(),
-            Verdict::Buggy(_) => "buggy".to_owned(),
-            Verdict::Unknown(reason) => format!("unknown: {reason}"),
-        },
-        wall_us,
-        stride: rec.stride(),
-        offered: rec.offered(),
-        conflicts: final_sample.map(|s| s.conflicts).unwrap_or(0),
-        propagations: final_sample.map(|s| s.propagations).unwrap_or(0),
-        decisions: final_sample.map(|s| s.decisions).unwrap_or(0),
-        restarts: final_sample.map(|s| s.restarts).unwrap_or(0),
-        markers: rec.markers().to_vec(),
-        samples: series,
-        phases,
-    };
-    Some(Arc::new(profile.to_jsonl()))
+/// How a job ended.  Every ending goes through [`Inner::resolve`].
+enum Outcome {
+    /// Answered from the verdict cache, at admission or by the worker's
+    /// re-check.  The only outcome not counted as `completed`.
+    Cached(Arc<CachedVerdict>),
+    /// A worker's verdict.
+    Fresh(Box<Fresh>),
+    /// Every client left, or the service shut down, before a worker ran it.
+    Cancelled,
+    /// Shed from the full queue in favour of higher-priority work.
+    Shed,
+    /// Refused by the full queue at admission.
+    QueueFull,
+    /// A worker panicked while running it.
+    Panicked,
+    /// Admitted in a batch that another entry got rejected.
+    RolledBack,
+}
+
+/// A worker's verdict with everything the cache keeps of it.
+struct Fresh {
+    verdict: Verdict,
+    certificate: Option<Certificate>,
+    proof: Option<Arc<Vec<u8>>>,
+    solve_time: Duration,
+    translation_stats: TranslationStats,
+    profile: Option<Arc<String>>,
 }
 
 /// How a submission was admitted.
@@ -1830,8 +1441,12 @@ impl WorkerSet {
             let Some(queued) = queued else {
                 break;
             };
+            if queued.job.state.is_resolved() {
+                // Shed while it queued: already out of the depth count.
+                continue;
+            }
             self.inner.counters.queued.sub(1);
-            self.inner.finish_cancelled(&queued.job);
+            self.inner.resolve(&queued.job.state, Outcome::Cancelled);
         }
         // The workers are joined and the queue is drained: push whatever
         // trace records are still sitting in per-thread buffers to the sink
@@ -1934,7 +1549,7 @@ impl ServeHandle {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("velv-serve-worker-{index}"))
-                    .spawn(move || worker_loop(inner))
+                    .spawn(move || worker::worker_loop(inner))
                     .expect("spawning a service worker succeeds"),
             );
         }
@@ -1956,11 +1571,12 @@ impl ServeHandle {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(ServeError::ShutDown);
         }
+        spec.check_runnable().map_err(ServeError::InvalidJob)?;
+        let (implementation, specification) = spec.model.build().map_err(ServeError::InvalidJob)?;
         self.inner.counters.submitted.inc();
         // Evaluated before the in-flight lock (stage 2 takes the queue and
         // in-flight locks); the level is consulted again lock-free below.
         let pressure = self.inner.update_pressure();
-        let (implementation, specification) = spec.model.build().map_err(ServeError::InvalidJob)?;
         let verifier = Verifier::new(spec.options.clone());
         let problem = verifier.build_problem(implementation.as_ref(), specification.as_ref());
         let fingerprint =
@@ -1969,21 +1585,8 @@ impl ServeHandle {
         let in_flight = self.inner.in_flight.lock().expect("in-flight lock");
         if let Some(hit) = self.inner.cache.get(fingerprint) {
             drop(in_flight);
-            self.inner.counters.cache_hits.inc();
-            let state = Arc::new(JobState::new(
-                fingerprint,
-                problem.name.clone(),
-                spec.priority,
-            ));
-            state.resolve(JobResult {
-                name: problem.name,
-                verdict: hit.verdict.clone(),
-                from_cache: true,
-                deduplicated: false,
-                wall: Duration::ZERO,
-                solve_time: Duration::ZERO,
-                certificate: hit.certificate.clone(),
-            });
+            let state = Arc::new(JobState::new(fingerprint, problem.name, spec.priority));
+            self.inner.resolve(&state, Outcome::Cached(hit));
             return Ok(Admission::Ticket(JobTicket::subscribe(&state, false)));
         }
         if let Some(existing) = in_flight.get(&fingerprint.0) {
@@ -2039,8 +1642,9 @@ impl ServeHandle {
     ///
     /// # Errors
     ///
-    /// Fails when the service is shut down or the spec is invalid; never
-    /// blocks on the solvers (that is what the returned ticket is for).
+    /// Fails when the service is shut down or the spec is invalid (a bad
+    /// model reference, or evidence its back end cannot give); never blocks
+    /// on the solvers (that is what the returned ticket is for).
     pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, ServeError> {
         self.submit_traced(spec, None)
     }
@@ -2065,7 +1669,7 @@ impl ServeHandle {
             Admission::Fresh(ticket, job) => match self.inner.push_bounded(job) {
                 Ok(()) => Ok(ticket),
                 Err(job) => {
-                    self.inner.reject_busy(&job.state, "queue full");
+                    self.inner.resolve(&job.state, Outcome::QueueFull);
                     Err(ServeError::Busy("queue full".to_owned()))
                 }
             },
@@ -2115,16 +1719,7 @@ impl ServeHandle {
                     // subscribe to a job no worker will ever run.
                     for admission in admissions {
                         if let Admission::Fresh(_ticket, job) = admission {
-                            self.inner.remove_in_flight(&job.state);
-                            job.state.resolve(JobResult {
-                                name: job.state.name.clone(),
-                                verdict: Verdict::Unknown("batch rejected".to_owned()),
-                                from_cache: false,
-                                deduplicated: false,
-                                wall: job.state.submitted.elapsed(),
-                                solve_time: Duration::ZERO,
-                                certificate: None,
-                            });
+                            self.inner.resolve(&job.state, Outcome::RolledBack);
                         }
                     }
                     return Err(e);
@@ -2140,7 +1735,7 @@ impl ServeHandle {
                     // A rejected entry resolves its ticket as busy instead of
                     // failing the whole call: its ticket is already out.
                     if let Err(job) = self.inner.push_bounded(job) {
-                        self.inner.reject_busy(&job.state, "queue full");
+                        self.inner.resolve(&job.state, Outcome::QueueFull);
                     }
                 }
             }
@@ -2162,12 +1757,6 @@ impl ServeHandle {
     /// The configured worker-thread count.
     pub fn workers(&self) -> usize {
         self.inner.config.workers.max(1)
-    }
-
-    /// The service's metric registry (counters, gauges, histograms of this
-    /// instance, including the verdict cache's lookup counters).
-    pub fn registry(&self) -> &velv_obs::Registry {
-        &self.inner.registry
     }
 
     /// A point-in-time snapshot of the service registry with the cache

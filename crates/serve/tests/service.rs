@@ -595,3 +595,235 @@ fn invalid_jobs_are_rejected_without_scheduling() {
     assert_eq!(service.stats().translations, 0);
     service.shutdown();
 }
+
+/// The specs no worker can honour: evidence a back end cannot give, and a
+/// kept proof over several obligations.
+fn unrunnable_specs() -> Vec<JobSpec> {
+    use velv_sat::presets::SolverKind;
+    let with = |backend, mode, certified, keep_proof| {
+        let mut spec = JobSpec::new(ModelRef::dlx1_correct());
+        spec.backend = backend;
+        spec.mode = mode;
+        spec.certified = certified;
+        spec.keep_proof = keep_proof;
+        spec
+    };
+    let decomposed = SolveMode::Decomposed { max_obligations: 8 };
+    let mut specs = Vec::new();
+    for backend in [
+        BackendChoice::Sat(SolverKind::Dpll),
+        BackendChoice::Sat(SolverKind::WalkSat),
+        BackendChoice::Sat(SolverKind::Dlm),
+        BackendChoice::Portfolio,
+        BackendChoice::Bdd,
+    ] {
+        specs.push(with(backend, SolveMode::Monolithic, true, false));
+        specs.push(with(backend, decomposed, true, false));
+        specs.push(with(backend, SolveMode::Monolithic, false, true));
+    }
+    specs.push(with(
+        BackendChoice::Sat(SolverKind::Chaff),
+        decomposed,
+        false,
+        true,
+    ));
+    specs
+}
+
+#[test]
+fn specs_the_workers_cannot_honour_are_rejected_at_admission() {
+    let service = ServeHandle::start(ServiceConfig::default().with_workers(1));
+    for spec in unrunnable_specs() {
+        let wire = spec.to_wire();
+        assert_eq!(
+            JobSpec::parse_wire(&wire).as_ref(),
+            Ok(&spec),
+            "parsing stays syntactic: {wire}"
+        );
+        assert!(
+            matches!(
+                service.submit(spec.clone()),
+                Err(velv_serve::ServeError::InvalidJob(_))
+            ),
+            "single submission of {wire}"
+        );
+        // One such entry rejects its whole batch, and leaves the valid
+        // entry's fingerprint free for a later submission.
+        let batch = service.submit_batch(vec![JobSpec::new(ModelRef::dlx1_correct()), spec]);
+        assert!(
+            matches!(batch, Err(velv_serve::ServeError::InvalidJob(_))),
+            "batch holding {wire}"
+        );
+    }
+    let stats = service.stats();
+    assert_eq!(stats.translations, 0, "nothing was scheduled");
+    assert_eq!(stats.dedup_joins, 0);
+    let retry = service
+        .submit(JobSpec::new(ModelRef::dlx1_correct()))
+        .expect("accepted")
+        .wait_for(Duration::from_secs(60))
+        .expect("the valid entry's fingerprint is not stuck");
+    assert!(retry.verdict.is_correct(), "{:?}", retry.verdict);
+
+    // Wire submissions pass the same admission check.
+    let control = velv_serve::serve(service, "127.0.0.1:0").expect("bind an ephemeral port");
+    let mut client = velv_serve::ServeClient::connect(control.addr()).expect("connect");
+    let spec = JobSpec::parse_wire("model=dlx1:correct backend=bdd keep-proof=1").unwrap();
+    let error = format!("{:?}", client.submit(spec).expect_err("rejected"));
+    assert!(error.contains("CDCL"), "{error}");
+    control.stop();
+}
+
+#[test]
+fn decomposed_jobs_run_the_back_end_they_name() {
+    // Local search finds models but cannot refute: on a correct design it
+    // runs out its budget, it never answers `Correct`.
+    let service = ServeHandle::start(ServiceConfig::default().with_workers(1));
+    let mut spec = JobSpec::new(ModelRef::dlx1_correct()).with_timeout(Duration::from_millis(300));
+    spec.backend = BackendChoice::Sat(velv_sat::presets::SolverKind::WalkSat);
+    spec.mode = SolveMode::Decomposed { max_obligations: 8 };
+    let result = service.submit(spec).expect("accepted").wait();
+    assert!(
+        matches!(result.verdict, velv_core::Verdict::Unknown(_)),
+        "walksat cannot prove a correct design: {:?}",
+        result.verdict
+    );
+    service.shutdown();
+}
+
+/// Asserts the counter identities of a quiescent service: every admitted
+/// submission ends as exactly one of a cache hit, a dedup join, a completed
+/// job or a memory-pressure refusal, and every completed job has exactly
+/// one verdict.
+fn assert_accounting(service: &ServeHandle) {
+    let stats = service.stats();
+    let mem_rejections: u64 = service
+        .registry_snapshot()
+        .flat_fields()
+        .into_iter()
+        .find(|(k, _)| k == "velv_mem_pressure_rejections_total")
+        .and_then(|(_, v)| v.parse().ok())
+        .expect("the memory-pressure rejection counter is exported");
+    assert_eq!(
+        stats.submitted,
+        stats.cache_hits + stats.dedup_joins + stats.completed + mem_rejections,
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.completed,
+        stats.correct + stats.buggy + stats.unknown,
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn accounting_identities_hold_at_quiescence() {
+    let mut config = ServiceConfig::default().with_workers(1);
+    config.engine_override = Some(Arc::new(|| Box::new(SpinSolver)));
+    config.max_queue_depth = Some(1);
+    let service = ServeHandle::start(config);
+    // Decomposed jobs bypass the spinning engine and reach real verdicts.
+    let decomposed = |bug| {
+        let mut spec = JobSpec::new(ModelRef::dlx1_bug(bug)).with_priority(5);
+        spec.mode = SolveMode::Decomposed { max_obligations: 8 };
+        spec
+    };
+
+    let parked = service
+        .submit(JobSpec::new(ModelRef::dlx1_correct()))
+        .expect("accepted");
+    wait_until("the filler job to start", || {
+        parked.status() == JobStatus::Running
+    });
+    let low = service
+        .submit(JobSpec::new(ModelRef::dlx1_bug(0)))
+        .expect("accepted");
+    let joined = service
+        .submit(JobSpec::new(ModelRef::dlx1_bug(0)))
+        .expect("a dedup join needs no queue slot");
+    // The high-priority job sheds the queued one (and its joined twin).
+    let high = service.submit(decomposed(1)).expect("sheds the occupant");
+    assert!(matches!(
+        service.submit(JobSpec::new(ModelRef::dlx1_bug(2))),
+        Err(velv_serve::ServeError::Busy(_))
+    ));
+    for shed in [low.wait(), joined.wait()] {
+        assert!(matches!(shed.verdict, velv_core::Verdict::Unknown(_)));
+    }
+    // The parked job's only client leaves: it ends as cancelled.
+    drop(parked);
+    let decided = high.wait();
+    assert!(decided.verdict.is_buggy(), "{:?}", decided.verdict);
+    let hit = service.submit(decomposed(1)).expect("accepted").wait();
+    assert!(hit.from_cache);
+    wait_until("the cancelled job to be counted", || {
+        service.stats().cancelled == 1
+    });
+
+    let stats = service.stats();
+    assert_eq!(stats.submitted, 6);
+    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats.dedup_joins, 1);
+    assert_eq!(stats.shed, 1);
+    assert_eq!(stats.busy_rejections, 1);
+    assert_eq!(stats.buggy, 1);
+    assert_accounting(&service);
+    service.shutdown();
+    assert_accounting(&service);
+}
+
+/// An engine that ignores its budget and refutes once the gate opens: lets
+/// a test finish a job whose clients have all left.
+struct GatedRefuter(Arc<std::sync::atomic::AtomicBool>);
+
+impl Solver for GatedRefuter {
+    fn name(&self) -> &str {
+        "gated"
+    }
+    fn is_complete(&self) -> bool {
+        true
+    }
+    fn solve_with_budget(&mut self, _cnf: &CnfFormula, _budget: Budget) -> SatResult {
+        while !self.0.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        SatResult::Unsat
+    }
+    fn stats(&self) -> SolverStats {
+        SolverStats::default()
+    }
+}
+
+#[test]
+fn a_job_answered_by_the_workers_cache_recheck_counts_once() {
+    let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let mut config = ServiceConfig::default().with_workers(1);
+    let engine_gate = Arc::clone(&gate);
+    config.engine_override = Some(Arc::new(move || {
+        Box::new(GatedRefuter(Arc::clone(&engine_gate)))
+    }));
+    let service = ServeHandle::start(config);
+    let first = service
+        .submit(JobSpec::new(ModelRef::dlx1_correct()))
+        .expect("accepted");
+    wait_until("the first job to start", || {
+        first.status() == JobStatus::Running
+    });
+    // The last client leaves, and an identical job is admitted as a fresh
+    // one behind it ...
+    drop(first);
+    let second = service
+        .submit(JobSpec::new(ModelRef::dlx1_correct()))
+        .expect("accepted");
+    // ... then the abandoned solve finishes anyway and caches its verdict,
+    // which the second job's worker finds on its re-check.
+    gate.store(true, std::sync::atomic::Ordering::SeqCst);
+    let result = second.wait();
+    assert!(result.verdict.is_correct(), "{:?}", result.verdict);
+    assert!(result.from_cache);
+    let stats = service.stats();
+    assert_eq!(stats.fresh_solves, 1);
+    assert_eq!((stats.cache_hits, stats.completed), (1, 1), "{stats:?}");
+    assert_accounting(&service);
+    service.shutdown();
+}

@@ -1,6 +1,8 @@
 //! Serving verdicts in-process: start a verification service, sweep a batch
 //! of buggy DLX variants (each entry runs as its own job on the worker pool),
 //! then sweep it again to show the fingerprint-keyed verdict cache at work.
+//! Exits with a panic when a warm-sweep ticket misses the cache or the
+//! service's submission accounting does not add up, so CI can run it.
 //!
 //! Run with `cargo run --release --example serve`.
 
@@ -8,7 +10,8 @@ use std::time::Instant;
 use velv::prelude::*;
 use velv::velv_serve::{ServiceConfig, SolveMode};
 
-fn sweep(service: &ServeHandle, specs: Vec<JobSpec>, label: &str) {
+/// Runs one batch and prints a row per ticket; returns the results.
+fn sweep(service: &ServeHandle, specs: Vec<JobSpec>, label: &str) -> Vec<JobResult> {
     let start = Instant::now();
     let tickets = service.submit_batch(specs).expect("batch accepted");
     println!("\n== {label} ==");
@@ -16,6 +19,7 @@ fn sweep(service: &ServeHandle, specs: Vec<JobSpec>, label: &str) {
         "{:<14} {:<8} {:>7} {:>12} {:>12}",
         "job", "verdict", "served", "wall", "solve"
     );
+    let mut results = Vec::with_capacity(tickets.len());
     for ticket in &tickets {
         let result = ticket.wait();
         let verdict = match &result.verdict {
@@ -37,12 +41,14 @@ fn sweep(service: &ServeHandle, specs: Vec<JobSpec>, label: &str) {
             result.wall,
             result.solve_time,
         );
+        results.push(result);
     }
     println!(
         "{label}: {:?} wall for {} jobs",
         start.elapsed(),
         tickets.len()
     );
+    results
 }
 
 fn main() {
@@ -67,9 +73,20 @@ fn main() {
 
     // Warm sweep: identical fingerprints — every verdict comes from the
     // cache without touching a translator or solver.
-    sweep(&service, catalog(), "warm sweep (cache hits)");
+    let warm = sweep(&service, catalog(), "warm sweep (cache hits)");
+    for result in &warm {
+        assert!(result.from_cache, "warm-sweep miss: {}", result.name);
+    }
 
     let stats = service.stats();
+    // Every submission ended as exactly one of a cache hit, a join of an
+    // identical in-flight job, or a completed job (no memory limit is set,
+    // so none was refused for memory).
+    assert_eq!(
+        stats.submitted,
+        stats.cache_hits + stats.dedup_joins + stats.completed,
+        "submission accounting: {stats:?}"
+    );
     println!("\n== service counters ==");
     for (key, value) in stats.fields() {
         println!("{key:<22} {value}");

@@ -192,6 +192,9 @@ fn run_single(inner: &Inner, job: &SingleJob) {
             }
         }
     }
+    // Free the translations before the verdict leaves: a client woken by
+    // `resolve` must not share the machine with their teardown.
+    drop(obligations);
     let profile = build_job_profile(inner, job, &verdict, job_span.id(), job_started, recorder);
     let _respond_span = velv_obs::span("serve.respond");
     let fresh = Fresh {

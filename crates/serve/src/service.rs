@@ -829,7 +829,10 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Flat `(key, value)` view of the counters — the wire `stats` payload.
+    /// Flat `(key, value)` view of the counters, read by satbench's
+    /// `BENCH_serve.json` rows and the `serve` example.  The wire `stats`
+    /// verb does not use it: it serves [`ServeHandle::registry_snapshot`]
+    /// through [`crate::proto::stats_response`].
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("submitted", self.submitted),

@@ -63,14 +63,14 @@ fn golden(translation: &Translation) -> Golden {
 }
 
 /// Translates one design and compares it with its pinned facts, naming the
-/// actual values on a mismatch.
+/// actual values on a mismatch.  Returns the actual facts.
 fn check(
     label: &str,
     options: TranslationOptions,
     implementation: &dyn Processor,
     specification: &dyn Processor,
     expected: Golden,
-) {
+) -> Golden {
     let translation = Verifier::new(options).translate(implementation, specification);
     assert_eq!(
         translation.cnf.num_vars(),
@@ -79,6 +79,7 @@ fn check(
     );
     let actual = golden(&translation);
     assert_eq!(actual, expected, "{label}: the translation changed");
+    actual
 }
 
 fn dlx(config: DlxConfig, bug: Option<DlxBug>) -> (Dlx, DlxSpecification) {
@@ -303,5 +304,69 @@ fn first_catalog_bug_of_every_family() {
             &spec,
             expected,
         );
+    }
+}
+
+/// satbench's 2×DLX-CC-MC-EX-BP suite — the correct design and the first two
+/// catalog bugs — is three different CNFs of one size, so SATO's identical
+/// search counters on the three are not explained by identical inputs.
+#[test]
+fn dual_issue_suite_instances_are_distinct() {
+    let config = DlxConfig::dual_issue_full();
+    let (implementation, spec) = dlx(config, None);
+    let mut digests = vec![
+        check(
+            "2xDLX-CC-MC-EX-BP",
+            TranslationOptions::default(),
+            &implementation,
+            &spec,
+            Golden {
+                cnf_vars: 8272,
+                cnf_clauses: 37_119,
+                eij_vars: 261,
+                transitivity_triangles: 372,
+                primary_bool_vars: 325,
+                cnf_digest: 0xa3ac934d06e2c1ef,
+                primary_digest: 0xd09a79d1d47e57e3,
+            },
+        )
+        .cnf_digest,
+    ];
+    let pinned = [
+        Golden {
+            cnf_vars: 8272,
+            cnf_clauses: 37_119,
+            eij_vars: 261,
+            transitivity_triangles: 372,
+            primary_bool_vars: 325,
+            cnf_digest: 0x7b9a1472b69af1d1,
+            primary_digest: 0xd09a79d1d47e57e3,
+        },
+        Golden {
+            cnf_vars: 8272,
+            cnf_clauses: 37_119,
+            eij_vars: 261,
+            transitivity_triangles: 372,
+            primary_bool_vars: 325,
+            cnf_digest: 0x3dd095b1a1429445,
+            primary_digest: 0xd09a79d1d47e57e3,
+        },
+    ];
+    for (bug, expected) in dlx_bug_catalog(config).into_iter().take(2).zip(pinned) {
+        let (implementation, spec) = dlx(config, Some(bug));
+        let label = format!("{}-{bug:?}", config.name());
+        let actual = check(
+            &label,
+            TranslationOptions::default(),
+            &implementation,
+            &spec,
+            expected,
+        );
+        digests.push(actual.cnf_digest);
+    }
+    for (i, a) in digests.iter().enumerate() {
+        for b in &digests[i + 1..] {
+            assert_ne!(a, b, "two suite instances have the same CNF");
+        }
     }
 }

@@ -3,8 +3,9 @@
 
 use velv_bench::microbench::Criterion;
 use velv_bench::{criterion_group, criterion_main};
-use velv_core::{TranslationOptions, Verifier};
+use velv_core::{Backend, TranslationOptions, Verifier};
 use velv_models::dlx::{bug_catalog, Dlx, DlxConfig, DlxSpecification};
+use velv_sat::Budget;
 
 fn bench_bdd(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdd_backend");
@@ -17,11 +18,14 @@ fn bench_bdd(c: &mut Criterion) {
     let bug = bug_catalog(config)[0];
     let buggy = verifier.translate(&Dlx::buggy(config, bug), &spec);
 
+    let bdd = Backend::Bdd {
+        node_limit: 2_000_000,
+    };
     group.bench_function("bdd_correct_dlx1", |b| {
-        b.iter(|| verifier.check_with_bdds(&correct, 2_000_000))
+        b.iter(|| verifier.check_with_backend(&correct, &bdd, Budget::unlimited()))
     });
     group.bench_function("bdd_buggy_dlx1", |b| {
-        b.iter(|| verifier.check_with_bdds(&buggy, 2_000_000))
+        b.iter(|| verifier.check_with_backend(&buggy, &bdd, Budget::unlimited()))
     });
     group.finish();
 }

@@ -221,7 +221,10 @@ fn solve(verifier: &Verifier, translation: &Translation, setup: &Setup) -> Part 
     let verdict = match setup.engine {
         Engine::Sat(kind) => sat(kind.build().as_mut()),
         Engine::ChaffVariant(i) => sat(chaff_parameter_variations().swap_remove(i).as_mut()),
-        Engine::Bdd(nodes) => verifier.check_with_bdds(translation, nodes),
+        Engine::Bdd(node_limit) => {
+            let bdd = Backend::Bdd { node_limit };
+            verifier.check_with_backend(translation, &bdd, Budget::unlimited())
+        }
         Engine::Race => {
             let mut members = RACE.map(Backend::Sat).to_vec();
             let node_limit = TABLE1_BDD_NODES;
@@ -553,9 +556,9 @@ fn portfolio(lab: &mut Lab, m: &mut Measured, full: bool) {
 }
 
 fn table2(lab: &mut Lab, m: &mut Measured, full: bool) {
-    // Of the structural variations only base and ER run: the AC translations
-    // order their Ackermann constraints by a randomly seeded hash map, so
-    // their CNF, and Chaff's counters on it, change from run to run.
+    // Of the structural variations only base and ER run.  The AC and ER+AC
+    // translations are reproducible (their Ackermann constraints come out in
+    // symbol order) but are not part of the committed claim yet.
     let early_reduction = TranslationOptions::base().with_early_reduction();
     let mut setups = vec![
         chaff(VLIW_BUG_STEPS),

@@ -50,19 +50,9 @@ impl BddOutcome {
 ///
 /// Variables are ordered by first appearance in a depth-first traversal of the
 /// formula (the depth-first ordering heuristic of Malik et al. used by the
-/// paper's BED/BDD experiments).
+/// paper's BED/BDD experiments).  The optional cooperative `cancel` flag is
+/// polled from the BDD manager's node-allocation path.
 pub fn check_validity_with_bdds(
-    ctx: &Context,
-    formula: FormulaId,
-    assume: FormulaId,
-    node_limit: usize,
-) -> BddOutcome {
-    check_validity_with_bdds_cancellable(ctx, formula, assume, node_limit, None)
-}
-
-/// [`check_validity_with_bdds`] with an optional cooperative cancel flag that
-/// is polled from the BDD manager's node-allocation path.
-pub fn check_validity_with_bdds_cancellable(
     ctx: &Context,
     formula: FormulaId,
     assume: FormulaId,
@@ -301,7 +291,7 @@ const RACE_STACK_SIZE: usize = 256 * 1024 * 1024;
 /// The verdict a BDD outcome gives on `translation`.  A falsifying
 /// assignment passes the lift rule of [`crate::refine`]; one that does not
 /// lift is [`Verdict::Unknown`], since a BDD build cannot refine.
-pub(crate) fn bdd_verdict(translation: &Translation, outcome: BddOutcome) -> Verdict {
+fn bdd_verdict(translation: &Translation, outcome: BddOutcome) -> Verdict {
     match outcome {
         BddOutcome::Valid => Verdict::Correct,
         BddOutcome::Falsifiable(assignment) => {
@@ -340,8 +330,7 @@ fn is_decided(verdict: &Verdict) -> bool {
 
 /// Why a race with no winner came up empty: prefer an informative member
 /// reason (node limit, step limit, deadline) over the bare "cancelled" the
-/// losers report — the same priority `PortfolioSolver::undecided_reason`
-/// applies at the CNF level.
+/// losers report.
 fn undecided_reason(runs: &[BackendRun]) -> String {
     runs.iter()
         .find_map(|run| match &run.verdict {
@@ -360,17 +349,18 @@ fn undecided_reason(runs: &[BackendRun]) -> String {
 /// decision loop, local-search flip loop, BDD node allocation) without
 /// finishing their search.  The caller's `budget` is honoured for the race as
 /// a whole: its step limits and deadline are inherited by the SAT members and
-/// an outer cancellation is forwarded into the race.
+/// an outer cancellation is forwarded into the race.  The caller's solve
+/// recorder ([`velv_sat::install_solve_recorder`]) is re-installed on every
+/// SAT member's thread, so a profiled race records each member's solve.
 ///
-/// This collector shares the generic [`velv_sat::race()`] helper with
-/// [`velv_sat::portfolio::PortfolioSolver`] but intentionally does not
-/// delegate to the portfolio solver itself: that race is over `SatResult`s
-/// on one CNF, while this one is over [`Verdict`]s — the BDD member works on
-/// the *encoded formula*, and its falsifying assignments name primary
-/// variables that have no faithful image as a CNF model (the CNF carries
-/// Tseitin auxiliaries a BDD run never assigns).  Squeezing the BDD build
-/// behind the `Solver` trait would forfeit the counterexample; with the
-/// generic helper it just returns its verdict directly.
+/// This is the workspace's one race, built on the generic
+/// [`velv_sat::race()`] collector.  It races [`Verdict`]s, not `SatResult`s:
+/// the BDD member works on the *encoded formula*, and its falsifying
+/// assignments name primary variables that have no faithful image as a CNF
+/// model (the CNF carries Tseitin auxiliaries a BDD run never assigns).
+/// Squeezing the BDD build behind the `Solver` trait would forfeit the
+/// counterexample; with the generic helper it just returns its verdict
+/// directly.
 pub fn race_backends(
     translation: &Translation,
     members: &[Backend],
@@ -389,12 +379,16 @@ pub fn race_backends(
         .iter()
         .map(|leaf| format!("velv-race-{}", leaf.label()))
         .collect();
+    // Thread-locals do not cross the member spawn: capture the caller's
+    // recorder here and re-install it inside each SAT member.
+    let recorder = velv_sat::current_solve_recorder();
     let outcome = race(
         &thread_names,
         budget,
         RACE_STACK_SIZE,
         |index, member_budget| match &leaves[index] {
             Backend::Sat(kind) => {
+                let _recorder_guard = recorder.clone().map(velv_sat::install_solve_recorder);
                 let mut solver = kind.build();
                 let checked = refine::check(translation, |refine| {
                     solver.solve_refining(&translation.cnf, member_budget, refine)
@@ -407,7 +401,7 @@ pub fn race_backends(
                     .as_ref()
                     .expect("race members carry the shared cancel token")
                     .flag();
-                let bdd_outcome = check_validity_with_bdds_cancellable(
+                let bdd_outcome = check_validity_with_bdds(
                     &translation.ctx,
                     translation.encoded,
                     translation.side_constraints,
@@ -464,7 +458,7 @@ mod tests {
         let taut = ctx.or(p, np);
         let t = ctx.true_id();
         assert_eq!(
-            check_validity_with_bdds(&ctx, taut, t, 1 << 20),
+            check_validity_with_bdds(&ctx, taut, t, 1 << 20, None),
             BddOutcome::Valid
         );
     }
@@ -476,7 +470,7 @@ mod tests {
         let q = ctx.prop_var("q");
         let formula = ctx.and(p, q);
         let t = ctx.true_id();
-        match check_validity_with_bdds(&ctx, formula, t, 1 << 20) {
+        match check_validity_with_bdds(&ctx, formula, t, 1 << 20, None) {
             BddOutcome::Falsifiable(assignment) => {
                 assert!(!assignment.is_empty());
             }
@@ -493,11 +487,11 @@ mod tests {
         // q is not valid by itself, but it is valid assuming p ∧ (p ⇒ q).
         let assume = ctx.and(p, imp);
         assert_eq!(
-            check_validity_with_bdds(&ctx, q, assume, 1 << 20),
+            check_validity_with_bdds(&ctx, q, assume, 1 << 20, None),
             BddOutcome::Valid
         );
         let t = ctx.true_id();
-        assert!(!check_validity_with_bdds(&ctx, q, t, 1 << 20).is_valid());
+        assert!(!check_validity_with_bdds(&ctx, q, t, 1 << 20, None).is_valid());
     }
 
     #[test]
@@ -511,7 +505,7 @@ mod tests {
         }
         let t = ctx.true_id();
         assert_eq!(
-            check_validity_with_bdds(&ctx, acc, t, 8),
+            check_validity_with_bdds(&ctx, acc, t, 8, None),
             BddOutcome::LimitExceeded
         );
     }

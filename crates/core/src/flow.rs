@@ -1,9 +1,7 @@
 //! The end-to-end verification flow: model → EUFM criterion → propositional
 //! formula → CNF → SAT/BDD back end → verdict.
 
-use crate::backend::{
-    bdd_verdict, check_validity_with_bdds, race_backends, Backend, PortfolioOutcome,
-};
+use crate::backend::{race_backends, Backend, PortfolioOutcome};
 use crate::burch_dill::VerificationProblem;
 use crate::certify::{self, CertifiedVerdict, CertifyError};
 use crate::cnf::formula_to_cnf;
@@ -406,33 +404,11 @@ impl Verifier {
         self.check_certified(&translation, config, certify, budget)
     }
 
-    /// Checks a translation with the BDD back end.  A falsifying assignment
-    /// passes the lift rule of [`crate::refine`] like a SAT model; one that
-    /// does not lift gives [`Verdict::Unknown`], since a BDD build cannot
-    /// refine.
-    pub fn check_with_bdds(&self, translation: &Translation, node_limit: usize) -> Verdict {
-        let translation = translation.clone();
-        std::thread::Builder::new()
-            .name("velv-bdd-backend".to_owned())
-            .stack_size(256 * 1024 * 1024)
-            .spawn(move || Self::check_with_bdds_impl(&translation, node_limit))
-            .expect("spawning the BDD back-end thread succeeds")
-            .join()
-            .expect("the BDD back-end thread does not panic")
-    }
-
-    fn check_with_bdds_impl(translation: &Translation, node_limit: usize) -> Verdict {
-        let outcome = check_validity_with_bdds(
-            &translation.ctx,
-            translation.encoded,
-            translation.side_constraints,
-            node_limit,
-        );
-        bdd_verdict(translation, outcome)
-    }
-
     /// Checks a translation with any [`Backend`]: a SAT preset, the BDD back
-    /// end, or a portfolio racing several of them.
+    /// end, or a portfolio racing several of them.  A BDD falsifying
+    /// assignment passes the lift rule of [`crate::refine`] like a SAT model;
+    /// one that does not lift gives [`Verdict::Unknown`], since a BDD build
+    /// cannot refine.
     pub fn check_with_backend(
         &self,
         translation: &Translation,
@@ -653,9 +629,16 @@ mod tests {
     fn bdd_back_end_agrees() {
         let verifier = Verifier::new(TranslationOptions::default());
         let good = verifier.translate(&PipelinedToy::correct(), &ToySpec);
-        assert!(verifier.check_with_bdds(&good, 1 << 22).is_correct());
+        let bdd = Backend::Bdd {
+            node_limit: 1 << 22,
+        };
+        assert!(verifier
+            .check_with_backend(&good, &bdd, Budget::unlimited())
+            .is_correct());
         let bad = verifier.translate(&PipelinedToy::buggy(ToyBug::WritesWrongData), &ToySpec);
-        assert!(verifier.check_with_bdds(&bad, 1 << 22).is_buggy());
+        assert!(verifier
+            .check_with_backend(&bad, &bdd, Budget::unlimited())
+            .is_buggy());
     }
 
     #[test]

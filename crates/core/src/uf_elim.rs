@@ -15,7 +15,7 @@
 
 use crate::options::{TranslationOptions, UpElimination};
 use crate::positive_equality::Classification;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use velv_eufm::support::value_leaves;
 use velv_eufm::{Context, Formula, FormulaId, Symbol, Term, TermId};
 
@@ -57,7 +57,7 @@ pub fn eliminate_ufs(
         formula_memo: HashMap::new(),
         uf_tables: HashMap::new(),
         up_tables: HashMap::new(),
-        ackermann_apps: HashMap::new(),
+        ackermann_apps: BTreeMap::new(),
         introduced_vars: Vec::new(),
     };
     let formula = elim.rewrite_formula(ctx, root);
@@ -78,8 +78,10 @@ struct Eliminator<'a> {
     uf_tables: HashMap<Symbol, Vec<(Vec<TermId>, TermId)>>,
     /// Per UP symbol (nested-ITE scheme): (argument vector, result variable).
     up_tables: HashMap<Symbol, Vec<(Vec<TermId>, FormulaId)>>,
-    /// Per UP symbol (Ackermann scheme): (argument vector, fresh propositional variable).
-    ackermann_apps: HashMap<Symbol, Vec<(Vec<TermId>, FormulaId)>>,
+    /// Per UP symbol (Ackermann scheme): (argument vector, fresh propositional
+    /// variable).  Ordered by symbol, so the constraints come out in the same
+    /// order on every run.
+    ackermann_apps: BTreeMap<Symbol, Vec<(Vec<TermId>, FormulaId)>>,
     introduced_vars: Vec<(Symbol, Symbol)>,
 }
 
@@ -245,14 +247,9 @@ impl Eliminator<'_> {
     /// Pairwise functional-consistency constraints for the Ackermann-eliminated
     /// predicates.
     fn ackermann_constraints(&mut self, ctx: &mut Context) -> FormulaId {
-        type AckermannTable = Vec<(Symbol, Vec<(Vec<TermId>, FormulaId)>)>;
-        let tables: AckermannTable = self
-            .ackermann_apps
-            .iter()
-            .map(|(s, apps)| (*s, apps.clone()))
-            .collect();
+        let tables = std::mem::take(&mut self.ackermann_apps);
         let mut acc = ctx.true_id();
-        for (_sym, apps) in tables {
+        for apps in tables.into_values() {
             for i in 0..apps.len() {
                 for j in (i + 1)..apps.len() {
                     let args_eq = self.args_equal(ctx, &apps[i].0, &apps[j].0);

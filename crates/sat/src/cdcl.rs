@@ -253,10 +253,6 @@ impl Solver for CdclSolver {
         &self.config.name
     }
 
-    fn is_complete(&self) -> bool {
-        true
-    }
-
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         self.run(cnf, budget, None, &mut |_| Vec::new())
     }

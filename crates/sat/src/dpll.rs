@@ -27,10 +27,6 @@ impl Solver for DpllSolver {
         "dpll"
     }
 
-    fn is_complete(&self) -> bool {
-        true
-    }
-
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         self.stats = SolverStats::default();
         let mut state = DpllState {

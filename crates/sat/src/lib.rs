@@ -27,14 +27,12 @@
 //!   CDCL engine records every learned clause (with the antecedent hints of
 //!   its conflict analysis) and every deletion, so UNSAT answers can be
 //!   replayed by the independent checker in `velv_proof`.
-//! * [`portfolio`] — a parallel portfolio that races several engines on
-//!   threads and returns the first decided answer, cancelling the losers
-//!   through the cooperative [`CancelToken`] carried by [`Budget`].  The paper
-//!   observes that no single procedure wins on every benchmark; the portfolio
-//!   turns that observation into a "fastest engine wins" execution mode.
-//! * [`mod@race`] — the generic scoped-spawn / first-decided-wins /
-//!   cancel-token collector underlying both the CNF-level portfolio and the
-//!   verdict-level back-end race in `velv_core`.
+//! * [`mod@race`] — the generic scoped-spawn / first-decided-wins collector
+//!   under `velv_core`'s back-end race: members share the cooperative
+//!   [`CancelToken`] carried by [`Budget`], and the losers stop once one
+//!   member decides.  The paper observes that no single procedure wins on
+//!   every benchmark; the race turns that observation into a "fastest engine
+//!   wins" execution mode.
 //! * [`rng`] — the small deterministic PRNG shared by the stochastic searches.
 //!
 //! # Example
@@ -65,7 +63,6 @@ pub mod dpll;
 pub mod generators;
 pub mod local_search;
 pub mod obs;
-pub mod portfolio;
 pub mod preprocess;
 pub mod presets;
 pub mod proof;
@@ -78,7 +75,6 @@ pub use obs::{
     current_solve_recorder, install_progress_cell, install_solve_recorder, ProgressCell,
     ProgressGuard, ProgressSnapshot, SolveRecorderGuard,
 };
-pub use portfolio::{EngineReport, PortfolioHandle, PortfolioReport, PortfolioSolver};
 pub use proof::SharedProof;
-pub use race::{race, race_with_token, RaceOutcome, RaceRun};
+pub use race::{race, RaceOutcome, RaceRun};
 pub use solver::{Budget, CancelToken, Model, SatResult, Solver, SolverStats, StopReason};

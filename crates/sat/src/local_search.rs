@@ -142,10 +142,6 @@ impl Solver for WalkSatSolver {
         "walksat"
     }
 
-    fn is_complete(&self) -> bool {
-        false
-    }
-
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         self.stats = SolverStats::default();
         if cnf.clauses().iter().any(|c| c.is_empty()) {
@@ -200,10 +196,6 @@ impl Solver for WalkSatSolver {
 impl Solver for DlmSolver {
     fn name(&self) -> &str {
         "dlm"
-    }
-
-    fn is_complete(&self) -> bool {
-        false
     }
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
@@ -314,7 +306,6 @@ mod tests {
             SatResult::Sat(model) => assert!(verify_model(&cnf, &model)),
             other => panic!("expected SAT, got {other:?}"),
         }
-        assert!(!solver.is_complete());
     }
 
     #[test]

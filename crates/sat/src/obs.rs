@@ -107,7 +107,7 @@ thread_local! {
 /// the returned guard drops (drop restores the previous cell, so installs
 /// nest, and a panicking solve cleans up on unwind).
 ///
-/// Solvers running on other threads (e.g. portfolio members) are not
+/// Solvers running on other threads (e.g. back-end race members) are not
 /// captured — their progress stays visible through the global registry
 /// only.
 #[must_use = "progress flows only while the guard is alive"]
@@ -144,9 +144,11 @@ thread_local! {
 
 /// Routes the heartbeat samples of solvers run *on this thread* into
 /// `recorder` until the returned guard drops (drop restores the previous
-/// recorder, so installs nest).  The portfolio backend re-installs the
-/// current recorder on each member thread, so racing members feed one shared
-/// time-series, told apart by their preset label.
+/// recorder, so installs nest).  Thread-locals do not cross a spawn: the
+/// back-end race (`velv_core::backend::race_backends`) captures the caller's
+/// recorder with [`current_solve_recorder`] and re-installs it on each SAT
+/// member's thread, so racing members feed one shared time-series, told apart
+/// by their preset label.
 #[must_use = "samples flow only while the guard is alive"]
 pub fn install_solve_recorder(recorder: velv_obs::SharedSolveRecorder) -> SolveRecorderGuard {
     let previous = RECORDER
@@ -169,7 +171,7 @@ impl Drop for SolveRecorderGuard {
 }
 
 /// The solve recorder installed on this thread, if any — hosts that move
-/// work across threads (the portfolio race, the serve worker pool) capture
+/// work across threads (the back-end race, the serve worker pool) capture
 /// it here and re-install it on the destination thread.
 pub fn current_solve_recorder() -> Option<velv_obs::SharedSolveRecorder> {
     RECORDER

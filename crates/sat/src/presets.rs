@@ -65,7 +65,7 @@ impl SolverKind {
     }
 
     /// Instantiates the solver.  The box is `Send` so a preset can run on a
-    /// portfolio worker thread.
+    /// race member's thread.
     pub fn build(self) -> Box<dyn Solver + Send> {
         match self {
             SolverKind::Dpll => Box::new(DpllSolver::new()),
@@ -128,13 +128,5 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), names.len());
-    }
-
-    #[test]
-    fn completeness_flags() {
-        assert!(SolverKind::Chaff.build().is_complete());
-        assert!(SolverKind::Dpll.build().is_complete());
-        assert!(!SolverKind::WalkSat.build().is_complete());
-        assert!(!SolverKind::Dlm.build().is_complete());
     }
 }

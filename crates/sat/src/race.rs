@@ -1,23 +1,17 @@
 //! Generic first-decided-wins racing of closures on scoped threads.
 //!
-//! Both portfolio collectors in this workspace share one pattern: spawn every
-//! member on its own scoped thread with an inherited [`Budget`] carrying a
-//! shared [`CancelToken`], return the first *decided* result, raise the token
-//! so the losers stop from their hot loops, and poll the caller's own budget
-//! (deadline or an outer cancel token) while waiting.  [`race`] is that
-//! pattern extracted once:
-//!
-//! * [`crate::portfolio::PortfolioSolver`] races [`crate::SatResult`]s of
-//!   several engines on one CNF;
-//! * `velv_core::backend::race_backends` races verification *verdicts*, where
-//!   one member may be a BDD build that never goes through the
-//!   [`crate::Solver`] trait at all.
+//! [`race`] spawns every member on its own scoped thread with an inherited
+//! [`Budget`] carrying a shared [`CancelToken`], returns the first *decided*
+//! result, raises the token so the losers stop from their hot loops, and
+//! polls the caller's own budget (deadline or an outer cancel token) while
+//! waiting.  Its one caller is `velv_core::backend::race_backends`, which
+//! races verification *verdicts* of SAT presets and a BDD build.
 //!
 //! The helper is generic over the member's result type `T` precisely so the
-//! BDD member does not have to be squeezed behind the `Solver` trait (which
-//! would forfeit its counterexample); each member is just a closure from
-//! `(index, Budget)` to `T`, plus a predicate telling the collector which
-//! results decide the race.
+//! BDD member does not have to be squeezed behind the [`crate::Solver`]
+//! trait (which would forfeit its counterexample); each member is just a
+//! closure from `(index, Budget)` to `T`, plus a predicate telling the
+//! collector which results decide the race.
 
 use crate::solver::{Budget, CancelToken, StopReason};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -84,33 +78,9 @@ where
     F: Fn(usize, Budget) -> T + Sync,
     D: Fn(&T) -> bool,
 {
-    race_with_token(names, budget, stack_size, CancelToken::new(), run, decided)
-}
-
-/// [`race`] with a caller-supplied race token.
-///
-/// The token is the one the members poll; handing it in lets a *supervisor
-/// outside the race* — a portfolio's [`crate::portfolio::PortfolioHandle`], a
-/// job scheduler tearing down a worker — abort every member directly, without
-/// waiting for the collector's next parent-budget poll.  The collector still
-/// raises the same token when a member decides or the caller's own budget
-/// stops the race, so passing a fresh token is exactly [`race`].  A token
-/// that is already raised on entry cancels the members immediately.
-pub fn race_with_token<T, F, D>(
-    names: &[String],
-    budget: Budget,
-    stack_size: usize,
-    token: CancelToken,
-    run: F,
-    decided: D,
-) -> RaceOutcome<T>
-where
-    T: Send,
-    F: Fn(usize, Budget) -> T + Sync,
-    D: Fn(&T) -> bool,
-{
     let race_start = Instant::now();
     let parent = budget.started();
+    let token = CancelToken::new();
     // Members inherit the caller's step limits and resolved deadline but poll
     // the race's own token; the collector below forwards an outer
     // cancellation into that token.

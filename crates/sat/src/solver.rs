@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 /// others.  Engines poll the flag from their hot loops (every few hundred
 /// steps, so the check is a single relaxed atomic load amortised to nothing)
 /// and return [`StopReason::Cancelled`] instead of finishing their search —
-/// this is how the portfolio stops the losing engines as soon as one engine
+/// this is how a back-end race stops the losing engines as soon as one engine
 /// decides the formula.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
@@ -253,9 +253,6 @@ pub trait Solver {
     /// A short human-readable name ("chaff", "walksat", ...).
     fn name(&self) -> &str;
 
-    /// Whether the procedure can prove unsatisfiability.
-    fn is_complete(&self) -> bool;
-
     /// Solves `cnf` within `budget`.
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult;
 
@@ -271,8 +268,7 @@ pub trait Solver {
     ///
     /// Returns `None` when the procedure cannot produce proofs; only the
     /// clause-learning engines override this (DPLL and the local searches
-    /// perform inferences a clausal proof cannot capture cheaply, and the
-    /// portfolio's winner is not known in advance).
+    /// perform inferences a clausal proof cannot capture cheaply).
     fn solve_with_proof(
         &mut self,
         cnf: &CnfFormula,
@@ -418,9 +414,6 @@ mod tests {
         impl Solver for Stubborn {
             fn name(&self) -> &str {
                 "stubborn"
-            }
-            fn is_complete(&self) -> bool {
-                false
             }
             fn solve_with_budget(&mut self, _cnf: &CnfFormula, _budget: Budget) -> SatResult {
                 self.calls += 1;

@@ -1,11 +1,10 @@
 //! Tracing and registry integration for the SAT layer: refinement rounds
-//! must each produce one closed span, and portfolio races must surface
-//! per-member statistics on the global registry.
+//! must each produce one closed span, and solves must surface their
+//! statistics on the global registry.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use velv_sat::cdcl::CdclSolver;
-use velv_sat::presets::SolverKind;
-use velv_sat::{Budget, CnfFormula, Lit, PortfolioSolver, Solver};
+use velv_sat::{Budget, CnfFormula, Lit, Solver};
 
 /// Every test here solves, and every solve opens spans: they serialize on
 /// this lock so the sink-installing test sees only its own spans (the
@@ -105,38 +104,4 @@ fn engine_work_reaches_the_global_registry() {
         after > before,
         "chaff conflict counter did not grow: {before} -> {after}"
     );
-}
-
-#[test]
-fn portfolio_race_surfaces_per_member_counters() {
-    let _guard = tracer_lock().lock().unwrap();
-    let mut solver = PortfolioSolver::new()
-        .with_kind(SolverKind::Chaff)
-        .with_kind(SolverKind::Grasp);
-    let mut cnf = CnfFormula::new(0);
-    cnf.add_clause(vec![lit(1), lit(2)]);
-    cnf.add_clause(vec![lit(-1), lit(2)]);
-    assert!(solver.solve(&cnf).is_sat());
-
-    let snapshot = velv_obs::global().snapshot();
-    let runs = |preset: &str| {
-        snapshot
-            .get("velv_sat_portfolio_runs_total", &[("preset", preset)])
-            .and_then(|s| s.value.as_u64())
-            .unwrap_or(0)
-    };
-    assert!(runs("chaff") >= 1);
-    assert!(runs("grasp") >= 1);
-    let report = solver.report().expect("race report");
-    assert!(report.winner.is_some());
-    let wins: u64 = ["chaff", "grasp"]
-        .iter()
-        .map(|preset| {
-            snapshot
-                .get("velv_sat_portfolio_wins_total", &[("preset", preset)])
-                .and_then(|s| s.value.as_u64())
-                .unwrap_or(0)
-        })
-        .sum();
-    assert!(wins >= 1);
 }

@@ -1,7 +1,6 @@
 //! Solve-profiler integration: the per-conflict decision-level histogram
 //! must track conflicts (not heartbeats), and an installed solve recorder
-//! must receive a usable time-series from plain, refining and portfolio
-//! solves — including budget-aborted runs that never reach a heartbeat.
+//! must receive a usable time-series from plain and refining solves — including budget-aborted runs that never reach a heartbeat.
 
 use velv_sat::cdcl::CdclSolver;
 use velv_sat::{Budget, CnfFormula, Lit, Solver};
@@ -135,27 +134,4 @@ fn incremental_solves_share_one_recorder_with_markers() {
         "each refinement round must mark a solve boundary, got {solves}"
     );
     assert!(!rec.series().is_empty());
-}
-
-#[test]
-fn portfolio_members_feed_the_installed_recorder() {
-    let recorder = velv_obs::shared_recorder();
-    {
-        let _guard = velv_sat::install_solve_recorder(recorder.clone());
-        let mut solver = velv_sat::PortfolioSolver::new()
-            .with_kind(velv_sat::presets::SolverKind::Chaff)
-            .with_kind(velv_sat::presets::SolverKind::Grasp);
-        assert!(solver.solve(&pigeonhole(6)).is_unsat());
-    }
-    let rec = recorder.lock().unwrap();
-    let labels: std::collections::BTreeSet<&str> = rec
-        .markers()
-        .iter()
-        .filter(|m| m.kind == "solve")
-        .map(|m| m.detail.as_str())
-        .collect();
-    assert!(
-        labels.contains("chaff") && labels.contains("grasp"),
-        "both members must mark their solves, got {labels:?}"
-    );
 }

@@ -43,9 +43,6 @@ impl Solver for SlowChaff {
     fn name(&self) -> &str {
         "slow-chaff"
     }
-    fn is_complete(&self) -> bool {
-        true
-    }
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         std::thread::sleep(Self::DELAY);
         velv_sat::cdcl::CdclSolver::chaff().solve_with_budget(cnf, budget)

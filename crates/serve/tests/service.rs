@@ -17,9 +17,6 @@ impl Solver for SpinSolver {
     fn name(&self) -> &str {
         "spin"
     }
-    fn is_complete(&self) -> bool {
-        false
-    }
     fn solve_with_budget(&mut self, _cnf: &CnfFormula, budget: Budget) -> SatResult {
         let budget = budget.started();
         loop {
@@ -779,9 +776,6 @@ struct GatedRefuter(Arc<std::sync::atomic::AtomicBool>);
 impl Solver for GatedRefuter {
     fn name(&self) -> &str {
         "gated"
-    }
-    fn is_complete(&self) -> bool {
-        true
     }
     fn solve_with_budget(&mut self, _cnf: &CnfFormula, _budget: Budget) -> SatResult {
         while !self.0.load(std::sync::atomic::Ordering::SeqCst) {

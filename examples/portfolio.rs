@@ -2,7 +2,9 @@
 //!
 //! The portfolio translates the correctness criterion once, then races CDCL
 //! presets against the BDD build; the first engine to decide wins and the
-//! losers are cancelled cooperatively.  Run with:
+//! losers are cancelled cooperatively.  The example panics (and fails CI)
+//! unless the correct design verifies and the catalog bug is found.  Run
+//! with:
 //!
 //! ```text
 //! cargo run --release --example portfolio
@@ -15,11 +17,12 @@ fn main() {
     let verifier = Verifier::new(TranslationOptions::default());
     let spec = DlxSpecification::new(config);
 
-    for (label, design) in [
-        ("1xDLX-C (correct)", Dlx::correct(config)),
+    for (label, design, buggy) in [
+        ("1xDLX-C (correct)", Dlx::correct(config), false),
         (
             "1xDLX-C (buggy forwarding)",
             Dlx::buggy(config, dlx_bug_catalog(config)[0]),
+            true,
         ),
     ] {
         let outcome = verifier.verify_portfolio(
@@ -51,18 +54,11 @@ fn main() {
             );
         }
         println!();
+        let expected = if buggy {
+            outcome.verdict.is_buggy()
+        } else {
+            outcome.verdict.is_correct()
+        };
+        assert!(expected, "{label}: wrong verdict {:?}", outcome.verdict);
     }
-
-    // The same race is available at the CNF level, below the verifier: any
-    // `Solver` call site can swap in a `PortfolioSolver`.
-    let translation = verifier.translate(&Dlx::correct(config), &spec);
-    let mut portfolio = PortfolioSolver::default_presets();
-    let result = portfolio.solve(&translation.cnf);
-    let report = portfolio.report().expect("a race was run");
-    println!(
-        "CNF-level race: unsat={} winner={} engines={}",
-        result.is_unsat(),
-        report.winner.as_deref().unwrap_or("--"),
-        report.engines.len(),
-    );
 }

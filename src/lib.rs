@@ -69,7 +69,6 @@ pub mod prelude {
     pub use velv_sat::cdcl::CdclSolver;
     pub use velv_sat::dpll::DpllSolver;
     pub use velv_sat::local_search::{DlmSolver, WalkSatSolver};
-    pub use velv_sat::portfolio::{PortfolioReport, PortfolioSolver};
     pub use velv_sat::presets::SolverKind;
     pub use velv_sat::{Budget, CancelToken, SatResult, Solver};
     pub use velv_serve::{

@@ -91,7 +91,13 @@ fn lazy_transitivity_matches_eager_on_ooo() {
         let lazy_verdict = lazy().check(&lazy_translation, &mut solver, Budget::unlimited());
         assert!(eager_verdict.is_correct(), "OOO-{width}: {eager_verdict:?}");
         assert!(lazy_verdict.is_correct(), "OOO-{width}: {lazy_verdict:?}");
-        let bdd = lazy().check_with_bdds(&lazy_translation, 1 << 20);
+        let bdd = lazy().check_with_backend(
+            &lazy_translation,
+            &Backend::Bdd {
+                node_limit: 1 << 20,
+            },
+            Budget::unlimited(),
+        );
         assert!(!bdd.is_buggy(), "OOO-{width} lazy bdd: {bdd:?}");
     }
 }

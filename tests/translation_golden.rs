@@ -154,6 +154,34 @@ fn single_issue_dlx_under_every_option_set() {
                 primary_digest: 0x3347785bb0df5cec,
             },
         ),
+        (
+            "AC",
+            TranslationOptions::base().with_ackermann_ups(),
+            Golden {
+                cnf_vars: 1702,
+                cnf_clauses: 6940,
+                eij_vars: 56,
+                transitivity_triangles: 94,
+                primary_bool_vars: 83,
+                cnf_digest: 0xe2c211209c34ed0d,
+                primary_digest: 0x3a2efc37fdf3536b,
+            },
+        ),
+        (
+            "ER+AC",
+            TranslationOptions::base()
+                .with_early_reduction()
+                .with_ackermann_ups(),
+            Golden {
+                cnf_vars: 1691,
+                cnf_clauses: 6913,
+                eij_vars: 54,
+                transitivity_triangles: 93,
+                primary_bool_vars: 81,
+                cnf_digest: 0x6e79b4b97592ea38,
+                primary_digest: 0x8b12af4227f3da26,
+            },
+        ),
     ];
     for (label, options, expected) in cases {
         check(
@@ -164,6 +192,19 @@ fn single_issue_dlx_under_every_option_set() {
             expected,
         );
     }
+}
+
+/// The Ackermann constraints of the AC variation come out in the same order
+/// on every translation, so one process translates the same CNF every time.
+#[test]
+fn ackermann_translations_are_reproducible() {
+    let (implementation, spec) = dlx(DlxConfig::single_issue(), None);
+    let verifier = Verifier::new(TranslationOptions::base().with_ackermann_ups());
+    let digests: Vec<Golden> = (0..3)
+        .map(|_| golden(&verifier.translate(&implementation, &spec)))
+        .collect();
+    assert_eq!(digests[0], digests[1], "1xDLX-C, AC: the translation moved");
+    assert_eq!(digests[0], digests[2], "1xDLX-C, AC: the translation moved");
 }
 
 #[test]

@@ -132,7 +132,13 @@ fn ooo_requires_and_gets_transitivity() {
             portfolio.is_correct(),
             "OOO-{width} portfolio: {portfolio:?}"
         );
-        let bdd = eij.check_with_bdds(&translation, 1 << 20);
+        let bdd = eij.check_with_backend(
+            &translation,
+            &Backend::Bdd {
+                node_limit: 1 << 20,
+            },
+            Budget::unlimited(),
+        );
         assert!(!bdd.is_buggy(), "OOO-{width} bdd: {bdd:?}");
 
         let (certified, _) = eij

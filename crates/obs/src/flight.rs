@@ -16,9 +16,9 @@
 //! trigger) into the configured dump directory.
 //!
 //! The recorder starts *disarmed* — process start-up pays nothing, and the
-//! disabled-tracing fast path stays one relaxed load.  Long-running services
-//! ([`ServeHandle`](../velv_serve/struct.ServeHandle.html), `velvd`,
-//! `velvc`) arm it on start.
+//! disabled-tracing fast path stays one relaxed load.  The one reader of the
+//! ring in the workspace, the `velv_serve` wire front end (`serve`, which
+//! answers the `flight` verb and which `velvd` runs), arms it on start.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,20 +1,13 @@
-//! A mergeable log-bucketed latency histogram, tuned for durations from one
+//! Log-bucketed bounds for latency histograms, tuned for durations from one
 //! microsecond to minutes.
 //!
-//! [`LogHistogram`] is a plain value (no atomics, no registry): record into
-//! one per shard/file/thread, then [`LogHistogram::merge`] them — merging is
-//! element-wise bucket addition, so it is associative and commutative, and a
-//! quantile of the merged histogram equals the quantile over the pooled
-//! samples (within bucket resolution).  The bucket bounds are the 1–2–5
-//! series per decade ([`log_bucket_bounds`]), giving a worst-case relative
-//! quantile error of ~2.5× at 27 buckets over nine decades — the resolution
-//! the serve SLO accounting and the multi-file `velvc trace` summary need.
-//!
-//! For hot-path recording under concurrency, prefer a registry
-//! [`Histogram`](crate::Histogram) with these bounds; this type is for
-//! offline aggregation where merging is the point.
-
-use crate::metrics::HistogramSnapshot;
+//! [`log_bucket_bounds`] is the 1–2–5 series per decade, giving a worst-case
+//! relative quantile error of ~2.5× at 27 buckets over nine decades — the
+//! resolution the serve SLO accounting and the multi-file `velvc trace`
+//! summary need.  Record into a [`Histogram`](crate::Histogram) with these
+//! bounds (a registry one, or [`Histogram::detached`](crate::Histogram::detached)
+//! for offline aggregation) and pool snapshots with
+//! [`HistogramSnapshot::merge`](crate::HistogramSnapshot::merge).
 
 /// Inclusive upper bucket bounds in microseconds: the 1–2–5 series from
 /// 1 µs to 600 s (ten minutes).  An implicit `+Inf` bucket follows.
@@ -51,92 +44,10 @@ pub fn log_bucket_bounds() -> &'static [u64] {
     BOUNDS
 }
 
-/// A mergeable histogram over `u64` microsecond durations with the fixed
-/// [`log_bucket_bounds`] bucketing.  See the [module docs](self).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogHistogram {
-    /// Per-bucket counts; one more entry than [`log_bucket_bounds`], the
-    /// last being the `+Inf` overflow bucket.
-    counts: Vec<u64>,
-    sum: u128,
-    count: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> LogHistogram {
-        LogHistogram {
-            counts: vec![0; log_bucket_bounds().len() + 1],
-            sum: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation (microseconds).
-    pub fn observe(&mut self, micros: u64) {
-        let index = log_bucket_bounds().partition_point(|&bound| bound < micros);
-        self.counts[index] += 1;
-        self.sum += u128::from(micros);
-        self.count += 1;
-    }
-
-    /// Adds every observation of `other` into `self` (element-wise bucket
-    /// addition — associative, commutative, with [`LogHistogram::new`] as
-    /// identity).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (microseconds).
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// The mean observation, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) in microseconds; see
-    /// [`HistogramSnapshot::quantile`] for the interpolation contract.
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
-    }
-
-    /// The state as a registry-style [`HistogramSnapshot`] (sum saturates at
-    /// `u64::MAX`).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: log_bucket_bounds().to_vec(),
-            counts: self.counts.clone(),
-            sum: u64::try_from(self.sum).unwrap_or(u64::MAX),
-            count: self.count,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Histogram, HistogramSnapshot};
 
     #[test]
     fn bounds_are_strictly_increasing_and_span_micros_to_minutes() {
@@ -146,38 +57,48 @@ mod tests {
         assert_eq!(*bounds.last().unwrap(), 600_000_000);
     }
 
+    /// A detached log-bucketed histogram holding `values`, as a snapshot.
+    fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
+        let histogram = Histogram::detached(log_bucket_bounds());
+        for &v in values {
+            histogram.observe(v);
+        }
+        histogram.snapshot()
+    }
+
     #[test]
     fn merge_pools_samples() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for v in [3u64, 40, 900] {
-            a.observe(v);
-        }
-        for v in [7u64, 7_000_000] {
-            b.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.sum(), 3 + 40 + 900 + 7 + 7_000_000);
-        let mut pooled = LogHistogram::new();
-        for v in [3u64, 40, 900, 7, 7_000_000] {
-            pooled.observe(v);
-        }
-        assert_eq!(a, pooled);
+        let mut a = snapshot_of(&[3, 40, 900]);
+        a.merge(&snapshot_of(&[7, 7_000_000]));
+        assert_eq!(a.count, 5);
+        assert_eq!(a.sum, 3 + 40 + 900 + 7 + 7_000_000);
+        assert_eq!(a, snapshot_of(&[3, 40, 900, 7, 7_000_000]));
     }
 
     #[test]
     fn quantiles_land_in_the_right_bucket() {
-        let mut h = LogHistogram::new();
-        for _ in 0..99 {
-            h.observe(15); // (10, 20] bucket
-        }
-        h.observe(400_000_000); // (200e6, 600e6] bucket
+        // 99 observations in the (10, 20] bucket, one in (200e6, 600e6],
+        // recorded in two parts and merged.
+        let mut h = snapshot_of(&[15; 60]);
+        let mut rest = vec![15u64; 39];
+        rest.push(400_000_000);
+        h.merge(&snapshot_of(&rest));
         let p50 = h.quantile(0.5);
         assert!((10.0..=20.0).contains(&p50), "{p50}");
         let p99 = h.quantile(0.99);
         assert!(p99 <= 20.0, "{p99}");
         let p100 = h.quantile(1.0);
         assert!(p100 > 200_000_000.0, "{p100}");
+    }
+
+    #[test]
+    fn default_snapshot_is_the_merge_identity() {
+        let values = snapshot_of(&[1, 2_000, 9_000_000]);
+        let mut from_default = HistogramSnapshot::default();
+        from_default.merge(&values);
+        assert_eq!(from_default, values);
+        let mut with_default = values.clone();
+        with_default.merge(&HistogramSnapshot::default());
+        assert_eq!(with_default, values);
     }
 }

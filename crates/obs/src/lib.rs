@@ -27,16 +27,17 @@
 //!   per-process files, resolving cross-process parentage through
 //!   `trace=`/`remote_parent=` span fields.
 //! * **Flight recorder** ([`flight`]): a fixed-size lock-light ring of the
-//!   most recent trace records, armed by long-running services so a worker
-//!   panic or shed storm can be dumped post mortem (`FLIGHT-<ts>.jsonl`)
-//!   even when no sink is installed.
+//!   most recent trace records, armed by the `velv_serve` wire front end so
+//!   a worker panic or shed storm can be dumped post mortem
+//!   (`FLIGHT-<ts>.jsonl`) even when no sink is installed.
 //! * **Solve profiler** ([`profile`]): a bounded decimating time-series
 //!   recorder ([`SolveRecorder`]) fed by solver heartbeats, a span-folding
 //!   phase-time sink ([`ProfileSink`]), and the per-solve [`SolveProfile`]
 //!   JSONL artifact combining both.
-//! * **Mergeable latency histogram** ([`LogHistogram`]): log-bucketed
-//!   micros-to-minutes buckets whose merge is element-wise addition, for
-//!   pooling percentile estimates across shards, threads or trace files.
+//! * **Mergeable latency histograms**: [`log_bucket_bounds`], micros-to-minutes
+//!   buckets for a [`Histogram`], and [`HistogramSnapshot::merge`],
+//!   element-wise bucket addition for pooling percentile estimates across
+//!   classes, shards or trace files.
 //! * **Memory observability** ([`mem`]): a counting `#[global_allocator]`
 //!   wrapper ([`CountingAlloc`]) maintaining live/peak/total heap bytes,
 //!   thread-local RAII scope tags ([`MemScope`]) attributing allocation
@@ -78,7 +79,7 @@ pub mod tracecheck;
 mod encode;
 
 pub use encode::validate_prometheus_text;
-pub use hist::{log_bucket_bounds, LogHistogram};
+pub use hist::log_bucket_bounds;
 pub use mem::{CountingAlloc, MemFootprint, MemScope, MemSnapshot};
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricSample, MetricValue, Registry,

@@ -175,7 +175,11 @@ impl Histogram {
 }
 
 /// A point-in-time copy of a [`Histogram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Snapshots merge ([`HistogramSnapshot::merge`]), so a histogram can be
+/// recorded per shard, class or file and pooled afterwards.  The `Default`
+/// snapshot (no bounds, no observations) is the merge identity.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bounds, strictly increasing.
     pub bounds: Vec<u64>,
@@ -189,6 +193,30 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Adds every observation of `other` into `self` by element-wise bucket
+    /// addition: associative and commutative, and a quantile of the merge is
+    /// the quantile over the pooled observations (within bucket resolution).
+    /// Merging into the `Default` snapshot copies `other`; the sum saturates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when both snapshots have buckets and their bounds differ.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if other.counts.is_empty() {
+            return;
+        }
+        if self.counts.is_empty() {
+            *self = other.clone();
+            return;
+        }
+        assert_eq!(self.bounds, other.bounds, "merged histograms share bounds");
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.sum = self.sum.saturating_add(other.sum);
+        self.count += other.count;
+    }
+
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) of the observed
     /// distribution by linear interpolation inside the bucket containing the
     /// target rank (Prometheus `histogram_quantile` semantics).  Values in

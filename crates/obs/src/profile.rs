@@ -166,6 +166,12 @@ impl SolveRecorder {
         out
     }
 
+    /// The most recent offered sample, retained or not — what a live reader
+    /// (the `velv_serve` progress rows) shows.  `None` before the first offer.
+    pub fn last(&self) -> Option<&SolveSample> {
+        self.last.as_ref()
+    }
+
     /// The retained samples (without the final-state closure).
     pub fn samples(&self) -> &[SolveSample] {
         &self.samples
@@ -874,6 +880,14 @@ mod tests {
     }
 
     #[test]
+    fn last_is_none_before_the_first_offer() {
+        let mut recorder = SolveRecorder::new(8);
+        assert_eq!(recorder.last(), None);
+        recorder.offer(sample_at(1, 5));
+        assert_eq!(recorder.last().map(|s| s.conflicts), Some(5));
+    }
+
+    #[test]
     fn decimation_preserves_first_last_and_monotonicity() {
         let mut rng = Rng(0x5eed_0002);
         for _ in 0..40 {
@@ -894,6 +908,7 @@ mod tests {
             let series = recorder.series();
             assert_eq!(series.first(), first.as_ref());
             assert_eq!(series.last(), last.as_ref());
+            assert_eq!(recorder.last(), last.as_ref(), "last() is the latest offer");
             assert!(
                 series.windows(2).all(|w| w[0].t_us <= w[1].t_us),
                 "timestamps must stay monotone after decimation"

@@ -157,9 +157,9 @@ pub struct MergedTraceSummary {
     /// nobody recorded.
     pub orphaned: usize,
     /// All span durations (`dur_us` of every `span_close`) pooled across
-    /// the files — one [`LogHistogram`](crate::LogHistogram) per file,
-    /// merged.
-    pub durations: crate::LogHistogram,
+    /// the files — one [`log_bucket_bounds`](crate::log_bucket_bounds)
+    /// histogram per file, merged.
+    pub durations: crate::HistogramSnapshot,
 }
 
 /// Validates several JSONL trace files captured by *different processes* as
@@ -191,7 +191,7 @@ pub fn check_traces(files: &[(&str, &str)]) -> Result<MergedTraceSummary, String
     let mut links: Vec<(usize, u64, u64)> = Vec::new();
     let mut trace_ids: HashSet<u64> = HashSet::new();
     for (index, (label, text)) in files.iter().enumerate() {
-        let mut durations = crate::LogHistogram::new();
+        let durations = crate::Histogram::detached(crate::log_bucket_bounds());
         let file = check_records(text, |record| match record.kind() {
             "span_open" => {
                 let (Some(id), Some(trace)) = (record.get_u64("id"), record.get_u64("trace"))
@@ -218,7 +218,7 @@ pub fn check_traces(files: &[(&str, &str)]) -> Result<MergedTraceSummary, String
         summary.totals.spans_closed += file.spans_closed;
         summary.totals.events += file.events;
         summary.totals.unclosed += file.unclosed;
-        summary.durations.merge(&durations);
+        summary.durations.merge(&durations.snapshot());
     }
     summary.traces = trace_ids.len();
     for (file, trace, remote) in links {
@@ -326,7 +326,7 @@ mod tests {
         assert_eq!(merged.traces, 1);
         assert_eq!(merged.remote_links, 1);
         assert_eq!(merged.orphaned, 0);
-        assert_eq!(merged.durations.count(), 2);
+        assert_eq!(merged.durations.count, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for quantile estimation and histogram merging: estimated
 //! p50/p95/p99 must bracket the true sample quantiles within the resolution
-//! of the containing bucket, and merging must be associative, commutative,
-//! and equivalent to pooling the samples.
+//! of the containing bucket, and `HistogramSnapshot::merge` must be
+//! associative, commutative, and equivalent to pooling the samples.
 
 /// SplitMix64 — the workspace's seeded generator (`velv_obs` cannot depend
 /// on `velv_sat`, so the mixer is restated here; equal seeds, equal streams).
@@ -50,6 +50,15 @@ fn bucket_of(bounds: &[u64], v: u64) -> (f64, f64) {
     (lower, bounds[index] as f64)
 }
 
+/// The snapshot of a log-bucketed histogram holding `samples`.
+fn hist(samples: &[u64]) -> velv_obs::HistogramSnapshot {
+    let h = velv_obs::Histogram::detached(velv_obs::log_bucket_bounds());
+    for &v in samples {
+        h.observe(v);
+    }
+    h.snapshot()
+}
+
 #[test]
 fn estimated_percentiles_bracket_true_quantiles() {
     let bounds = velv_obs::log_bucket_bounds();
@@ -58,11 +67,14 @@ fn estimated_percentiles_bracket_true_quantiles() {
         let n = 100 + (rng.next() % 4000) as usize;
         let mut samples: Vec<u64> = (0..n).map(|_| rng.latency()).collect();
 
+        // One histogram over every sample, and the same samples recorded in
+        // two halves and merged.
         let registry_hist = velv_obs::Histogram::detached(bounds);
-        let mut log_hist = velv_obs::LogHistogram::new();
+        let (front, back) = samples.split_at(n / 2);
+        let mut merged = hist(front);
+        merged.merge(&hist(back));
         for &v in &samples {
             registry_hist.observe(v);
-            log_hist.observe(v);
         }
         samples.sort_unstable();
 
@@ -71,7 +83,7 @@ fn estimated_percentiles_bracket_true_quantiles() {
             let (lower, upper) = bucket_of(bounds, truth);
             for (which, estimate) in [
                 ("registry", registry_hist.snapshot().quantile(q)),
-                ("log", log_hist.quantile(q)),
+                ("merged", merged.quantile(q)),
             ] {
                 assert!(
                     (lower..=upper).contains(&estimate),
@@ -93,13 +105,6 @@ fn merge_is_associative_commutative_and_pools_samples() {
                 (0..n).map(|_| rng.latency()).collect()
             })
             .collect();
-        let hist = |samples: &[u64]| {
-            let mut h = velv_obs::LogHistogram::new();
-            for &v in samples {
-                h.observe(v);
-            }
-            h
-        };
         let (a, b, c) = (hist(&parts[0]), hist(&parts[1]), hist(&parts[2]));
 
         // (a ⊕ b) ⊕ c
@@ -124,7 +129,7 @@ fn merge_is_associative_commutative_and_pools_samples() {
 
         // Identity element.
         let mut with_empty = pooled.clone();
-        with_empty.merge(&velv_obs::LogHistogram::new());
+        with_empty.merge(&hist(&[]));
         assert_eq!(with_empty, pooled, "seed {seed}: empty merge is identity");
     }
 }

@@ -71,10 +71,7 @@ pub mod rng;
 pub mod solver;
 
 pub use cnf::{Clause, CnfFormula, Lit, Var};
-pub use obs::{
-    current_solve_recorder, install_progress_cell, install_solve_recorder, ProgressCell,
-    ProgressGuard, ProgressSnapshot, SolveRecorderGuard,
-};
+pub use obs::{current_solve_recorder, install_solve_recorder, SolveRecorderGuard};
 pub use proof::SharedProof;
 pub use race::{race, RaceOutcome, RaceRun};
 pub use solver::{Budget, CancelToken, Model, SatResult, Solver, SolverStats, StopReason};

@@ -13,130 +13,22 @@
 //! `solver.heartbeat` event carrying the instantaneous conflict rate, trail
 //! depth, decision level and learnt-database size.
 //!
-//! A host that wants *live* progress (the `velv_serve` per-job progress
-//! table behind `velvc top`/`velvc watch`) installs a [`ProgressCell`] on
-//! the solving thread ([`install_progress_cell`]); every heartbeat then
-//! also stores its figures into the cell's atomics, readable from any
-//! thread without locks.
-//!
-//! A host that wants a *solve profile* (how the search evolved over time)
-//! installs a shared [`velv_obs::SolveRecorder`] the same way
-//! ([`install_solve_recorder`]); every heartbeat then offers the recorder a
-//! [`velv_obs::SolveSample`], and the end of each `search` call closes the
-//! series with the true final counters — including budget-exceeded and
-//! cancelled exits, which never reach a heartbeat boundary.
+//! A host that wants to follow a solve — live (the `velv_serve` per-job
+//! progress rows behind `velvc top`/`velvc watch`) or after the fact (a
+//! solve profile) — installs a shared [`velv_obs::SolveRecorder`] on the
+//! solving thread ([`install_solve_recorder`]); every heartbeat then offers
+//! the recorder a [`velv_obs::SolveSample`], and the end of each `search`
+//! call closes the series with the true final counters — including
+//! budget-exceeded and cancelled exits, which never reach a heartbeat
+//! boundary.  The recorder is the only per-solve hook: live readers take its
+//! latest sample ([`velv_obs::SolveRecorder::last`]).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use velv_obs::{Counter, Gauge, Histogram};
 
 use crate::solver::SolverStats;
-
-/// Lock-free live progress of one solver run, updated at every heartbeat
-/// (see the [module docs](self)) and readable concurrently.
-#[derive(Debug, Default)]
-pub struct ProgressCell {
-    conflicts: AtomicU64,
-    conflicts_per_sec: AtomicU64,
-    restarts: AtomicU64,
-    trail_depth: AtomicU64,
-    decision_level: AtomicU64,
-    learnt_db: AtomicU64,
-    heartbeats: AtomicU64,
-}
-
-/// A point-in-time copy of a [`ProgressCell`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// Conflicts encountered so far.
-    pub conflicts: u64,
-    /// Instantaneous conflict rate (conflicts per second, rounded).
-    pub conflicts_per_sec: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Assigned literals on the trail at the last heartbeat.
-    pub trail_depth: u64,
-    /// Decision level at the last heartbeat.
-    pub decision_level: u64,
-    /// Live learned clauses kept.
-    pub learnt_db: u64,
-    /// Heartbeats observed; zero means the solver has not reached its first
-    /// heartbeat yet (or progress never flowed, e.g. a BDD backend).
-    pub heartbeats: u64,
-}
-
-impl ProgressCell {
-    /// An all-zero cell.
-    pub fn new() -> ProgressCell {
-        ProgressCell::default()
-    }
-
-    fn update(&self, stats: &SolverStats, rate: f64, trail: usize, level: usize, learnts: usize) {
-        self.conflicts.store(stats.conflicts, Ordering::Relaxed);
-        self.conflicts_per_sec
-            .store(rate.max(0.0).round() as u64, Ordering::Relaxed);
-        self.restarts.store(stats.restarts, Ordering::Relaxed);
-        self.trail_depth.store(trail as u64, Ordering::Relaxed);
-        self.decision_level.store(level as u64, Ordering::Relaxed);
-        self.learnt_db.store(learnts as u64, Ordering::Relaxed);
-        self.heartbeats.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the cell.
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            conflicts_per_sec: self.conflicts_per_sec.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            trail_depth: self.trail_depth.load(Ordering::Relaxed),
-            decision_level: self.decision_level.load(Ordering::Relaxed),
-            learnt_db: self.learnt_db.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
-        }
-    }
-}
-
-thread_local! {
-    static PROGRESS: RefCell<Option<Arc<ProgressCell>>> = const { RefCell::new(None) };
-}
-
-/// Routes the heartbeats of solvers run *on this thread* into `cell` until
-/// the returned guard drops (drop restores the previous cell, so installs
-/// nest, and a panicking solve cleans up on unwind).
-///
-/// Solvers running on other threads (e.g. back-end race members) are not
-/// captured — their progress stays visible through the global registry
-/// only.
-#[must_use = "progress flows only while the guard is alive"]
-pub fn install_progress_cell(cell: Arc<ProgressCell>) -> ProgressGuard {
-    let previous = PROGRESS
-        .try_with(|slot| slot.borrow_mut().replace(cell))
-        .ok()
-        .flatten();
-    ProgressGuard { previous }
-}
-
-/// Uninstalls the [`ProgressCell`] of [`install_progress_cell`] on drop.
-pub struct ProgressGuard {
-    previous: Option<Arc<ProgressCell>>,
-}
-
-impl Drop for ProgressGuard {
-    fn drop(&mut self) {
-        let previous = self.previous.take();
-        let _ = PROGRESS.try_with(|slot| *slot.borrow_mut() = previous);
-    }
-}
-
-fn current_progress_cell() -> Option<Arc<ProgressCell>> {
-    PROGRESS
-        .try_with(|slot| slot.borrow().clone())
-        .ok()
-        .flatten()
-}
 
 thread_local! {
     static RECORDER: RefCell<Option<velv_obs::SharedSolveRecorder>> = const { RefCell::new(None) };
@@ -491,8 +383,7 @@ impl EngineObs {
         let mean_level = self.publish_levels();
         self.flush(stats, num_learnts);
         self.publish_arena(mem);
-        let cell = current_progress_cell();
-        if !velv_obs::enabled() && cell.is_none() && self.recorder.is_none() {
+        if !velv_obs::enabled() && self.recorder.is_none() {
             // Skip the `Instant::now` when nobody is listening; the next
             // listened-to heartbeat restarts the rate window.
             self.last_beat = None;
@@ -514,9 +405,6 @@ impl EngineObs {
                 );
                 rec.offer(sample);
             }
-        }
-        if let Some(cell) = cell {
-            cell.update(stats, rate, trail_depth, decision_level, num_learnts);
         }
         if !velv_obs::enabled() {
             return;

@@ -236,7 +236,7 @@ fn run_trace_check(paths: &[String]) -> ! {
             println!("traces        {}", merged.traces);
             println!("remote links  {}", merged.remote_links);
             println!("orphaned      {}", merged.orphaned);
-            let durations = merged.durations.snapshot();
+            let durations = &merged.durations;
             if durations.count > 0 {
                 for (label, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
                     println!("span dur {label}  {:.0}us", durations.quantile(q));

@@ -11,10 +11,11 @@
 //! boot — a `kill -9` mid-burst loses no answered verdict, and the restarted
 //! daemon serves repeats from cache without re-solving.
 //!
-//! The flight recorder is always armed while the service runs; with
-//! `--flight-record DIR` its post-mortem dumps (worker panic, store append
-//! failure, shed storm, graceful shutdown) land in `DIR` as
-//! `FLIGHT-<ts>.jsonl` files instead of the working directory.
+//! The wire front end arms the flight recorder when it starts serving, so
+//! `velvc flight` can read the ring; with `--flight-record DIR` its
+//! post-mortem dumps (worker panic, store append failure, shed storm,
+//! graceful shutdown) land in `DIR` as `FLIGHT-<ts>.jsonl` files (without
+//! it no dump is written).
 //!
 //! With `--mem-limit BYTES` the daemon watches its own heap (the counting
 //! allocator is installed as the global allocator) and degrades in stages as

@@ -4,7 +4,8 @@
 //! One thread per connection; a connection may pipeline any number of
 //! request frames and receives one response frame per request, in order.
 //! `shutdown` stops the accept loop, shuts the service down (cancelling
-//! whatever is in flight), and joins every connection thread.
+//! whatever is in flight), ends the read half of every open connection (so
+//! an idle client cannot hold a thread), and joins every connection thread.
 
 use crate::proto::{
     batch_response, flight_response, mem_response, read_frame, stats_response, submit_response,
@@ -12,9 +13,9 @@ use crate::proto::{
 };
 use crate::service::{JobTicket, ServeError, ServeHandle};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -74,10 +75,16 @@ impl Drop for ServerControl {
 /// Binds `addr` (e.g. `"127.0.0.1:7911"`, port 0 for an ephemeral port) and
 /// serves `handle` on it.
 ///
+/// Arms the flight recorder ([`velv_obs::flight::arm`]) for the rest of the
+/// process: the wire front end is what reads the ring (the `flight` verb,
+/// the dumps of a daemon with a dump directory), so spans and events land in
+/// it from here on even with no trace sink installed.
+///
 /// # Errors
 ///
 /// Fails when the address cannot be bound.
 pub fn serve(handle: ServeHandle, addr: impl ToSocketAddrs) -> io::Result<ServerControl> {
+    velv_obs::flight::arm();
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
@@ -97,10 +104,15 @@ pub fn serve(handle: ServeHandle, addr: impl ToSocketAddrs) -> io::Result<Server
 }
 
 fn accept_loop(listener: TcpListener, handle: ServeHandle, stop: Arc<AtomicBool>) {
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    // Each connection thread with a clone of its stream, so shutdown can
+    // wake a thread blocked reading from an idle client.
+    let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                let Ok(read_half) = stream.try_clone() else {
+                    continue;
+                };
                 let handle = handle.clone();
                 let stop = Arc::clone(&stop);
                 let thread = std::thread::Builder::new()
@@ -109,10 +121,7 @@ fn accept_loop(listener: TcpListener, handle: ServeHandle, stop: Arc<AtomicBool>
                         let _ = serve_connection(stream, &handle, &stop);
                     })
                     .expect("spawning a connection thread succeeds");
-                connections
-                    .lock()
-                    .expect("connection registry lock")
-                    .push(thread);
+                connections.push((thread, read_half));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -121,20 +130,20 @@ fn accept_loop(listener: TcpListener, handle: ServeHandle, stop: Arc<AtomicBool>
         }
         // Reap finished connection threads so long-lived servers do not
         // accumulate handles.
-        let mut registry = connections.lock().expect("connection registry lock");
-        registry.retain(|t| !t.is_finished());
+        connections.retain(|(thread, _)| !thread.is_finished());
     }
     // Shut the service down FIRST: connection threads may be blocked in
     // `ticket.wait()` on long solves, and it is the shutdown (cancelling
     // every in-flight token) that unblocks them — joining before cancelling
-    // would wait out the solves.
+    // would wait out the solves.  Then end the read half of every stream: a
+    // thread waiting for an idle client's next frame reads end-of-stream and
+    // exits, while the write half stays open for a reply still being sent
+    // (the `ok bye` of a `shutdown` request).
     handle.shutdown();
-    let threads: Vec<JoinHandle<()>> = connections
-        .lock()
-        .expect("connection registry lock")
-        .drain(..)
-        .collect();
-    for thread in threads {
+    for (_, stream) in &connections {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (thread, _) in connections {
         let _ = thread.join();
     }
 }
@@ -197,12 +206,12 @@ fn dispatch(
                         .map(|b| b.as_millis().to_string())
                         .unwrap_or_else(|| "-".to_owned()),
                     progress.conflicts,
-                    progress.conflicts_per_sec,
+                    progress.conflicts_per_sec.round() as u64,
                     progress.restarts,
                     progress.trail_depth,
-                    progress.decision_level,
+                    progress.mean_decision_level.round() as u64,
                     progress.learnt_db,
-                    progress.heartbeats,
+                    row.beats,
                 ));
             }
             Ok(body)

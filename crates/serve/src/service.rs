@@ -478,13 +478,8 @@ impl ClassHistograms {
     /// derived from.
     fn merged_snapshot(&self) -> velv_obs::HistogramSnapshot {
         let mut merged = self.high.snapshot();
-        for other in [self.normal.snapshot(), self.low.snapshot()] {
-            for (count, extra) in merged.counts.iter_mut().zip(&other.counts) {
-                *count += extra;
-            }
-            merged.count += other.count;
-            merged.sum += other.sum;
-        }
+        merged.merge(&self.normal.snapshot());
+        merged.merge(&self.low.snapshot());
         merged
     }
 }
@@ -892,13 +887,13 @@ impl velv_obs::MemFootprint for QueueState {
 }
 
 /// A live progress-table entry: one job a worker is currently running, with
-/// the heartbeat-fed [`velv_sat::ProgressCell`] it reports into.
+/// the solve recorder its solver heartbeats feed.
 struct ProgressEntry {
     name: String,
     priority: i32,
     started: Instant,
     deadline: Option<Instant>,
-    cell: Arc<velv_sat::ProgressCell>,
+    recorder: velv_obs::SharedSolveRecorder,
 }
 
 /// One row of the live per-job progress table — the payload of the `status`
@@ -915,9 +910,14 @@ pub struct ProgressRow {
     pub elapsed: Duration,
     /// Total wall budget (submission to deadline), when the job has one.
     pub budget: Option<Duration>,
-    /// The latest solver heartbeat figures (all zero before the first
-    /// heartbeat, and for back ends that do not heartbeat).
-    pub progress: velv_sat::ProgressSnapshot,
+    /// The latest sample the job's solve recorder was offered (all zero
+    /// before the first one, and for back ends that do not heartbeat).  The
+    /// wire `level` is its `mean_decision_level` rounded: the mean decision
+    /// level of the conflicts since the previous sample.
+    pub progress: velv_obs::SolveSample,
+    /// Samples offered so far (the wire `beats`): one per heartbeat plus the
+    /// closing sample of each `search` call, summed over race members.
+    pub beats: u64,
 }
 
 struct Inner {
@@ -1143,15 +1143,22 @@ impl Inner {
         let table = self.progress.lock().expect("progress table lock");
         let mut rows: Vec<ProgressRow> = table
             .iter()
-            .map(|(key, entry)| ProgressRow {
-                fingerprint: Fingerprint(*key),
-                name: entry.name.clone(),
-                class: priority_class(entry.priority),
-                elapsed: entry.started.elapsed(),
-                budget: entry
-                    .deadline
-                    .map(|d| d.saturating_duration_since(entry.started)),
-                progress: entry.cell.snapshot(),
+            .map(|(key, entry)| {
+                let recorder = entry
+                    .recorder
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                ProgressRow {
+                    fingerprint: Fingerprint(*key),
+                    name: entry.name.clone(),
+                    class: priority_class(entry.priority),
+                    elapsed: entry.started.elapsed(),
+                    budget: entry
+                        .deadline
+                        .map(|d| d.saturating_duration_since(entry.started)),
+                    progress: recorder.last().cloned().unwrap_or_default(),
+                    beats: recorder.offered(),
+                }
             })
             .collect();
         drop(table);
@@ -1491,10 +1498,6 @@ impl ServeHandle {
     /// Fails with [`ServeError::Store`] when the store directory cannot be
     /// opened or scanned.
     pub fn try_start(config: ServiceConfig) -> Result<ServeHandle, ServeError> {
-        // The flight recorder is always on while a service runs: spans and
-        // events land in the in-memory ring even with no trace sink
-        // installed, so a panic or storm can dump the last moments.
-        velv_obs::flight::arm();
         let workers = config.workers.max(1);
         let registry = velv_obs::Registry::new();
         let cache = VerdictCache::with_registry(config.cache_bytes, config.cache_shards, &registry);

@@ -51,7 +51,7 @@ impl<'a> ProgressTableGuard<'a> {
     fn insert(
         inner: &'a Inner,
         job: &SingleJob,
-        cell: &Arc<velv_sat::ProgressCell>,
+        recorder: &velv_obs::SharedSolveRecorder,
     ) -> ProgressTableGuard<'a> {
         let key = job.state.fingerprint.0;
         inner.progress.lock().expect("progress table lock").insert(
@@ -61,7 +61,7 @@ impl<'a> ProgressTableGuard<'a> {
                 priority: job.spec.priority,
                 started: job.state.submitted,
                 deadline: job.deadline,
-                cell: Arc::clone(cell),
+                recorder: Arc::clone(recorder),
             },
         );
         ProgressTableGuard { inner, key }
@@ -145,20 +145,12 @@ fn run_single(inner: &Inner, job: &SingleJob) {
     };
     inner.counters.translations.inc();
 
-    // Live introspection: the solver's heartbeats flow into this cell, which
-    // the `status` progress rows read concurrently.
-    let progress = Arc::new(velv_sat::ProgressCell::new());
-    let _table = ProgressTableGuard::insert(inner, job, &progress);
-    let _cell = velv_sat::install_progress_cell(Arc::clone(&progress));
-
-    // Solve profiling: the recorder rides the same heartbeats; the profile
-    // sink folds this job's spans into a phase tree once the solve is done.
-    let recorder = inner
-        .config
-        .profile_sink
-        .as_ref()
-        .map(|_| velv_obs::shared_recorder());
-    let _recorder_guard = recorder.clone().map(velv_sat::install_solve_recorder);
+    // The solver's heartbeats flow into this recorder: the `status` progress
+    // rows read its latest sample while the job runs, and with a profile sink
+    // configured the job's profile is built from its series afterwards.
+    let recorder = velv_obs::shared_recorder();
+    let _table = ProgressTableGuard::insert(inner, job, &recorder);
+    let _recorder_guard = velv_sat::install_solve_recorder(Arc::clone(&recorder));
 
     let obligations = {
         let _span = velv_obs::span("serve.translate");
@@ -195,7 +187,7 @@ fn run_single(inner: &Inner, job: &SingleJob) {
     // Free the translations before the verdict leaves: a client woken by
     // `resolve` must not share the machine with their teardown.
     drop(obligations);
-    let profile = build_job_profile(inner, job, &verdict, job_span.id(), job_started, recorder);
+    let profile = build_job_profile(inner, job, &verdict, job_span.id(), job_started, &recorder);
     let _respond_span = velv_obs::span("serve.respond");
     let fresh = Fresh {
         verdict,
@@ -271,10 +263,9 @@ fn build_job_profile(
     verdict: &Verdict,
     job_span_id: u64,
     job_started: Instant,
-    recorder: Option<velv_obs::SharedSolveRecorder>,
+    recorder: &velv_obs::SharedSolveRecorder,
 ) -> Option<Arc<String>> {
     let sink = inner.config.profile_sink.as_ref()?;
-    let recorder = recorder?;
     // The translate thread already drained its trace buffer on exit; flush
     // the remaining per-thread buffers so the sink holds every span of this
     // job before the tree is folded.

@@ -478,10 +478,7 @@ fn shutdown_under_a_keep_proof_job_reports_cancelled() {
     spec.keep_proof = true;
     let ticket = service.submit(spec).expect("accepted");
     wait_until("the proof-logging solve to heartbeat", || {
-        service
-            .progress_rows()
-            .iter()
-            .any(|row| row.progress.heartbeats > 0)
+        service.progress_rows().iter().any(|row| row.beats > 0)
     });
     service.shutdown();
     let result = ticket.wait();
@@ -490,6 +487,24 @@ fn shutdown_under_a_keep_proof_job_reports_cancelled() {
         velv_core::Verdict::Unknown("cancelled".to_owned())
     );
     assert_eq!(service.stats().proofs_kept, 0);
+}
+
+#[test]
+fn portfolio_jobs_report_live_progress() {
+    // The race runs its members on threads of their own; each re-installs
+    // the job's solve recorder, so the live progress row of a portfolio job
+    // fills in like that of a single-engine job.
+    let service = ServeHandle::start(ServiceConfig::default().with_workers(1));
+    let mut spec = JobSpec::new(ModelRef::Dlx {
+        config: DlxVariant::DualFull,
+        bug: None,
+    });
+    spec.backend = BackendChoice::Portfolio;
+    let _ticket = service.submit(spec).expect("accepted");
+    wait_until("a portfolio member to heartbeat", || {
+        service.progress_rows().iter().any(|row| row.beats > 0)
+    });
+    service.shutdown();
 }
 
 #[test]

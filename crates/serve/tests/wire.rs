@@ -221,8 +221,9 @@ fn status_and_flight_verbs_report_live_state() {
     assert!(status.field("queued").is_some());
     assert!(status.field("running").is_some());
 
-    // The service armed the flight recorder at start, so the just-finished
-    // job's spans are in the ring even though no trace sink is installed.
+    // The wire front end armed the flight recorder when it started serving,
+    // so the just-finished job's spans are in the ring even though no trace
+    // sink is installed.
     let lines = client.flight().expect("flight snapshot");
     assert!(!lines.is_empty(), "the flight ring captured the job");
     let joined = lines.join("\n");
@@ -257,36 +258,6 @@ fn prometheus_stats_parse_as_valid_exposition_text() {
 }
 
 #[test]
-fn shutdown_flushes_trace_buffers_through_the_tcp_harness() {
-    // The tracer is process-global; this is the only wire test that installs
-    // a sink, and it filters on serve-specific record names so records from
-    // concurrently running servers cannot break it.
-    let sink = std::sync::Arc::new(velv_obs::MemorySink::new());
-    velv_obs::install_sink(sink.clone());
-
-    let (control, addr, _handle) = start_server(2);
-    let mut client = ServeClient::connect(addr).expect("connect");
-    client
-        .submit(JobSpec::parse_wire("model=dlx1:bug:1").unwrap())
-        .expect("submit succeeds");
-    client.shutdown().expect("shutdown");
-    control.wait();
-    velv_obs::uninstall_sink();
-
-    let contents = sink.contents();
-    let summary = velv_obs::check_trace(&contents).expect("well-formed trace capture");
-    assert!(summary.records > 0, "shutdown drained the trace buffers");
-    assert!(
-        contents.contains("\"serve.shutdown\""),
-        "the graceful shutdown event reached the sink: {contents}"
-    );
-    assert!(
-        contents.contains("\"serve.job\""),
-        "the job span reached the sink: {contents}"
-    );
-}
-
-#[test]
 fn stopping_the_control_tears_everything_down() {
     let (control, addr, _handle) = start_server(1);
     {
@@ -304,4 +275,77 @@ fn stopping_the_control_tears_everything_down() {
     if let Ok(mut client) = ServeClient::connect(addr) {
         assert!(client.ping().is_err());
     }
+}
+
+#[test]
+fn stop_returns_while_a_client_is_idle() {
+    // An open connection whose client sends nothing more leaves its thread
+    // waiting for the next frame; stopping must not wait for that client.
+    let (control, addr, _handle) = start_server(1);
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.ping().expect("ping");
+    std::thread::sleep(Duration::from_millis(100));
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        control.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop returns while the idle client stays connected");
+    drop(client);
+}
+
+/// The keys of a `status` job row, in wire order.
+const JOB_ROW_KEYS: [&str; 11] = [
+    "name",
+    "class",
+    "elapsed-ms",
+    "budget-ms",
+    "conflicts",
+    "conflicts-per-sec",
+    "restarts",
+    "trail",
+    "level",
+    "learnts",
+    "beats",
+];
+
+#[test]
+fn status_job_rows_carry_every_key_in_order() {
+    let (control, addr, _handle) = start_server(1);
+    // A long chaff solve, submitted from its own client: the submit blocks
+    // until the job resolves, which here is the stop below.
+    let submitter = std::thread::spawn(move || {
+        let mut client = ServeClient::connect(addr).expect("connect");
+        let _ = client.submit(JobSpec::parse_wire("model=dlx2f:correct backend=chaff").unwrap());
+    });
+    let mut observer = ServeClient::connect(addr).expect("connect");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let status = observer.status().expect("status");
+        if let Some(row) = status.all("job").first() {
+            // `job <fingerprint> key=value ...`
+            let mut tokens = row.split(' ');
+            assert!(tokens.next().is_some_and(|fp| !fp.contains('=')), "{row}");
+            let pairs: Vec<(&str, &str)> = tokens
+                .map(|token| token.split_once('=').expect("key=value"))
+                .collect();
+            let keys: Vec<&str> = pairs.iter().map(|(key, _)| *key).collect();
+            assert_eq!(keys, JOB_ROW_KEYS, "{row}");
+            let beats: u64 = pairs[10].1.parse().expect("numeric beats");
+            if beats > 0 {
+                break;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for a job row with beats > 0"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    control.stop();
+    submitter
+        .join()
+        .expect("the submitter returns once the job is cancelled");
 }

@@ -8,10 +8,12 @@ use velv_store::{failpoint, FailAction};
 
 #[test]
 fn a_panicking_worker_yields_an_error_verdict_and_the_pool_keeps_serving() {
-    // A panicking worker must dump the flight ring; point the dumps at a
-    // scratch directory so the test can inspect them.
+    // A panicking worker must dump the flight ring; arm the ring (the wire
+    // front end would, and this test drives the service directly) and point
+    // the dumps at a scratch directory so the test can inspect them.
     let dump_dir = std::env::temp_dir().join(format!("velv-flight-panic-{}", std::process::id()));
     std::fs::create_dir_all(&dump_dir).expect("create flight dump dir");
+    velv_obs::flight::arm();
     velv_obs::flight::set_dump_dir(Some(dump_dir.as_path()));
 
     let service = ServeHandle::start(ServiceConfig::default().with_workers(2));

@@ -466,9 +466,9 @@ mod tests {
         // that stops there never refutes the formula.
         let mut cnf = CnfFormula::new(0);
         let (x1, x2) = (cnf.new_var(), cnf.new_var());
-        cnf.add_clause(vec![Lit::positive(x1)]);
-        cnf.add_clause(vec![Lit::negative(x1), Lit::positive(x2)]);
-        cnf.add_clause(vec![Lit::negative(x2)]);
+        cnf.add_clause(&[Lit::positive(x1)]);
+        cnf.add_clause(&[Lit::negative(x1), Lit::positive(x2)]);
+        cnf.add_clause(&[Lit::negative(x2)]);
         let check = |proof: &Proof| {
             let terminal = proof.len() - 1;
             check_unsat_proof("toy", &cnf, &[], proof, terminal, &CertifyOptions::full())

@@ -52,7 +52,7 @@ pub fn formula_to_cnf(ctx: &Context, roots: &[(FormulaId, bool)]) -> CnfTranslat
         units.push(if value { lit } else { !lit });
     }
     for unit in units {
-        builder.cnf.add_clause(vec![unit]);
+        builder.cnf.add_clause(&[unit]);
     }
     builder.finish()
 }
@@ -73,7 +73,10 @@ struct CnfBuilder {
 }
 
 impl CnfBuilder {
-    fn finish(self) -> CnfTranslation {
+    fn finish(mut self) -> CnfTranslation {
+        // The formula stays alive through the whole solve it feeds, so its
+        // buffers keep no growth slack.
+        self.cnf.shrink_to_fit();
         CnfTranslation {
             cnf: self.cnf,
             primary_vars: self.primary_vars,
@@ -91,7 +94,7 @@ impl CnfBuilder {
             return l;
         }
         let lit = Lit::positive(self.cnf.new_var());
-        self.cnf.add_clause(vec![lit]);
+        self.cnf.add_clause(&[lit]);
         self.constant_true = Some(lit);
         lit
     }
@@ -121,9 +124,9 @@ impl CnfBuilder {
                 let lb = self.literal(ctx, b);
                 let v = self.fresh_aux();
                 // v ↔ (a ∧ b)
-                self.cnf.add_clause(vec![!v, la]);
-                self.cnf.add_clause(vec![!v, lb]);
-                self.cnf.add_clause(vec![v, !la, !lb]);
+                self.cnf.add_clause(&[!v, la]);
+                self.cnf.add_clause(&[!v, lb]);
+                self.cnf.add_clause(&[v, !la, !lb]);
                 v
             }
             Formula::Or(a, b) => {
@@ -131,9 +134,9 @@ impl CnfBuilder {
                 let lb = self.literal(ctx, b);
                 let v = self.fresh_aux();
                 // v ↔ (a ∨ b)
-                self.cnf.add_clause(vec![!v, la, lb]);
-                self.cnf.add_clause(vec![v, !la]);
-                self.cnf.add_clause(vec![v, !lb]);
+                self.cnf.add_clause(&[!v, la, lb]);
+                self.cnf.add_clause(&[v, !la]);
+                self.cnf.add_clause(&[v, !lb]);
                 v
             }
             Formula::Ite(c, t, e) => {
@@ -142,13 +145,13 @@ impl CnfBuilder {
                 let le = self.literal(ctx, e);
                 let v = self.fresh_aux();
                 // v ↔ ITE(c, t, e)
-                self.cnf.add_clause(vec![!v, !lc, lt]);
-                self.cnf.add_clause(vec![!v, lc, le]);
-                self.cnf.add_clause(vec![v, !lc, !lt]);
-                self.cnf.add_clause(vec![v, lc, !le]);
+                self.cnf.add_clause(&[!v, !lc, lt]);
+                self.cnf.add_clause(&[!v, lc, le]);
+                self.cnf.add_clause(&[v, !lc, !lt]);
+                self.cnf.add_clause(&[v, lc, !le]);
                 // Redundant but propagation-friendly clauses.
-                self.cnf.add_clause(vec![!v, lt, le]);
-                self.cnf.add_clause(vec![v, !lt, !le]);
+                self.cnf.add_clause(&[!v, lt, le]);
+                self.cnf.add_clause(&[v, !lt, !le]);
                 v
             }
             Formula::Eq(_, _) | Formula::Up(_, _) => {

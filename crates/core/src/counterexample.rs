@@ -2,15 +2,20 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use velv_eufm::{Context, Interpretation, Symbol};
 use velv_sat::{Model, Var};
 
 /// A counterexample: an assignment to the primary Boolean variables of the
 /// encoded correctness formula (control variables, *e*ij equalities, indexing
 /// variables) that falsifies the correctness criterion.
+///
+/// The assignments are shared, not copied, between clones: a verdict served
+/// from a cache or delivered to several waiting tickets does not duplicate a
+/// map over every primary variable.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counterexample {
-    assignments: BTreeMap<String, bool>,
+    assignments: Arc<BTreeMap<String, bool>>,
 }
 
 impl Counterexample {
@@ -23,14 +28,16 @@ impl Counterexample {
                 assignments.insert(ctx.symbol_name(sym).to_owned(), model.value(var));
             }
         }
-        Counterexample { assignments }
+        Counterexample::from_assignments(assignments)
     }
 
     /// Rebuilds a counterexample from explicit `(name, value)` assignments —
     /// the deserialization path of persisted buggy verdicts, inverse of
     /// [`Counterexample::iter`].
     pub fn from_assignments(assignments: BTreeMap<String, bool>) -> Self {
-        Counterexample { assignments }
+        Counterexample {
+            assignments: Arc::new(assignments),
+        }
     }
 
     /// The value of a primary variable, if it is part of the counterexample.
@@ -48,7 +55,7 @@ impl Counterexample {
     /// class.
     pub fn to_interpretation(&self, ctx: &mut Context) -> Interpretation {
         let mut interp = Interpretation::new();
-        for (name, &value) in &self.assignments {
+        for (name, &value) in self.assignments.iter() {
             interp.set_prop_var(ctx, name, value);
         }
         interp
@@ -87,7 +94,7 @@ impl fmt::Display for Counterexample {
             "counterexample over {} primary variables:",
             self.assignments.len()
         )?;
-        for (name, value) in &self.assignments {
+        for (name, value) in self.assignments.iter() {
             if *value {
                 writeln!(f, "  {name} = 1")?;
             }
@@ -117,6 +124,16 @@ mod tests {
         assert_eq!(cex.len(), 2);
         assert_eq!(cex.true_assignments(), vec!["squash_taken"]);
         assert!(format!("{cex}").contains("squash_taken = 1"));
+    }
+
+    #[test]
+    fn clones_share_the_assignments() {
+        let mut assignments = BTreeMap::new();
+        assignments.insert("e!rs1=rd".to_owned(), true);
+        let cex = Counterexample::from_assignments(assignments);
+        let copy = cex.clone();
+        assert!(Arc::ptr_eq(&cex.assignments, &copy.assignments));
+        assert_eq!(copy, cex);
     }
 
     #[test]

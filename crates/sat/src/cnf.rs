@@ -112,11 +112,18 @@ impl fmt::Display for Lit {
 /// A disjunction of literals.
 pub type Clause = Vec<Lit>;
 
-/// A formula in conjunctive normal form.
+/// A formula in conjunctive normal form, stored flat: the literals of every
+/// clause back to back in one buffer, plus one end offset per clause.  A
+/// clause is a `&[Lit]` slice of that buffer, so building, reading and
+/// copying a formula costs no allocation per clause.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// The literals of all clauses, in clause order.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the offset in `lits` one past the last literal of clause
+    /// `i`; clause `i` starts where clause `i - 1` ends.
+    ends: Vec<u32>,
 }
 
 impl CnfFormula {
@@ -124,7 +131,8 @@ impl CnfFormula {
     pub fn new(num_vars: usize) -> Self {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -135,12 +143,24 @@ impl CnfFormula {
 
     /// Number of clauses of the formula.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
-    /// The clauses of the formula.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The literals of clause `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`CnfFormula::num_clauses`].
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.lits[start..self.ends[i] as usize]
+    }
+
+    /// The clauses of the formula, in the order they were added.
+    pub fn clauses(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &[Lit]> + DoubleEndedIterator + Clone + '_ {
+        (0..self.ends.len()).map(move |i| self.clause(i))
     }
 
     /// Allocates a fresh variable.
@@ -157,27 +177,48 @@ impl CnfFormula {
         }
     }
 
-    /// Adds a clause.  The clause is normalised: duplicate literals are removed
-    /// and tautological clauses (containing `x` and `¬x`) are dropped.
-    /// Variables mentioned by the clause extend the variable count if needed.
-    pub fn add_clause(&mut self, mut clause: Clause) {
-        clause.sort_unstable();
-        clause.dedup();
-        for pair in clause.windows(2) {
-            if pair[0].var() == pair[1].var() {
-                // `x` and `¬x` in the same clause: tautology.
-                return;
+    /// Adds a clause.  The clause is normalised in place at the end of the
+    /// literal buffer: its literals are sorted, duplicates are removed and a
+    /// tautological clause (containing `x` and `¬x`) is dropped.  Variables
+    /// mentioned by a kept clause extend the variable count if needed.
+    pub fn add_clause(&mut self, clause: &[Lit]) {
+        let start = self.lits.len();
+        self.lits.extend_from_slice(clause);
+        let added = &mut self.lits[start..];
+        added.sort_unstable();
+        let mut len = 0;
+        for k in 0..added.len() {
+            if len == 0 || added[k] != added[len - 1] {
+                added[len] = added[k];
+                len += 1;
             }
         }
-        if let Some(max) = clause.iter().map(|l| l.var().index() + 1).max() {
+        let added = &added[..len];
+        // Sorted literals put `x` and `¬x` side by side.
+        if added.windows(2).any(|pair| pair[0].var() == pair[1].var()) {
+            self.lits.truncate(start);
+            return;
+        }
+        // The largest literal carries the largest variable.
+        let max_var = added.last().map(|last| last.var().index() + 1);
+        self.lits.truncate(start + len);
+        if let Some(max) = max_var {
             self.ensure_vars(max);
         }
-        self.clauses.push(clause);
+        let end = u32::try_from(self.lits.len()).expect("CNF exceeds u32::MAX literals");
+        self.ends.push(end);
+    }
+
+    /// Releases the spare capacity of the literal and offset buffers, for a
+    /// formula that is complete and about to be kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.lits.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 
     /// Whether `assignment` (indexed by variable) satisfies every clause.
     pub fn is_satisfied_by(&self, assignment: &[bool]) -> bool {
-        self.clauses.iter().all(|clause| {
+        self.clauses().all(|clause| {
             clause
                 .iter()
                 .any(|lit| assignment[lit.var().index()] == lit.is_positive())
@@ -186,8 +227,7 @@ impl CnfFormula {
 
     /// Number of clauses left unsatisfied by `assignment`.
     pub fn unsatisfied_count(&self, assignment: &[bool]) -> usize {
-        self.clauses
-            .iter()
+        self.clauses()
             .filter(|clause| {
                 !clause
                     .iter()
@@ -198,25 +238,17 @@ impl CnfFormula {
 
     /// Total number of literal occurrences.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(|c| c.len()).sum()
+        self.lits.len()
     }
 }
 
-impl FromIterator<Clause> for CnfFormula {
-    fn from_iter<I: IntoIterator<Item = Clause>>(iter: I) -> Self {
+impl<C: AsRef<[Lit]>> FromIterator<C> for CnfFormula {
+    fn from_iter<I: IntoIterator<Item = C>>(iter: I) -> Self {
         let mut cnf = CnfFormula::new(0);
         for clause in iter {
-            cnf.add_clause(clause);
+            cnf.add_clause(clause.as_ref());
         }
         cnf
-    }
-}
-
-impl Extend<Clause> for CnfFormula {
-    fn extend<I: IntoIterator<Item = Clause>>(&mut self, iter: I) {
-        for clause in iter {
-            self.add_clause(clause);
-        }
     }
 }
 
@@ -247,13 +279,50 @@ mod tests {
         let mut cnf = CnfFormula::new(0);
         let a = Lit::positive(Var::new(0));
         let b = Lit::positive(Var::new(1));
-        cnf.add_clause(vec![a, b, a]);
+        cnf.add_clause(&[a, b, a]);
         assert_eq!(cnf.num_clauses(), 1);
-        assert_eq!(cnf.clauses()[0].len(), 2);
+        assert_eq!(cnf.clause(0).len(), 2);
         assert_eq!(cnf.num_vars(), 2);
         // Tautological clause is dropped.
-        cnf.add_clause(vec![a, !a]);
+        cnf.add_clause(&[a, !a]);
         assert_eq!(cnf.num_clauses(), 1);
+    }
+
+    #[test]
+    fn flat_clauses_are_sorted_deduplicated_and_tautology_free() {
+        let l = Lit::from_dimacs;
+        let mut cnf = CnfFormula::new(2);
+        cnf.add_clause(&[l(3), l(-1), l(3), l(2), l(-1)]);
+        // A tautology leaves no trace in the literal buffer, wherever its
+        // complementary pair sits after sorting.
+        cnf.add_clause(&[l(9), l(4), l(-9)]);
+        cnf.add_clause(&[l(-5), l(5)]);
+        cnf.add_clause(&[l(7), l(7)]);
+        cnf.add_clause(&[]);
+        cnf.add_clause(&[l(-2), l(1)]);
+        let clauses: Vec<&[Lit]> = cnf.clauses().collect();
+        assert_eq!(
+            clauses,
+            vec![
+                &[l(-1), l(2), l(3)][..],
+                &[l(7)][..],
+                &[][..],
+                &[l(1), l(-2)][..],
+            ]
+        );
+        assert_eq!(cnf.num_clauses(), 4);
+        assert_eq!(cnf.num_literals(), 6);
+        for (i, clause) in clauses.iter().enumerate() {
+            assert_eq!(cnf.clause(i), *clause);
+            assert!(clause.windows(2).all(|pair| pair[0] < pair[1]));
+        }
+        assert_eq!(cnf.clauses().next_back(), Some(&[l(1), l(-2)][..]));
+        // Kept clauses extend the variable count; the dropped tautologies
+        // over x9 and x5 do not.
+        assert_eq!(cnf.num_vars(), 7);
+        let mut wider = CnfFormula::new(10);
+        wider.add_clause(&[l(-3)]);
+        assert_eq!(wider.num_vars(), 10, "the count never shrinks");
     }
 
     #[test]
@@ -261,8 +330,8 @@ mod tests {
         let mut cnf = CnfFormula::new(2);
         let a = Lit::positive(Var::new(0));
         let b = Lit::positive(Var::new(1));
-        cnf.add_clause(vec![a, b]);
-        cnf.add_clause(vec![!a, b]);
+        cnf.add_clause(&[a, b]);
+        cnf.add_clause(&[!a, b]);
         assert!(cnf.is_satisfied_by(&[false, true]));
         assert!(cnf.is_satisfied_by(&[true, true]));
         assert!(!cnf.is_satisfied_by(&[true, false]));
@@ -277,6 +346,8 @@ mod tests {
         let cnf: CnfFormula = vec![vec![a], vec![b, !a]].into_iter().collect();
         assert_eq!(cnf.num_clauses(), 2);
         assert_eq!(cnf.num_vars(), 2);
+        let copy: CnfFormula = cnf.clauses().collect();
+        assert_eq!(copy, cnf);
     }
 
     #[test]

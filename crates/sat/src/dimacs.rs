@@ -39,14 +39,20 @@ impl From<io::Error> for ParseDimacsError {
 ///
 /// Returns [`ParseDimacsError`] if the input is not a well-formed DIMACS
 /// problem or the reader fails.
-pub fn read_dimacs<R: BufRead>(reader: R) -> Result<CnfFormula, ParseDimacsError> {
+pub fn read_dimacs<R: BufRead>(mut reader: R) -> Result<CnfFormula, ParseDimacsError> {
     let mut cnf = CnfFormula::new(0);
     let mut declared_vars = 0usize;
+    // One line buffer and one clause buffer for the whole input: a clause is
+    // copied into the formula's flat literal buffer as its `0` is read.
+    let mut buf = String::new();
     let mut current: Vec<Lit> = Vec::new();
     let mut saw_problem_line = false;
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            break;
+        }
+        let line = buf.trim();
         if line.is_empty() || line.starts_with('c') {
             continue;
         }
@@ -75,7 +81,8 @@ pub fn read_dimacs<R: BufRead>(reader: R) -> Result<CnfFormula, ParseDimacsError
                 .parse()
                 .map_err(|_| ParseDimacsError::Malformed(format!("invalid literal `{token}`")))?;
             if value == 0 {
-                cnf.add_clause(std::mem::take(&mut current));
+                cnf.add_clause(&current);
+                current.clear();
             } else {
                 current.push(Lit::from_dimacs(value));
             }
@@ -85,7 +92,7 @@ pub fn read_dimacs<R: BufRead>(reader: R) -> Result<CnfFormula, ParseDimacsError
         return Err(ParseDimacsError::Malformed("missing problem line".into()));
     }
     if !current.is_empty() {
-        cnf.add_clause(current);
+        cnf.add_clause(&current);
     }
     cnf.ensure_vars(declared_vars);
     Ok(cnf)
@@ -131,10 +138,7 @@ pub fn clause_to_dimacs_i32(clause: &[Lit]) -> Vec<i32> {
 
 /// DIMACS-codes every clause of `cnf` for the `velv_proof` checker.
 pub fn cnf_to_dimacs_i32(cnf: &CnfFormula) -> Vec<Vec<i32>> {
-    cnf.clauses()
-        .iter()
-        .map(|c| clause_to_dimacs_i32(c))
-        .collect()
+    cnf.clauses().map(clause_to_dimacs_i32).collect()
 }
 
 impl From<ParseDratError> for ParseDimacsError {
@@ -205,7 +209,7 @@ mod tests {
         let cnf = parse_dimacs(input).unwrap();
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0].len(), 2);
+        assert_eq!(cnf.clause(0).len(), 2);
     }
 
     #[test]
@@ -214,13 +218,34 @@ mod tests {
         let a = Lit::positive(Var::new(0));
         let b = Lit::negative(Var::new(1));
         let c = Lit::positive(Var::new(2));
-        cnf.add_clause(vec![a, b]);
-        cnf.add_clause(vec![c]);
+        cnf.add_clause(&[a, b]);
+        cnf.add_clause(&[c]);
         let text = to_dimacs_string(&cnf);
         let parsed = parse_dimacs(&text).unwrap();
         assert_eq!(parsed.num_vars(), cnf.num_vars());
         assert_eq!(parsed.num_clauses(), cnf.num_clauses());
-        assert_eq!(parsed.clauses(), cnf.clauses());
+        assert!(parsed.clauses().eq(cnf.clauses()));
+    }
+
+    #[test]
+    fn write_then_parse_reproduces_the_flat_formula() {
+        // Unsorted, duplicated and tautological input, an empty clause and
+        // declared variables no clause mentions: the written text parses
+        // back to the identical formula, literal buffer and offsets alike.
+        let mut rng = crate::rng::SmallRng::seed_from_u64(26);
+        let mut cnf = CnfFormula::new(40);
+        for _ in 0..300 {
+            let len = rng.gen_range(0..7);
+            let clause: Vec<Lit> = (0..len)
+                .map(|_| Lit::new(Var::new(rng.gen_range(0..30) as u32), rng.gen_bool(0.5)))
+                .collect();
+            cnf.add_clause(&clause);
+        }
+        cnf.add_clause(&[]);
+        assert!(cnf.num_clauses() > 100 && cnf.num_clauses() < 301);
+        let parsed = parse_dimacs(&to_dimacs_string(&cnf)).unwrap();
+        assert_eq!(parsed, cnf);
+        assert_eq!(to_dimacs_string(&parsed), to_dimacs_string(&cnf));
     }
 
     #[test]
@@ -240,8 +265,8 @@ mod tests {
         let input = "p cnf 3 2\n1 2\n3 0\n-1 -2 -3\n";
         let cnf = parse_dimacs(input).unwrap();
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0].len(), 3);
-        assert_eq!(cnf.clauses()[1].len(), 3);
+        assert_eq!(cnf.clause(0).len(), 3);
+        assert_eq!(cnf.clause(1).len(), 3);
     }
 
     #[test]
@@ -255,10 +280,7 @@ mod tests {
         // The '%' marker ends the input: the stray "0" line after it must
         // not be parsed as an (unsatisfiable) empty clause.
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(
-            cnf.clauses()[0],
-            vec![Lit::from_dimacs(1), Lit::from_dimacs(-2)]
-        );
+        assert_eq!(cnf.clause(0), [Lit::from_dimacs(1), Lit::from_dimacs(-2)]);
     }
 
     fn sample_proof() -> Proof {

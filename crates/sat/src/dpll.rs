@@ -199,7 +199,7 @@ mod tests {
     fn cnf_of(clauses: &[&[i64]]) -> CnfFormula {
         let mut cnf = CnfFormula::new(0);
         for c in clauses {
-            cnf.add_clause(c.iter().map(|&i| lit(i)).collect());
+            cnf.add_clause(&c.iter().map(|&i| lit(i)).collect::<Vec<_>>());
         }
         cnf
     }
@@ -242,13 +242,17 @@ mod tests {
         let n = 12;
         for i in 0..n {
             for j in (i + 1)..n {
-                cnf.add_clause(vec![
+                cnf.add_clause(&[
                     Lit::negative(Var::new(i as u32)),
                     Lit::negative(Var::new(j as u32)),
                 ]);
             }
         }
-        cnf.add_clause((0..n).map(|i| Lit::positive(Var::new(i as u32))).collect());
+        cnf.add_clause(
+            &(0..n)
+                .map(|i| Lit::positive(Var::new(i as u32)))
+                .collect::<Vec<_>>(),
+        );
         let mut solver = DpllSolver::new();
         let result = solver.solve_with_budget(
             &cnf,

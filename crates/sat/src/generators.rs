@@ -14,12 +14,12 @@ pub fn pigeonhole(holes: usize) -> CnfFormula {
     let mut cnf = CnfFormula::new(pigeons * holes);
     let var = |p: usize, h: usize| Lit::positive(Var::new((p * holes + h) as u32));
     for p in 0..pigeons {
-        cnf.add_clause((0..holes).map(|h| var(p, h)).collect());
+        cnf.add_clause(&(0..holes).map(|h| var(p, h)).collect::<Vec<_>>());
     }
     for h in 0..holes {
         for p1 in 0..pigeons {
             for p2 in (p1 + 1)..pigeons {
-                cnf.add_clause(vec![!var(p1, h), !var(p2, h)]);
+                cnf.add_clause(&[!var(p1, h), !var(p2, h)]);
             }
         }
     }
@@ -41,7 +41,7 @@ pub fn random_3sat(num_vars: usize, num_clauses: usize, seed: u64) -> CnfFormula
                 clause.push(l);
             }
         }
-        cnf.add_clause(clause);
+        cnf.add_clause(&clause);
     }
     cnf
 }
@@ -64,6 +64,6 @@ mod tests {
         let b = random_3sat(30, 120, 7);
         assert_eq!(a, b);
         assert_eq!(a.num_clauses(), 120);
-        assert!(a.clauses().iter().all(|c| c.len() == 3));
+        assert!(a.clauses().all(|c| c.len() == 3));
     }
 }

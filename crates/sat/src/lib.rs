@@ -44,8 +44,8 @@
 //! let mut cnf = CnfFormula::new(2);
 //! let a = Lit::positive(Var::new(0));
 //! let b = Lit::positive(Var::new(1));
-//! cnf.add_clause(vec![a, b]);
-//! cnf.add_clause(vec![!a]);
+//! cnf.add_clause(&[a, b]);
+//! cnf.add_clause(&[!a]);
 //! let mut solver = CdclSolver::chaff();
 //! match solver.solve(&cnf) {
 //!     SatResult::Sat(model) => assert!(model.value(b.var())),

@@ -82,7 +82,7 @@ struct OccurrenceLists {
 impl OccurrenceLists {
     fn build(cnf: &CnfFormula) -> Self {
         let mut by_var = vec![Vec::new(); cnf.num_vars()];
-        for (ci, clause) in cnf.clauses().iter().enumerate() {
+        for (ci, clause) in cnf.clauses().enumerate() {
             for lit in clause {
                 by_var[lit.var().index()].push(ci);
             }
@@ -103,7 +103,6 @@ fn clause_satisfied(clause: &[Lit], assignment: &[bool]) -> bool {
 
 fn unsatisfied_clauses(cnf: &CnfFormula, assignment: &[bool]) -> Vec<usize> {
     cnf.clauses()
-        .iter()
         .enumerate()
         .filter(|(_, c)| !clause_satisfied(c, assignment))
         .map(|(i, _)| i)
@@ -121,7 +120,7 @@ fn break_count(
 ) -> u64 {
     let mut count = 0;
     for &ci in &occ.by_var[var] {
-        let clause = &cnf.clauses()[ci];
+        let clause = cnf.clause(ci);
         if !clause_satisfied(clause, assignment) {
             continue;
         }
@@ -144,7 +143,7 @@ impl Solver for WalkSatSolver {
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         self.stats = SolverStats::default();
-        if cnf.clauses().iter().any(|c| c.is_empty()) {
+        if cnf.clauses().any(|c| c.is_empty()) {
             return SatResult::Unsat;
         }
         if cnf.num_vars() == 0 {
@@ -171,7 +170,7 @@ impl Solver for WalkSatSolver {
                 if unsat.is_empty() {
                     return SatResult::Sat(Model::new(assignment));
                 }
-                let clause = &cnf.clauses()[unsat[rng.gen_range(0..unsat.len())]];
+                let clause = cnf.clause(unsat[rng.gen_range(0..unsat.len())]);
                 let flip_var = if rng.gen_f64() < self.noise {
                     clause[rng.gen_range(0..clause.len())].var().index()
                 } else {
@@ -200,7 +199,7 @@ impl Solver for DlmSolver {
 
     fn solve_with_budget(&mut self, cnf: &CnfFormula, budget: Budget) -> SatResult {
         self.stats = SolverStats::default();
-        if cnf.clauses().iter().any(|c| c.is_empty()) {
+        if cnf.clauses().any(|c| c.is_empty()) {
             return SatResult::Unsat;
         }
         if cnf.num_vars() == 0 {
@@ -232,12 +231,12 @@ impl Solver for DlmSolver {
                 // the best weighted gain (weighted make − weighted break).
                 let mut best: Option<(i64, usize)> = None;
                 for &ci in unsat.iter().take(32) {
-                    for lit in &cnf.clauses()[ci] {
+                    for lit in cnf.clause(ci) {
                         let v = lit.var().index();
                         let brk = break_count(cnf, &occ, &assignment, v, Some(&weights)) as i64;
                         let mut make = 0i64;
                         for &cj in &occ.by_var[v] {
-                            let clause = &cnf.clauses()[cj];
+                            let clause = cnf.clause(cj);
                             if !clause_satisfied(clause, &assignment) {
                                 // Flipping v satisfies the clause iff v occurs with the
                                 // polarity opposite to the current assignment.
@@ -263,7 +262,7 @@ impl Solver for DlmSolver {
                         weights[ci] += self.weight_increment;
                     }
                     // And take a noisy step so the search keeps moving.
-                    let clause = &cnf.clauses()[unsat[rng.gen_range(0..unsat.len())]];
+                    let clause = cnf.clause(unsat[rng.gen_range(0..unsat.len())]);
                     let v = clause[rng.gen_range(0..clause.len())].var().index();
                     assignment[v] = !assignment[v];
                 } else {
@@ -293,7 +292,7 @@ mod tests {
     fn cnf_of(clauses: &[&[i64]]) -> CnfFormula {
         let mut cnf = CnfFormula::new(0);
         for c in clauses {
-            cnf.add_clause(c.iter().map(|&i| lit(i)).collect());
+            cnf.add_clause(&c.iter().map(|&i| lit(i)).collect::<Vec<_>>());
         }
         cnf
     }
@@ -332,7 +331,7 @@ mod tests {
     #[test]
     fn empty_clause_detected_syntactically() {
         let mut cnf = CnfFormula::new(1);
-        cnf.add_clause(vec![]);
+        cnf.add_clause(&[]);
         assert!(WalkSatSolver::new().solve(&cnf).is_unsat());
         assert!(DlmSolver::new().solve(&cnf).is_unsat());
     }
@@ -351,7 +350,7 @@ mod tests {
                 let v = rng.gen_range(0..num_vars) as u32;
                 clause.push(Lit::new(Var::new(v), rng.gen_bool(0.5)));
             }
-            cnf.add_clause(clause);
+            cnf.add_clause(&clause);
         }
         let mut walksat = WalkSatSolver::new();
         match walksat.solve_with_budget(&cnf, Budget::step_limit(500_000)) {

@@ -88,7 +88,7 @@ const LEVEL_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096
 pub(crate) struct ArenaFigures {
     /// Words in the clause arena (live + dead).
     pub len_words: u64,
-    /// Words occupied by deleted clauses awaiting garbage collection.
+    /// Words occupied by deleted clauses awaiting compaction.
     pub wasted_words: u64,
     /// Measured bytes of the clause arena (capacity, including slack).
     pub arena_bytes: u64,
@@ -342,7 +342,7 @@ impl EngineObs {
 
     /// Publishes the engine's memory figures: arena occupancy/fragmentation
     /// and the measured byte gauges.  Called at heartbeats, the end of every
-    /// `search`, and directly after a copying garbage collection (so the
+    /// `search`, and directly after an arena compaction (so the
     /// fragmentation gauge follows the compaction immediately).
     pub(crate) fn publish_arena(&self, mem: &ArenaFigures) {
         self.arena_len_words.set(mem.len_words as i64);

@@ -93,7 +93,7 @@ fn preprocess_impl(
         ],
     );
     let num_vars = cnf.num_vars();
-    let mut clauses: Vec<Vec<Lit>> = cnf.clauses().to_vec();
+    let mut clauses: Vec<Vec<Lit>> = cnf.clauses().map(<[Lit]>::to_vec).collect();
     let mut assigns: Vec<Option<bool>> = vec![None; num_vars];
     let mut stats = PreprocessStats::default();
 
@@ -277,7 +277,7 @@ fn preprocess_impl(
     }
 
     let mut simplified = CnfFormula::new(num_vars);
-    for clause in clauses {
+    for clause in &clauses {
         simplified.add_clause(clause);
     }
     Preprocessed {
@@ -355,7 +355,7 @@ mod tests {
     fn cnf_of(clauses: &[&[i64]]) -> CnfFormula {
         let mut cnf = CnfFormula::new(0);
         for c in clauses {
-            cnf.add_clause(c.iter().map(|&i| lit(i)).collect());
+            cnf.add_clause(&c.iter().map(|&i| lit(i)).collect::<Vec<_>>());
         }
         cnf
     }
@@ -405,9 +405,9 @@ mod tests {
         let result = preprocess(&cnf, true);
         assert!(result.stats.clauses_strengthened >= 1);
         assert!(
-            result.cnf.clauses().iter().all(|c| !c.contains(&lit(-1))),
+            result.cnf.clauses().all(|c| !c.contains(&lit(-1))),
             "¬1 resolved away: {:?}",
-            result.cnf.clauses()
+            result.cnf
         );
     }
 
@@ -468,7 +468,7 @@ mod tests {
             vec![-1, 2, 3],   // self-subsumed against [1, 2, 3]
         ];
         for c in &decorated {
-            cnf.add_clause(c.iter().map(|&i| lit(i)).collect());
+            cnf.add_clause(&c.iter().map(|&i| lit(i)).collect::<Vec<_>>());
         }
         let shared = SharedProof::new();
         let pre = preprocess_with_proof(&cnf, true, &shared);

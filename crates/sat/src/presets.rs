@@ -110,8 +110,8 @@ mod tests {
         let mut cnf = CnfFormula::new(2);
         let a = Lit::positive(Var::new(0));
         let b = Lit::positive(Var::new(1));
-        cnf.add_clause(vec![a, b]);
-        cnf.add_clause(vec![!a, b]);
+        cnf.add_clause(&[a, b]);
+        cnf.add_clause(&[!a, b]);
         for kind in SolverKind::all() {
             let mut solver = kind.build();
             let result = solver.solve(&cnf);

@@ -299,7 +299,7 @@ pub trait Solver {
         let mut grown = Cow::Borrowed(cnf);
         refining_rounds(&budget, refine, |budget, clauses| {
             for clause in clauses {
-                grown.to_mut().add_clause(clause.clone());
+                grown.to_mut().add_clause(clause);
             }
             let result = self.solve_with_budget(&grown, budget);
             (result, self.stats())
@@ -386,8 +386,8 @@ mod tests {
         let mut cnf = CnfFormula::new(2);
         let a = Lit::positive(Var::new(0));
         let b = Lit::positive(Var::new(1));
-        cnf.add_clause(vec![a, b]);
-        cnf.add_clause(vec![!a]);
+        cnf.add_clause(&[a, b]);
+        cnf.add_clause(&[!a]);
         assert!(verify_model(&cnf, &Model::new(vec![false, true])));
         assert!(!verify_model(&cnf, &Model::new(vec![true, false])));
         assert!(!verify_model(&cnf, &Model::new(vec![false])));

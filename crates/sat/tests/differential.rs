@@ -95,14 +95,14 @@ fn presets_agree_on_satisfiable_structured_instances() {
     // forced model, so every preset must find and verify it.
     let n = 200;
     let mut cnf = CnfFormula::new(n);
-    cnf.add_clause(vec![Lit::positive(Var::new(0))]);
+    cnf.add_clause(&[Lit::positive(Var::new(0))]);
     for i in 0..n - 1 {
-        cnf.add_clause(vec![
+        cnf.add_clause(&[
             Lit::negative(Var::new(i as u32)),
             Lit::positive(Var::new((i + 1) as u32)),
         ]);
         if i % 7 == 0 {
-            cnf.add_clause(vec![
+            cnf.add_clause(&[
                 Lit::positive(Var::new(i as u32)),
                 Lit::positive(Var::new((i + 1) as u32)),
             ]);

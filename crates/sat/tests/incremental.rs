@@ -34,9 +34,10 @@ fn incremental_verdicts_match_one_shot_on_random_3sat() {
                 }
                 let batch = random_3sat(num_vars, 8, seed * 100 + round)
                     .clauses()
-                    .to_vec();
+                    .map(<[Lit]>::to_vec)
+                    .collect::<Vec<_>>();
                 for clause in &batch {
-                    grown.add_clause(clause.clone());
+                    grown.add_clause(clause);
                 }
                 round += 1;
                 batch
@@ -76,8 +77,8 @@ fn a_round_refuted_at_the_root_takes_no_conflicts() {
     // (¬x1) empties the clause against the root assignment, so the next
     // round is UNSAT without a single conflict.
     let mut cnf = CnfFormula::new(2);
-    cnf.add_clause(vec![Lit::from_dimacs(1)]);
-    cnf.add_clause(vec![Lit::from_dimacs(1), Lit::from_dimacs(2)]);
+    cnf.add_clause(&[Lit::from_dimacs(1)]);
+    cnf.add_clause(&[Lit::from_dimacs(1), Lit::from_dimacs(2)]);
     let mut solver = CdclSolver::chaff();
     let mut rounds = 0;
     let result = solver.solve_refining(&cnf, Budget::unlimited(), &mut |_| {

@@ -27,8 +27,8 @@ fn incremental_solves_open_and_close_one_span_each() {
     let root = velv_obs::span("obs_trace.test");
     let root_id = root.id();
     let mut cnf = CnfFormula::new(2);
-    cnf.add_clause(vec![lit(1), lit(2)]);
-    cnf.add_clause(vec![lit(-1)]);
+    cnf.add_clause(&[lit(1), lit(2)]);
+    cnf.add_clause(&[lit(-1)]);
     let result =
         CdclSolver::chaff().solve_refining(&cnf, Budget::unlimited(), &mut |_| vec![vec![lit(-2)]]);
     assert!(result.is_unsat());
@@ -83,12 +83,12 @@ fn engine_work_reaches_the_global_registry() {
     // 4 pigeons, 3 holes.
     let var = |p: i64, h: i64| lit(1 + (p * 3 + h));
     for p in 0..4 {
-        cnf.add_clause((0..3).map(|h| var(p, h)).collect());
+        cnf.add_clause(&(0..3).map(|h| var(p, h)).collect::<Vec<_>>());
     }
     for h in 0..3 {
         for p1 in 0..4 {
             for p2 in (p1 + 1)..4 {
-                cnf.add_clause(vec![!var(p1, h), !var(p2, h)]);
+                cnf.add_clause(&[!var(p1, h), !var(p2, h)]);
             }
         }
     }

@@ -15,12 +15,12 @@ fn pigeonhole(holes: i64) -> CnfFormula {
     let mut cnf = CnfFormula::new(0);
     let var = |p: i64, h: i64| lit(1 + (p * holes + h));
     for p in 0..pigeons {
-        cnf.add_clause((0..holes).map(|h| var(p, h)).collect());
+        cnf.add_clause(&(0..holes).map(|h| var(p, h)).collect::<Vec<_>>());
     }
     for h in 0..holes {
         for p1 in 0..pigeons {
             for p2 in (p1 + 1)..pigeons {
-                cnf.add_clause(vec![!var(p1, h), !var(p2, h)]);
+                cnf.add_clause(&[!var(p1, h), !var(p2, h)]);
             }
         }
     }
@@ -118,8 +118,8 @@ fn incremental_solves_share_one_recorder_with_markers() {
     {
         let _guard = velv_sat::install_solve_recorder(recorder.clone());
         let mut cnf = velv_sat::CnfFormula::new(2);
-        cnf.add_clause(vec![lit(1), lit(2)]);
-        cnf.add_clause(vec![lit(-1), lit(2)]);
+        cnf.add_clause(&[lit(1), lit(2)]);
+        cnf.add_clause(&[lit(-1), lit(2)]);
         let result = velv_sat::cdcl::CdclSolver::chaff().solve_refining(
             &cnf,
             Budget::unlimited(),

@@ -58,10 +58,11 @@ fn an_incremental_session_replays_without_fallback() {
     // Clauses added between refinement rounds take the input ids after the
     // formula's, in the order they were added: the checker's input order.
     let cnf = pigeonhole(5);
-    let (placement, rest) = cnf.clauses().split_first().expect("PHP has clauses");
+    let mut rest = cnf.clauses();
+    let placement = rest.next().expect("PHP has clauses").to_vec();
     let mut relaxed = CnfFormula::new(cnf.num_vars());
     for clause in rest {
-        relaxed.add_clause(clause.clone());
+        relaxed.add_clause(clause);
     }
     let proof = SharedProof::new();
     let result = CdclSolver::chaff().solve_refining_with_proof(

@@ -92,10 +92,11 @@ fn incremental_session_proof_checks_against_all_added_clauses() {
     // first round searches and learns; adding the clause back makes the
     // second round a refutation that may resolve on those learned clauses.
     let cnf = pigeonhole(5);
-    let (placement, rest) = cnf.clauses().split_first().expect("PHP has clauses");
+    let mut rest = cnf.clauses();
+    let placement = rest.next().expect("PHP has clauses").to_vec();
     let mut relaxed = CnfFormula::new(cnf.num_vars());
     for clause in rest {
-        relaxed.add_clause(clause.clone());
+        relaxed.add_clause(clause);
     }
     let mut first_round = CdclSolver::chaff();
     assert!(first_round.solve(&relaxed).is_sat());
@@ -120,8 +121,8 @@ fn incremental_session_proof_checks_against_all_added_clauses() {
 
     // The same holds for small hand-written additions, one round apart.
     let mut axioms = CnfFormula::new(3);
-    axioms.add_clause(vec![lit(1), lit(2)]);
-    axioms.add_clause(vec![lit(-1), lit(3)]);
+    axioms.add_clause(&[lit(1), lit(2)]);
+    axioms.add_clause(&[lit(-1), lit(3)]);
     let mut additions = vec![
         vec![vec![lit(-2)], vec![lit(3)]],
         vec![vec![lit(-3), lit(2)]],

@@ -40,7 +40,7 @@ fn random_cnf(rng: &mut SmallRng, max_vars: u32, max_clauses: usize) -> CnfFormu
                 Lit::new(Var::new(v), rng.gen_bool(0.5))
             })
             .collect();
-        cnf.add_clause(clause);
+        cnf.add_clause(&clause);
     }
     cnf
 }
@@ -137,7 +137,6 @@ fn dimacs_roundtrip_preserves_clauses() {
         let cnf = random_cnf(&mut rng, 10, 24);
         let text = velv_sat::dimacs::to_dimacs_string(&cnf);
         let parsed = velv_sat::dimacs::parse_dimacs(&text).unwrap();
-        assert_eq!(parsed.num_vars(), cnf.num_vars(), "case {case}");
-        assert_eq!(parsed.clauses(), cnf.clauses(), "case {case}");
+        assert_eq!(parsed, cnf, "case {case}");
     }
 }

@@ -1424,7 +1424,15 @@ struct WorkerSet {
 
 impl WorkerSet {
     fn shutdown(&self) {
-        let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
+        // Set the flag and wake the workers under the queue lock: `pop`
+        // checks the flag under that lock before it waits, so a worker
+        // either sees the flag or is already waiting when the notify lands.
+        let first = {
+            let _queue = self.inner.queue.lock().expect("queue lock");
+            let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
+            self.inner.work.notify_all();
+            first
+        };
         if first && velv_obs::enabled() {
             velv_obs::event("serve.shutdown", &[]);
         }
@@ -1435,7 +1443,6 @@ impl WorkerSet {
                 state.cancel.cancel();
             }
         }
-        self.inner.work.notify_all();
         let handles: Vec<JoinHandle<()>> = self
             .handles
             .lock()

@@ -216,6 +216,26 @@ fn shutdown_resolves_queued_jobs_and_joins_workers() {
 }
 
 #[test]
+fn idle_shutdown_wakes_every_worker() {
+    // A worker checks the shutdown flag under the queue lock and then waits
+    // for work; a wake-up sent outside that lock can land in between and be
+    // lost, leaving the join in `shutdown` blocked forever.  Each shutdown
+    // runs on a helper thread, so a hang fails here instead of stalling.
+    for round in 0..200 {
+        let service = ServeHandle::start(ServiceConfig::default().with_workers(2));
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            service.shutdown();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("round {round}: idle shutdown did not return in 10 s"));
+        helper.join().expect("shutdown helper");
+    }
+}
+
+#[test]
 fn priority_orders_the_queue() {
     let service = spin_service(1);
     // Park the worker, then queue a low- and a high-priority job.

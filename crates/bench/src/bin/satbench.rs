@@ -174,8 +174,8 @@ struct Measurement {
     decisions: u64,
     conflicts_per_sec: f64,
     propagations_per_sec: f64,
-    /// Peak heap bytes of the measured region (the counting allocator's
-    /// high-water mark after a [`HeapMeter::start`] reset).
+    /// Peak heap bytes of the measured region above the bytes live when it
+    /// started (see [`HeapMeter`]).
     peak_heap_bytes: u64,
     /// Per-run delta of the global metric registry (see [`registry_delta`]).
     metrics: Vec<(String, u64)>,
@@ -183,9 +183,14 @@ struct Measurement {
 
 /// Brackets one measured region with the counting allocator: `start` resets
 /// the heap high-water marks, `finish` reads the region's peak and the
-/// per-scope allocation growth.  The peak is never zero — `reset_peaks`
-/// clamps the mark to the bytes already live, and the harness itself is on
-/// the counted allocator.
+/// per-scope allocation growth.
+///
+/// The peak is reported *above the bytes live at `start`*: the suite's
+/// instances (every CNF of the run) stay live through every solve, so an
+/// absolute high-water mark charges each row with the whole suite, moves
+/// whenever an instance is added or its CNF changes layout, and buries a
+/// small solve's own peak under megabytes that benchdiff's 1.2× ceiling
+/// then lets it grow into unnoticed.
 struct HeapMeter {
     before: velv_obs::MemSnapshot,
 }
@@ -203,7 +208,7 @@ impl HeapMeter {
     /// memory movement exactly like any moved counter.
     fn finish(self) -> (u64, Vec<(String, u64)>) {
         let after = velv_obs::mem::snapshot();
-        let peak = after.peak_bytes.max(0) as u64;
+        let peak = (after.peak_bytes - self.before.live_bytes).max(0) as u64;
         let scopes = self
             .before
             .scopes

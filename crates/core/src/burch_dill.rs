@@ -59,6 +59,7 @@ impl VerificationProblem {
         translation_boxes: &[String],
     ) -> Self {
         let mut ctx = Context::new();
+        let elements = implementation.state_elements();
         let arch_elements = implementation.arch_state();
         let spec_elements = specification.arch_state();
         assert_eq!(
@@ -67,15 +68,14 @@ impl VerificationProblem {
         );
 
         // Record which initial-state variables denote memories.
-        let memory_vars: BTreeSet<Symbol> = implementation
-            .state_elements()
+        let memory_vars: BTreeSet<Symbol> = elements
             .iter()
             .filter(|e| e.kind == StateKind::Memory)
             .map(|e| ctx.symbol(&e.name))
             .collect();
 
         // Arbitrary symbolic initial implementation state.
-        let initial = SymbolicState::initial(&mut ctx, &implementation.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, elements, "");
 
         // Implementation side: one step, then flush, then project.
         let enabled = ctx.true_id();
@@ -89,11 +89,11 @@ impl VerificationProblem {
             );
         }
         let impl_flushed = flush(&mut ctx, implementation, &stepped);
-        let impl_arch = impl_flushed.project(&arch_elements);
+        let impl_arch = impl_flushed.architectural(elements);
 
         // Specification side: flush first, project, then 0..k specification steps.
         let spec_start_full = flush(&mut ctx, implementation, &initial);
-        let spec_start = spec_start_full.project(&arch_elements);
+        let spec_start = spec_start_full.architectural(elements);
         let k = implementation.fetch_width();
         let mut spec_states = Vec::with_capacity(k + 1);
         spec_states.push(spec_start.clone());
@@ -110,8 +110,7 @@ impl VerificationProblem {
         for spec_state in &spec_states {
             let spec_cmp =
                 apply_translation_boxes(&mut ctx, spec_state, &arch_elements, translation_boxes);
-            let row: Vec<FormulaId> = arch_elements
-                .iter()
+            let row: Vec<FormulaId> = (0..arch_elements.len())
                 .map(|element| impl_cmp.element_equal(&mut ctx, &spec_cmp, element))
                 .collect();
             parts.push(row);
@@ -155,14 +154,14 @@ fn apply_translation_boxes(
         return state.clone();
     }
     let mut wrapped = state.clone();
-    for element in elements {
-        if !boxes.contains(&element.name) {
+    for (index, element) in elements.iter().enumerate() {
+        if !boxes.iter().any(|name| *name == element.name) {
             continue;
         }
         if matches!(element.kind, StateKind::Term | StateKind::Memory) {
-            let value = state.term(&element.name);
+            let value = state.term(index);
             let boxed = ctx.uf(&format!("tbox#{}", element.name), vec![value]);
-            wrapped.set_term(&element.name, boxed);
+            wrapped.set_term(index, boxed);
         }
     }
     wrapped
@@ -211,12 +210,13 @@ mod tests {
     #[should_panic(expected = "identical architectural state")]
     fn mismatched_architectural_state_is_rejected() {
         struct Other;
+        static OTHER: [StateElement; 1] = [StateElement::arch_term("pc")];
         impl Processor for Other {
             fn name(&self) -> &str {
                 "other"
             }
-            fn state_elements(&self) -> Vec<StateElement> {
-                vec![StateElement::arch_term("pc")]
+            fn state_elements(&self) -> &[StateElement] {
+                &OTHER
             }
             fn fetch_width(&self) -> usize {
                 1

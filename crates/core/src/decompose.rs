@@ -82,7 +82,7 @@ pub fn decompose(
             }
             let names: Vec<&str> = group
                 .iter()
-                .map(|&m| problem.arch_elements[m].name.as_str())
+                .map(|&m| &*problem.arch_elements[m].name)
                 .collect();
             obligations.push(Obligation {
                 name: format!("l={l} group{g} [{}]", names.join(",")),
@@ -101,16 +101,18 @@ mod tests {
 
     struct Direct;
 
+    static ELEMENTS: [StateElement; 3] = [
+        StateElement::arch_term("pc"),
+        StateElement::arch_memory("rf"),
+        StateElement::arch_term("epc"),
+    ];
+
     impl Processor for Direct {
         fn name(&self) -> &str {
             "direct"
         }
-        fn state_elements(&self) -> Vec<StateElement> {
-            vec![
-                StateElement::arch_term("pc"),
-                StateElement::arch_memory("rf"),
-                StateElement::arch_term("epc"),
-            ]
+        fn state_elements(&self) -> &[StateElement] {
+            &ELEMENTS
         }
         fn fetch_width(&self) -> usize {
             1
@@ -124,19 +126,19 @@ mod tests {
             state: &SymbolicState,
             fetch_enabled: FormulaId,
         ) -> SymbolicState {
-            let pc = state.term("pc");
-            let rf = state.term("rf");
-            let epc = state.term("epc");
+            let pc = state.term(0);
+            let rf = state.term(1);
+            let epc = state.term(2);
             let next_pc = ctx.uf("pc_plus_4", vec![pc]);
             let dest = ctx.uf("imem_dest", vec![pc]);
             let data = ctx.uf("imem_data", vec![pc]);
             let written = ctx.write(rf, dest, data);
-            let mut next = SymbolicState::new();
+            let mut next = SymbolicState::unset(ELEMENTS.len());
             let pc_val = ctx.ite_term(fetch_enabled, next_pc, pc);
             let rf_val = ctx.ite_term(fetch_enabled, written, rf);
-            next.set_term("pc", pc_val);
-            next.set_term("rf", rf_val);
-            next.set_term("epc", epc);
+            next.set_term(0, pc_val);
+            next.set_term(1, rf_val);
+            next.set_term(2, epc);
             next
         }
     }

@@ -19,6 +19,23 @@ pub(crate) enum ToyBug {
     WritesWrongData,
 }
 
+/// The layout of the pipelined toy: the architectural state, then its one
+/// pipeline latch.  The specification's layout is the architectural prefix.
+static ELEMENTS: [StateElement; 5] = [
+    StateElement::arch_term("pc"),
+    StateElement::arch_memory("rf"),
+    StateElement::pipe_flag("latch.valid"),
+    StateElement::pipe_term("latch.dest"),
+    StateElement::pipe_term("latch.data"),
+];
+
+/// Positions in [`ELEMENTS`].
+const PC: usize = 0;
+const RF: usize = 1;
+const VALID: usize = 2;
+const DEST: usize = 3;
+const DATA: usize = 4;
+
 /// Two-stage pipelined implementation.
 pub(crate) struct PipelinedToy {
     pub bug: Option<ToyBug>,
@@ -42,14 +59,8 @@ impl Processor for PipelinedToy {
         }
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("rf"),
-            StateElement::pipe_flag("latch.valid"),
-            StateElement::pipe_term("latch.dest"),
-            StateElement::pipe_term("latch.data"),
-        ]
+    fn state_elements(&self) -> &[StateElement] {
+        &ELEMENTS
     }
 
     fn fetch_width(&self) -> usize {
@@ -66,11 +77,11 @@ impl Processor for PipelinedToy {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
-        let valid = state.formula("latch.valid");
-        let dest = state.term("latch.dest");
-        let data = state.term("latch.data");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
+        let valid = state.formula(VALID);
+        let dest = state.term(DEST);
+        let data = state.term(DATA);
 
         // Write-back of the instruction in the latch.
         let wb_data = match self.bug {
@@ -97,14 +108,14 @@ impl Processor for PipelinedToy {
         let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
         let pc_next = ctx.ite_term(fetch_enabled, pc_plus, pc);
 
-        let mut next = SymbolicState::new();
-        next.set_term("pc", pc_next);
-        next.set_term("rf", rf_next);
-        next.set_formula("latch.valid", fetch_enabled);
+        let mut next = SymbolicState::unset(ELEMENTS.len());
+        next.set_term(PC, pc_next);
+        next.set_term(RF, rf_next);
+        next.set_formula(VALID, fetch_enabled);
         let latched_dest = ctx.ite_term(fetch_enabled, new_dest, dest);
         let latched_data = ctx.ite_term(fetch_enabled, result, data);
-        next.set_term("latch.dest", latched_dest);
-        next.set_term("latch.data", latched_data);
+        next.set_term(DEST, latched_dest);
+        next.set_term(DATA, latched_data);
         next
     }
 
@@ -127,11 +138,8 @@ impl Processor for ToySpec {
         "toy-spec"
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("rf"),
-        ]
+    fn state_elements(&self) -> &[StateElement] {
+        &ELEMENTS[..VALID]
     }
 
     fn fetch_width(&self) -> usize {
@@ -148,8 +156,8 @@ impl Processor for ToySpec {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
         let op = ctx.uf("imem_op", vec![pc]);
         let src = ctx.uf("imem_src", vec![pc]);
         let dest = ctx.uf("imem_dest", vec![pc]);
@@ -158,11 +166,11 @@ impl Processor for ToySpec {
         let written = ctx.write(rf, dest, result);
         let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
 
-        let mut next = SymbolicState::new();
+        let mut next = SymbolicState::unset(VALID);
         let pc_next = ctx.ite_term(fetch_enabled, pc_plus, pc);
         let rf_next = ctx.ite_term(fetch_enabled, written, rf);
-        next.set_term("pc", pc_next);
-        next.set_term("rf", rf_next);
+        next.set_term(PC, pc_next);
+        next.set_term(RF, rf_next);
         next
     }
 }

@@ -25,7 +25,6 @@
 
 use crate::context::Context;
 use crate::node::{Formula, FormulaId, Term, TermId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A stable 128-bit structural hash (see the module docs).
@@ -154,6 +153,18 @@ fn node_hash(tag: u8, name: Option<&str>, children: &[u128], commutative: bool) 
     hasher.finish()
 }
 
+/// The hash of a function or predicate application: the same bytes as
+/// [`node_hash`] with the name and the argument hashes in order, fed
+/// straight from the memo table instead of through a buffer.
+fn application_hash(tag: u8, name: &str, args: impl Iterator<Item = u128>) -> u128 {
+    let mut hasher = StableHasher::new(tag);
+    hasher.write_bytes(name.as_bytes());
+    for child in args {
+        hasher.write_u128(child);
+    }
+    hasher.finish()
+}
+
 /// One pending node of the explicit DFS stack (no recursion: the correctness
 /// formulas of the wide designs are deep).
 #[derive(Clone, Copy)]
@@ -163,57 +174,95 @@ enum Item {
 }
 
 /// Memoized bottom-up hashing of the reachable DAG under the given roots.
+///
+/// The memo tables are dense, indexed by node id and sized to the context,
+/// and a node's unfinished children go straight onto the DFS stack, which
+/// starts with room for one entry per node; so a run allocates the two
+/// tables and its stack and nothing per node.
 struct Hashing<'a> {
     ctx: &'a Context,
-    terms: HashMap<TermId, u128>,
-    formulas: HashMap<FormulaId, u128>,
+    terms: Vec<Option<u128>>,
+    formulas: Vec<Option<u128>>,
+    stack: Vec<Item>,
 }
 
 impl<'a> Hashing<'a> {
     fn new(ctx: &'a Context) -> Self {
         Hashing {
             ctx,
-            terms: HashMap::new(),
-            formulas: HashMap::new(),
+            terms: vec![None; ctx.num_terms()],
+            formulas: vec![None; ctx.num_formulas()],
+            stack: Vec::with_capacity(ctx.num_terms() + ctx.num_formulas()),
         }
     }
 
-    fn term_children(&self, id: TermId) -> Vec<Item> {
-        match self.ctx.term(id) {
-            Term::Var(_) => Vec::new(),
-            Term::Uf(_, args) => args.iter().map(|&a| Item::Term(a)).collect(),
-            Term::Ite(c, t, e) => vec![Item::Formula(*c), Item::Term(*t), Item::Term(*e)],
-            Term::Read(m, a) => vec![Item::Term(*m), Item::Term(*a)],
-            Term::Write(m, a, d) => vec![Item::Term(*m), Item::Term(*a), Item::Term(*d)],
+    fn term_hash(&self, id: TermId) -> u128 {
+        self.terms[id.index()].expect("children are hashed before their parent")
+    }
+
+    fn formula_hash(&self, id: FormulaId) -> u128 {
+        self.formulas[id.index()].expect("children are hashed before their parent")
+    }
+
+    fn push_term(&mut self, id: TermId) {
+        if self.terms[id.index()].is_none() {
+            self.stack.push(Item::Term(id));
         }
     }
 
-    fn formula_children(&self, id: FormulaId) -> Vec<Item> {
-        match self.ctx.formula(id) {
-            Formula::True | Formula::False | Formula::Var(_) => Vec::new(),
-            Formula::Up(_, args) => args.iter().map(|&a| Item::Term(a)).collect(),
-            Formula::Not(f) => vec![Item::Formula(*f)],
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                vec![Item::Formula(*a), Item::Formula(*b)]
-            }
-            Formula::Ite(c, t, e) => {
-                vec![Item::Formula(*c), Item::Formula(*t), Item::Formula(*e)]
-            }
-            Formula::Eq(a, b) => vec![Item::Term(*a), Item::Term(*b)],
+    fn push_formula(&mut self, id: FormulaId) {
+        if self.formulas[id.index()].is_none() {
+            self.stack.push(Item::Formula(id));
+        }
+    }
+
+    /// Pushes the children of `item` that are not hashed yet.
+    fn push_pending_children(&mut self, item: Item) {
+        let ctx = self.ctx;
+        match item {
+            Item::Term(id) => match ctx.term(id) {
+                Term::Var(_) => {}
+                Term::Uf(_, args) => args.iter().for_each(|&a| self.push_term(a)),
+                Term::Ite(c, t, e) => {
+                    self.push_formula(*c);
+                    self.push_term(*t);
+                    self.push_term(*e);
+                }
+                Term::Read(m, a) => {
+                    self.push_term(*m);
+                    self.push_term(*a);
+                }
+                Term::Write(m, a, d) => {
+                    self.push_term(*m);
+                    self.push_term(*a);
+                    self.push_term(*d);
+                }
+            },
+            Item::Formula(id) => match ctx.formula(id) {
+                Formula::True | Formula::False | Formula::Var(_) => {}
+                Formula::Up(_, args) => args.iter().for_each(|&a| self.push_term(a)),
+                Formula::Not(f) => self.push_formula(*f),
+                Formula::And(a, b) | Formula::Or(a, b) => {
+                    self.push_formula(*a);
+                    self.push_formula(*b);
+                }
+                Formula::Ite(c, t, e) => {
+                    self.push_formula(*c);
+                    self.push_formula(*t);
+                    self.push_formula(*e);
+                }
+                Formula::Eq(a, b) => {
+                    self.push_term(*a);
+                    self.push_term(*b);
+                }
+            },
         }
     }
 
     fn done(&self, item: Item) -> bool {
         match item {
-            Item::Term(id) => self.terms.contains_key(&id),
-            Item::Formula(id) => self.formulas.contains_key(&id),
-        }
-    }
-
-    fn lookup(&self, item: Item) -> u128 {
-        match item {
-            Item::Term(id) => self.terms[&id],
-            Item::Formula(id) => self.formulas[&id],
+            Item::Term(id) => self.terms[id.index()].is_some(),
+            Item::Formula(id) => self.formulas[id.index()].is_some(),
         }
     }
 
@@ -222,32 +271,35 @@ impl<'a> Hashing<'a> {
             Term::Var(sym) => {
                 node_hash(tag::TERM_VAR, Some(self.ctx.symbol_name(*sym)), &[], false)
             }
-            Term::Uf(sym, args) => {
-                let children: Vec<u128> = args.iter().map(|a| self.terms[a]).collect();
-                node_hash(
-                    tag::TERM_UF,
-                    Some(self.ctx.symbol_name(*sym)),
-                    &children,
-                    false,
-                )
-            }
+            Term::Uf(sym, args) => application_hash(
+                tag::TERM_UF,
+                self.ctx.symbol_name(*sym),
+                args.iter().map(|&a| self.term_hash(a)),
+            ),
             Term::Ite(c, t, e) => node_hash(
                 tag::TERM_ITE,
                 None,
-                &[self.formulas[c], self.terms[t], self.terms[e]],
+                &[
+                    self.formula_hash(*c),
+                    self.term_hash(*t),
+                    self.term_hash(*e),
+                ],
                 false,
             ),
-            Term::Read(m, a) => {
-                node_hash(tag::TERM_READ, None, &[self.terms[m], self.terms[a]], false)
-            }
+            Term::Read(m, a) => node_hash(
+                tag::TERM_READ,
+                None,
+                &[self.term_hash(*m), self.term_hash(*a)],
+                false,
+            ),
             Term::Write(m, a, d) => node_hash(
                 tag::TERM_WRITE,
                 None,
-                &[self.terms[m], self.terms[a], self.terms[d]],
+                &[self.term_hash(*m), self.term_hash(*a), self.term_hash(*d)],
                 false,
             ),
         };
-        self.terms.insert(id, hash);
+        self.terms[id.index()] = Some(hash);
     }
 
     fn finish_formula(&mut self, id: FormulaId) {
@@ -257,61 +309,67 @@ impl<'a> Hashing<'a> {
             Formula::Var(sym) => {
                 node_hash(tag::F_VAR, Some(self.ctx.symbol_name(*sym)), &[], false)
             }
-            Formula::Up(sym, args) => {
-                let children: Vec<u128> = args.iter().map(|a| self.terms[a]).collect();
-                node_hash(
-                    tag::F_UP,
-                    Some(self.ctx.symbol_name(*sym)),
-                    &children,
-                    false,
-                )
-            }
-            Formula::Not(f) => node_hash(tag::F_NOT, None, &[self.formulas[f]], false),
+            Formula::Up(sym, args) => application_hash(
+                tag::F_UP,
+                self.ctx.symbol_name(*sym),
+                args.iter().map(|&a| self.term_hash(a)),
+            ),
+            Formula::Not(f) => node_hash(tag::F_NOT, None, &[self.formula_hash(*f)], false),
             Formula::And(a, b) => node_hash(
                 tag::F_AND,
                 None,
-                &[self.formulas[a], self.formulas[b]],
+                &[self.formula_hash(*a), self.formula_hash(*b)],
                 true,
             ),
-            Formula::Or(a, b) => {
-                node_hash(tag::F_OR, None, &[self.formulas[a], self.formulas[b]], true)
-            }
+            Formula::Or(a, b) => node_hash(
+                tag::F_OR,
+                None,
+                &[self.formula_hash(*a), self.formula_hash(*b)],
+                true,
+            ),
             Formula::Ite(c, t, e) => node_hash(
                 tag::F_ITE,
                 None,
-                &[self.formulas[c], self.formulas[t], self.formulas[e]],
+                &[
+                    self.formula_hash(*c),
+                    self.formula_hash(*t),
+                    self.formula_hash(*e),
+                ],
                 false,
             ),
-            Formula::Eq(a, b) => node_hash(tag::F_EQ, None, &[self.terms[a], self.terms[b]], true),
+            Formula::Eq(a, b) => node_hash(
+                tag::F_EQ,
+                None,
+                &[self.term_hash(*a), self.term_hash(*b)],
+                true,
+            ),
         };
-        self.formulas.insert(id, hash);
+        self.formulas[id.index()] = Some(hash);
     }
 
     /// Iterative post-order: a node is pushed, then its unfinished children;
     /// when it surfaces again with all children hashed, it is finished.
-    fn run(&mut self, root: Item) -> u128 {
-        let mut stack = vec![root];
-        while let Some(&item) = stack.last() {
+    fn run(mut self, root: Item) -> u128 {
+        self.stack.push(root);
+        while let Some(&item) = self.stack.last() {
             if self.done(item) {
-                stack.pop();
+                self.stack.pop();
                 continue;
             }
-            let children = match item {
-                Item::Term(id) => self.term_children(id),
-                Item::Formula(id) => self.formula_children(id),
-            };
-            let pending: Vec<Item> = children.into_iter().filter(|c| !self.done(*c)).collect();
-            if pending.is_empty() {
+            let depth = self.stack.len();
+            self.push_pending_children(item);
+            if self.stack.len() == depth {
                 match item {
                     Item::Term(id) => self.finish_term(id),
                     Item::Formula(id) => self.finish_formula(id),
                 }
-                stack.pop();
-            } else {
-                stack.extend(pending);
+                self.stack.pop();
             }
         }
-        self.lookup(root)
+        match root {
+            Item::Term(id) => self.term_hash(id),
+            Item::Formula(id) => self.formula_hash(id),
+        }
     }
 }
 

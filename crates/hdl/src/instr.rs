@@ -40,25 +40,59 @@ pub struct InstrFields {
     pub uses_imm: FormulaId,
 }
 
-impl InstrFields {
+/// One instruction memory: the names of its field UFs and UPs, formatted
+/// once when a design is constructed so that every fetch applies them
+/// without building a name.
+///
+/// All designs (implementation and specification) must use the same prefix
+/// for the same instruction memory so that the abstractions agree.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InstrMemory {
+    op: String,
+    src1: String,
+    src2: String,
+    dest: String,
+    imm: String,
+    is_alu_reg: String,
+    is_alu_imm: String,
+    is_load: String,
+    is_store: String,
+    is_branch: String,
+    is_jump: String,
+}
+
+impl InstrMemory {
+    /// The instruction memory whose fields are named `{prefix}_{field}`.
+    pub fn new(prefix: &str) -> Self {
+        let name = |field: &str| format!("{prefix}_{field}");
+        InstrMemory {
+            op: name("op"),
+            src1: name("src1"),
+            src2: name("src2"),
+            dest: name("dest"),
+            imm: name("imm"),
+            is_alu_reg: name("is_alu_reg"),
+            is_alu_imm: name("is_alu_imm"),
+            is_load: name("is_load"),
+            is_store: name("is_store"),
+            is_branch: name("is_branch"),
+            is_jump: name("is_jump"),
+        }
+    }
+
     /// Fetches and decodes the instruction at `pc`.
-    ///
-    /// All designs (implementation and specification) must use the same
-    /// `prefix` for the same instruction memory so that the abstractions agree.
-    pub fn fetch(ctx: &mut Context, prefix: &str, pc: TermId) -> Self {
-        let uf = |ctx: &mut Context, field: &str| ctx.uf(&format!("{prefix}_{field}"), vec![pc]);
-        let up = |ctx: &mut Context, field: &str| ctx.up(&format!("{prefix}_{field}"), vec![pc]);
-        let op = uf(ctx, "op");
-        let src1 = uf(ctx, "src1");
-        let src2 = uf(ctx, "src2");
-        let dest = uf(ctx, "dest");
-        let imm = uf(ctx, "imm");
-        let is_alu_reg = up(ctx, "is_alu_reg");
-        let is_alu_imm = up(ctx, "is_alu_imm");
-        let is_load = up(ctx, "is_load");
-        let is_store = up(ctx, "is_store");
-        let is_branch = up(ctx, "is_branch");
-        let is_jump = up(ctx, "is_jump");
+    pub fn fetch(&self, ctx: &mut Context, pc: TermId) -> InstrFields {
+        let op = ctx.uf(&self.op, vec![pc]);
+        let src1 = ctx.uf(&self.src1, vec![pc]);
+        let src2 = ctx.uf(&self.src2, vec![pc]);
+        let dest = ctx.uf(&self.dest, vec![pc]);
+        let imm = ctx.uf(&self.imm, vec![pc]);
+        let is_alu_reg = ctx.up(&self.is_alu_reg, vec![pc]);
+        let is_alu_imm = ctx.up(&self.is_alu_imm, vec![pc]);
+        let is_load = ctx.up(&self.is_load, vec![pc]);
+        let is_store = ctx.up(&self.is_store, vec![pc]);
+        let is_branch = ctx.up(&self.is_branch, vec![pc]);
+        let is_jump = ctx.up(&self.is_jump, vec![pc]);
         // Derived controls: loads and ALU instructions write the register file;
         // register-immediate ALU instructions and loads use the immediate.
         let alu_any = ctx.or(is_alu_reg, is_alu_imm);
@@ -80,7 +114,9 @@ impl InstrFields {
             uses_imm,
         }
     }
+}
 
+impl InstrFields {
     /// A "bubble": an instruction that has no architectural effect.  Used when
     /// a pipeline stage must be filled with a no-op (stalls, squashes,
     /// flushing).  Word-level fields keep their previous values (they are
@@ -133,12 +169,18 @@ mod tests {
     #[test]
     fn fetch_is_deterministic_in_pc() {
         let mut ctx = Context::new();
+        let imem = InstrMemory::new("imem");
         let pc = ctx.term_var("pc0");
-        let a = InstrFields::fetch(&mut ctx, "imem", pc);
-        let b = InstrFields::fetch(&mut ctx, "imem", pc);
+        let a = imem.fetch(&mut ctx, pc);
+        let b = imem.fetch(&mut ctx, pc);
         assert_eq!(a, b, "same PC gives the same decoded fields");
+        assert_eq!(
+            a.op,
+            ctx.uf("imem_op", vec![pc]),
+            "fields are named by prefix"
+        );
         let other_pc = ctx.term_var("pc1");
-        let c = InstrFields::fetch(&mut ctx, "imem", other_pc);
+        let c = imem.fetch(&mut ctx, other_pc);
         assert_ne!(a.op, c.op);
     }
 
@@ -146,8 +188,8 @@ mod tests {
     fn different_memories_are_distinct() {
         let mut ctx = Context::new();
         let pc = ctx.term_var("pc0");
-        let a = InstrFields::fetch(&mut ctx, "imem", pc);
-        let b = InstrFields::fetch(&mut ctx, "imem2", pc);
+        let a = InstrMemory::new("imem").fetch(&mut ctx, pc);
+        let b = InstrMemory::new("imem2").fetch(&mut ctx, pc);
         assert_ne!(a.op, b.op);
     }
 
@@ -155,7 +197,7 @@ mod tests {
     fn bubble_disables_all_effects() {
         let mut ctx = Context::new();
         let pc = ctx.term_var("pc0");
-        let instr = InstrFields::fetch(&mut ctx, "imem", pc);
+        let instr = InstrMemory::new("imem").fetch(&mut ctx, pc);
         let bubble = InstrFields::bubble(&mut ctx, &instr);
         assert!(ctx.is_false(bubble.writes_rf));
         assert!(ctx.is_false(bubble.is_store));
@@ -171,8 +213,9 @@ mod tests {
         let mut ctx = Context::new();
         let pc0 = ctx.term_var("pc0");
         let pc1 = ctx.term_var("pc1");
-        let a = InstrFields::fetch(&mut ctx, "imem", pc0);
-        let b = InstrFields::fetch(&mut ctx, "imem", pc1);
+        let imem = InstrMemory::new("imem");
+        let a = imem.fetch(&mut ctx, pc0);
+        let b = imem.fetch(&mut ctx, pc1);
         let t = ctx.true_id();
         let f = ctx.false_id();
         assert_eq!(InstrFields::mux(&mut ctx, t, &a, &b), a);

@@ -8,13 +8,15 @@
 //!
 //! The crate provides:
 //!
-//! * [`state`] — symbolic machine states: named collections of term/formula
-//!   values, plus the declaration of a processor's state elements,
+//! * [`state`] — symbolic machine states: one term/formula value per
+//!   element of a design's state layout, indexed by position, plus the
+//!   declaration of a processor's state elements,
 //! * [`processor`] — the [`Processor`] trait (one symbolic step of a design)
 //!   together with flushing and multi-step simulation helpers used by the
 //!   Burch–Dill correctness criterion,
 //! * [`instr`] — instruction-field bundles: the read-only instruction memory
-//!   abstracted as a family of UFs/UPs applied to the program counter,
+//!   abstracted as a family of UFs/UPs applied to the program counter, their
+//!   names formatted once per design,
 //! * [`components`] — small reusable pieces of term-level data-path logic
 //!   (multiplexers, forwarded register-file reads, squash/stall helpers).
 //!
@@ -30,6 +32,6 @@ pub mod instr;
 pub mod processor;
 pub mod state;
 
-pub use instr::InstrFields;
+pub use instr::{InstrFields, InstrMemory};
 pub use processor::{flush, simulate, Processor};
 pub use state::{StateElement, StateKind, SymbolicState, Value};

@@ -15,14 +15,19 @@ pub trait Processor {
     /// Name of the design (e.g. `"1xDLX-C"`).
     fn name(&self) -> &str;
 
-    /// All state elements, architectural and micro-architectural.
-    fn state_elements(&self) -> Vec<StateElement>;
+    /// All state elements, architectural and micro-architectural: the
+    /// layout of this design's [`SymbolicState`]s, built once when the design
+    /// is constructed.  A state's value at position `i` belongs to element
+    /// `i` of this slice.
+    fn state_elements(&self) -> &[StateElement];
 
-    /// The architectural state elements (the ISA-visible subset).
+    /// The architectural state elements (the ISA-visible subset), in layout
+    /// order: the layout of [`SymbolicState::architectural`].
     fn arch_state(&self) -> Vec<StateElement> {
         self.state_elements()
-            .into_iter()
+            .iter()
             .filter(|e| e.architectural)
+            .cloned()
             .collect()
     }
 
@@ -38,8 +43,9 @@ pub trait Processor {
     ///
     /// `fetch_enabled` controls whether new instructions may enter the
     /// pipeline; flushing passes `false` so that in-flight instructions
-    /// complete while no new work starts.  The returned state must assign a
-    /// value to every element of [`Processor::state_elements`].
+    /// complete while no new work starts.  `state` and the returned state
+    /// are laid out by [`Processor::state_elements`], and the returned state
+    /// must set every element of it.
     fn step(
         &self,
         ctx: &mut Context,
@@ -101,7 +107,7 @@ pub fn flush_to_arch(
     state: &SymbolicState,
 ) -> SymbolicState {
     let flushed = flush(ctx, processor, state);
-    flushed.project(&processor.arch_state())
+    flushed.architectural(processor.state_elements())
 }
 
 #[cfg(test)]
@@ -113,19 +119,28 @@ mod tests {
     /// that retires into the register file one cycle later.
     struct Toy;
 
+    static ELEMENTS: [StateElement; 5] = [
+        StateElement::arch_term("pc"),
+        StateElement::arch_memory("rf"),
+        StateElement::pipe_flag("latch.valid"),
+        StateElement::pipe_term("latch.dest"),
+        StateElement::pipe_term("latch.data"),
+    ];
+
+    /// Positions in [`ELEMENTS`].
+    const PC: usize = 0;
+    const RF: usize = 1;
+    const VALID: usize = 2;
+    const DEST: usize = 3;
+    const DATA: usize = 4;
+
     impl Processor for Toy {
         fn name(&self) -> &str {
             "toy"
         }
 
-        fn state_elements(&self) -> Vec<StateElement> {
-            vec![
-                StateElement::arch_term("pc"),
-                StateElement::arch_memory("rf"),
-                StateElement::pipe_flag("latch.valid"),
-                StateElement::pipe_term("latch.dest"),
-                StateElement::pipe_term("latch.data"),
-            ]
+        fn state_elements(&self) -> &[StateElement] {
+            &ELEMENTS
         }
 
         fn fetch_width(&self) -> usize {
@@ -142,11 +157,11 @@ mod tests {
             state: &SymbolicState,
             fetch_enabled: FormulaId,
         ) -> SymbolicState {
-            let pc = state.term("pc");
-            let rf = state.term("rf");
-            let valid = state.formula("latch.valid");
-            let dest = state.term("latch.dest");
-            let data = state.term("latch.data");
+            let pc = state.term(PC);
+            let rf = state.term(RF);
+            let valid = state.formula(VALID);
+            let dest = state.term(DEST);
+            let data = state.term(DATA);
 
             // Retire the latched write.
             let written = ctx.write(rf, dest, data);
@@ -158,12 +173,12 @@ mod tests {
             let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
             let pc_next = ctx.ite_term(fetch_enabled, pc_plus, pc);
 
-            let mut next = SymbolicState::new();
-            next.set_term("pc", pc_next);
-            next.set_term("rf", rf_next);
-            next.set_formula("latch.valid", fetch_enabled);
-            next.set_term("latch.dest", ctx.ite_term(fetch_enabled, new_dest, dest));
-            next.set_term("latch.data", ctx.ite_term(fetch_enabled, new_data, data));
+            let mut next = SymbolicState::unset(ELEMENTS.len());
+            next.set_term(PC, pc_next);
+            next.set_term(RF, rf_next);
+            next.set_formula(VALID, fetch_enabled);
+            next.set_term(DEST, ctx.ite_term(fetch_enabled, new_dest, dest));
+            next.set_term(DATA, ctx.ite_term(fetch_enabled, new_data, data));
             next
         }
     }
@@ -181,42 +196,41 @@ mod tests {
     fn step_produces_complete_states() {
         let mut ctx = Context::new();
         let toy = Toy;
-        let initial = SymbolicState::initial(&mut ctx, &toy.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, toy.state_elements(), "");
         let enabled = ctx.true_id();
         let next = toy.step(&mut ctx, &initial, enabled);
-        for element in toy.state_elements() {
-            assert!(next.contains(&element.name), "missing {}", element.name);
-        }
+        assert_eq!(next.len(), ELEMENTS.len());
+        assert!(next.is_complete());
     }
 
     #[test]
     fn flush_disables_fetch() {
         let mut ctx = Context::new();
         let toy = Toy;
-        let initial = SymbolicState::initial(&mut ctx, &toy.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, toy.state_elements(), "");
         let flushed = flush(&mut ctx, &toy, &initial);
         // After flushing, the latch is invalid (fetch was disabled).
-        assert!(ctx.is_false(flushed.formula("latch.valid")));
+        assert!(ctx.is_false(flushed.formula(VALID)));
         // And the PC did not advance.
-        assert_eq!(flushed.term("pc"), initial.term("pc"));
+        assert_eq!(flushed.term(PC), initial.term(PC));
     }
 
     #[test]
     fn flush_to_arch_projects() {
         let mut ctx = Context::new();
         let toy = Toy;
-        let initial = SymbolicState::initial(&mut ctx, &toy.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, toy.state_elements(), "");
         let arch = flush_to_arch(&mut ctx, &toy, &initial);
         assert_eq!(arch.len(), 2);
-        assert!(arch.contains("pc") && arch.contains("rf"));
+        assert!(arch.is_complete());
     }
 
     #[test]
     fn simulate_advances_multiple_cycles() {
         let mut ctx = Context::new();
         let toy = Toy;
-        let initial = SymbolicState::initial(&mut ctx, &toy.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, toy.state_elements(), "");
         let after2 = simulate(&mut ctx, &toy, &initial, 2);
-        assert_ne!(after2.term("pc"), initial.term("pc"));
+        assert_ne!(after2.term(PC), initial.term(PC));
     }
 }

@@ -1,6 +1,18 @@
 //! Symbolic machine states and state-element declarations.
+//!
+//! A design declares its state elements once, as a slice built in its
+//! constructor (or a `static` for a design whose layout never changes); a
+//! [`SymbolicState`] holds one value per element *position* of that slice.
+//! Every design keeps index tables — the positions of the fields it reads
+//! and writes, computed while it builds the slice — so symbolic simulation
+//! never builds an element name: the names are used only to name the
+//! initial state's variables and to match the architectural elements of an
+//! implementation with those of its specification.  Building names per
+//! access (a `format!` per latch field, a `String` key per set, every key
+//! copied on each clone) used to cost most of a problem's build, which is
+//! most of what a verdict-cache hit costs the service.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use velv_eufm::{Context, FormulaId, TermId};
 
 /// What kind of value a state element holds.
@@ -18,7 +30,9 @@ pub enum StateKind {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StateElement {
     /// Unique name of the element (e.g. `"pc"`, `"reg_file"`, `"id_ex.valid"`).
-    pub name: String,
+    /// Fixed names are borrowed, so a design whose layout never changes can
+    /// declare it as a `static`.
+    pub name: Cow<'static, str>,
     /// Kind of value held by the element.
     pub kind: StateKind,
     /// Whether the element is architectural (visible to the ISA) or
@@ -28,47 +42,57 @@ pub struct StateElement {
 
 impl StateElement {
     /// Declares an architectural term-valued element.
-    pub fn arch_term(name: &str) -> Self {
+    pub const fn arch_term(name: &'static str) -> Self {
         StateElement {
-            name: name.to_owned(),
+            name: Cow::Borrowed(name),
             kind: StateKind::Term,
             architectural: true,
         }
     }
 
     /// Declares an architectural memory element.
-    pub fn arch_memory(name: &str) -> Self {
+    pub const fn arch_memory(name: &'static str) -> Self {
         StateElement {
-            name: name.to_owned(),
+            name: Cow::Borrowed(name),
             kind: StateKind::Memory,
             architectural: true,
         }
     }
 
     /// Declares an architectural flag element.
-    pub fn arch_flag(name: &str) -> Self {
+    pub const fn arch_flag(name: &'static str) -> Self {
         StateElement {
-            name: name.to_owned(),
+            name: Cow::Borrowed(name),
             kind: StateKind::Flag,
             architectural: true,
         }
     }
 
     /// Declares a micro-architectural (pipeline) term-valued element.
-    pub fn pipe_term(name: &str) -> Self {
+    pub const fn pipe_term(name: &'static str) -> Self {
         StateElement {
-            name: name.to_owned(),
+            name: Cow::Borrowed(name),
             kind: StateKind::Term,
             architectural: false,
         }
     }
 
     /// Declares a micro-architectural flag element (e.g. a valid bit).
-    pub fn pipe_flag(name: &str) -> Self {
+    pub const fn pipe_flag(name: &'static str) -> Self {
         StateElement {
-            name: name.to_owned(),
+            name: Cow::Borrowed(name),
             kind: StateKind::Flag,
             architectural: false,
+        }
+    }
+
+    /// Declares an element whose name is built at run time (e.g. one field of
+    /// one pipeline slot).
+    pub fn named(name: String, kind: StateKind, architectural: bool) -> Self {
+        StateElement {
+            name: Cow::Owned(name),
+            kind,
+            architectural,
         }
     }
 }
@@ -108,44 +132,77 @@ impl Value {
     }
 }
 
-/// A complete symbolic state: a value for every state element of a design.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A symbolic state: one value per element of a design's state layout.
+///
+/// A design declares its elements once, in its constructor, as the slice
+/// [`Processor::state_elements`](crate::Processor::state_elements) returns;
+/// an element's *position* in that slice is its index here.  Designs keep
+/// the positions of the elements they read and write in index tables built
+/// alongside the slice, so a step reaches a latch field by index: reading or
+/// setting an element builds no name and allocates nothing, and cloning a
+/// state copies one `Vec` of plain ids.  Names matter only where a state
+/// meets the expression context — the initial state's variables are named
+/// after the elements — and where two layouts are matched up (the
+/// architectural projection).
+///
+/// A state made by [`SymbolicState::unset`] starts with every element
+/// unset; a step sets each element of its design's layout, and reading an
+/// element that was never set panics, so a step that forgets one fails at
+/// its first use instead of carrying a stale value.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymbolicState {
-    values: BTreeMap<String, Value>,
+    values: Vec<Option<Value>>,
 }
 
 impl SymbolicState {
-    /// Creates an empty state.
-    pub fn new() -> Self {
-        Self::default()
+    /// A state of `len` elements, none of them set yet: where a step starts
+    /// its successor state.
+    pub fn unset(len: usize) -> Self {
+        SymbolicState {
+            values: vec![None; len],
+        }
     }
 
     /// Creates the fully symbolic initial state for `elements`: every term and
     /// memory element becomes a fresh term variable, every flag becomes a
-    /// fresh propositional variable.  The prefix keeps implementation and
-    /// specification initial states distinct when needed.
+    /// fresh propositional variable, named `prefix` followed by the element
+    /// name.  The prefix keeps implementation and specification initial
+    /// states distinct when needed.
     pub fn initial(ctx: &mut Context, elements: &[StateElement], prefix: &str) -> Self {
-        let mut state = SymbolicState::new();
-        for element in elements {
-            let var_name = format!("{prefix}{}", element.name);
-            let value = match element.kind {
-                StateKind::Term | StateKind::Memory => Value::Term(ctx.term_var(&var_name)),
-                StateKind::Flag => Value::Formula(ctx.prop_var(&var_name)),
-            };
-            state.values.insert(element.name.clone(), value);
-        }
-        state
+        let values = elements
+            .iter()
+            .map(|element| {
+                let var_name: Cow<'_, str> = if prefix.is_empty() {
+                    Cow::Borrowed(&element.name)
+                } else {
+                    Cow::Owned(format!("{prefix}{}", element.name))
+                };
+                Some(match element.kind {
+                    StateKind::Term | StateKind::Memory => Value::Term(ctx.term_var(&var_name)),
+                    StateKind::Flag => Value::Formula(ctx.prop_var(&var_name)),
+                })
+            })
+            .collect();
+        SymbolicState { values }
     }
 
-    /// Sets a term-valued element.
-    pub fn set_term(&mut self, name: &str, value: TermId) -> &mut Self {
-        self.values.insert(name.to_owned(), Value::Term(value));
+    /// Sets the term-valued element at position `element`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `element` is outside the layout.
+    pub fn set_term(&mut self, element: usize, value: TermId) -> &mut Self {
+        self.values[element] = Some(Value::Term(value));
         self
     }
 
-    /// Sets a formula-valued element.
-    pub fn set_formula(&mut self, name: &str, value: FormulaId) -> &mut Self {
-        self.values.insert(name.to_owned(), Value::Formula(value));
+    /// Sets the formula-valued element at position `element`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `element` is outside the layout.
+    pub fn set_formula(&mut self, element: usize, value: FormulaId) -> &mut Self {
+        self.values[element] = Some(Value::Formula(value));
         self
     }
 
@@ -153,111 +210,86 @@ impl SymbolicState {
     ///
     /// # Panics
     ///
-    /// Panics if the element is missing or formula-valued.
-    pub fn term(&self, name: &str) -> TermId {
-        self.value(name).term()
+    /// Panics if the element is unset or formula-valued.
+    pub fn term(&self, element: usize) -> TermId {
+        self.value(element).term()
     }
 
     /// Reads a formula-valued element.
     ///
     /// # Panics
     ///
-    /// Panics if the element is missing or term-valued.
-    pub fn formula(&self, name: &str) -> FormulaId {
-        self.value(name).formula()
+    /// Panics if the element is unset or term-valued.
+    pub fn formula(&self, element: usize) -> FormulaId {
+        self.value(element).formula()
     }
 
     /// Reads any element.
     ///
     /// # Panics
     ///
-    /// Panics if the element is missing.
-    pub fn value(&self, name: &str) -> Value {
-        *self
-            .values
-            .get(name)
-            .unwrap_or_else(|| panic!("state element `{name}` is not present in this state"))
+    /// Panics if the element is unset or outside the layout.
+    pub fn value(&self, element: usize) -> Value {
+        self.values[element]
+            .unwrap_or_else(|| panic!("state element #{element} is not set in this state"))
     }
 
-    /// Looks up an element without panicking.
-    pub fn get(&self, name: &str) -> Option<Value> {
-        self.values.get(name).copied()
+    /// Whether every element of the layout is set.
+    pub fn is_complete(&self) -> bool {
+        self.values.iter().all(Option::is_some)
     }
 
-    /// Whether the state contains an element.
-    pub fn contains(&self, name: &str) -> bool {
-        self.values.contains_key(name)
-    }
-
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, Value)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Number of elements in the state.
+    /// Number of elements in the layout.
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// Whether the state has no elements.
+    /// Whether the layout has no elements.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
-    /// Restricts the state to the given elements (e.g. projecting a flushed
-    /// implementation state onto the architectural state).
-    pub fn project(&self, elements: &[StateElement]) -> SymbolicState {
-        let mut projected = SymbolicState::new();
-        for element in elements {
-            if let Some(value) = self.get(&element.name) {
-                projected.values.insert(element.name.clone(), value);
-            }
-        }
-        projected
-    }
-
-    /// The formula stating that `self` and `other` agree on every element in
-    /// `elements` (term elements compared with equations, flags with `iff`).
+    /// The architectural part of a state laid out by `elements`: the values
+    /// of the architectural elements in layout order, which is the layout of
+    /// [`Processor::arch_state`](crate::Processor::arch_state) (e.g.
+    /// projecting a flushed implementation state for the specification).
     ///
     /// # Panics
     ///
-    /// Panics if an element is missing from either state.
-    pub fn equal_on(
-        &self,
-        ctx: &mut Context,
-        other: &SymbolicState,
-        elements: &[StateElement],
-    ) -> FormulaId {
-        let mut acc = ctx.true_id();
-        for element in elements {
-            let eq = self.element_equal(ctx, other, element);
-            acc = ctx.and(acc, eq);
-        }
-        acc
+    /// Panics if `elements` is not this state's layout.
+    pub fn architectural(&self, elements: &[StateElement]) -> SymbolicState {
+        assert_eq!(
+            elements.len(),
+            self.values.len(),
+            "the layout does not match the state"
+        );
+        let values = elements
+            .iter()
+            .zip(&self.values)
+            .filter(|(element, _)| element.architectural)
+            .map(|(_, &value)| value)
+            .collect();
+        SymbolicState { values }
     }
 
-    /// The formula stating that `self` and `other` agree on one element.
+    /// The formula stating that `self` and `other` agree on the element at
+    /// position `element` (terms and memories compared with an equation,
+    /// flags with `iff`).
     ///
     /// # Panics
     ///
-    /// Panics if the element is missing from either state.
+    /// Panics if the element is unset in either state or the two values are
+    /// of different kinds.
     pub fn element_equal(
         &self,
         ctx: &mut Context,
         other: &SymbolicState,
-        element: &StateElement,
+        element: usize,
     ) -> FormulaId {
-        match element.kind {
-            StateKind::Term | StateKind::Memory => {
-                let a = self.term(&element.name);
-                let b = other.term(&element.name);
-                ctx.eq(a, b)
-            }
-            StateKind::Flag => {
-                let a = self.formula(&element.name);
-                let b = other.formula(&element.name);
-                ctx.iff(a, b)
-            }
+        match (self.value(element), other.value(element)) {
+            (Value::Term(a), Value::Term(b)) => ctx.eq(a, b),
+            (Value::Formula(a), Value::Formula(b)) => ctx.iff(a, b),
+            _ => panic!("state element #{element} differs in kind between the two states"),
         }
     }
 }
@@ -266,72 +298,95 @@ impl SymbolicState {
 mod tests {
     use super::*;
 
-    fn elements() -> Vec<StateElement> {
-        vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("reg_file"),
-            StateElement::pipe_flag("if_id.valid"),
-            StateElement::pipe_term("if_id.pc"),
-        ]
+    static ELEMENTS: [StateElement; 4] = [
+        StateElement::arch_term("pc"),
+        StateElement::arch_memory("reg_file"),
+        StateElement::pipe_flag("if_id.valid"),
+        StateElement::pipe_term("if_id.pc"),
+    ];
+
+    /// Positions in [`ELEMENTS`].
+    const PC: usize = 0;
+    const REG_FILE: usize = 1;
+    const VALID: usize = 2;
+
+    fn agree_on_all(ctx: &mut Context, a: &SymbolicState, b: &SymbolicState) -> FormulaId {
+        let mut acc = ctx.true_id();
+        for element in 0..a.len() {
+            let eq = a.element_equal(ctx, b, element);
+            acc = ctx.and(acc, eq);
+        }
+        acc
     }
 
     #[test]
     fn initial_state_has_every_element() {
         let mut ctx = Context::new();
-        let elems = elements();
-        let state = SymbolicState::initial(&mut ctx, &elems, "");
+        let state = SymbolicState::initial(&mut ctx, &ELEMENTS, "");
         assert_eq!(state.len(), 4);
-        assert!(state.contains("pc"));
-        assert!(state.contains("if_id.valid"));
-        assert!(matches!(state.value("pc"), Value::Term(_)));
-        assert!(matches!(state.value("if_id.valid"), Value::Formula(_)));
+        assert!(state.is_complete());
+        assert!(matches!(state.value(PC), Value::Term(_)));
+        assert!(matches!(state.value(VALID), Value::Formula(_)));
+        assert_eq!(
+            state.term(PC),
+            ctx.term_var("pc"),
+            "named after the element"
+        );
     }
 
     #[test]
     fn prefix_distinguishes_two_initial_states() {
         let mut ctx = Context::new();
-        let elems = elements();
-        let a = SymbolicState::initial(&mut ctx, &elems, "a_");
-        let b = SymbolicState::initial(&mut ctx, &elems, "b_");
-        assert_ne!(a.term("pc"), b.term("pc"));
+        let a = SymbolicState::initial(&mut ctx, &ELEMENTS, "a_");
+        let b = SymbolicState::initial(&mut ctx, &ELEMENTS, "b_");
+        assert_ne!(a.term(PC), b.term(PC));
+        assert_eq!(a.term(PC), ctx.term_var("a_pc"));
     }
 
     #[test]
-    fn projection_keeps_only_requested_elements() {
+    fn architectural_projection_keeps_the_architectural_prefix() {
         let mut ctx = Context::new();
-        let elems = elements();
-        let state = SymbolicState::initial(&mut ctx, &elems, "");
-        let arch: Vec<StateElement> = elems.iter().filter(|e| e.architectural).cloned().collect();
-        let projected = state.project(&arch);
+        let state = SymbolicState::initial(&mut ctx, &ELEMENTS, "");
+        let projected = state.architectural(&ELEMENTS);
         assert_eq!(projected.len(), 2);
-        assert!(projected.contains("pc"));
-        assert!(!projected.contains("if_id.valid"));
+        assert_eq!(projected.term(PC), state.term(PC));
+        assert_eq!(projected.term(REG_FILE), state.term(REG_FILE));
+    }
+
+    #[test]
+    fn set_overwrites_one_element() {
+        let mut ctx = Context::new();
+        let state = SymbolicState::initial(&mut ctx, &ELEMENTS, "");
+        let mut next = state.clone();
+        let pc1 = ctx.term_var("pc1");
+        next.set_term(PC, pc1);
+        assert_eq!(next.term(PC), pc1);
+        assert_eq!(next.formula(VALID), state.formula(VALID));
     }
 
     #[test]
     fn equality_formula_is_true_for_identical_states() {
         let mut ctx = Context::new();
-        let elems = elements();
-        let state = SymbolicState::initial(&mut ctx, &elems, "");
-        let eq = state.equal_on(&mut ctx, &state.clone(), &elems);
+        let state = SymbolicState::initial(&mut ctx, &ELEMENTS, "");
+        let eq = agree_on_all(&mut ctx, &state, &state.clone());
         assert!(ctx.is_true(eq));
     }
 
     #[test]
     fn equality_formula_is_nontrivial_for_distinct_states() {
         let mut ctx = Context::new();
-        let elems = elements();
-        let a = SymbolicState::initial(&mut ctx, &elems, "a_");
-        let b = SymbolicState::initial(&mut ctx, &elems, "b_");
-        let eq = a.equal_on(&mut ctx, &b, &elems);
+        let a = SymbolicState::initial(&mut ctx, &ELEMENTS, "a_");
+        let b = SymbolicState::initial(&mut ctx, &ELEMENTS, "b_");
+        let eq = agree_on_all(&mut ctx, &a, &b);
         assert!(!ctx.is_true(eq));
         assert!(!ctx.is_false(eq));
     }
 
     #[test]
-    #[should_panic(expected = "not present")]
-    fn missing_element_panics() {
-        let state = SymbolicState::new();
-        let _ = state.value("nonexistent");
+    #[should_panic(expected = "not set")]
+    fn reading_an_unset_element_panics() {
+        let state = SymbolicState::unset(ELEMENTS.len());
+        assert!(!state.is_complete());
+        let _ = state.value(PC);
     }
 }

@@ -22,7 +22,7 @@
 
 use velv_eufm::{Context, FormulaId, TermId};
 use velv_hdl::components::conditional_write;
-use velv_hdl::{InstrFields, Processor, StateElement, SymbolicState};
+use velv_hdl::{InstrFields, InstrMemory, Processor, StateElement, StateKind, SymbolicState};
 
 /// Configuration of a DLX benchmark variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -241,6 +241,8 @@ pub struct Dlx {
     config: DlxConfig,
     bug: Option<DlxBug>,
     name: String,
+    layout: DlxLayout,
+    imem: InstrMemory,
 }
 
 impl Dlx {
@@ -250,6 +252,8 @@ impl Dlx {
             config,
             bug: None,
             name: config.name().to_owned(),
+            layout: DlxLayout::new(config),
+            imem: InstrMemory::new("imem"),
         }
     }
 
@@ -259,6 +263,8 @@ impl Dlx {
             config,
             bug: Some(bug),
             name: format!("{}-buggy", config.name()),
+            layout: DlxLayout::new(config),
+            imem: InstrMemory::new("imem"),
         }
     }
 
@@ -275,114 +281,266 @@ impl Dlx {
     fn has(&self, bug: DlxBug) -> bool {
         self.bug == Some(bug)
     }
+}
 
-    fn arch_elements(config: DlxConfig) -> Vec<StateElement> {
-        let mut elements = vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("rf"),
-            StateElement::arch_memory("dmem"),
-        ];
-        if config.exceptions {
-            elements.push(StateElement::arch_term("epc"));
-        }
-        elements
+/// The architectural state elements; the last one, `epc`, is present only
+/// when exceptions are modeled.  They lead the implementation's layout and
+/// make up the specification's.
+static ARCH_ELEMENTS: [StateElement; 4] = [
+    StateElement::arch_term("pc"),
+    StateElement::arch_memory("rf"),
+    StateElement::arch_memory("dmem"),
+    StateElement::arch_term("epc"),
+];
+
+/// Positions in [`ARCH_ELEMENTS`].
+const PC: usize = 0;
+const RF: usize = 1;
+const DMEM: usize = 2;
+const EPC: usize = 3;
+
+/// The architectural elements of a configuration.
+fn arch_elements(config: DlxConfig) -> &'static [StateElement] {
+    if config.exceptions {
+        &ARCH_ELEMENTS
+    } else {
+        &ARCH_ELEMENTS[..EPC]
     }
 }
 
-/// Fields carried by an Execute-stage slot.
-struct ExSlot {
-    valid: FormulaId,
-    pc: TermId,
-    op: TermId,
-    src1: TermId,
-    src2: TermId,
-    dest: TermId,
-    imm: TermId,
-    a: TermId,
-    b: TermId,
-    is_load: FormulaId,
-    is_store: FormulaId,
-    is_branch: FormulaId,
-    is_jump: FormulaId,
-    writes_rf: FormulaId,
-    uses_imm: FormulaId,
-    pred_taken: FormulaId,
-    pred_target: TermId,
+/// Appends the fields of one pipeline latch, named `{latch}.{field}`, to a
+/// state layout and returns their positions.
+struct LatchFields<'a> {
+    elements: &'a mut Vec<StateElement>,
+    latch: String,
 }
 
-struct MemSlot {
-    valid: FormulaId,
-    dest: TermId,
-    alu_out: TermId,
-    store_data: TermId,
-    is_load: FormulaId,
-    is_store: FormulaId,
-    writes_rf: FormulaId,
+impl LatchFields<'_> {
+    fn declare(&mut self, field: &str, kind: StateKind) -> usize {
+        let name = format!("{}.{field}", self.latch);
+        self.elements.push(StateElement::named(name, kind, false));
+        self.elements.len() - 1
+    }
+
+    fn term(&mut self, field: &str) -> usize {
+        self.declare(field, StateKind::Term)
+    }
+
+    fn flag(&mut self, field: &str) -> usize {
+        self.declare(field, StateKind::Flag)
+    }
 }
 
-struct WbSlot {
-    valid: FormulaId,
-    dest: TermId,
-    result: TermId,
-    writes_rf: FormulaId,
+/// The latches of one pipeline slot, as positions in the state layout.
+#[derive(Clone, Debug)]
+struct SlotPositions {
+    ex: ExSlot<usize, usize>,
+    mem: MemSlot<usize, usize>,
+    wb: WbSlot<usize, usize>,
 }
 
-fn ex_field(slot: usize, field: &str) -> String {
-    format!("ex.{slot}.{field}")
+/// The implementation's state layout, built once per design: the
+/// architectural elements, then the latches of every pipeline slot, with the
+/// positions of the latch fields.
+#[derive(Clone, Debug)]
+struct DlxLayout {
+    elements: Vec<StateElement>,
+    slots: Vec<SlotPositions>,
 }
 
-fn mem_field(slot: usize, field: &str) -> String {
-    format!("mem.{slot}.{field}")
+impl DlxLayout {
+    fn new(config: DlxConfig) -> Self {
+        let mut elements = arch_elements(config).to_vec();
+        let slots = (0..config.issue_width)
+            .map(|slot| {
+                let mut ex = LatchFields {
+                    elements: &mut elements,
+                    latch: format!("ex.{slot}"),
+                };
+                let ex = ExSlot {
+                    valid: ex.flag("valid"),
+                    pc: ex.term("pc"),
+                    op: ex.term("op"),
+                    src1: ex.term("src1"),
+                    src2: ex.term("src2"),
+                    dest: ex.term("dest"),
+                    imm: ex.term("imm"),
+                    a: ex.term("a"),
+                    b: ex.term("b"),
+                    pred_target: ex.term("pred_target"),
+                    is_load: ex.flag("is_load"),
+                    is_store: ex.flag("is_store"),
+                    is_branch: ex.flag("is_branch"),
+                    is_jump: ex.flag("is_jump"),
+                    writes_rf: ex.flag("writes_rf"),
+                    uses_imm: ex.flag("uses_imm"),
+                    pred_taken: ex.flag("pred_taken"),
+                };
+                let mut mem = LatchFields {
+                    elements: &mut elements,
+                    latch: format!("mem.{slot}"),
+                };
+                let mem = MemSlot {
+                    valid: mem.flag("valid"),
+                    dest: mem.term("dest"),
+                    alu_out: mem.term("alu_out"),
+                    store_data: mem.term("store_data"),
+                    is_load: mem.flag("is_load"),
+                    is_store: mem.flag("is_store"),
+                    writes_rf: mem.flag("writes_rf"),
+                };
+                let mut wb = LatchFields {
+                    elements: &mut elements,
+                    latch: format!("wb.{slot}"),
+                };
+                let wb = WbSlot {
+                    valid: wb.flag("valid"),
+                    dest: wb.term("dest"),
+                    result: wb.term("result"),
+                    writes_rf: wb.flag("writes_rf"),
+                };
+                SlotPositions { ex, mem, wb }
+            })
+            .collect();
+        DlxLayout { elements, slots }
+    }
 }
 
-fn wb_field(slot: usize, field: &str) -> String {
-    format!("wb.{slot}.{field}")
+/// The fields carried by an Execute-stage slot: their values
+/// (`ExSlot<FormulaId, TermId>`, the default) or their positions in the
+/// state layout (`ExSlot<usize, usize>`).
+#[derive(Clone, Debug)]
+struct ExSlot<F = FormulaId, T = TermId> {
+    valid: F,
+    pc: T,
+    op: T,
+    src1: T,
+    src2: T,
+    dest: T,
+    imm: T,
+    a: T,
+    b: T,
+    pred_target: T,
+    is_load: F,
+    is_store: F,
+    is_branch: F,
+    is_jump: F,
+    writes_rf: F,
+    uses_imm: F,
+    pred_taken: F,
+}
+
+/// The fields carried by a Memory-stage slot (values or positions).
+#[derive(Clone, Debug)]
+struct MemSlot<F = FormulaId, T = TermId> {
+    valid: F,
+    dest: T,
+    alu_out: T,
+    store_data: T,
+    is_load: F,
+    is_store: F,
+    writes_rf: F,
+}
+
+/// The fields carried by a Write-Back-stage slot (values or positions).
+#[derive(Clone, Debug)]
+struct WbSlot<F = FormulaId, T = TermId> {
+    valid: F,
+    dest: T,
+    result: T,
+    writes_rf: F,
+}
+
+impl ExSlot<usize, usize> {
+    fn read(&self, state: &SymbolicState) -> ExSlot {
+        ExSlot {
+            valid: state.formula(self.valid),
+            pc: state.term(self.pc),
+            op: state.term(self.op),
+            src1: state.term(self.src1),
+            src2: state.term(self.src2),
+            dest: state.term(self.dest),
+            imm: state.term(self.imm),
+            a: state.term(self.a),
+            b: state.term(self.b),
+            pred_target: state.term(self.pred_target),
+            is_load: state.formula(self.is_load),
+            is_store: state.formula(self.is_store),
+            is_branch: state.formula(self.is_branch),
+            is_jump: state.formula(self.is_jump),
+            writes_rf: state.formula(self.writes_rf),
+            uses_imm: state.formula(self.uses_imm),
+            pred_taken: state.formula(self.pred_taken),
+        }
+    }
+
+    fn write(&self, state: &mut SymbolicState, values: &ExSlot) {
+        state
+            .set_formula(self.valid, values.valid)
+            .set_term(self.pc, values.pc)
+            .set_term(self.op, values.op)
+            .set_term(self.src1, values.src1)
+            .set_term(self.src2, values.src2)
+            .set_term(self.dest, values.dest)
+            .set_term(self.imm, values.imm)
+            .set_term(self.a, values.a)
+            .set_term(self.b, values.b)
+            .set_term(self.pred_target, values.pred_target)
+            .set_formula(self.is_load, values.is_load)
+            .set_formula(self.is_store, values.is_store)
+            .set_formula(self.is_branch, values.is_branch)
+            .set_formula(self.is_jump, values.is_jump)
+            .set_formula(self.writes_rf, values.writes_rf)
+            .set_formula(self.uses_imm, values.uses_imm)
+            .set_formula(self.pred_taken, values.pred_taken);
+    }
+}
+
+impl MemSlot<usize, usize> {
+    fn read(&self, state: &SymbolicState) -> MemSlot {
+        MemSlot {
+            valid: state.formula(self.valid),
+            dest: state.term(self.dest),
+            alu_out: state.term(self.alu_out),
+            store_data: state.term(self.store_data),
+            is_load: state.formula(self.is_load),
+            is_store: state.formula(self.is_store),
+            writes_rf: state.formula(self.writes_rf),
+        }
+    }
+
+    fn write(&self, state: &mut SymbolicState, values: &MemSlot) {
+        state
+            .set_formula(self.valid, values.valid)
+            .set_term(self.dest, values.dest)
+            .set_term(self.alu_out, values.alu_out)
+            .set_term(self.store_data, values.store_data)
+            .set_formula(self.is_load, values.is_load)
+            .set_formula(self.is_store, values.is_store)
+            .set_formula(self.writes_rf, values.writes_rf);
+    }
+}
+
+impl WbSlot<usize, usize> {
+    fn read(&self, state: &SymbolicState) -> WbSlot {
+        WbSlot {
+            valid: state.formula(self.valid),
+            dest: state.term(self.dest),
+            result: state.term(self.result),
+            writes_rf: state.formula(self.writes_rf),
+        }
+    }
+
+    fn write(&self, state: &mut SymbolicState, values: &WbSlot) {
+        state
+            .set_formula(self.valid, values.valid)
+            .set_term(self.dest, values.dest)
+            .set_term(self.result, values.result)
+            .set_formula(self.writes_rf, values.writes_rf);
+    }
 }
 
 impl Dlx {
-    fn read_ex_slot(&self, state: &SymbolicState, slot: usize) -> ExSlot {
-        ExSlot {
-            valid: state.formula(&ex_field(slot, "valid")),
-            pc: state.term(&ex_field(slot, "pc")),
-            op: state.term(&ex_field(slot, "op")),
-            src1: state.term(&ex_field(slot, "src1")),
-            src2: state.term(&ex_field(slot, "src2")),
-            dest: state.term(&ex_field(slot, "dest")),
-            imm: state.term(&ex_field(slot, "imm")),
-            a: state.term(&ex_field(slot, "a")),
-            b: state.term(&ex_field(slot, "b")),
-            is_load: state.formula(&ex_field(slot, "is_load")),
-            is_store: state.formula(&ex_field(slot, "is_store")),
-            is_branch: state.formula(&ex_field(slot, "is_branch")),
-            is_jump: state.formula(&ex_field(slot, "is_jump")),
-            writes_rf: state.formula(&ex_field(slot, "writes_rf")),
-            uses_imm: state.formula(&ex_field(slot, "uses_imm")),
-            pred_taken: state.formula(&ex_field(slot, "pred_taken")),
-            pred_target: state.term(&ex_field(slot, "pred_target")),
-        }
-    }
-
-    fn read_mem_slot(&self, state: &SymbolicState, slot: usize) -> MemSlot {
-        MemSlot {
-            valid: state.formula(&mem_field(slot, "valid")),
-            dest: state.term(&mem_field(slot, "dest")),
-            alu_out: state.term(&mem_field(slot, "alu_out")),
-            store_data: state.term(&mem_field(slot, "store_data")),
-            is_load: state.formula(&mem_field(slot, "is_load")),
-            is_store: state.formula(&mem_field(slot, "is_store")),
-            writes_rf: state.formula(&mem_field(slot, "writes_rf")),
-        }
-    }
-
-    fn read_wb_slot(&self, state: &SymbolicState, slot: usize) -> WbSlot {
-        WbSlot {
-            valid: state.formula(&wb_field(slot, "valid")),
-            dest: state.term(&wb_field(slot, "dest")),
-            result: state.term(&wb_field(slot, "result")),
-            writes_rf: state.formula(&wb_field(slot, "writes_rf")),
-        }
-    }
-
     /// Forwarding sources for an Execute-stage consumer, in priority order
     /// (closest preceding instruction first).
     fn forwarding_sources(
@@ -445,48 +603,8 @@ impl Processor for Dlx {
         &self.name
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        let mut elements = Dlx::arch_elements(self.config);
-        for slot in 0..self.config.issue_width {
-            elements.push(StateElement::pipe_flag(&ex_field(slot, "valid")));
-            for field in [
-                "pc",
-                "op",
-                "src1",
-                "src2",
-                "dest",
-                "imm",
-                "a",
-                "b",
-                "pred_target",
-            ] {
-                elements.push(StateElement::pipe_term(&ex_field(slot, field)));
-            }
-            for field in [
-                "is_load",
-                "is_store",
-                "is_branch",
-                "is_jump",
-                "writes_rf",
-                "uses_imm",
-                "pred_taken",
-            ] {
-                elements.push(StateElement::pipe_flag(&ex_field(slot, field)));
-            }
-            elements.push(StateElement::pipe_flag(&mem_field(slot, "valid")));
-            for field in ["dest", "alu_out", "store_data"] {
-                elements.push(StateElement::pipe_term(&mem_field(slot, field)));
-            }
-            for field in ["is_load", "is_store", "writes_rf"] {
-                elements.push(StateElement::pipe_flag(&mem_field(slot, field)));
-            }
-            elements.push(StateElement::pipe_flag(&wb_field(slot, "valid")));
-            for field in ["dest", "result"] {
-                elements.push(StateElement::pipe_term(&wb_field(slot, field)));
-            }
-            elements.push(StateElement::pipe_flag(&wb_field(slot, "writes_rf")));
-        }
-        elements
+    fn state_elements(&self) -> &[StateElement] {
+        &self.layout.elements
     }
 
     fn fetch_width(&self) -> usize {
@@ -504,20 +622,17 @@ impl Processor for Dlx {
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
         let width = self.config.issue_width;
-        let pc = state.term("pc");
-        let rf = state.term("rf");
-        let dmem = state.term("dmem");
-        let epc = if self.config.exceptions {
-            Some(state.term("epc"))
-        } else {
-            None
-        };
+        let layout = &self.layout;
+        let pc = state.term(PC);
+        let rf = state.term(RF);
+        let dmem = state.term(DMEM);
+        let epc = self.config.exceptions.then(|| state.term(EPC));
 
-        let ex_slots: Vec<ExSlot> = (0..width).map(|s| self.read_ex_slot(state, s)).collect();
-        let mem_slots: Vec<MemSlot> = (0..width).map(|s| self.read_mem_slot(state, s)).collect();
-        let wb_slots: Vec<WbSlot> = (0..width).map(|s| self.read_wb_slot(state, s)).collect();
+        let ex_slots: Vec<ExSlot> = layout.slots.iter().map(|s| s.ex.read(state)).collect();
+        let mem_slots: Vec<MemSlot> = layout.slots.iter().map(|s| s.mem.read(state)).collect();
+        let wb_slots: Vec<WbSlot> = layout.slots.iter().map(|s| s.wb.read(state)).collect();
 
-        let mut next = SymbolicState::new();
+        let mut next = SymbolicState::unset(layout.elements.len());
 
         // ------------------------------------------------------------------
         // Write-back stage: retire into the register file (program order).
@@ -543,12 +658,15 @@ impl Processor for Dlx {
             } else {
                 ctx.ite_term(mem.is_load, load_value, mem.alu_out)
             };
-            next.set_formula(&wb_field(s, "valid"), mem.valid);
-            next.set_term(&wb_field(s, "dest"), mem.dest);
-            next.set_term(&wb_field(s, "result"), result);
-            next.set_formula(&wb_field(s, "writes_rf"), mem.writes_rf);
+            let wb = WbSlot {
+                valid: mem.valid,
+                dest: mem.dest,
+                result,
+                writes_rf: mem.writes_rf,
+            };
+            layout.slots[s].wb.write(&mut next, &wb);
         }
-        next.set_term("dmem", dmem_next);
+        next.set_term(DMEM, dmem_next);
 
         // ------------------------------------------------------------------
         // Execute stage: forwarding, ALU, branch resolution, exceptions.
@@ -557,6 +675,10 @@ impl Processor for Dlx {
         let mut squash_new = ctx.false_id();
         let mut epc_next = epc;
         let mut older_exception = ctx.false_id();
+        // Per slot: whether it redirects the PC, and where to.  Only the
+        // oldest redirecting slot may win, so the priority chain is built
+        // after the loop.
+        let mut redirects = Vec::with_capacity(width);
 
         for (s, ex) in ex_slots.iter().enumerate() {
             // Effective validity: an older slot's exception kills this one.
@@ -667,35 +789,31 @@ impl Processor for Dlx {
             } else {
                 b_fwd
             };
-            next.set_formula(&mem_field(s, "valid"), mem_valid);
-            next.set_term(&mem_field(s, "dest"), dest);
-            next.set_term(&mem_field(s, "alu_out"), alu_out);
-            next.set_term(&mem_field(s, "store_data"), store_data);
-            next.set_formula(&mem_field(s, "is_load"), ex.is_load);
-            next.set_formula(&mem_field(s, "is_store"), ex.is_store);
-            next.set_formula(&mem_field(s, "writes_rf"), ex.writes_rf);
+            let latched = MemSlot {
+                valid: mem_valid,
+                dest,
+                alu_out,
+                store_data,
+                is_load: ex.is_load,
+                is_store: ex.is_store,
+                writes_rf: ex.writes_rf,
+            };
+            layout.slots[s].mem.write(&mut next, &latched);
 
             older_exception = ctx.or(older_exception, exception);
-
-            // Record the redirect for the PC computation below.  Only the
-            // oldest redirecting slot must win; we rebuild the priority chain
-            // after the loop using per-slot data, so stash them.
-            next.set_formula(&format!("scratch.redirects.{s}"), slot_redirects);
-            next.set_term(&format!("scratch.redirect_pc.{s}"), slot_redirect_pc);
+            redirects.push((slot_redirects, slot_redirect_pc));
         }
 
         // Priority-encode the PC redirection (oldest slot first).
         let mut pc_redirected = ctx.false_id();
         let mut pc_redirect_value = pc;
-        for s in 0..width {
-            let redirects = next.formula(&format!("scratch.redirects.{s}"));
-            let value = next.term(&format!("scratch.redirect_pc.{s}"));
+        for (slot_redirects, value) in redirects {
             let use_this = {
                 let not_already = ctx.not(pc_redirected);
-                ctx.and(not_already, redirects)
+                ctx.and(not_already, slot_redirects)
             };
             pc_redirect_value = ctx.ite_term(use_this, value, pc_redirect_value);
-            pc_redirected = ctx.or(pc_redirected, redirects);
+            pc_redirected = ctx.or(pc_redirected, slot_redirects);
         }
 
         // ------------------------------------------------------------------
@@ -709,7 +827,7 @@ impl Processor for Dlx {
         }
         let fields: Vec<InstrFields> = fetch_pcs
             .iter()
-            .map(|&fpc| InstrFields::fetch(ctx, "imem", fpc))
+            .map(|&fpc| self.imem.fetch(ctx, fpc))
             .collect();
 
         // Load interlock per decode slot.
@@ -791,23 +909,26 @@ impl Processor for Dlx {
             };
             let pred_target = ctx.uf("bp_target", vec![fetch_pcs[s]]);
 
-            next.set_formula(&ex_field(s, "valid"), issue[s]);
-            next.set_term(&ex_field(s, "pc"), fetch_pcs[s]);
-            next.set_term(&ex_field(s, "op"), f.op);
-            next.set_term(&ex_field(s, "src1"), f.src1);
-            next.set_term(&ex_field(s, "src2"), f.src2);
-            next.set_term(&ex_field(s, "dest"), f.dest);
-            next.set_term(&ex_field(s, "imm"), f.imm);
-            next.set_term(&ex_field(s, "a"), rf_a);
-            next.set_term(&ex_field(s, "b"), rf_b);
-            next.set_formula(&ex_field(s, "is_load"), f.is_load);
-            next.set_formula(&ex_field(s, "is_store"), f.is_store);
-            next.set_formula(&ex_field(s, "is_branch"), f.is_branch);
-            next.set_formula(&ex_field(s, "is_jump"), f.is_jump);
-            next.set_formula(&ex_field(s, "writes_rf"), f.writes_rf);
-            next.set_formula(&ex_field(s, "uses_imm"), f.uses_imm);
-            next.set_formula(&ex_field(s, "pred_taken"), pred_taken);
-            next.set_term(&ex_field(s, "pred_target"), pred_target);
+            let latched = ExSlot {
+                valid: issue[s],
+                pc: fetch_pcs[s],
+                op: f.op,
+                src1: f.src1,
+                src2: f.src2,
+                dest: f.dest,
+                imm: f.imm,
+                a: rf_a,
+                b: rf_b,
+                pred_target,
+                is_load: f.is_load,
+                is_store: f.is_store,
+                is_branch: f.is_branch,
+                is_jump: f.is_jump,
+                writes_rf: f.writes_rf,
+                uses_imm: f.uses_imm,
+                pred_taken,
+            };
+            layout.slots[s].ex.write(&mut next, &latched);
         }
 
         // ------------------------------------------------------------------
@@ -819,8 +940,8 @@ impl Processor for Dlx {
             for (s, &issued) in issue.iter().enumerate() {
                 let next_pc = if self.config.branch_prediction {
                     let seq = ctx.uf("pc_plus_4", vec![fetch_pcs[s]]);
-                    let pred_taken = next.formula(&ex_field(s, "pred_taken"));
-                    let pred_target = next.term(&ex_field(s, "pred_target"));
+                    let pred_taken = next.formula(layout.slots[s].ex.pred_taken);
+                    let pred_target = next.term(layout.slots[s].ex.pred_target);
                     ctx.ite_term(pred_taken, pred_target, seq)
                 } else {
                     ctx.uf("pc_plus_4", vec![fetch_pcs[s]])
@@ -830,25 +951,12 @@ impl Processor for Dlx {
             advanced
         };
         let pc_next = ctx.ite_term(pc_redirected, pc_redirect_value, pc_after_issue);
-        next.set_term("pc", pc_next);
-        next.set_term("rf", rf_after_wb);
+        next.set_term(PC, pc_next);
+        next.set_term(RF, rf_after_wb);
         if let Some(epc_value) = epc_next {
-            next.set_term("epc", epc_value);
+            next.set_term(EPC, epc_value);
         }
-
-        // Drop the scratch entries used for the PC priority chain.
-        let mut cleaned = SymbolicState::new();
-        for element in self.state_elements() {
-            match element.kind {
-                velv_hdl::StateKind::Flag => {
-                    cleaned.set_formula(&element.name, next.formula(&element.name));
-                }
-                _ => {
-                    cleaned.set_term(&element.name, next.term(&element.name));
-                }
-            }
-        }
-        cleaned
+        next
     }
 
     fn completion_windows(
@@ -863,8 +971,11 @@ impl Processor for Dlx {
         // exceptions resolve in Execute, and everything older has already
         // passed Execute by the time the new instruction gets there).
         let width = self.config.issue_width;
-        let issued: Vec<FormulaId> = (0..width)
-            .map(|s| stepped.formula(&ex_field(s, "valid")))
+        let issued: Vec<FormulaId> = self
+            .layout
+            .slots
+            .iter()
+            .map(|s| stepped.formula(s.ex.valid))
             .collect();
         let mut windows = Vec::with_capacity(width + 1);
         for l in 0..=width {
@@ -904,13 +1015,17 @@ fn forward_value(
 #[derive(Clone, Debug)]
 pub struct DlxSpecification {
     config: DlxConfig,
+    imem: InstrMemory,
 }
 
 impl DlxSpecification {
     /// Creates the specification for a configuration (the specification only
     /// depends on whether exceptions are architecturally visible).
     pub fn new(config: DlxConfig) -> Self {
-        DlxSpecification { config }
+        DlxSpecification {
+            config,
+            imem: InstrMemory::new("imem"),
+        }
     }
 }
 
@@ -919,8 +1034,8 @@ impl Processor for DlxSpecification {
         "DLX-spec"
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        Dlx::arch_elements(self.config)
+    fn state_elements(&self) -> &[StateElement] {
+        arch_elements(self.config)
     }
 
     fn fetch_width(&self) -> usize {
@@ -937,11 +1052,11 @@ impl Processor for DlxSpecification {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
-        let dmem = state.term("dmem");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
+        let dmem = state.term(DMEM);
 
-        let f = InstrFields::fetch(ctx, "imem", pc);
+        let f = self.imem.fetch(ctx, pc);
         let a = ctx.read(rf, f.src1);
         let b_reg = ctx.read(rf, f.src2);
         let b_val = ctx.ite_term(f.uses_imm, f.imm, b_reg);
@@ -977,15 +1092,15 @@ impl Processor for DlxSpecification {
         let resolved_pc = ctx.ite_term(exception, exc_vector, normal_pc);
         let pc_next = ctx.ite_term(fetch_enabled, resolved_pc, pc);
 
-        let mut next = SymbolicState::new();
-        next.set_term("pc", pc_next);
-        next.set_term("rf", rf_next);
-        next.set_term("dmem", dmem_next);
+        let mut next = SymbolicState::unset(state.len());
+        next.set_term(PC, pc_next);
+        next.set_term(RF, rf_next);
+        next.set_term(DMEM, dmem_next);
         if self.config.exceptions {
-            let epc = state.term("epc");
+            let epc = state.term(EPC);
             let save = ctx.and(fetch_enabled, exception);
             let epc_next = ctx.ite_term(save, pc, epc);
-            next.set_term("epc", epc_next);
+            next.set_term(EPC, epc_next);
         }
         next
     }
@@ -1013,22 +1128,13 @@ mod tests {
             assert_eq!(implementation.fetch_width(), config.issue_width);
             // Every declared element is produced by a step.
             let mut ctx = Context::new();
-            let initial = SymbolicState::initial(&mut ctx, &implementation.state_elements(), "");
+            let initial = SymbolicState::initial(&mut ctx, implementation.state_elements(), "");
             let enabled = ctx.true_id();
             let next = implementation.step(&mut ctx, &initial, enabled);
-            for element in implementation.state_elements() {
-                assert!(
-                    next.contains(&element.name),
-                    "{}: missing {}",
-                    config.name(),
-                    element.name
-                );
-            }
-            let spec_initial = SymbolicState::initial(&mut ctx, &spec.state_elements(), "s_");
+            assert!(next.is_complete(), "{}", config.name());
+            let spec_initial = SymbolicState::initial(&mut ctx, spec.state_elements(), "s_");
             let spec_next = spec.step(&mut ctx, &spec_initial, enabled);
-            for element in spec.state_elements() {
-                assert!(spec_next.contains(&element.name));
-            }
+            assert!(spec_next.is_complete(), "{}", config.name());
         }
     }
 
@@ -1037,7 +1143,7 @@ mod tests {
         let config = DlxConfig::dual_issue();
         let implementation = Dlx::correct(config);
         let mut ctx = Context::new();
-        let initial = SymbolicState::initial(&mut ctx, &implementation.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, implementation.state_elements(), "");
         let enabled = ctx.true_id();
         let stepped = implementation.step(&mut ctx, &initial, enabled);
         let windows = implementation

@@ -14,6 +14,17 @@
 use velv_eufm::{Context, FormulaId, TermId};
 use velv_hdl::{Processor, StateElement, SymbolicState};
 
+/// The state layout of both the implementation and the specification: the
+/// architectural state only, so a step leaves nothing in flight.
+static ELEMENTS: [StateElement; 2] = [
+    StateElement::arch_term("pc"),
+    StateElement::arch_memory("rf"),
+];
+
+/// Positions in [`ELEMENTS`].
+const PC: usize = 0;
+const RF: usize = 1;
+
 /// The out-of-order implementation, parameterised by issue width.
 #[derive(Clone, Debug)]
 pub struct Ooo {
@@ -36,13 +47,6 @@ impl Ooo {
         self.width
     }
 
-    fn arch_elements() -> Vec<StateElement> {
-        vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("rf"),
-        ]
-    }
-
     /// Decoded fields of the `i`-th instruction of the group starting at `pc`.
     fn instr(ctx: &mut Context, pc: TermId, index: usize) -> (TermId, TermId, TermId, TermId) {
         let mut fetch_pc = pc;
@@ -61,8 +65,8 @@ impl Processor for Ooo {
         &self.name
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        Ooo::arch_elements()
+    fn state_elements(&self) -> &[StateElement] {
+        &ELEMENTS
     }
 
     fn fetch_width(&self) -> usize {
@@ -79,8 +83,8 @@ impl Processor for Ooo {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
         let w = self.width;
 
         // Decode the group and compute every result through the bypass network:
@@ -122,11 +126,11 @@ impl Processor for Ooo {
             next_pc = ctx.uf("pc_plus_4", vec![next_pc]);
         }
 
-        let mut next = SymbolicState::new();
+        let mut next = SymbolicState::unset(ELEMENTS.len());
         let pc_value = ctx.ite_term(fetch_enabled, next_pc, pc);
         let rf_value = ctx.ite_term(fetch_enabled, rf_next, rf);
-        next.set_term("pc", pc_value);
-        next.set_term("rf", rf_value);
+        next.set_term(PC, pc_value);
+        next.set_term(RF, rf_value);
         next
     }
 
@@ -159,8 +163,8 @@ impl Processor for OooSpecification {
         "OOO-spec"
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        Ooo::arch_elements()
+    fn state_elements(&self) -> &[StateElement] {
+        &ELEMENTS
     }
 
     fn fetch_width(&self) -> usize {
@@ -177,8 +181,8 @@ impl Processor for OooSpecification {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
         let op = ctx.uf("imem_op", vec![pc]);
         let src = ctx.uf("imem_src1", vec![pc]);
         let dest = ctx.uf("imem_dest", vec![pc]);
@@ -187,11 +191,11 @@ impl Processor for OooSpecification {
         let written = ctx.write(rf, dest, result);
         let next_pc = ctx.uf("pc_plus_4", vec![pc]);
 
-        let mut next = SymbolicState::new();
+        let mut next = SymbolicState::unset(ELEMENTS.len());
         let pc_value = ctx.ite_term(fetch_enabled, next_pc, pc);
         let rf_value = ctx.ite_term(fetch_enabled, written, rf);
-        next.set_term("pc", pc_value);
-        next.set_term("rf", rf_value);
+        next.set_term(PC, pc_value);
+        next.set_term(RF, rf_value);
         next
     }
 }
@@ -217,10 +221,10 @@ mod tests {
     fn step_produces_complete_states() {
         let implementation = Ooo::new(3);
         let mut ctx = Context::new();
-        let initial = SymbolicState::initial(&mut ctx, &implementation.state_elements(), "");
+        let initial = SymbolicState::initial(&mut ctx, implementation.state_elements(), "");
         let enabled = ctx.true_id();
         let next = implementation.step(&mut ctx, &initial, enabled);
-        assert!(next.contains("pc") && next.contains("rf"));
+        assert!(next.is_complete());
         let windows = implementation
             .completion_windows(&mut ctx, &initial, &next)
             .expect("windows provided");

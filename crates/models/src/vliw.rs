@@ -163,30 +163,132 @@ pub fn bug_catalog(config: VliwConfig) -> Vec<VliwBug> {
     bugs
 }
 
+/// The architectural state elements; the last one, `epc`, is present only
+/// when exceptions are modeled.  They lead the implementation's layout and
+/// make up the specification's.
+static ARCH_ELEMENTS: [StateElement; 9] = [
+    StateElement::arch_term("pc"),
+    StateElement::arch_memory("int_rf"),
+    StateElement::arch_memory("fp_rf"),
+    StateElement::arch_memory("pred_rf"),
+    StateElement::arch_memory("baddr_rf"),
+    StateElement::arch_memory("dmem"),
+    StateElement::arch_memory("alat"),
+    StateElement::arch_term("cfm"),
+    StateElement::arch_term("epc"),
+];
+
+/// Positions in [`ARCH_ELEMENTS`].
+const PC: usize = 0;
+const INT_RF: usize = 1;
+const FP_RF: usize = 2;
+const PRED_RF: usize = 3;
+const BADDR_RF: usize = 4;
+const DMEM: usize = 5;
+const ALAT: usize = 6;
+const CFM: usize = 7;
+const EPC: usize = 8;
+
+/// The implementation's fetch latch, which follows the architectural
+/// elements in its layout.
+static FETCH_ELEMENTS: [StateElement; 2] = [
+    StateElement::pipe_flag("fetch.valid"),
+    StateElement::pipe_term("fetch.pc"),
+];
+
+/// The architectural elements of a configuration.
+fn arch_elements(config: VliwConfig) -> &'static [StateElement] {
+    if config.exceptions {
+        &ARCH_ELEMENTS
+    } else {
+        &ARCH_ELEMENTS[..EPC]
+    }
+}
+
+/// The instruction-memory names of one slot, `{field}_{slot}`, formatted
+/// once per design.  A field the slot's pipeline never decodes is left
+/// empty.
+#[derive(Clone, Debug)]
+struct SlotNames {
+    qp: String,
+    op: String,
+    src1: String,
+    src2: String,
+    dest: String,
+    is_load: String,
+    is_store: String,
+    is_adv_load: String,
+    is_cfm_update: String,
+    breg: String,
+}
+
+impl SlotNames {
+    fn new(config: VliwConfig, slot: usize) -> Self {
+        let kind = config.slot_kind(slot);
+        let alu = kind != SlotKind::Branch;
+        let mem = kind == SlotKind::IntMem;
+        let name = |field: &str, decoded: bool| {
+            if decoded {
+                format!("{field}_{slot}")
+            } else {
+                String::new()
+            }
+        };
+        SlotNames {
+            qp: name("qp", true),
+            op: name("op", alu),
+            src1: name("src1", alu),
+            src2: name("src2", alu),
+            dest: name("dest", alu),
+            is_load: name("is_load", mem),
+            is_store: name("is_store", mem),
+            is_adv_load: name("is_adv_load", mem),
+            is_cfm_update: name("is_cfm_update", alu && slot == 2),
+            breg: name("breg", !alu),
+        }
+    }
+
+    fn for_packet(config: VliwConfig) -> Vec<SlotNames> {
+        (0..config.slots)
+            .map(|slot| SlotNames::new(config, slot))
+            .collect()
+    }
+}
+
 /// The VLIW implementation.
 #[derive(Clone, Debug)]
 pub struct Vliw {
     config: VliwConfig,
     bug: Option<VliwBug>,
     name: String,
+    elements: Vec<StateElement>,
+    /// Positions of the fetch latch's fields in `elements`.
+    fetch_valid: usize,
+    fetch_pc: usize,
+    slot_names: Vec<SlotNames>,
 }
 
 impl Vliw {
     /// The correct implementation.
     pub fn correct(config: VliwConfig) -> Self {
-        Vliw {
-            config,
-            bug: None,
-            name: config.name().to_owned(),
-        }
+        Vliw::build(config, None, config.name().to_owned())
     }
 
     /// An implementation with an injected bug.
     pub fn buggy(config: VliwConfig, bug: VliwBug) -> Self {
+        Vliw::build(config, Some(bug), format!("{}-buggy", config.name()))
+    }
+
+    fn build(config: VliwConfig, bug: Option<VliwBug>, name: String) -> Self {
+        let arch = arch_elements(config);
         Vliw {
             config,
-            bug: Some(bug),
-            name: format!("{}-buggy", config.name()),
+            bug,
+            name,
+            elements: [arch, &FETCH_ELEMENTS].concat(),
+            fetch_valid: arch.len(),
+            fetch_pc: arch.len() + 1,
+            slot_names: SlotNames::for_packet(config),
         }
     }
 
@@ -199,23 +301,6 @@ impl Vliw {
         self.bug == Some(bug)
     }
 
-    fn arch_elements(config: VliwConfig) -> Vec<StateElement> {
-        let mut elements = vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("int_rf"),
-            StateElement::arch_memory("fp_rf"),
-            StateElement::arch_memory("pred_rf"),
-            StateElement::arch_memory("baddr_rf"),
-            StateElement::arch_memory("dmem"),
-            StateElement::arch_memory("alat"),
-            StateElement::arch_term("cfm"),
-        ];
-        if config.exceptions {
-            elements.push(StateElement::arch_term("epc"));
-        }
-        elements
-    }
-
     /// Executes one packet fetched at `pc` against the given architectural
     /// values, returning the updated values and the actual next PC.
     ///
@@ -224,6 +309,7 @@ impl Vliw {
     fn execute_packet(
         config: VliwConfig,
         bug: Option<&Vliw>,
+        slot_names: &[SlotNames],
         ctx: &mut Context,
         pc: TermId,
         mut int_rf: TermId,
@@ -242,14 +328,13 @@ impl Vliw {
         let mut taken_branch: Option<(FormulaId, TermId)> = None;
         let exc_vector = ctx.term_var("exc_vector");
 
-        for slot in 0..config.slots {
+        for (slot, names) in slot_names.iter().enumerate() {
             let kind = config.slot_kind(slot);
-            let field = |ctx: &mut Context, name: &str| ctx.uf(&format!("{name}_{slot}"), vec![pc]);
-            let up_field =
-                |ctx: &mut Context, name: &str| ctx.up(&format!("{name}_{slot}"), vec![pc]);
+            let field = |ctx: &mut Context, name: &str| ctx.uf(name, vec![pc]);
+            let up_field = |ctx: &mut Context, name: &str| ctx.up(name, vec![pc]);
 
             // Qualifying predicate.
-            let qp_reg = field(ctx, "qp");
+            let qp_reg = field(ctx, &names.qp);
             let qp_value = ctx.read(pred_rf, qp_reg);
             let pred_on = ctx.up("pred_true", vec![qp_value]);
             let active = if has(VliwBug::PredicationIgnored { slot }) {
@@ -267,11 +352,11 @@ impl Vliw {
                     } else {
                         (&mut int_rf, "alu_int")
                     };
-                    let op = field(ctx, "op");
-                    let src1 = field(ctx, "src1");
-                    let src2 = field(ctx, "src2");
-                    let dest_field = field(ctx, "dest");
-                    let wrong_dest = field(ctx, "src2");
+                    let op = field(ctx, &names.op);
+                    let src1 = field(ctx, &names.src1);
+                    let src2 = field(ctx, &names.src2);
+                    let dest_field = field(ctx, &names.dest);
+                    let wrong_dest = field(ctx, &names.src2);
                     let dest_logical = if has(VliwBug::WrongDestinationField { slot }) {
                         wrong_dest
                     } else {
@@ -304,9 +389,9 @@ impl Vliw {
                     // Memory slots: loads, stores and advanced loads.
                     let mut write_enable = active;
                     if kind == SlotKind::IntMem {
-                        let is_load = up_field(ctx, "is_load");
-                        let is_store = up_field(ctx, "is_store");
-                        let is_adv = up_field(ctx, "is_adv_load");
+                        let is_load = up_field(ctx, &names.is_load);
+                        let is_store = up_field(ctx, &names.is_store);
+                        let is_adv = up_field(ctx, &names.is_adv_load);
                         let addr = result;
                         let loaded = ctx.read(dmem, addr);
                         result = ctx.ite_term(is_load, loaded, result);
@@ -354,7 +439,7 @@ impl Vliw {
                     // A designated integer slot updates the CFM (register
                     // remapping for the next packet).
                     if slot == 2 {
-                        let is_cfm = up_field(ctx, "is_cfm_update");
+                        let is_cfm = up_field(ctx, &names.is_cfm_update);
                         let cfm_updated = ctx.uf("cfm_next", vec![cfm, op]);
                         let update = ctx.and(active, is_cfm);
                         cfm_next = ctx.ite_term(update, cfm_updated, cfm_next);
@@ -363,7 +448,7 @@ impl Vliw {
                 SlotKind::Branch => {
                     // A branch slot is taken when its qualifying predicate holds;
                     // the target comes from the branch-address register file.
-                    let breg = field(ctx, "breg");
+                    let breg = field(ctx, &names.breg);
                     let rbreg = ctx.uf("remap", vec![cfm, breg]);
                     let target = ctx.read(baddr_rf, rbreg);
                     let taken = active;
@@ -429,11 +514,8 @@ impl Processor for Vliw {
         &self.name
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        let mut elements = Vliw::arch_elements(self.config);
-        elements.push(StateElement::pipe_flag("fetch.valid"));
-        elements.push(StateElement::pipe_term("fetch.pc"));
-        elements
+    fn state_elements(&self) -> &[StateElement] {
+        &self.elements
     }
 
     fn fetch_width(&self) -> usize {
@@ -450,39 +532,36 @@ impl Processor for Vliw {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let fetch_valid = state.formula("fetch.valid");
-        let fetch_pc = state.term("fetch.pc");
-        let epc = if self.config.exceptions {
-            Some(state.term("epc"))
-        } else {
-            None
-        };
+        let pc = state.term(PC);
+        let fetch_valid = state.formula(self.fetch_valid);
+        let fetch_pc = state.term(self.fetch_pc);
+        let epc = self.config.exceptions.then(|| state.term(EPC));
 
         // Execute and commit the packet currently in flight.
         let executed = Vliw::execute_packet(
             self.config,
             Some(self),
+            &self.slot_names,
             ctx,
             fetch_pc,
-            state.term("int_rf"),
-            state.term("fp_rf"),
-            state.term("pred_rf"),
-            state.term("baddr_rf"),
-            state.term("dmem"),
-            state.term("alat"),
-            state.term("cfm"),
+            state.term(INT_RF),
+            state.term(FP_RF),
+            state.term(PRED_RF),
+            state.term(BADDR_RF),
+            state.term(DMEM),
+            state.term(ALAT),
+            state.term(CFM),
             epc,
         );
         let commit = fetch_valid;
         let mux = |ctx: &mut Context, new: TermId, old: TermId| ctx.ite_term(commit, new, old);
-        let int_rf = mux(ctx, executed.int_rf, state.term("int_rf"));
-        let fp_rf = mux(ctx, executed.fp_rf, state.term("fp_rf"));
-        let pred_rf = mux(ctx, executed.pred_rf, state.term("pred_rf"));
-        let baddr_rf = mux(ctx, executed.baddr_rf, state.term("baddr_rf"));
-        let dmem = mux(ctx, executed.dmem, state.term("dmem"));
-        let alat = mux(ctx, executed.alat, state.term("alat"));
-        let mut cfm = mux(ctx, executed.cfm, state.term("cfm"));
+        let int_rf = mux(ctx, executed.int_rf, state.term(INT_RF));
+        let fp_rf = mux(ctx, executed.fp_rf, state.term(FP_RF));
+        let pred_rf = mux(ctx, executed.pred_rf, state.term(PRED_RF));
+        let baddr_rf = mux(ctx, executed.baddr_rf, state.term(BADDR_RF));
+        let dmem = mux(ctx, executed.dmem, state.term(DMEM));
+        let alat = mux(ctx, executed.alat, state.term(ALAT));
+        let mut cfm = mux(ctx, executed.cfm, state.term(CFM));
         let epc_next = epc.map(|old| {
             let new = executed.epc.expect("exceptions enabled");
             ctx.ite_term(commit, new, old)
@@ -525,20 +604,20 @@ impl Processor for Vliw {
         let advanced = ctx.ite_term(fetch_enabled, predicted_next, pc);
         let pc_next = ctx.ite_term(redirect, executed.next_pc, advanced);
 
-        let mut next = SymbolicState::new();
-        next.set_term("pc", pc_next);
-        next.set_term("int_rf", int_rf);
-        next.set_term("fp_rf", fp_rf);
-        next.set_term("pred_rf", pred_rf);
-        next.set_term("baddr_rf", baddr_rf);
-        next.set_term("dmem", dmem);
-        next.set_term("alat", alat);
-        next.set_term("cfm", cfm);
+        let mut next = SymbolicState::unset(self.elements.len());
+        next.set_term(PC, pc_next)
+            .set_term(INT_RF, int_rf)
+            .set_term(FP_RF, fp_rf)
+            .set_term(PRED_RF, pred_rf)
+            .set_term(BADDR_RF, baddr_rf)
+            .set_term(DMEM, dmem)
+            .set_term(ALAT, alat)
+            .set_term(CFM, cfm);
         if let Some(epc_value) = epc_next {
-            next.set_term("epc", epc_value);
+            next.set_term(EPC, epc_value);
         }
-        next.set_formula("fetch.valid", fetch_valid_next);
-        next.set_term("fetch.pc", pc);
+        next.set_formula(self.fetch_valid, fetch_valid_next);
+        next.set_term(self.fetch_pc, pc);
         next
     }
 
@@ -551,7 +630,7 @@ impl Processor for Vliw {
         // The newly fetched packet completes exactly when it entered the fetch
         // latch as valid (it can only be squashed by the packet ahead of it,
         // which resolves during the verified cycle).
-        let completes = stepped.formula("fetch.valid");
+        let completes = stepped.formula(self.fetch_valid);
         let not_completes = ctx.not(completes);
         Some(vec![not_completes, completes])
     }
@@ -561,12 +640,16 @@ impl Processor for Vliw {
 #[derive(Clone, Debug)]
 pub struct VliwSpecification {
     config: VliwConfig,
+    slot_names: Vec<SlotNames>,
 }
 
 impl VliwSpecification {
     /// Creates the specification for a configuration.
     pub fn new(config: VliwConfig) -> Self {
-        VliwSpecification { config }
+        VliwSpecification {
+            config,
+            slot_names: SlotNames::for_packet(config),
+        }
     }
 }
 
@@ -575,8 +658,8 @@ impl Processor for VliwSpecification {
         "VLIW-spec"
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        Vliw::arch_elements(self.config)
+    fn state_elements(&self) -> &[StateElement] {
+        arch_elements(self.config)
     }
 
     fn fetch_width(&self) -> usize {
@@ -593,43 +676,37 @@ impl Processor for VliwSpecification {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let epc = if self.config.exceptions {
-            Some(state.term("epc"))
-        } else {
-            None
-        };
+        let pc = state.term(PC);
+        let epc = self.config.exceptions.then(|| state.term(EPC));
         let executed = Vliw::execute_packet(
             self.config,
             None,
+            &self.slot_names,
             ctx,
             pc,
-            state.term("int_rf"),
-            state.term("fp_rf"),
-            state.term("pred_rf"),
-            state.term("baddr_rf"),
-            state.term("dmem"),
-            state.term("alat"),
-            state.term("cfm"),
+            state.term(INT_RF),
+            state.term(FP_RF),
+            state.term(PRED_RF),
+            state.term(BADDR_RF),
+            state.term(DMEM),
+            state.term(ALAT),
+            state.term(CFM),
             epc,
         );
         let mux =
             |ctx: &mut Context, new: TermId, old: TermId| ctx.ite_term(fetch_enabled, new, old);
-        let mut next = SymbolicState::new();
-        next.set_term("pc", mux(ctx, executed.next_pc, pc));
-        next.set_term("int_rf", mux(ctx, executed.int_rf, state.term("int_rf")));
-        next.set_term("fp_rf", mux(ctx, executed.fp_rf, state.term("fp_rf")));
-        next.set_term("pred_rf", mux(ctx, executed.pred_rf, state.term("pred_rf")));
-        next.set_term(
-            "baddr_rf",
-            mux(ctx, executed.baddr_rf, state.term("baddr_rf")),
-        );
-        next.set_term("dmem", mux(ctx, executed.dmem, state.term("dmem")));
-        next.set_term("alat", mux(ctx, executed.alat, state.term("alat")));
-        next.set_term("cfm", mux(ctx, executed.cfm, state.term("cfm")));
+        let mut next = SymbolicState::unset(state.len());
+        next.set_term(PC, mux(ctx, executed.next_pc, pc));
+        next.set_term(INT_RF, mux(ctx, executed.int_rf, state.term(INT_RF)));
+        next.set_term(FP_RF, mux(ctx, executed.fp_rf, state.term(FP_RF)));
+        next.set_term(PRED_RF, mux(ctx, executed.pred_rf, state.term(PRED_RF)));
+        next.set_term(BADDR_RF, mux(ctx, executed.baddr_rf, state.term(BADDR_RF)));
+        next.set_term(DMEM, mux(ctx, executed.dmem, state.term(DMEM)));
+        next.set_term(ALAT, mux(ctx, executed.alat, state.term(ALAT)));
+        next.set_term(CFM, mux(ctx, executed.cfm, state.term(CFM)));
         if let Some(old_epc) = epc {
             let new = executed.epc.expect("exceptions enabled");
-            next.set_term("epc", mux(ctx, new, old_epc));
+            next.set_term(EPC, mux(ctx, new, old_epc));
         }
         next
     }
@@ -661,12 +738,10 @@ mod tests {
             let spec = VliwSpecification::new(config);
             assert_eq!(implementation.arch_state(), spec.arch_state());
             let mut ctx = Context::new();
-            let initial = SymbolicState::initial(&mut ctx, &implementation.state_elements(), "");
+            let initial = SymbolicState::initial(&mut ctx, implementation.state_elements(), "");
             let enabled = ctx.true_id();
             let next = implementation.step(&mut ctx, &initial, enabled);
-            for element in implementation.state_elements() {
-                assert!(next.contains(&element.name), "missing {}", element.name);
-            }
+            assert!(next.is_complete(), "{}", config.name());
         }
     }
 

@@ -244,6 +244,13 @@ pub fn total_bytes() -> u64 {
     TOTAL.load(Ordering::Relaxed)
 }
 
+/// Allocation calls so far (0 when the counting allocator is not
+/// installed).  Unlike [`snapshot`] it allocates nothing itself, so the
+/// difference of two readings counts exactly the allocations in between.
+pub fn allocations() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
+
 /// Live bytes attributed to scope `name` (0 for unknown names).
 pub fn scope_live_bytes(name: &str) -> i64 {
     match SCOPE_NAMES.iter().position(|&s| s == name) {

@@ -13,19 +13,31 @@ struct MiniPipe {
     forwarding_checks_valid: bool,
 }
 
+/// The pipeline's state layout: the architectural state (the specification's
+/// whole layout), then the pipeline latch.  States hold one value per element
+/// and are read and written by position.
+static ELEMENTS: [StateElement; 5] = [
+    StateElement::arch_term("pc"),
+    StateElement::arch_memory("rf"),
+    StateElement::pipe_flag("latch.valid"),
+    StateElement::pipe_term("latch.dest"),
+    StateElement::pipe_term("latch.data"),
+];
+
+/// Positions in `ELEMENTS`.
+const PC: usize = 0;
+const RF: usize = 1;
+const VALID: usize = 2;
+const DEST: usize = 3;
+const DATA: usize = 4;
+
 impl Processor for MiniPipe {
     fn name(&self) -> &str {
         "mini-pipe"
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("rf"),
-            StateElement::pipe_flag("latch.valid"),
-            StateElement::pipe_term("latch.dest"),
-            StateElement::pipe_term("latch.data"),
-        ]
+    fn state_elements(&self) -> &[StateElement] {
+        &ELEMENTS
     }
 
     fn fetch_width(&self) -> usize {
@@ -42,11 +54,11 @@ impl Processor for MiniPipe {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
-        let valid = state.formula("latch.valid");
-        let dest = state.term("latch.dest");
-        let data = state.term("latch.data");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
+        let valid = state.formula(VALID);
+        let dest = state.term(DEST);
+        let data = state.term(DATA);
 
         // Write-back of the latched instruction.
         let written = ctx.write(rf, dest, data);
@@ -67,12 +79,12 @@ impl Processor for MiniPipe {
         let result = ctx.uf("alu", vec![op, operand]);
         let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
 
-        let mut next = SymbolicState::new();
-        next.set_term("pc", ctx.ite_term(fetch_enabled, pc_plus, pc));
-        next.set_term("rf", rf_next);
-        next.set_formula("latch.valid", fetch_enabled);
-        next.set_term("latch.dest", ctx.ite_term(fetch_enabled, new_dest, dest));
-        next.set_term("latch.data", ctx.ite_term(fetch_enabled, result, data));
+        let mut next = SymbolicState::unset(ELEMENTS.len());
+        next.set_term(PC, ctx.ite_term(fetch_enabled, pc_plus, pc));
+        next.set_term(RF, rf_next);
+        next.set_formula(VALID, fetch_enabled);
+        next.set_term(DEST, ctx.ite_term(fetch_enabled, new_dest, dest));
+        next.set_term(DATA, ctx.ite_term(fetch_enabled, result, data));
         next
     }
 }
@@ -84,11 +96,8 @@ impl Processor for MiniSpec {
         "mini-spec"
     }
 
-    fn state_elements(&self) -> Vec<StateElement> {
-        vec![
-            StateElement::arch_term("pc"),
-            StateElement::arch_memory("rf"),
-        ]
+    fn state_elements(&self) -> &[StateElement] {
+        &ELEMENTS[..VALID]
     }
 
     fn fetch_width(&self) -> usize {
@@ -105,8 +114,8 @@ impl Processor for MiniSpec {
         state: &SymbolicState,
         fetch_enabled: FormulaId,
     ) -> SymbolicState {
-        let pc = state.term("pc");
-        let rf = state.term("rf");
+        let pc = state.term(PC);
+        let rf = state.term(RF);
         let op = ctx.uf("imem_op", vec![pc]);
         let src = ctx.uf("imem_src", vec![pc]);
         let dest = ctx.uf("imem_dest", vec![pc]);
@@ -114,9 +123,9 @@ impl Processor for MiniSpec {
         let result = ctx.uf("alu", vec![op, operand]);
         let written = ctx.write(rf, dest, result);
         let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
-        let mut next = SymbolicState::new();
-        next.set_term("pc", ctx.ite_term(fetch_enabled, pc_plus, pc));
-        next.set_term("rf", ctx.ite_term(fetch_enabled, written, rf));
+        let mut next = SymbolicState::unset(VALID);
+        next.set_term(PC, ctx.ite_term(fetch_enabled, pc_plus, pc));
+        next.set_term(RF, ctx.ite_term(fetch_enabled, written, rf));
         next
     }
 }

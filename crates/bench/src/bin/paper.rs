@@ -440,11 +440,11 @@ const CLAIMS: &[Claim] = &[
         deviations: &[(
             "no_pe_never_cheaper",
             "1xDLX-C-buggy: Chaff finds the bug in 8 conflicts without positive equality \
-             and 11 with it, on a CNF 3.2x larger (5,337 vs 1,674 variables): a bug this \
+             and 10 with it, on a CNF 3.2x larger (5,337 vs 1,674 variables): a bug this \
              shallow falls within a dozen conflicts either way. Every other design costs \
-             more without it: 2.5x the conflicts to prove 1xDLX-C, and no proof of \
-             2xDLX-CC-MC-EX-BP or 9VLIW-MC-BP within 1,000,000 steps (466,658 and 379,455 \
-             conflicts) where positive equality needs 134,643 and 131,988.",
+             more without it: 2.1x the conflicts to prove 1xDLX-C, and no proof of \
+             2xDLX-CC-MC-EX-BP or 9VLIW-MC-BP within 1,000,000 steps (457,393 and 304,796 \
+             conflicts) where positive equality needs 144,643 and 83,189.",
         )],
         show: &["pe.conflicts"],
         measure: table9,

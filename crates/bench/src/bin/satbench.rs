@@ -172,6 +172,8 @@ struct Measurement {
     conflicts: u64,
     propagations: u64,
     decisions: u64,
+    /// Literals learned-clause minimization removed.
+    minimized_literals: u64,
     conflicts_per_sec: f64,
     propagations_per_sec: f64,
     /// Peak heap bytes of the measured region above the bytes live when it
@@ -417,6 +419,7 @@ fn run(instances: &[Instance], smoke: bool, profiler: Option<&Profiler>) -> Vec<
                 conflicts: stats.conflicts,
                 propagations: stats.propagations,
                 decisions: stats.decisions,
+                minimized_literals: stats.minimized_literals,
                 conflicts_per_sec: stats.conflicts as f64 / time.max(1e-9),
                 propagations_per_sec: stats.propagations as f64 / time.max(1e-9),
                 peak_heap_bytes,
@@ -456,6 +459,7 @@ fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
         let mut conflicts = 0;
         let mut propagations = 0;
         let mut decisions = 0;
+        let mut minimized_literals = 0;
         let mut all_correct = true;
         for translation in &translations {
             let mut solver = CdclSolver::chaff();
@@ -465,6 +469,7 @@ fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
             conflicts += stats.conflicts;
             propagations += stats.propagations;
             decisions += stats.decisions;
+            minimized_literals += stats.minimized_literals;
         }
         let time = start.elapsed().as_secs_f64();
         let (peak_heap_bytes, scope_deltas) = meter.finish();
@@ -476,6 +481,7 @@ fn run_decomposition(measurements: &mut Vec<Measurement>, smoke: bool) {
             conflicts,
             propagations,
             decisions,
+            minimized_literals,
             conflicts_per_sec: conflicts as f64 / time.max(1e-9),
             propagations_per_sec: propagations as f64 / time.max(1e-9),
             peak_heap_bytes,
@@ -561,6 +567,7 @@ fn transitivity_pair(
         conflicts: stats.conflicts,
         propagations: stats.propagations,
         decisions: stats.decisions,
+        minimized_literals: stats.minimized_literals,
         conflicts_per_sec: stats.conflicts as f64 / time.max(1e-9),
         propagations_per_sec: stats.propagations as f64 / time.max(1e-9),
         peak_heap_bytes,
@@ -588,6 +595,7 @@ fn transitivity_pair(
         conflicts: stats.conflicts,
         propagations: stats.propagations,
         decisions: stats.decisions,
+        minimized_literals: stats.minimized_literals,
         conflicts_per_sec: stats.conflicts as f64 / time.max(1e-9),
         propagations_per_sec: stats.propagations as f64 / time.max(1e-9),
         peak_heap_bytes,
@@ -630,6 +638,7 @@ fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
             conflicts: stats.conflicts,
             propagations: stats.propagations,
             decisions: stats.decisions,
+            minimized_literals: stats.minimized_literals,
             conflicts_per_sec: stats.conflicts as f64 / plain_time.max(1e-9),
             propagations_per_sec: stats.propagations as f64 / plain_time.max(1e-9),
             peak_heap_bytes,
@@ -657,6 +666,7 @@ fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
             conflicts: stats.conflicts,
             propagations: stats.propagations,
             decisions: stats.decisions,
+            minimized_literals: stats.minimized_literals,
             conflicts_per_sec: stats.conflicts as f64 / logging_time.max(1e-9),
             propagations_per_sec: stats.propagations as f64 / logging_time.max(1e-9),
             peak_heap_bytes,
@@ -692,6 +702,7 @@ fn run_certify(measurements: &mut Vec<Measurement>, smoke: bool) {
             conflicts: steps, // proof steps replayed, in the conflicts column
             propagations: report.propagations,
             decisions: 0,
+            minimized_literals: 0,
             conflicts_per_sec: steps as f64 / check_time.max(1e-9),
             propagations_per_sec: report.propagations as f64 / check_time.max(1e-9),
             peak_heap_bytes,
@@ -737,6 +748,7 @@ fn run_translate(measurements: &mut Vec<Measurement>, smoke: bool) {
             conflicts: 0,
             propagations: 0,
             decisions: 0,
+            minimized_literals: 0,
             conflicts_per_sec: 0.0,
             propagations_per_sec: 0.0,
             peak_heap_bytes,
@@ -1042,8 +1054,8 @@ fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io:
         out.push_str(&format!(
             "    {{\"preset\": {}, \"instance\": {}, \"result\": \"{}\", \
              \"time_s\": {:.6}, \"conflicts\": {}, \"propagations\": {}, \
-             \"decisions\": {}, \"conflicts_per_sec\": {:.1}, \"propagations_per_sec\": {:.1}, \
-             \"peak_heap_bytes\": {}{}}}{}\n",
+             \"decisions\": {}, \"minimized_literals\": {}, \"conflicts_per_sec\": {:.1}, \
+             \"propagations_per_sec\": {:.1}, \"peak_heap_bytes\": {}{}}}{}\n",
             quoted(m.preset),
             quoted(&m.instance),
             m.result,
@@ -1051,6 +1063,7 @@ fn write_json(path: &str, measurements: &[Measurement], smoke: bool) -> std::io:
             m.conflicts,
             m.propagations,
             m.decisions,
+            m.minimized_literals,
             m.conflicts_per_sec,
             m.propagations_per_sec,
             m.peak_heap_bytes,
@@ -1139,12 +1152,12 @@ fn main() {
         run_transitivity(&mut measurements, smoke);
         run_certify(&mut measurements, smoke);
         println!(
-            "{:<28} {:<8} {:>8} {:>10} {:>12} {:>14} {:>10}",
-            "instance", "preset", "result", "time (s)", "confl/s", "props/s", "peak-kb"
+            "{:<28} {:<8} {:>8} {:>10} {:>12} {:>14} {:>10} {:>12}",
+            "instance", "preset", "result", "time (s)", "confl/s", "props/s", "peak-kb", "min-lits"
         );
         for m in &measurements {
             println!(
-                "{:<28} {:<8} {:>8} {:>10.3} {:>12.0} {:>14.0} {:>10}",
+                "{:<28} {:<8} {:>8} {:>10.3} {:>12.0} {:>14.0} {:>10} {:>12}",
                 m.instance,
                 m.preset,
                 m.result,
@@ -1152,6 +1165,7 @@ fn main() {
                 m.conflicts_per_sec,
                 m.propagations_per_sec,
                 m.peak_heap_bytes >> 10,
+                m.minimized_literals,
             );
         }
         match write_json(&out_path, &measurements, smoke) {

@@ -160,7 +160,7 @@ fn apply_translation_boxes(
         }
         if matches!(element.kind, StateKind::Term | StateKind::Memory) {
             let value = state.term(index);
-            let boxed = ctx.uf(&format!("tbox#{}", element.name), vec![value]);
+            let boxed = ctx.uf(&format!("tbox#{}", element.name), &[value]);
             wrapped.set_term(index, boxed);
         }
     }

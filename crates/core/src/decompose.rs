@@ -129,9 +129,9 @@ mod tests {
             let pc = state.term(0);
             let rf = state.term(1);
             let epc = state.term(2);
-            let next_pc = ctx.uf("pc_plus_4", vec![pc]);
-            let dest = ctx.uf("imem_dest", vec![pc]);
-            let data = ctx.uf("imem_data", vec![pc]);
+            let next_pc = ctx.uf("pc_plus_4", &[pc]);
+            let dest = ctx.uf("imem_dest", &[pc]);
+            let data = ctx.uf("imem_data", &[pc]);
             let written = ctx.write(rf, dest, data);
             let mut next = SymbolicState::unset(ELEMENTS.len());
             let pc_val = ctx.ite_term(fetch_enabled, next_pc, pc);

@@ -132,7 +132,7 @@ impl Eliminator<'_> {
                 let name = ctx.symbol_name(sym).to_owned();
                 let new_args: Vec<TermId> =
                     args.iter().map(|a| self.rewrite_term(ctx, *a)).collect();
-                ctx.up(&name, new_args)
+                ctx.up(&name, &new_args)
             }
             Formula::Not(a) => {
                 let ra = self.rewrite_formula(ctx, a);
@@ -187,7 +187,7 @@ impl Eliminator<'_> {
                 let name = ctx.symbol_name(sym).to_owned();
                 let new_args: Vec<TermId> =
                     args.iter().map(|a| self.rewrite_term(ctx, *a)).collect();
-                ctx.uf(&name, new_args)
+                ctx.uf(&name, &new_args)
             }
             Term::Ite(c, a, b) => {
                 let rc = self.rewrite_formula(ctx, c);
@@ -207,7 +207,7 @@ impl Eliminator<'_> {
                 let ra = self.rewrite_term(ctx, a);
                 let rd = self.rewrite_term(ctx, d);
                 let name = self.abstract_write_name(ctx, m);
-                ctx.uf(&name, vec![rm, ra, rd])
+                ctx.uf(&name, &[rm, ra, rd])
             }
         };
         self.term_memo.insert(t, result);
@@ -223,7 +223,7 @@ impl Eliminator<'_> {
             // Conservative abstraction: a general UF over (memory state, address).
             let rm = self.rewrite_memory_state(ctx, mem);
             let name = self.abstract_read_name(ctx, mem);
-            ctx.uf(&name, vec![rm, addr])
+            ctx.uf(&name, &[rm, addr])
         } else {
             let node = ctx.term(mem).clone();
             match node {
@@ -242,13 +242,13 @@ impl Eliminator<'_> {
                 }
                 Term::Var(sym) => {
                     let name = format!("rd#{}", ctx.symbol_name(sym));
-                    ctx.uf(&name, vec![addr])
+                    ctx.uf(&name, &[addr])
                 }
                 Term::Uf(_, _) | Term::Read(_, _) => {
                     // A memory produced by an uninterpreted function (e.g. an
                     // already-abstracted memory): read it with a general UF.
                     let rm = self.rewrite_term(ctx, mem);
-                    ctx.uf("absrd#uf", vec![rm, addr])
+                    ctx.uf("absrd#uf", &[rm, addr])
                 }
             }
         };
@@ -267,7 +267,7 @@ impl Eliminator<'_> {
                 let ra = self.rewrite_term(ctx, a);
                 let rd = self.rewrite_term(ctx, d);
                 let name = self.abstract_write_name(ctx, m);
-                ctx.uf(&name, vec![rm, ra, rd])
+                ctx.uf(&name, &[rm, ra, rd])
             }
             Term::Ite(c, a, b) => {
                 let rc = self.rewrite_formula(ctx, c);
@@ -409,7 +409,7 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("f", vec![a]);
+        let fa = ctx.uf("f", &[a]);
         let root = ctx.eq(fa, b);
         let result = eliminate_memories(&mut ctx, root, &BTreeSet::new(), &BTreeSet::new());
         assert_eq!(result.formula, root);

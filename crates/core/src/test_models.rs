@@ -93,9 +93,9 @@ impl Processor for PipelinedToy {
 
         // Fetch and execute a new instruction (reads the old register file and
         // forwards from the latch when the source matches the pending destination).
-        let op = ctx.uf("imem_op", vec![pc]);
-        let src = ctx.uf("imem_src", vec![pc]);
-        let new_dest = ctx.uf("imem_dest", vec![pc]);
+        let op = ctx.uf("imem_op", &[pc]);
+        let src = ctx.uf("imem_src", &[pc]);
+        let new_dest = ctx.uf("imem_dest", &[pc]);
         let src_matches = ctx.eq(src, dest);
         let forward = match self.bug {
             Some(ToyBug::ForwardingIgnoresValid) => src_matches,
@@ -103,9 +103,9 @@ impl Processor for PipelinedToy {
         };
         let rf_read = ctx.read(rf, src);
         let operand = ctx.ite_term(forward, data, rf_read);
-        let result = ctx.uf("alu", vec![op, operand]);
+        let result = ctx.uf("alu", &[op, operand]);
 
-        let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
+        let pc_plus = ctx.uf("pc_plus_4", &[pc]);
         let pc_next = ctx.ite_term(fetch_enabled, pc_plus, pc);
 
         let mut next = SymbolicState::unset(ELEMENTS.len());
@@ -158,13 +158,13 @@ impl Processor for ToySpec {
     ) -> SymbolicState {
         let pc = state.term(PC);
         let rf = state.term(RF);
-        let op = ctx.uf("imem_op", vec![pc]);
-        let src = ctx.uf("imem_src", vec![pc]);
-        let dest = ctx.uf("imem_dest", vec![pc]);
+        let op = ctx.uf("imem_op", &[pc]);
+        let src = ctx.uf("imem_src", &[pc]);
+        let dest = ctx.uf("imem_dest", &[pc]);
         let operand = ctx.read(rf, src);
-        let result = ctx.uf("alu", vec![op, operand]);
+        let result = ctx.uf("alu", &[op, operand]);
         let written = ctx.write(rf, dest, result);
-        let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
+        let pc_plus = ctx.uf("pc_plus_4", &[pc]);
 
         let mut next = SymbolicState::unset(VALID);
         let pc_next = ctx.ite_term(fetch_enabled, pc_plus, pc);

@@ -280,8 +280,8 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("f", vec![a]);
-        let fb = ctx.uf("f", vec![b]);
+        let fa = ctx.uf("f", &[a]);
+        let fb = ctx.uf("f", &[b]);
         let ante = ctx.eq(a, b);
         let cons = ctx.eq(fa, fb);
         let root = ctx.implies(ante, cons);
@@ -302,8 +302,8 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let pa = ctx.up("P", vec![a]);
-        let pb = ctx.up("P", vec![b]);
+        let pa = ctx.up("P", &[a]);
+        let pb = ctx.up("P", &[b]);
         let root = ctx.and(pa, pb);
 
         let mut classification = Classification::from_formula(&ctx, root);
@@ -315,8 +315,8 @@ mod tests {
         let mut ctx2 = Context::new();
         let a = ctx2.term_var("a");
         let b = ctx2.term_var("b");
-        let pa = ctx2.up("P", vec![a]);
-        let pb = ctx2.up("P", vec![b]);
+        let pa = ctx2.up("P", &[a]);
+        let pb = ctx2.up("P", &[b]);
         let root = ctx2.and(pa, pb);
         let mut classification = Classification::from_formula(&ctx2, root);
         let options = base_options().with_ackermann_ups();
@@ -334,8 +334,8 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("f", vec![a]);
-        let fb = ctx.uf("f", vec![b]);
+        let fa = ctx.uf("f", &[a]);
+        let fb = ctx.uf("f", &[b]);
         // f's results are compared under a negation: f is a g-function.
         let eq = ctx.eq(fa, fb);
         let root = ctx.not(eq);
@@ -352,8 +352,8 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("alu", vec![a]);
-        let fb = ctx.uf("alu", vec![b]);
+        let fa = ctx.uf("alu", &[a]);
+        let fb = ctx.uf("alu", &[b]);
         let root = ctx.eq(fa, fb);
         let mut classification = Classification::from_formula(&ctx, root);
         let result = eliminate_ufs(&mut ctx, root, &base_options(), &mut classification);
@@ -368,8 +368,8 @@ mod tests {
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
         // Two applications of f over unrelated p-term arguments.
-        let fa = ctx.uf("f", vec![a]);
-        let fb = ctx.uf("f", vec![b]);
+        let fa = ctx.uf("f", &[a]);
+        let fb = ctx.uf("f", &[b]);
         let root = ctx.eq(fa, fb);
         let mut classification = Classification::from_formula(&ctx, root);
         let options = base_options().with_early_reduction();
@@ -386,8 +386,8 @@ mod tests {
     fn shared_applications_reuse_the_same_variable() {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
-        let fa1 = ctx.uf("f", vec![a]);
-        let fa2 = ctx.uf("f", vec![a]);
+        let fa1 = ctx.uf("f", &[a]);
+        let fa2 = ctx.uf("f", &[a]);
         assert_eq!(fa1, fa2, "hash consing already shares the node");
         let b = ctx.term_var("b");
         let eq = ctx.eq(fa1, b);

@@ -1,9 +1,8 @@
 //! The hash-consing expression context and its construction API.
 
-use crate::idhash::IdMap;
+use crate::idhash::{hash_words, IdTable};
 use crate::node::{Formula, FormulaId, Term, TermId};
 use crate::symbols::{Symbol, SymbolTable};
-use std::collections::hash_map::Entry;
 
 /// Owner of all EUFM expressions of one verification problem.
 ///
@@ -13,9 +12,11 @@ use std::collections::hash_map::Entry;
 /// double negation, identical ITE branches) which keeps the DAG small without
 /// changing its meaning.
 ///
-/// The hash-consing maps use [`IdHasher`](crate::IdHasher), which does not
-/// resist hash flooding; that is sound because every node is built by the
-/// program itself (see the [`idhash`](crate::idhash) module docs).
+/// Each node is stored once, in the context's term or formula vector; the
+/// hash-consing index is an open-addressing table of node ids, hashed with
+/// [`IdHasher`](crate::IdHasher) over the node the id names.  The hasher does
+/// not resist hash flooding; that is sound because every node is built by
+/// the program itself (see the [`idhash`](crate::idhash) module docs).
 ///
 /// # Example
 ///
@@ -31,10 +32,47 @@ use std::collections::hash_map::Entry;
 pub struct Context {
     symbols: SymbolTable,
     terms: Vec<Term>,
-    term_map: IdMap<Term, TermId>,
+    /// Hash-consing index of `terms`.
+    term_index: IdTable,
     formulas: Vec<Formula>,
-    formula_map: IdMap<Formula, FormulaId>,
+    /// Hash-consing index of `formulas`.
+    formula_index: IdTable,
     fresh_counter: u64,
+}
+
+/// The hash of an application of `sym` to `args` under kind `tag`.
+fn app_hash(tag: u32, sym: Symbol, args: &[TermId]) -> u64 {
+    hash_words([tag, sym.0].into_iter().chain(args.iter().map(|a| a.0)))
+}
+
+/// The kind tags of applications in [`term_hash`] and [`formula_hash`].
+const UF_TAG: u32 = 1;
+const UP_TAG: u32 = 3;
+
+/// A term node's hash: a kind tag, then its symbol and children in order.
+fn term_hash(term: &Term) -> u64 {
+    match term {
+        Term::Var(s) => hash_words([0, s.0]),
+        Term::Uf(s, args) => app_hash(UF_TAG, *s, args),
+        Term::Ite(c, t, e) => hash_words([2, c.0, t.0, e.0]),
+        Term::Read(m, a) => hash_words([3, m.0, a.0]),
+        Term::Write(m, a, d) => hash_words([4, m.0, a.0, d.0]),
+    }
+}
+
+/// A formula node's hash: a kind tag, then its symbol and children in order.
+fn formula_hash(formula: &Formula) -> u64 {
+    match formula {
+        Formula::True => hash_words([0]),
+        Formula::False => hash_words([1]),
+        Formula::Var(s) => hash_words([2, s.0]),
+        Formula::Up(s, args) => app_hash(UP_TAG, *s, args),
+        Formula::Not(f) => hash_words([4, f.0]),
+        Formula::And(a, b) => hash_words([5, a.0, b.0]),
+        Formula::Or(a, b) => hash_words([6, a.0, b.0]),
+        Formula::Ite(c, t, e) => hash_words([7, c.0, t.0, e.0]),
+        Formula::Eq(a, b) => hash_words([8, a.0, b.0]),
+    }
 }
 
 impl Context {
@@ -73,25 +111,45 @@ impl Context {
     // ------------------------------------------------------------------
 
     fn intern_term(&mut self, node: Term) -> TermId {
-        match self.term_map.entry(node) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                let id = TermId(self.terms.len() as u32);
-                self.terms.push(entry.key().clone());
-                *entry.insert(id)
-            }
+        let hash = term_hash(&node);
+        let terms = &self.terms;
+        match self.term_index.get(hash, |id| terms[id as usize] == node) {
+            Some(id) => TermId(id),
+            None => self.push_term(hash, node),
         }
     }
 
+    /// Appends a term not in the context yet; `hash` is its [`term_hash`].
+    fn push_term(&mut self, hash: u64, node: Term) -> TermId {
+        let id = self.terms.len() as u32;
+        self.terms.push(node);
+        let terms = &self.terms;
+        self.term_index
+            .insert(hash, id, |id| term_hash(&terms[id as usize]));
+        TermId(id)
+    }
+
     fn intern_formula(&mut self, node: Formula) -> FormulaId {
-        match self.formula_map.entry(node) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                let id = FormulaId(self.formulas.len() as u32);
-                self.formulas.push(entry.key().clone());
-                *entry.insert(id)
-            }
+        let hash = formula_hash(&node);
+        let formulas = &self.formulas;
+        match self
+            .formula_index
+            .get(hash, |id| formulas[id as usize] == node)
+        {
+            Some(id) => FormulaId(id),
+            None => self.push_formula(hash, node),
         }
+    }
+
+    /// Appends a formula not in the context yet; `hash` is its
+    /// [`formula_hash`].
+    fn push_formula(&mut self, hash: u64, node: Formula) -> FormulaId {
+        let id = self.formulas.len() as u32;
+        self.formulas.push(node);
+        let formulas = &self.formulas;
+        self.formula_index
+            .insert(hash, id, |id| formula_hash(&formulas[id as usize]));
+        FormulaId(id)
     }
 
     // ------------------------------------------------------------------
@@ -176,13 +234,23 @@ impl Context {
     /// An uninterpreted-function application `name(args...)`.
     ///
     /// A zero-argument application is canonicalised into a term variable so
-    /// that `f()` and the variable `f` denote the same node.
-    pub fn uf(&mut self, name: &str, args: Vec<TermId>) -> TermId {
+    /// that `f()` and the variable `f` denote the same node.  The argument
+    /// list is copied only when the application is new.
+    pub fn uf(&mut self, name: &str, args: &[TermId]) -> TermId {
         let sym = self.symbols.intern(name);
         if args.is_empty() {
             return self.intern_term(Term::Var(sym));
         }
-        self.intern_term(Term::Uf(sym, args))
+        let hash = app_hash(UF_TAG, sym, args);
+        let terms = &self.terms;
+        let found = self.term_index.get(
+            hash,
+            |id| matches!(&terms[id as usize], Term::Uf(s, a) if *s == sym && a[..] == *args),
+        );
+        match found {
+            Some(id) => TermId(id),
+            None => self.push_term(hash, Term::Uf(sym, args.to_vec())),
+        }
     }
 
     /// `ITE(cond, then_t, else_t)` over terms.
@@ -227,13 +295,24 @@ impl Context {
 
     /// An uninterpreted-predicate application `name(args...)`.
     ///
-    /// A zero-argument application is canonicalised into a propositional variable.
-    pub fn up(&mut self, name: &str, args: Vec<TermId>) -> FormulaId {
+    /// A zero-argument application is canonicalised into a propositional
+    /// variable.  The argument list is copied only when the application is
+    /// new.
+    pub fn up(&mut self, name: &str, args: &[TermId]) -> FormulaId {
         let sym = self.symbols.intern(name);
         if args.is_empty() {
             return self.intern_formula(Formula::Var(sym));
         }
-        self.intern_formula(Formula::Up(sym, args))
+        let hash = app_hash(UP_TAG, sym, args);
+        let formulas = &self.formulas;
+        let found = self.formula_index.get(
+            hash,
+            |id| matches!(&formulas[id as usize], Formula::Up(s, a) if *s == sym && a[..] == *args),
+        );
+        match found {
+            Some(id) => FormulaId(id),
+            None => self.push_formula(hash, Formula::Up(sym, args.to_vec())),
+        }
     }
 
     /// The equation `lhs = rhs`.
@@ -409,10 +488,10 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let f1 = ctx.uf("f", vec![a, b]);
-        let f2 = ctx.uf("f", vec![a, b]);
+        let f1 = ctx.uf("f", &[a, b]);
+        let f2 = ctx.uf("f", &[a, b]);
         assert_eq!(f1, f2);
-        let g = ctx.uf("f", vec![b, a]);
+        let g = ctx.uf("f", &[b, a]);
         assert_ne!(f1, g);
     }
 
@@ -421,23 +500,23 @@ mod tests {
         let mut ctx = Context::new();
         let args: Vec<TermId> = (0..5).map(|i| ctx.term_var(&format!("x{i}"))).collect();
         for len in 1..=args.len() {
-            let uf = ctx.uf("f", args[..len].to_vec());
-            assert_eq!(uf, ctx.uf("f", args[..len].to_vec()));
-            let up = ctx.up("p", args[..len].to_vec());
-            assert_eq!(up, ctx.up("p", args[..len].to_vec()));
+            let uf = ctx.uf("f", &args[..len]);
+            assert_eq!(uf, ctx.uf("f", &args[..len]));
+            let up = ctx.up("p", &args[..len]);
+            assert_eq!(up, ctx.up("p", &args[..len]));
         }
         // Prefixes, permutations and other symbols are distinct nodes.
         let nodes = ctx.num_terms();
-        let prefix = ctx.uf("f", args[..2].to_vec());
-        let extended = ctx.uf("f", args[..3].to_vec());
-        let swapped = ctx.uf("f", vec![args[1], args[0]]);
-        let other = ctx.uf("g", args[..2].to_vec());
+        let prefix = ctx.uf("f", &args[..2]);
+        let extended = ctx.uf("f", &args[..3]);
+        let swapped = ctx.uf("f", &[args[1], args[0]]);
+        let other = ctx.uf("g", &args[..2]);
         assert_eq!(ctx.num_terms(), nodes + 2, "only the swap and `g` are new");
         assert_ne!(prefix, extended);
         assert_ne!(prefix, swapped);
         assert_ne!(prefix, other);
-        let p = ctx.up("p", args[..2].to_vec());
-        let q = ctx.up("p", vec![args[1], args[0]]);
+        let p = ctx.up("p", &args[..2]);
+        let q = ctx.up("p", &[args[1], args[0]]);
         assert_ne!(p, q);
     }
 
@@ -445,7 +524,7 @@ mod tests {
     fn zero_arity_uf_is_a_variable() {
         let mut ctx = Context::new();
         let v = ctx.term_var("f");
-        let app = ctx.uf("f", vec![]);
+        let app = ctx.uf("f", &[]);
         assert_eq!(v, app);
     }
 

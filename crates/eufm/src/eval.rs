@@ -321,8 +321,8 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("f", vec![a]);
-        let fb = ctx.uf("f", vec![b]);
+        let fa = ctx.uf("f", &[a]);
+        let fb = ctx.uf("f", &[b]);
         let mut interp = Interpretation::new();
         interp.set_term_var(&mut ctx, "a", 7);
         interp.set_term_var(&mut ctx, "b", 7);

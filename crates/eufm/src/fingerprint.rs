@@ -393,8 +393,8 @@ mod tests {
         let mut ctx1 = Context::new();
         let a1 = ctx1.term_var("a");
         let b1 = ctx1.term_var("b");
-        let fa1 = ctx1.uf("f", vec![a1]);
-        let fb1 = ctx1.uf("f", vec![b1]);
+        let fa1 = ctx1.uf("f", &[a1]);
+        let fb1 = ctx1.uf("f", &[b1]);
         let eq1 = ctx1.eq(fa1, fb1);
         let p1 = ctx1.prop_var("p");
         let root1 = ctx1.and(eq1, p1);
@@ -404,11 +404,11 @@ mod tests {
         let mut ctx2 = Context::new();
         let p2 = ctx2.prop_var("p");
         let scratch = ctx2.term_var("zzz-scratch");
-        let _ = ctx2.uf("g", vec![scratch]);
+        let _ = ctx2.uf("g", &[scratch]);
         let b2 = ctx2.term_var("b");
         let a2 = ctx2.term_var("a");
-        let fb2 = ctx2.uf("f", vec![b2]);
-        let fa2 = ctx2.uf("f", vec![a2]);
+        let fb2 = ctx2.uf("f", &[b2]);
+        let fa2 = ctx2.uf("f", &[a2]);
         let eq2 = ctx2.eq(fb2, fa2);
         let root2 = ctx2.and(p2, eq2);
 
@@ -423,10 +423,10 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fab = ctx.uf("f", vec![a, b]);
-        let fba = ctx.uf("f", vec![b, a]);
+        let fab = ctx.uf("f", &[a, b]);
+        let fba = ctx.uf("f", &[b, a]);
         assert_ne!(term_fingerprint(&ctx, fab), term_fingerprint(&ctx, fba));
-        let gab = ctx.uf("g", vec![a, b]);
+        let gab = ctx.uf("g", &[a, b]);
         assert_ne!(term_fingerprint(&ctx, fab), term_fingerprint(&ctx, gab));
 
         let p = ctx.prop_var("p");

@@ -28,7 +28,7 @@
 //!   differential testing of the propositional translation,
 //! * [`printer`] — an s-expression pretty printer,
 //! * [`stats`] — DAG statistics,
-//! * [`idhash`] — the deterministic id hasher behind the hash-consing maps
+//! * [`idhash`] — the deterministic id hasher behind the hash-consing index
 //!   and the translator's memo tables.
 //!
 //! # Example
@@ -39,8 +39,8 @@
 //! let mut ctx = Context::new();
 //! let a = ctx.term_var("a");
 //! let b = ctx.term_var("b");
-//! let fa = ctx.uf("f", vec![a]);
-//! let fb = ctx.uf("f", vec![b]);
+//! let fa = ctx.uf("f", &[a]);
+//! let fb = ctx.uf("f", &[b]);
 //! let premise = ctx.eq(a, b);
 //! let conclusion = ctx.eq(fa, fb);
 //! let consistency = ctx.implies(premise, conclusion);

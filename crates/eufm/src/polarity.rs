@@ -292,8 +292,8 @@ mod tests {
         let mut ctx = Context::new();
         let x = ctx.term_var("x");
         let y = ctx.term_var("y");
-        let fx = ctx.uf("f", vec![x]);
-        let fy = ctx.uf("f", vec![y]);
+        let fx = ctx.uf("f", &[x]);
+        let fy = ctx.uf("f", &[y]);
         let eq = ctx.eq(fx, fy);
         let neq = ctx.not(eq);
         let analysis = PolarityAnalysis::run(&ctx, neq);

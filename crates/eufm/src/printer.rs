@@ -131,7 +131,7 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("f", vec![a, b]);
+        let fa = ctx.uf("f", &[a, b]);
         let eq = ctx.eq(fa, a);
         let neg = ctx.not(eq);
         let s = formula_to_string(&ctx, neg);

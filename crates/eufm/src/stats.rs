@@ -125,8 +125,8 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
-        let fa = ctx.uf("f", vec![a]);
-        let fb = ctx.uf("f", vec![b]);
+        let fa = ctx.uf("f", &[a]);
+        let fb = ctx.uf("f", &[b]);
         let e1 = ctx.eq(fa, fb);
         let e2 = ctx.eq(fa, a);
         let both = ctx.and(e1, e2);

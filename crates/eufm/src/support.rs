@@ -202,9 +202,9 @@ mod tests {
         let a = ctx.term_var("a");
         let b = ctx.term_var("b");
         let p = ctx.prop_var("p");
-        let fa = ctx.uf("f", vec![a]);
+        let fa = ctx.uf("f", &[a]);
         let eq = ctx.eq(fa, b);
-        let pred = ctx.up("P", vec![b]);
+        let pred = ctx.up("P", &[b]);
         let conj = ctx.and_many([eq, pred, p]);
         let s = Support::of_formula(&ctx, conj);
         assert_eq!(s.term_vars.len(), 2);
@@ -252,7 +252,7 @@ mod tests {
     fn value_leaves_of_uf_is_its_head() {
         let mut ctx = Context::new();
         let a = ctx.term_var("a");
-        let fa = ctx.uf("alu", vec![a]);
+        let fa = ctx.uf("alu", &[a]);
         let leaves = value_leaves(&ctx, fa);
         assert_eq!(leaves.len(), 1);
         assert_eq!(ctx.symbol_name(*leaves.iter().next().unwrap()), "alu");

@@ -1,7 +1,8 @@
 //! String interning for variable, uninterpreted-function and predicate names.
 
-use std::collections::HashMap;
+use crate::idhash::{IdHasher, IdTable};
 use std::fmt;
+use std::hash::Hasher;
 
 /// An interned identifier for a name (term variable, propositional variable,
 /// uninterpreted function or predicate).
@@ -25,10 +26,40 @@ impl fmt::Display for Symbol {
 }
 
 /// An append-only interner mapping names to [`Symbol`]s and back.
+///
+/// Every name is stored once: the names are concatenated in one buffer in
+/// interning order, and the index holds only symbol ids, hashed over the
+/// name each one denotes.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, Symbol>,
+    /// All names, concatenated in interning order.
+    text: String,
+    /// End offset in `text` of each symbol's name.
+    ends: Vec<u32>,
+    /// Every symbol's id, hashed over its name.
+    index: IdTable,
+}
+
+/// The hash of a name: its bytes folded eight at a time, then its length.
+fn name_hash(name: &str) -> u64 {
+    let mut hasher = IdHasher::default();
+    for chunk in name.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hasher.write_u64(u64::from_le_bytes(word));
+    }
+    hasher.write_usize(name.len());
+    hasher.finish()
+}
+
+/// The name of symbol `id` in a table's concatenated `text`.
+fn name_at<'a>(text: &'a str, ends: &[u32], id: u32) -> &'a str {
+    let id = id as usize;
+    let start = match id {
+        0 => 0,
+        _ => ends[id - 1] as usize,
+    };
+    &text[start..ends[id] as usize]
 }
 
 impl SymbolTable {
@@ -39,18 +70,29 @@ impl SymbolTable {
 
     /// Interns `name`, returning the existing symbol if it was seen before.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.index.get(name) {
+        let hash = name_hash(name);
+        if let Some(sym) = self.find(hash, name) {
             return sym;
         }
-        let sym = Symbol(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), sym);
+        let sym = Symbol(self.ends.len() as u32);
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("symbol names fit in 4 GiB");
+        self.ends.push(end);
+        let (text, ends) = (&self.text, &self.ends);
+        self.index
+            .insert(hash, sym.0, |id| name_hash(name_at(text, ends, id)));
         sym
     }
 
     /// Looks up a name without interning it.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
-        self.index.get(name).copied()
+        self.find(name_hash(name), name)
+    }
+
+    fn find(&self, hash: u64, name: &str) -> Option<Symbol> {
+        self.index
+            .get(hash, |id| self.name(Symbol(id)) == name)
+            .map(Symbol)
     }
 
     /// Returns the name of `sym`.
@@ -59,25 +101,22 @@ impl SymbolTable {
     ///
     /// Panics if `sym` does not belong to this table.
     pub fn name(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
+        name_at(&self.text, &self.ends, sym.0)
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over all `(Symbol, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Symbol(i as u32), n.as_str()))
+        (0..self.ends.len() as u32).map(|i| (Symbol(i), self.name(Symbol(i))))
     }
 }
 

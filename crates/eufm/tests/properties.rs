@@ -97,7 +97,7 @@ fn lower_term(ctx: &mut Context, t: &TAst) -> velv_eufm::TermId {
         TAst::Var(i) => ctx.term_var(&format!("v{i}")),
         TAst::Uf(f, args) => {
             let lowered: Vec<_> = args.iter().map(|a| lower_term(ctx, a)).collect();
-            ctx.uf(&format!("f{f}"), lowered)
+            ctx.uf(&format!("f{f}"), &lowered)
         }
         TAst::Ite(c, a, b) => {
             let cf = lower(ctx, c);

@@ -82,17 +82,17 @@ impl InstrMemory {
 
     /// Fetches and decodes the instruction at `pc`.
     pub fn fetch(&self, ctx: &mut Context, pc: TermId) -> InstrFields {
-        let op = ctx.uf(&self.op, vec![pc]);
-        let src1 = ctx.uf(&self.src1, vec![pc]);
-        let src2 = ctx.uf(&self.src2, vec![pc]);
-        let dest = ctx.uf(&self.dest, vec![pc]);
-        let imm = ctx.uf(&self.imm, vec![pc]);
-        let is_alu_reg = ctx.up(&self.is_alu_reg, vec![pc]);
-        let is_alu_imm = ctx.up(&self.is_alu_imm, vec![pc]);
-        let is_load = ctx.up(&self.is_load, vec![pc]);
-        let is_store = ctx.up(&self.is_store, vec![pc]);
-        let is_branch = ctx.up(&self.is_branch, vec![pc]);
-        let is_jump = ctx.up(&self.is_jump, vec![pc]);
+        let op = ctx.uf(&self.op, &[pc]);
+        let src1 = ctx.uf(&self.src1, &[pc]);
+        let src2 = ctx.uf(&self.src2, &[pc]);
+        let dest = ctx.uf(&self.dest, &[pc]);
+        let imm = ctx.uf(&self.imm, &[pc]);
+        let is_alu_reg = ctx.up(&self.is_alu_reg, &[pc]);
+        let is_alu_imm = ctx.up(&self.is_alu_imm, &[pc]);
+        let is_load = ctx.up(&self.is_load, &[pc]);
+        let is_store = ctx.up(&self.is_store, &[pc]);
+        let is_branch = ctx.up(&self.is_branch, &[pc]);
+        let is_jump = ctx.up(&self.is_jump, &[pc]);
         // Derived controls: loads and ALU instructions write the register file;
         // register-immediate ALU instructions and loads use the immediate.
         let alu_any = ctx.or(is_alu_reg, is_alu_imm);
@@ -174,11 +174,7 @@ mod tests {
         let a = imem.fetch(&mut ctx, pc);
         let b = imem.fetch(&mut ctx, pc);
         assert_eq!(a, b, "same PC gives the same decoded fields");
-        assert_eq!(
-            a.op,
-            ctx.uf("imem_op", vec![pc]),
-            "fields are named by prefix"
-        );
+        assert_eq!(a.op, ctx.uf("imem_op", &[pc]), "fields are named by prefix");
         let other_pc = ctx.term_var("pc1");
         let c = imem.fetch(&mut ctx, other_pc);
         assert_ne!(a.op, c.op);

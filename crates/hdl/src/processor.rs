@@ -168,9 +168,9 @@ mod tests {
             let rf_next = ctx.ite_term(valid, written, rf);
 
             // Fetch a new instruction when allowed.
-            let new_dest = ctx.uf("imem_dest", vec![pc]);
-            let new_data = ctx.uf("imem_data", vec![pc]);
-            let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
+            let new_dest = ctx.uf("imem_dest", &[pc]);
+            let new_data = ctx.uf("imem_data", &[pc]);
+            let pc_plus = ctx.uf("pc_plus_4", &[pc]);
             let pc_next = ctx.ite_term(fetch_enabled, pc_plus, pc);
 
             let mut next = SymbolicState::unset(ELEMENTS.len());

@@ -704,18 +704,18 @@ impl Processor for Dlx {
             let b_fwd = forward_value(ctx, ex.b, src2_for_fwd, &sources_b);
             let b_val = ctx.ite_term(ex.uses_imm, ex.imm, b_fwd);
 
-            let alu_out = ctx.uf("alu", vec![ex.op, a_fwd, b_val]);
+            let alu_out = ctx.uf("alu", &[ex.op, a_fwd, b_val]);
 
             // Exceptions.
             let exception = if self.config.exceptions {
-                let raised = ctx.up("alu_exc", vec![ex.op, a_fwd, b_val]);
+                let raised = ctx.up("alu_exc", &[ex.op, a_fwd, b_val]);
                 ctx.and(valid_eff, raised)
             } else {
                 ctx.false_id()
             };
 
             // Branch resolution.
-            let cond_taken = ctx.up("btaken", vec![ex.op, a_fwd, b_val]);
+            let cond_taken = ctx.up("btaken", &[ex.op, a_fwd, b_val]);
             let branch_taken = if self.has(DlxBug::TakenUsesAndInsteadOfOr { slot: s }) {
                 let both = ctx.and(ex.is_branch, cond_taken);
                 ctx.and(ex.is_jump, both)
@@ -723,8 +723,8 @@ impl Processor for Dlx {
                 let cond = ctx.and(ex.is_branch, cond_taken);
                 ctx.or(ex.is_jump, cond)
             };
-            let actual_target = ctx.uf("btarget", vec![ex.pc, ex.imm]);
-            let fall_through = ctx.uf("pc_plus_4", vec![ex.pc]);
+            let actual_target = ctx.uf("btarget", &[ex.pc, ex.imm]);
+            let fall_through = ctx.uf("pc_plus_4", &[ex.pc]);
             let is_control = ctx.or(ex.is_branch, ex.is_jump);
 
             // Misprediction / redirect condition.
@@ -823,7 +823,7 @@ impl Processor for Dlx {
         let mut fetch_pcs = vec![pc];
         for s in 1..width {
             let prev = fetch_pcs[s - 1];
-            fetch_pcs.push(ctx.uf("pc_plus_4", vec![prev]));
+            fetch_pcs.push(ctx.uf("pc_plus_4", &[prev]));
         }
         let fields: Vec<InstrFields> = fetch_pcs
             .iter()
@@ -901,13 +901,13 @@ impl Processor for Dlx {
             let rf_a = ctx.read(rf_after_wb, f.src1);
             let rf_b = ctx.read(rf_after_wb, f.src2);
             let pred_taken = if self.config.branch_prediction {
-                let predicted = ctx.up("bp_taken", vec![fetch_pcs[s]]);
+                let predicted = ctx.up("bp_taken", &[fetch_pcs[s]]);
                 let branch_pred = ctx.and(f.is_branch, predicted);
                 ctx.or(branch_pred, f.is_jump)
             } else {
                 ctx.false_id()
             };
-            let pred_target = ctx.uf("bp_target", vec![fetch_pcs[s]]);
+            let pred_target = ctx.uf("bp_target", &[fetch_pcs[s]]);
 
             let latched = ExSlot {
                 valid: issue[s],
@@ -939,12 +939,12 @@ impl Processor for Dlx {
             let mut advanced = pc;
             for (s, &issued) in issue.iter().enumerate() {
                 let next_pc = if self.config.branch_prediction {
-                    let seq = ctx.uf("pc_plus_4", vec![fetch_pcs[s]]);
+                    let seq = ctx.uf("pc_plus_4", &[fetch_pcs[s]]);
                     let pred_taken = next.formula(layout.slots[s].ex.pred_taken);
                     let pred_target = next.term(layout.slots[s].ex.pred_target);
                     ctx.ite_term(pred_taken, pred_target, seq)
                 } else {
-                    ctx.uf("pc_plus_4", vec![fetch_pcs[s]])
+                    ctx.uf("pc_plus_4", &[fetch_pcs[s]])
                 };
                 advanced = ctx.ite_term(issued, next_pc, advanced);
             }
@@ -1060,10 +1060,10 @@ impl Processor for DlxSpecification {
         let a = ctx.read(rf, f.src1);
         let b_reg = ctx.read(rf, f.src2);
         let b_val = ctx.ite_term(f.uses_imm, f.imm, b_reg);
-        let alu_out = ctx.uf("alu", vec![f.op, a, b_val]);
+        let alu_out = ctx.uf("alu", &[f.op, a, b_val]);
 
         let exception = if self.config.exceptions {
-            ctx.up("alu_exc", vec![f.op, a, b_val])
+            ctx.up("alu_exc", &[f.op, a, b_val])
         } else {
             ctx.false_id()
         };
@@ -1082,11 +1082,11 @@ impl Processor for DlxSpecification {
         let rf_next = conditional_write(ctx, rf, do_write, f.dest, result);
 
         // Program counter.
-        let cond_taken = ctx.up("btaken", vec![f.op, a, b_val]);
+        let cond_taken = ctx.up("btaken", &[f.op, a, b_val]);
         let branch_cond = ctx.and(f.is_branch, cond_taken);
         let taken = ctx.or(f.is_jump, branch_cond);
-        let target = ctx.uf("btarget", vec![pc, f.imm]);
-        let sequential = ctx.uf("pc_plus_4", vec![pc]);
+        let target = ctx.uf("btarget", &[pc, f.imm]);
+        let sequential = ctx.uf("pc_plus_4", &[pc]);
         let normal_pc = ctx.ite_term(taken, target, sequential);
         let exc_vector = ctx.term_var("exc_vector");
         let resolved_pc = ctx.ite_term(exception, exc_vector, normal_pc);

@@ -51,11 +51,11 @@ impl Ooo {
     fn instr(ctx: &mut Context, pc: TermId, index: usize) -> (TermId, TermId, TermId, TermId) {
         let mut fetch_pc = pc;
         for _ in 0..index {
-            fetch_pc = ctx.uf("pc_plus_4", vec![fetch_pc]);
+            fetch_pc = ctx.uf("pc_plus_4", &[fetch_pc]);
         }
-        let op = ctx.uf("imem_op", vec![fetch_pc]);
-        let src = ctx.uf("imem_src1", vec![fetch_pc]);
-        let dest = ctx.uf("imem_dest", vec![fetch_pc]);
+        let op = ctx.uf("imem_op", &[fetch_pc]);
+        let src = ctx.uf("imem_src1", &[fetch_pc]);
+        let dest = ctx.uf("imem_dest", &[fetch_pc]);
         (fetch_pc, op, src, dest)
     }
 }
@@ -103,7 +103,7 @@ impl Processor for Ooo {
                 let matches = ctx.eq(src, dest_j);
                 operand = ctx.ite_term(matches, results[j], operand);
             }
-            results.push(ctx.uf("alu", vec![op, operand]));
+            results.push(ctx.uf("alu", &[op, operand]));
         }
 
         // Out-of-order retirement: youngest first, skipping instructions whose
@@ -123,7 +123,7 @@ impl Processor for Ooo {
 
         let mut next_pc = pc;
         for _ in 0..w {
-            next_pc = ctx.uf("pc_plus_4", vec![next_pc]);
+            next_pc = ctx.uf("pc_plus_4", &[next_pc]);
         }
 
         let mut next = SymbolicState::unset(ELEMENTS.len());
@@ -183,13 +183,13 @@ impl Processor for OooSpecification {
     ) -> SymbolicState {
         let pc = state.term(PC);
         let rf = state.term(RF);
-        let op = ctx.uf("imem_op", vec![pc]);
-        let src = ctx.uf("imem_src1", vec![pc]);
-        let dest = ctx.uf("imem_dest", vec![pc]);
+        let op = ctx.uf("imem_op", &[pc]);
+        let src = ctx.uf("imem_src1", &[pc]);
+        let dest = ctx.uf("imem_dest", &[pc]);
         let operand = ctx.read(rf, src);
-        let result = ctx.uf("alu", vec![op, operand]);
+        let result = ctx.uf("alu", &[op, operand]);
         let written = ctx.write(rf, dest, result);
-        let next_pc = ctx.uf("pc_plus_4", vec![pc]);
+        let next_pc = ctx.uf("pc_plus_4", &[pc]);
 
         let mut next = SymbolicState::unset(ELEMENTS.len());
         let pc_value = ctx.ite_term(fetch_enabled, next_pc, pc);

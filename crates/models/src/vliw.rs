@@ -330,13 +330,13 @@ impl Vliw {
 
         for (slot, names) in slot_names.iter().enumerate() {
             let kind = config.slot_kind(slot);
-            let field = |ctx: &mut Context, name: &str| ctx.uf(name, vec![pc]);
-            let up_field = |ctx: &mut Context, name: &str| ctx.up(name, vec![pc]);
+            let field = |ctx: &mut Context, name: &str| ctx.uf(name, &[pc]);
+            let up_field = |ctx: &mut Context, name: &str| ctx.up(name, &[pc]);
 
             // Qualifying predicate.
             let qp_reg = field(ctx, &names.qp);
             let qp_value = ctx.read(pred_rf, qp_reg);
-            let pred_on = ctx.up("pred_true", vec![qp_value]);
+            let pred_on = ctx.up("pred_true", &[qp_value]);
             let active = if has(VliwBug::PredicationIgnored { slot }) {
                 ctx.true_id()
             } else {
@@ -367,7 +367,7 @@ impl Vliw {
                         if skip {
                             reg
                         } else {
-                            ctx.uf("remap", vec![cfm, reg])
+                            ctx.uf("remap", &[cfm, reg])
                         }
                     };
                     let skip_remap = has(VliwBug::RemapMissing { slot });
@@ -376,11 +376,11 @@ impl Vliw {
                     let rdest = remap(ctx, dest_logical, false);
                     let a = ctx.read(*rf, rsrc1);
                     let b = ctx.read(*rf, rsrc2);
-                    let mut result = ctx.uf(alu_name, vec![op, a, b]);
+                    let mut result = ctx.uf(alu_name, &[op, a, b]);
 
                     // Exceptions.
                     let exception = if config.exceptions {
-                        let raised = ctx.up("alu_exc", vec![op, a, b]);
+                        let raised = ctx.up("alu_exc", &[op, a, b]);
                         ctx.and(active, raised)
                     } else {
                         ctx.false_id()
@@ -440,7 +440,7 @@ impl Vliw {
                     // remapping for the next packet).
                     if slot == 2 {
                         let is_cfm = up_field(ctx, &names.is_cfm_update);
-                        let cfm_updated = ctx.uf("cfm_next", vec![cfm, op]);
+                        let cfm_updated = ctx.uf("cfm_next", &[cfm, op]);
                         let update = ctx.and(active, is_cfm);
                         cfm_next = ctx.ite_term(update, cfm_updated, cfm_next);
                     }
@@ -449,7 +449,7 @@ impl Vliw {
                     // A branch slot is taken when its qualifying predicate holds;
                     // the target comes from the branch-address register file.
                     let breg = field(ctx, &names.breg);
-                    let rbreg = ctx.uf("remap", vec![cfm, breg]);
+                    let rbreg = ctx.uf("remap", &[cfm, breg]);
                     let target = ctx.read(baddr_rf, rbreg);
                     let taken = active;
                     taken_branch = Some(match taken_branch {
@@ -474,7 +474,7 @@ impl Vliw {
 
         // Actual next PC: exception vector, else the oldest taken branch target,
         // else the sequential successor packet.
-        let sequential = ctx.uf("pc_next", vec![pc]);
+        let sequential = ctx.uf("pc_next", &[pc]);
         let (any_taken, branch_target) = taken_branch.unwrap_or((ctx.false_id(), sequential));
         let normal_next = ctx.ite_term(any_taken, branch_target, sequential);
         let next_pc = if config.exceptions {
@@ -575,9 +575,9 @@ impl Processor for Vliw {
         let mispredict = ctx.and(commit, mispredicted);
 
         // Fetch the next packet at the predicted successor of the current PC.
-        let bp_taken = ctx.up("bp_taken", vec![pc]);
-        let bp_target = ctx.uf("bp_target", vec![pc]);
-        let sequential = ctx.uf("pc_next", vec![pc]);
+        let bp_taken = ctx.up("bp_taken", &[pc]);
+        let bp_target = ctx.uf("bp_target", &[pc]);
+        let sequential = ctx.uf("pc_next", &[pc]);
         let predicted_next = ctx.ite_term(bp_taken, bp_target, sequential);
 
         let squash = if self.has(VliwBug::NoSquashOnMispredict) {
@@ -590,8 +590,8 @@ impl Processor for Vliw {
 
         // Speculative CFM update at fetch (only present as an injected bug).
         if self.has(VliwBug::CfmUpdatedSpeculatively) {
-            let op2 = ctx.uf("op_2", vec![pc]);
-            let spec_cfm = ctx.uf("cfm_next", vec![cfm, op2]);
+            let op2 = ctx.uf("op_2", &[pc]);
+            let spec_cfm = ctx.uf("cfm_next", &[cfm, op2]);
             cfm = ctx.ite_term(fetch_enabled, spec_cfm, cfm);
         }
 

@@ -28,7 +28,8 @@
 //!   compacted in place: live clauses slide down over the dead ones in
 //!   address order, every watcher, reason and learned-clause reference is
 //!   rewritten, and the arena keeps its capacity, so the next learned clauses
-//!   fill the reclaimed words instead of growing a fresh allocation.
+//!   fill the reclaimed words instead of growing a fresh allocation.  A full
+//!   arena grows by a quarter of its length, not by doubling.
 //! * **Blocker-literal watch lists** — each watcher caches a *blocker*
 //!   literal from the clause; if the blocker is already true the clause is
 //!   skipped without touching the arena at all.  Watcher lists are filtered
@@ -41,6 +42,13 @@
 //! * **Allocation-free first-UIP analysis** — conflict resolution iterates
 //!   arena clauses directly and accumulates the learned clause in a reusable
 //!   buffer; nothing is cloned on the conflict path.
+//! * **Recursive clause minimization** — every preset then drops each
+//!   learned literal whose reason's other literals are in the clause, at
+//!   level 0, or themselves redundant (MiniSat's deep mode, pruned by a
+//!   32-bit signature of the clause's decision levels).  A shortened lemma's
+//!   proof hints name the dropped literals' reasons in trail order, ahead of
+//!   the analysis chain, so the checker replays it on hints alone;
+//!   `SolverStats::minimized_literals` counts the removed literals.
 //! * **O(1) locked-clause checks** — a clause is locked exactly when it is
 //!   the recorded reason of its first literal, so clause-database reduction
 //!   asks the `reason` array instead of scanning the trail.
@@ -330,6 +338,14 @@ impl ClauseArena {
             self.data.len() + HEADER_WORDS + lits.len() < UNDEF_CLAUSE as usize,
             "clause arena exceeds the u32 address space"
         );
+        // Grow by a quarter of the arena rather than doubling it: the arena
+        // is the engine's largest buffer, and a doubled one sits mostly
+        // empty between growths.  Geometric growth keeps appends amortised
+        // O(1).
+        let words = HEADER_WORDS + lits.len();
+        if self.data.capacity() - self.data.len() < words {
+            self.data.reserve_exact(words.max(self.data.len() / 4));
+        }
         let cref = self.data.len() as ClauseRef;
         let flags = if learnt { FLAG_LEARNT } else { 0 };
         self.data.push((lits.len() as u32) << FLAG_BITS | flags);
@@ -588,6 +604,9 @@ struct Engine {
     vals: Vec<u8>,
     level: Vec<u32>,
     reason: Vec<ClauseRef>,
+    /// Each assigned variable's position on the trail: orders the reasons
+    /// of minimized-away literals in a lemma's hints.
+    trail_pos: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -604,6 +623,12 @@ struct Engine {
     seen: Vec<bool>,
     /// Reusable buffer for the clause under construction in `analyze`.
     learnt_buf: Vec<Lit>,
+    /// Variables whose `seen` flag minimization must clear: the learned
+    /// clause's literals, then those proved redundant on the way, each
+    /// dropped literal listed again.
+    analyze_toclear: Vec<usize>,
+    /// Depth-first stack of [`Engine::lit_redundant`].
+    analyze_stack: Vec<usize>,
     /// Live learned clause references, oldest first (for BerkMin decisions).
     learnt_refs: Vec<ClauseRef>,
     /// Learned clauses over the SATO length bound, kept only while locked.
@@ -634,6 +659,10 @@ struct Engine {
     /// Arena compactions so far.
     #[cfg(test)]
     compactions: u64,
+    /// Never compact the arena: the reference search for checking that
+    /// compaction changes no decision.
+    #[cfg(test)]
+    never_compact: bool,
 }
 
 impl Engine {
@@ -664,6 +693,7 @@ impl Engine {
             vals: vec![VAL_UNDEF; num_vars],
             level: vec![0; num_vars],
             reason: vec![UNDEF_CLAUSE; num_vars],
+            trail_pos: vec![0; num_vars],
             trail: Vec::with_capacity(num_vars),
             trail_lim: Vec::new(),
             qhead: 0,
@@ -677,6 +707,8 @@ impl Engine {
             rng: SmallRng::seed_from_u64(seed),
             seen: vec![false; num_vars],
             learnt_buf: Vec::new(),
+            analyze_toclear: Vec::new(),
+            analyze_stack: Vec::new(),
             learnt_refs: Vec::new(),
             oversize: Vec::new(),
             num_learnts: 0,
@@ -691,6 +723,8 @@ impl Engine {
             proof_empty_logged: false,
             #[cfg(test)]
             compactions: 0,
+            #[cfg(test)]
+            never_compact: false,
         };
         // Give every variable an initial (small) activity based on occurrence count.
         for clause in cnf.clauses() {
@@ -723,6 +757,7 @@ impl Engine {
         self.vals.resize(n, VAL_UNDEF);
         self.level.resize(n, 0);
         self.reason.resize(n, UNDEF_CLAUSE);
+        self.trail_pos.resize(n, 0);
         self.activity.resize(n, 0.0);
         self.phase.resize(n, false);
         self.seen.resize(n, false);
@@ -926,6 +961,7 @@ impl Engine {
         if self.config.phase_saving {
             self.phase[var] = lit.is_positive();
         }
+        self.trail_pos[var] = self.trail.len() as u32;
         self.trail.push(lit);
         self.stats.propagations += 1;
     }
@@ -1035,11 +1071,12 @@ impl Engine {
         }
     }
 
-    /// First-UIP conflict analysis.  The learned clause is accumulated in
-    /// `self.learnt_buf` (asserting literal first); returns the backtrack
-    /// level.  Clauses are read straight from the arena — nothing is cloned.
-    /// With a proof attached, the id of every clause resolved on goes to
-    /// `hint_buf`, conflict clause first.
+    /// First-UIP conflict analysis followed by recursive minimization.  The
+    /// learned clause is accumulated in `self.learnt_buf` (asserting literal
+    /// first); returns the backtrack level.  Clauses are read straight from
+    /// the arena — nothing is cloned.  With a proof attached, the id of every
+    /// clause resolved on goes to `hint_buf`, conflict clause first, and
+    /// then the reasons minimization used, latest on the trail first.
     fn analyze(&mut self, mut conflict: ClauseRef) -> u32 {
         let hinting = self.proof.is_some();
         self.hint_buf.clear();
@@ -1092,10 +1129,7 @@ impl Engine {
             debug_assert_ne!(conflict, UNDEF_CLAUSE);
             start = 1;
         }
-        // Clear the `seen` flags of the literals kept in the learned clause.
-        for idx in 1..self.learnt_buf.len() {
-            self.seen[self.learnt_buf[idx].var().index()] = false;
-        }
+        self.minimize_learnt();
         // Compute the backtrack level: highest level among learnt[1..].
         if self.learnt_buf.len() == 1 {
             0
@@ -1111,6 +1145,92 @@ impl Engine {
             self.learnt_buf.swap(1, max_i);
             self.level[self.learnt_buf[1].var().index()]
         }
+    }
+
+    /// Bit of `v`'s decision level in a 32-bit level signature.
+    #[inline]
+    fn abstract_level(&self, v: usize) -> u32 {
+        1 << (self.level[v] & 31)
+    }
+
+    /// Recursive learned-clause minimization (MiniSat's deep mode).  A
+    /// literal of `learnt_buf[1..]` is dropped when every other literal of
+    /// its reason is in the clause, at level 0, or itself redundant by the
+    /// same rule.  On entry `seen` marks the clause's variables; on exit no
+    /// variable is marked.  With a proof attached, the reasons of the
+    /// dropped literals and of the redundant literals behind them go to
+    /// `hint_buf`, latest on the trail first: replayed in trail order, each
+    /// one propagates a literal the next needs.
+    fn minimize_learnt(&mut self) {
+        self.analyze_toclear.clear();
+        self.analyze_toclear
+            .extend(self.learnt_buf[1..].iter().map(|l| l.var().index()));
+        let original = self.analyze_toclear.len();
+        let levels = self.analyze_toclear[..]
+            .iter()
+            .fold(0, |acc, &v| acc | self.abstract_level(v));
+        let mut kept = 1;
+        for i in 1..self.learnt_buf.len() {
+            let lit = self.learnt_buf[i];
+            let v = lit.var().index();
+            if self.reason[v] == UNDEF_CLAUSE || !self.lit_redundant(v, levels) {
+                self.learnt_buf[kept] = lit;
+                kept += 1;
+            } else {
+                // Past `original`, `analyze_toclear` lists every variable
+                // whose reason the shortened clause's derivation uses.
+                self.analyze_toclear.push(v);
+            }
+        }
+        let removed = self.learnt_buf.len() - kept;
+        self.learnt_buf.truncate(kept);
+        self.stats.minimized_literals += removed as u64;
+        if removed > 0 && self.proof.is_some() {
+            let trail_pos = &self.trail_pos;
+            self.analyze_toclear[original..]
+                .sort_unstable_by_key(|&v| std::cmp::Reverse(trail_pos[v]));
+            for &v in &self.analyze_toclear[original..] {
+                if let Some(id) = self.clause_id(self.reason[v]) {
+                    self.hint_buf.push(id);
+                }
+            }
+        }
+        for &v in &self.analyze_toclear {
+            self.seen[v] = false;
+        }
+    }
+
+    /// Whether the literal of `v` in the learned clause is implied by the
+    /// clause's other literals.  The reasons are walked depth first; every
+    /// variable found redundant stays marked in `seen` (and is recorded in
+    /// `analyze_toclear`), so later queries stop there.  A failed query
+    /// unmarks what it marked.  `levels` is the clause's level signature: a
+    /// literal at a level outside it cannot be implied by the clause.
+    fn lit_redundant(&mut self, v: usize, levels: u32) -> bool {
+        let top = self.analyze_toclear.len();
+        self.analyze_stack.clear();
+        self.analyze_stack.push(v);
+        while let Some(u) = self.analyze_stack.pop() {
+            let reason = self.reason[u];
+            // Position 0 holds `u`'s own literal.
+            for k in 1..self.arena.len(reason) {
+                let w = self.arena.lit(reason, k).var().index();
+                if self.seen[w] || self.level[w] == 0 {
+                    continue;
+                }
+                if self.reason[w] == UNDEF_CLAUSE || self.abstract_level(w) & levels == 0 {
+                    for &marked in &self.analyze_toclear[top..] {
+                        self.seen[marked] = false;
+                    }
+                    self.analyze_toclear.truncate(top);
+                    return false;
+                }
+                self.seen[w] = true;
+                self.analyze_stack.push(w);
+                self.analyze_toclear.push(w);
+            }
+        }
+        true
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -1325,6 +1445,10 @@ impl Engine {
     }
 
     fn compact_if_needed(&mut self) {
+        #[cfg(test)]
+        if self.never_compact {
+            return;
+        }
         // Compact once a fifth of the arena is dead.
         if self.arena.wasted * 5 >= self.arena.data.len().max(1) {
             self.compact_arena();
@@ -1682,19 +1806,33 @@ mod tests {
 
     #[test]
     fn compaction_leaves_the_chaff_search_unchanged() {
-        // PHP(9, 8) under chaff compacts the arena three times on its way to
-        // the refutation.  The counters are those of the copying collector
-        // this compaction replaced: no decision depends on clause addresses.
-        let mut engine = Engine::new(&pigeonhole(8), CdclConfig::chaff());
-        assert!(engine.search(Budget::default()).is_unsat());
+        // PHP(9, 8) under chaff compacts the arena twice on its way to the
+        // refutation.  An engine that never compacts takes the very same
+        // search: no decision depends on clause addresses.
+        let mut compacting = Engine::new(&pigeonhole(8), CdclConfig::chaff());
+        assert!(compacting.search(Budget::default()).is_unsat());
         assert!(
-            engine.compactions >= 3,
+            compacting.compactions >= 2,
             "{} compactions",
-            engine.compactions
+            compacting.compactions
         );
-        assert_eq!(engine.stats.conflicts, 14_168);
-        assert_eq!(engine.stats.decisions, 16_342);
-        assert_eq!(engine.stats.propagations, 223_715);
+        let mut reference = Engine::new(&pigeonhole(8), CdclConfig::chaff());
+        reference.never_compact = true;
+        assert!(reference.search(Budget::default()).is_unsat());
+        assert_eq!(reference.compactions, 0);
+        assert!(
+            reference.arena.wasted > 0,
+            "the reference keeps its garbage"
+        );
+        let counters = |e: &Engine| {
+            (
+                e.stats.conflicts,
+                e.stats.decisions,
+                e.stats.propagations,
+                e.stats.minimized_literals,
+            )
+        };
+        assert_eq!(counters(&compacting), counters(&reference));
     }
 
     #[test]

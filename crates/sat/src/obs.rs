@@ -107,6 +107,7 @@ pub(crate) struct EngineObs {
     decisions: Counter,
     propagations: Counter,
     restarts: Counter,
+    minimized_literals: Counter,
     learnt_db: Gauge,
     arena_len_words: Gauge,
     arena_wasted_words: Gauge,
@@ -159,6 +160,11 @@ impl EngineObs {
                 "velv_sat_restarts_total",
                 labels,
                 "Search restarts performed.",
+            ),
+            minimized_literals: registry.counter_with(
+                "velv_sat_minimized_literals_total",
+                labels,
+                "Literals removed from learned clauses by minimization.",
             ),
             learnt_db: registry.gauge_with(
                 "velv_sat_learnt_db_size",
@@ -363,6 +369,11 @@ impl EngineObs {
             .add(stats.propagations.saturating_sub(self.last.propagations));
         self.restarts
             .add(stats.restarts.saturating_sub(self.last.restarts));
+        self.minimized_literals.add(
+            stats
+                .minimized_literals
+                .saturating_sub(self.last.minimized_literals),
+        );
         self.learnt_db.set(num_learnts as i64);
         self.last = *stats;
     }

@@ -241,6 +241,8 @@ pub struct SolverStats {
     pub learned_clauses: u64,
     /// Number of restarts performed.
     pub restarts: u64,
+    /// Literals removed from learned clauses by minimization (CDCL only).
+    pub minimized_literals: u64,
     /// Number of variable flips (local search only).
     pub flips: u64,
 }

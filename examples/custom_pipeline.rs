@@ -65,9 +65,9 @@ impl Processor for MiniPipe {
         let rf_next = ctx.ite_term(valid, written, rf);
 
         // Fetch and execute a new instruction, forwarding from the latch.
-        let op = ctx.uf("imem_op", vec![pc]);
-        let src = ctx.uf("imem_src", vec![pc]);
-        let new_dest = ctx.uf("imem_dest", vec![pc]);
+        let op = ctx.uf("imem_op", &[pc]);
+        let src = ctx.uf("imem_src", &[pc]);
+        let new_dest = ctx.uf("imem_dest", &[pc]);
         let src_matches = ctx.eq(src, dest);
         let forward = if self.forwarding_checks_valid {
             ctx.and(valid, src_matches)
@@ -76,8 +76,8 @@ impl Processor for MiniPipe {
         };
         let rf_read = ctx.read(rf, src);
         let operand = ctx.ite_term(forward, data, rf_read);
-        let result = ctx.uf("alu", vec![op, operand]);
-        let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
+        let result = ctx.uf("alu", &[op, operand]);
+        let pc_plus = ctx.uf("pc_plus_4", &[pc]);
 
         let mut next = SymbolicState::unset(ELEMENTS.len());
         next.set_term(PC, ctx.ite_term(fetch_enabled, pc_plus, pc));
@@ -116,13 +116,13 @@ impl Processor for MiniSpec {
     ) -> SymbolicState {
         let pc = state.term(PC);
         let rf = state.term(RF);
-        let op = ctx.uf("imem_op", vec![pc]);
-        let src = ctx.uf("imem_src", vec![pc]);
-        let dest = ctx.uf("imem_dest", vec![pc]);
+        let op = ctx.uf("imem_op", &[pc]);
+        let src = ctx.uf("imem_src", &[pc]);
+        let dest = ctx.uf("imem_dest", &[pc]);
         let operand = ctx.read(rf, src);
-        let result = ctx.uf("alu", vec![op, operand]);
+        let result = ctx.uf("alu", &[op, operand]);
         let written = ctx.write(rf, dest, result);
-        let pc_plus = ctx.uf("pc_plus_4", vec![pc]);
+        let pc_plus = ctx.uf("pc_plus_4", &[pc]);
         let mut next = SymbolicState::unset(VALID);
         next.set_term(PC, ctx.ite_term(fetch_enabled, pc_plus, pc));
         next.set_term(RF, ctx.ite_term(fetch_enabled, written, rf));

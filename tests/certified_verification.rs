@@ -274,3 +274,31 @@ fn dlx_refutations_replay_along_hints_under_every_preset() {
         assert!(report.hinted_additions > 0, "{name}");
     }
 }
+
+#[test]
+fn minimized_lemmas_of_a_dlx_refutation_replay_along_hints() {
+    // Minimization drops literals implied by the rest of a learned clause;
+    // the reasons it used are hinted ahead of the conflict analysis, in
+    // trail order, so each shortened lemma still replays on hints alone.
+    use velv_proof::{check_proof, CheckOptions};
+    use velv_sat::cdcl::CdclSolver;
+    use velv_sat::Solver;
+    let config = DlxConfig::single_issue();
+    let spec = DlxSpecification::new(config);
+    let verifier = Verifier::new(TranslationOptions::default());
+    let translation = verifier.translate(&Dlx::correct(config), &spec);
+    let mut solver = CdclSolver::chaff();
+    let (result, proof) = solver.solve_recording_proof(&translation.cnf, Budget::unlimited());
+    assert!(result.is_unsat());
+    let stats = solver.stats();
+    assert!(
+        stats.minimized_literals > 0,
+        "no learned clause lost a literal in {} conflicts",
+        stats.conflicts
+    );
+    let clauses = velv_sat::dimacs::cnf_to_dimacs_i32(&translation.cnf);
+    let report =
+        check_proof(&clauses, &proof, &CheckOptions::default()).expect("the refutation checks");
+    assert!(report.derived_empty);
+    assert_eq!(report.hint_fallbacks, 0, "{report:?}");
+}

@@ -37,7 +37,9 @@
 //! verification service as one batch — the cold sweep pays translation +
 //! solving, one single job per entry spread across the workers, the warm
 //! sweep returns every verdict from the fingerprint-keyed cache — and a
-//! concurrent re-sweep hammers the cache from several client threads.  Throughput (jobs/sec) and the cache-hit ratio are
+//! concurrent re-sweep hammers the cache from several client threads.
+//! Throughput (jobs/sec), the cache-hit ratio and the service's registry
+//! (a `metrics` object keyed by wire name, as `velvc stats` prints it) are
 //! recorded separately in `BENCH_serve.json`.
 //!
 //! A fifth benchmark, **persist**, measures the durability layer: raw
@@ -766,8 +768,8 @@ struct ServeSweep {
 }
 
 /// Serving-layer benchmark (see the module docs): returns the measured
-/// sweeps plus the service's final counters.
-fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_serve::ServiceStats, usize) {
+/// sweeps plus the service's final registry snapshot.
+fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_obs::Snapshot, usize) {
     use velv_serve::{JobSpec, ModelRef, ServeHandle, ServiceConfig};
 
     let workers = if smoke { 2 } else { 4 };
@@ -847,8 +849,21 @@ fn run_serve(smoke: bool) -> (Vec<ServeSweep>, velv_serve::ServiceStats, usize) 
 
     // Shut down first so the worker gauges have settled before the snapshot.
     service.shutdown();
-    let stats = service.stats();
-    (sweeps, stats, workers)
+    (sweeps, service.registry_snapshot(), workers)
+}
+
+/// A service counter read from a registry snapshot by its wire name.
+fn serve_counter(snapshot: &velv_obs::Snapshot, name: &str) -> u64 {
+    snapshot
+        .counter(name)
+        .unwrap_or_else(|| panic!("the service registers no counter {name}"))
+}
+
+/// The verdict cache's hit ratio over all lookups (0 when none were made).
+fn cache_hit_ratio(snapshot: &velv_obs::Snapshot) -> f64 {
+    let hits = serve_counter(snapshot, "velv_serve_cache_lookup_hits_total");
+    let misses = serve_counter(snapshot, "velv_serve_cache_lookup_misses_total");
+    hits as f64 / (hits + misses).max(1) as f64
 }
 
 /// One measured phase of the persistence benchmark.
@@ -962,7 +977,10 @@ fn run_persist(smoke: bool) -> Vec<PersistRow> {
             "persist sweep job came back undecided"
         );
     }
-    let persisted = service.stats().persisted;
+    let persisted = serve_counter(
+        &service.registry_snapshot(),
+        "velv_serve_verdicts_persisted_total",
+    );
     service.shutdown();
     drop(service);
 
@@ -972,9 +990,17 @@ fn run_persist(smoke: bool) -> Vec<PersistRow> {
         assert!(ticket.wait().from_cache, "warm boot must serve from cache");
     }
     let seconds = start.elapsed().as_secs_f64();
-    let stats = service.stats();
-    assert_eq!(stats.replayed, persisted, "every persisted verdict replays");
-    assert_eq!(stats.fresh_solves, 0, "warm boot re-solves nothing");
+    let snapshot = service.registry_snapshot();
+    assert_eq!(
+        serve_counter(&snapshot, "velv_serve_warm_boot_replayed_total"),
+        persisted,
+        "every persisted verdict replays"
+    );
+    assert_eq!(
+        serve_counter(&snapshot, "velv_serve_fresh_solves_total"),
+        0,
+        "warm boot re-solves nothing"
+    );
     service.shutdown();
     rows.push(PersistRow {
         label: "warm-boot-replay".to_owned(),
@@ -991,7 +1017,7 @@ fn write_serve_json(
     path: &str,
     sweeps: &[ServeSweep],
     persist: &[PersistRow],
-    stats: &velv_serve::ServiceStats,
+    snapshot: &velv_obs::Snapshot,
     workers: usize,
     smoke: bool,
 ) -> std::io::Result<()> {
@@ -1024,12 +1050,19 @@ fn write_serve_json(
         ));
     }
     out.push_str("  ],\n");
-    for (key, value) in stats.fields() {
-        out.push_str(&format!("  \"{}\": {},\n", key.replace('-', "_"), value));
-    }
+    // The service's registry under its wire names, as `velvc stats` shows it.
+    let fields: Vec<String> = snapshot
+        .flat_fields()
+        .iter()
+        .map(|(key, value)| format!("    {}: {value}", quoted(key)))
+        .collect();
+    out.push_str(&format!(
+        "  \"metrics\": {{\n{}\n  }},\n",
+        fields.join(",\n")
+    ));
     out.push_str(&format!(
         "  \"cache_hit_ratio\": {:.4}\n}}\n",
-        stats.cache.hit_ratio()
+        cache_hit_ratio(snapshot)
     ));
     std::fs::write(path, out)
 }
@@ -1182,7 +1215,7 @@ fn main() {
             "satbench: serve throughput sweep{}",
             if smoke { " (smoke)" } else { "" }
         );
-        let (sweeps, stats, workers) = run_serve(smoke);
+        let (sweeps, snapshot, workers) = run_serve(smoke);
         println!(
             "{:<18} {:>6} {:>10} {:>12}",
             "sweep", "jobs", "time (s)", "jobs/s"
@@ -1193,16 +1226,17 @@ fn main() {
                 sweep.label, sweep.jobs, sweep.seconds, sweep.jobs_per_sec
             );
         }
+        let hits = serve_counter(&snapshot, "velv_serve_cache_lookup_hits_total");
+        let misses = serve_counter(&snapshot, "velv_serve_cache_lookup_misses_total");
         println!(
-            "cache hits {} / lookups {} (ratio {:.2}), dedup joins {}, fresh solves {}",
-            stats.cache.hits,
-            stats.cache.hits + stats.cache.misses,
-            stats.cache.hit_ratio(),
-            stats.dedup_joins,
-            stats.fresh_solves
+            "cache hits {hits} / lookups {} (ratio {:.2}), dedup joins {}, fresh solves {}",
+            hits + misses,
+            cache_hit_ratio(&snapshot),
+            serve_counter(&snapshot, "velv_serve_dedup_joins_total"),
+            serve_counter(&snapshot, "velv_serve_fresh_solves_total"),
         );
         assert!(
-            stats.cache.hit_ratio() > 0.0,
+            cache_hit_ratio(&snapshot) > 0.0,
             "the repeated catalog sweep must produce cache hits"
         );
         println!(
@@ -1220,7 +1254,14 @@ fn main() {
                 row.label, row.records, row.seconds, row.per_sec
             );
         }
-        match write_serve_json(&serve_out_path, &sweeps, &persist, &stats, workers, smoke) {
+        match write_serve_json(
+            &serve_out_path,
+            &sweeps,
+            &persist,
+            &snapshot,
+            workers,
+            smoke,
+        ) {
             Ok(()) => println!("wrote {serve_out_path}"),
             Err(e) => {
                 eprintln!("failed to write {serve_out_path}: {e}");

@@ -1,4 +1,4 @@
-//! Exposition encoders for [`Snapshot`]: Prometheus text, JSON, and flat
+//! Exposition encoders for [`Snapshot`]: Prometheus text and flat
 //! `key value` pairs, plus a validator for the Prometheus format used by
 //! tests and `velvc`.
 
@@ -112,58 +112,6 @@ impl Snapshot {
                 }
             }
         }
-        out
-    }
-
-    /// Encodes the snapshot as a JSON document:
-    /// `{"metrics":[{"name":...,"labels":{...},"type":...,...}]}`.
-    pub fn json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (index, sample) in self.metrics.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            crate::json::escape_into(&mut out, &sample.name);
-            out.push_str("\",\"labels\":{");
-            for (li, (k, v)) in sample.labels.iter().enumerate() {
-                if li > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                crate::json::escape_into(&mut out, k);
-                out.push_str("\":\"");
-                crate::json::escape_into(&mut out, v);
-                out.push('"');
-            }
-            out.push_str("},\"type\":\"");
-            out.push_str(sample_type(sample));
-            out.push_str("\",");
-            match &sample.value {
-                MetricValue::Counter(v) => out.push_str(&format!("\"value\":{v}")),
-                MetricValue::Gauge(v) => out.push_str(&format!("\"value\":{v}")),
-                MetricValue::Histogram(h) => {
-                    out.push_str("\"buckets\":[");
-                    for (bi, (bound, count)) in h.bounds.iter().zip(&h.counts).enumerate() {
-                        if bi > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{{\"le\":{bound},\"count\":{count}}}"));
-                    }
-                    if !h.bounds.is_empty() {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"le\":\"+Inf\",\"count\":{}}}],\"sum\":{},\"count\":{}",
-                        h.counts.last().copied().unwrap_or(0),
-                        h.sum,
-                        h.count
-                    ));
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
         out
     }
 
@@ -467,41 +415,5 @@ mod tests {
         assert!(keys.contains(&"g"));
         assert!(keys.contains(&"h_micros_count"));
         assert!(keys.contains(&"h_micros_sum"));
-    }
-
-    #[test]
-    fn json_mentions_every_metric() {
-        let json = sample_registry().snapshot().json();
-        for name in ["a_total", "b_total", "g", "h_micros"] {
-            assert!(json.contains(&format!("\"name\":\"{name}\"")), "{json}");
-        }
-        assert!(json.contains("\"le\":\"+Inf\""), "{json}");
-
-        // The `stats --format json` payload is a well-formed document.
-        let doc = crate::json::parse(&json).expect("snapshot json parses");
-        let metrics = doc.get("metrics").and_then(|m| m.as_array()).unwrap();
-        let names: Vec<&str> = metrics
-            .iter()
-            .filter_map(|m| m.get("name")?.as_str())
-            .collect();
-        assert_eq!(names, ["a_total", "b_total", "g", "h_micros"], "{json}");
-        let by_name = |name: &str| {
-            metrics
-                .iter()
-                .find(|m| m.get("name").unwrap().as_str() == Some(name))
-                .unwrap()
-        };
-        assert_eq!(by_name("a_total").get("value").unwrap().as_u64(), Some(7));
-        assert_eq!(by_name("g").get("value").unwrap().as_f64(), Some(-3.0));
-        let chaff = by_name("b_total")
-            .get("labels")
-            .and_then(|l| l.get("preset"));
-        assert_eq!(chaff.and_then(|p| p.as_str()), Some("chaff"));
-        let histogram = by_name("h_micros");
-        assert_eq!(histogram.get("sum").unwrap().as_u64(), Some(555));
-        assert_eq!(
-            histogram.get("buckets").unwrap().as_array().unwrap().len(),
-            3
-        );
     }
 }

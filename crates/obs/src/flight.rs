@@ -6,7 +6,7 @@
 //! sink (see [`crate::span`], [`crate::event`]): once [`arm`] is called,
 //! every record is also copied into the ring, so the last
 //! [`FLIGHT_CAPACITY`] records of the process are always available for a
-//! post-mortem — a worker panic, a poisoned store, a shed storm — without
+//! post-mortem — a worker panic, a graceful shutdown — without
 //! paying for a sink on the happy path.
 //!
 //! Writers claim a slot with one atomic `fetch_add` and take only that

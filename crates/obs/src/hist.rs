@@ -3,7 +3,7 @@
 //!
 //! [`log_bucket_bounds`] is the 1–2–5 series per decade, giving a worst-case
 //! relative quantile error of ~2.5× at 27 buckets over nine decades — the
-//! resolution the serve SLO accounting and the multi-file `velvc trace`
+//! resolution the serve latency percentiles and the multi-file `velvc trace`
 //! summary need.  Record into a [`Histogram`](crate::Histogram) with these
 //! bounds (a registry one, or [`Histogram::detached`](crate::Histogram::detached)
 //! for offline aggregation) and pool snapshots with

@@ -8,9 +8,9 @@
 //!   static name plus optional `{key="value"}` labels.  Handles are
 //!   `Arc`-backed and lock-free on the hot path; the registry mutex is only
 //!   taken at registration and snapshot time.  A [`Snapshot`] can be encoded
-//!   as Prometheus text exposition ([`Snapshot::prometheus_text`]), JSON
-//!   ([`Snapshot::json`]) or flat `key value` pairs
-//!   ([`Snapshot::flat_fields`], the `velvd` wire format).
+//!   as Prometheus text exposition ([`Snapshot::prometheus_text`], the scrape
+//!   format) or flat `key value` pairs ([`Snapshot::flat_fields`], the
+//!   `velvd` wire format the tools read).
 //! * **Tracing** ([`trace`]): `Instant`-stamped spans and events with
 //!   parent/child nesting, buffered per thread and drained to a pluggable
 //!   [`TraceSink`] as JSON lines.  With no sink installed the whole tracer
@@ -28,7 +28,7 @@
 //!   `trace=`/`remote_parent=` span fields.
 //! * **Flight recorder** ([`flight`]): a fixed-size lock-light ring of the
 //!   most recent trace records, armed by the `velv_serve` wire front end so
-//!   a worker panic or shed storm can be dumped post mortem
+//!   a worker panic or a graceful shutdown can be dumped post mortem
 //!   (`FLIGHT-<ts>.jsonl`) even when no sink is installed.
 //! * **Solve profiler** ([`profile`]): a bounded decimating time-series
 //!   recorder ([`SolveRecorder`]) fed by solver heartbeats, a span-folding

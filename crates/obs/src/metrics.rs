@@ -311,7 +311,7 @@ impl MetricSample {
 }
 
 /// A point-in-time view of every metric in a [`Registry`], ordered by name
-/// then labels.  See [`Snapshot::prometheus_text`], [`Snapshot::json`] and
+/// then labels.  See [`Snapshot::prometheus_text`] and
 /// [`Snapshot::flat_fields`] for the encodings.
 #[derive(Clone, Debug)]
 pub struct Snapshot {

@@ -4,7 +4,7 @@
 //! velvc [FLAGS] ping
 //! velvc [FLAGS] submit KEY=VALUE...     # e.g. model=dlx1:bug:3 backend=chaff
 //! velvc [FLAGS] batch LINE [LINE...]    # one quoted job line per entry
-//! velvc [FLAGS] stats [--prom|--json]
+//! velvc [FLAGS] stats [--prom]
 //! velvc [FLAGS] status
 //! velvc [FLAGS] top [--once] [--interval-ms N]
 //! velvc [FLAGS] watch FINGERPRINT
@@ -37,7 +37,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: velvc [--addr HOST:PORT] [--timeout MS] [--retries N] [--backoff-ms MS] \
          [--trace FILE.jsonl] \
-         <ping|submit KEY=VALUE...|batch LINE...|stats [--prom|--json]|status\
+         <ping|submit KEY=VALUE...|batch LINE...|stats [--prom]|status\
          |top [--once] [--interval-ms N]|watch FP|flight|mem|proof FP|profile FP [--raw]\
          |shutdown> \
          | velvc trace FILE.jsonl [FILE...]"
@@ -432,10 +432,6 @@ fn main() {
         "stats" => match rest.first().map(String::as_str) {
             Some("--prom") => match client.stats_text(StatsFormat::Prometheus) {
                 Ok(text) => print!("{text}"),
-                Err(e) => fail_client(e),
-            },
-            Some("--json") => match client.stats_text(StatsFormat::Json) {
-                Ok(text) => println!("{text}"),
                 Err(e) => fail_client(e),
             },
             Some(_) => usage(),

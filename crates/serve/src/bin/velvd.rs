@@ -13,9 +13,8 @@
 //!
 //! The wire front end arms the flight recorder when it starts serving, so
 //! `velvc flight` can read the ring; with `--flight-record DIR` its
-//! post-mortem dumps (worker panic, store append failure, shed storm,
-//! graceful shutdown) land in `DIR` as `FLIGHT-<ts>.jsonl` files (without
-//! it no dump is written).
+//! post-mortem dumps (worker panic, graceful shutdown) land in `DIR` as
+//! `FLIGHT-<ts>.jsonl` files (without it no dump is written).
 //!
 //! With `--mem-limit BYTES` the daemon watches its own heap (the counting
 //! allocator is installed as the global allocator) and degrades in stages as
@@ -27,8 +26,7 @@
 //! ```text
 //! velvd [--addr HOST:PORT] [--workers N] [--cache-mb M] [--default-timeout-ms T]
 //!       [--store DIR] [--fsync always|os|every-N] [--max-queue N] [--client-quota N]
-//!       [--trace FILE.jsonl] [--flight-record DIR] [--slo-target-ms T]
-//!       [--mem-limit BYTES]
+//!       [--trace FILE.jsonl] [--flight-record DIR] [--mem-limit BYTES]
 //! ```
 
 use std::sync::Arc;
@@ -44,7 +42,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: velvd [--addr HOST:PORT] [--workers N] [--cache-mb M] [--default-timeout-ms T] \
          [--store DIR] [--fsync always|os|every-N] [--max-queue N] [--client-quota N] \
-         [--trace FILE.jsonl] [--flight-record DIR] [--slo-target-ms T] [--mem-limit BYTES]"
+         [--trace FILE.jsonl] [--flight-record DIR] [--mem-limit BYTES]"
     );
     std::process::exit(2);
 }
@@ -62,10 +60,6 @@ fn main() {
             "--addr" => addr = value(),
             "--trace" => trace_path = Some(value()),
             "--flight-record" => flight_dir = Some(value()),
-            "--slo-target-ms" => match value().parse::<u64>() {
-                Ok(ms) => config.slo_target = Duration::from_millis(ms),
-                Err(_) => usage(),
-            },
             "--workers" => match value().parse() {
                 Ok(n) => config.workers = n,
                 Err(_) => usage(),

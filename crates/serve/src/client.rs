@@ -364,7 +364,7 @@ impl ServeClient {
     }
 
     /// Fetches the service metric registry in an encoded text form
-    /// (Prometheus exposition text or JSON).
+    /// (Prometheus exposition text).
     ///
     /// # Errors
     ///

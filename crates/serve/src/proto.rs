@@ -20,7 +20,7 @@
 //! | `ping` | — | `pong 1` |
 //! | `submit` | optional `trace <id> <span>` line, then one [`JobSpec`] wire line | verdict fields (below) |
 //! | `batch` | optional `trace <id> <span>` line, then one [`JobSpec`] wire line per entry | `count N`, then one `job i ...` line per entry |
-//! | `stats` | optional format line: `prom` or `json` | one `key value` line per metric (flat), or the encoded registry snapshot as payload |
+//! | `stats` | optional format line: `prom` | one `key value` line per metric (flat), or the Prometheus text of the registry snapshot as payload |
 //! | `status` | — | `workers`, `queued`, `running`, `shut-down`, then one `job <fingerprint> ...` line per in-flight job |
 //! | `proof` | one fingerprint (32 hex digits) | `proof-bytes N`, blank line, DRAT text |
 //! | `profile` | one fingerprint (32 hex digits) | `profile-bytes N`, blank line, [`velv_obs::SolveProfile`] JSONL |
@@ -130,8 +130,6 @@ pub enum StatsFormat {
     Flat,
     /// Prometheus text exposition format, sent as the response payload.
     Prometheus,
-    /// JSON snapshot, sent as the response payload.
-    Json,
 }
 
 /// A client's trace context, carried on `submit`/`batch` frames so the
@@ -242,7 +240,6 @@ impl Request {
             }
             Request::Stats(StatsFormat::Flat) => "stats".to_owned(),
             Request::Stats(StatsFormat::Prometheus) => "stats\nprom".to_owned(),
-            Request::Stats(StatsFormat::Json) => "stats\njson".to_owned(),
             Request::Status => "status".to_owned(),
             Request::Proof(fp) => format!("proof\n{fp}"),
             Request::Profile(fp) => format!("profile\n{fp}"),
@@ -266,7 +263,6 @@ impl Request {
             "stats" => match lines.next().map(str::trim).unwrap_or("") {
                 "" => Ok(Request::Stats(StatsFormat::Flat)),
                 "prom" => Ok(Request::Stats(StatsFormat::Prometheus)),
-                "json" => Ok(Request::Stats(StatsFormat::Json)),
                 other => Err(format!("unknown stats format `{other}`")),
             },
             "status" => Ok(Request::Status),
@@ -422,8 +418,8 @@ pub fn mem_response(
 ///
 /// The flat encoding emits every registered metric as a `key value` field
 /// line, so any metric added to the registry automatically reaches the wire.
-/// The Prometheus and JSON encodings ship the full snapshot as the response
-/// payload (after the blank line), with a `format` field naming the encoding.
+/// The Prometheus encoding ships the full snapshot as the response payload
+/// (after the blank line), with a `format` field naming the encoding.
 pub fn stats_response(snapshot: &velv_obs::Snapshot, format: StatsFormat) -> String {
     match format {
         StatsFormat::Flat => {
@@ -436,7 +432,6 @@ pub fn stats_response(snapshot: &velv_obs::Snapshot, format: StatsFormat) -> Str
         StatsFormat::Prometheus => {
             format!("ok\nformat prometheus\n\n{}", snapshot.prometheus_text())
         }
-        StatsFormat::Json => format!("ok\nformat json\n\n{}", snapshot.json()),
     }
 }
 
@@ -547,7 +542,6 @@ mod tests {
             Request::Ping,
             Request::Stats(StatsFormat::Flat),
             Request::Stats(StatsFormat::Prometheus),
-            Request::Stats(StatsFormat::Json),
             Request::Status,
             Request::Flight,
             Request::Shutdown,
@@ -669,7 +663,7 @@ mod tests {
                 trace: None,
             }
             .to_body(),
-            Request::Stats(StatsFormat::Json).to_body(),
+            Request::Stats(StatsFormat::Prometheus).to_body(),
             Request::Flight.to_body(),
             Request::Proof(Fingerprint(0xabcdef)).to_body(),
             Request::Profile(Fingerprint(0xabcdef)).to_body(),

@@ -185,12 +185,10 @@ fn dispatch(
         Request::Ping => Ok("ok\npong 1".to_owned()),
         Request::Stats(format) => Ok(stats_response(&handle.registry_snapshot(), format)),
         Request::Status => {
-            let stats = handle.stats();
+            let (queued, running) = handle.load();
             let mut body = format!(
-                "ok\nworkers {}\nqueued {}\nrunning {}\nshut-down {}",
+                "ok\nworkers {}\nqueued {queued}\nrunning {running}\nshut-down {}",
                 handle.workers(),
-                stats.queued,
-                stats.running,
                 u8::from(handle.is_shut_down()),
             );
             for row in handle.progress_rows() {

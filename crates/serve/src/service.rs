@@ -39,7 +39,7 @@
 //! handle) raises every in-flight token, joins the workers, and resolves
 //! whatever was still queued as cancelled.
 
-use crate::cache::{CacheStats, CachedVerdict, VerdictCache};
+use crate::cache::{CachedVerdict, VerdictCache};
 use crate::job::{JobSpec, ParseJobError};
 use crate::persist;
 use crate::proto::TraceContext;
@@ -71,8 +71,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Total verdict-cache budget in bytes.
     pub cache_bytes: usize,
-    /// Cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Deadline applied to jobs that do not carry their own timeout.
     pub default_timeout: Option<Duration>,
     /// When set, monolithic uncertified jobs use this engine instead of the
@@ -96,11 +94,6 @@ pub struct ServiceConfig {
     /// once — enforced by the TCP front end on batch submissions, the only
     /// way a single connection creates concurrent jobs.  `0` = unlimited.
     pub per_client_quota: usize,
-    /// Service-level objective on submission-to-result latency: a completed
-    /// job whose wall time is within this target counts toward attainment.
-    /// The target, the attainment and the burn (both in permille) are
-    /// exported as gauges through the registry.
-    pub slo_target: Duration,
     /// When set, every fresh single-job solve is profiled: a solve recorder
     /// rides the solver's heartbeats, this sink (which the host must also
     /// install as the process trace sink, teeing into any file sink) folds
@@ -114,8 +107,7 @@ pub struct ServiceConfig {
     /// degradation: at 60% the verdict cache shrinks to a quarter of its
     /// budget, at 80% the lower-priority half of the queue is shed, at 95%
     /// fresh submissions are refused as busy (cache hits and dedup joins are
-    /// still served).  The first trip dumps the flight recorder.  `None`
-    /// disables the ladder.
+    /// still served).  `None` disables the ladder.
     pub mem_limit: Option<u64>,
 }
 
@@ -127,7 +119,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers,
             cache_bytes: 64 << 20,
-            cache_shards: 8,
             default_timeout: None,
             engine_override: None,
             store_dir: None,
@@ -135,7 +126,6 @@ impl Default for ServiceConfig {
             store_failpoints: None,
             max_queue_depth: None,
             per_client_quota: 0,
-            slo_target: Duration::from_secs(1),
             profile_sink: None,
             mem_limit: None,
         }
@@ -437,8 +427,8 @@ impl Ord for QueuedItem {
     }
 }
 
-/// Upper bucket bounds of the per-job wall-time histogram: 1ms to 60s.
-const JOB_WALL_BOUNDS: &[u64] = &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000];
+/// Shard count of the verdict cache.
+const CACHE_SHARDS: usize = 8;
 
 /// One histogram family labelled by scheduling class (`high`/`normal`/`low`),
 /// registered with the fine log-bucketed bounds so class percentiles stay
@@ -511,20 +501,12 @@ struct Counters {
     queued: velv_obs::Gauge,
     running: velv_obs::Gauge,
     workers: velv_obs::Gauge,
-    workers_busy: velv_obs::Gauge,
     solve_micros: velv_obs::Counter,
-    wall_micros: velv_obs::Counter,
-    job_wall_micros: velv_obs::Histogram,
     queue_wait: ClassHistograms,
     job_wall_class: ClassHistograms,
     job_wall_p50: velv_obs::Gauge,
     job_wall_p95: velv_obs::Gauge,
     job_wall_p99: velv_obs::Gauge,
-    slo_within: velv_obs::Counter,
-    slo_missed: velv_obs::Counter,
-    slo_target_micros: velv_obs::Gauge,
-    slo_attainment_permille: velv_obs::Gauge,
-    slo_burn_permille: velv_obs::Gauge,
     cache_entries: velv_obs::Gauge,
     cache_bytes: velv_obs::Gauge,
     cache_capacity_bytes: velv_obs::Gauge,
@@ -634,22 +616,9 @@ impl Counters {
             ),
             running: registry.gauge("velv_serve_jobs_running", "Jobs currently being worked on."),
             workers: registry.gauge("velv_serve_workers", "Worker threads in the pool."),
-            workers_busy: registry.gauge(
-                "velv_serve_workers_busy",
-                "Worker threads currently running a work item.",
-            ),
             solve_micros: registry.counter(
                 "velv_serve_solve_micros_total",
                 "Total translation+solve time spent by workers, in microseconds.",
-            ),
-            wall_micros: registry.counter(
-                "velv_serve_wall_micros_total",
-                "Total submission-to-result latency over completed jobs, in microseconds.",
-            ),
-            job_wall_micros: registry.histogram(
-                "velv_serve_job_wall_micros",
-                "Submission-to-result latency per completed job, in microseconds.",
-                JOB_WALL_BOUNDS,
             ),
             queue_wait: ClassHistograms::new(
                 registry,
@@ -672,26 +641,6 @@ impl Counters {
             job_wall_p99: registry.gauge(
                 "velv_serve_job_wall_p99_micros",
                 "Estimated 99th-percentile submission-to-result latency, in microseconds.",
-            ),
-            slo_within: registry.counter(
-                "velv_serve_slo_within_total",
-                "Completed jobs whose wall time met the latency SLO target.",
-            ),
-            slo_missed: registry.counter(
-                "velv_serve_slo_missed_total",
-                "Completed jobs whose wall time exceeded the latency SLO target.",
-            ),
-            slo_target_micros: registry.gauge(
-                "velv_serve_slo_target_micros",
-                "Configured latency SLO target, in microseconds.",
-            ),
-            slo_attainment_permille: registry.gauge(
-                "velv_serve_slo_attainment_permille",
-                "Share of completed jobs meeting the SLO target, in permille.",
-            ),
-            slo_burn_permille: registry.gauge(
-                "velv_serve_slo_burn_permille",
-                "Share of completed jobs missing the SLO target, in permille.",
             ),
             cache_entries: registry.gauge(
                 "velv_serve_cache_entries",
@@ -766,102 +715,26 @@ impl Counters {
     }
 }
 
-/// A point-in-time statistics snapshot of a service.
+/// The submission accounting of a service: every valid submission ends as
+/// exactly one of a cache hit, a dedup join, a completed job or a
+/// memory-pressure refusal, so at quiescence `submitted == cache_hits +
+/// dedup_joins + completed + mem_pressure_rejections`.  Every other number
+/// is read from [`ServeHandle::registry_snapshot`] by its wire name.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
     /// Jobs submitted with a valid spec (batch entries and cached/deduplicated
     /// ones included).
     pub submitted: u64,
-    /// Jobs submitted through the batch endpoint.
-    pub batch_entries: u64,
-    /// Jobs resolved other than from the cache: worker verdicts,
-    /// cancellations, sheds, queue-full rejections, worker panics and
-    /// rolled-back batch entries; each also counts as correct, buggy or
-    /// unknown.  At quiescence `submitted == cache_hits + dedup_joins +
-    /// completed + mem_pressure_rejections` (the last only in the registry).
-    pub completed: u64,
     /// Submissions answered straight from the verdict cache.
     pub cache_hits: u64,
     /// Submissions that subscribed to an in-flight identical job.
     pub dedup_joins: u64,
-    /// Translations started (cache hits and dedup joins start none).
-    pub translations: u64,
-    /// Back-end solve runs started.
-    pub fresh_solves: u64,
-    /// Verdicts: correct designs.
-    pub correct: u64,
-    /// Verdicts: buggy designs (counterexample produced).
-    pub buggy: u64,
-    /// Verdicts: undecided (timeout, cancellation, resource limits).
-    pub unknown: u64,
-    /// Jobs abandoned because every client disconnected or the service shut
-    /// down.
-    pub cancelled: u64,
-    /// DRAT proof artifacts stored in the cache.
-    pub proofs_kept: u64,
-    /// Queued jobs shed under overload in favour of higher-priority work.
-    pub shed: u64,
-    /// Submissions rejected as busy (queue full, no lower-priority victim).
-    pub busy_rejections: u64,
-    /// Submissions rejected by the per-client in-flight quota.
-    pub quota_rejections: u64,
-    /// Worker panics contained by the pool.
-    pub worker_panics: u64,
-    /// Decided verdicts appended to the crash-safe store.
-    pub persisted: u64,
-    /// Verdicts replayed from the store into the cache at startup.
-    pub replayed: u64,
-    /// Jobs currently waiting in the queue.
-    pub queued: u64,
-    /// Jobs currently being worked on.
-    pub running: u64,
-    /// Total translation+solve time spent by workers.
-    pub solve_time: Duration,
-    /// Total submission-to-result latency over completed jobs.
-    pub wall_time: Duration,
-    /// Verdict-cache statistics.
-    pub cache: CacheStats,
-}
-
-impl ServiceStats {
-    /// Flat `(key, value)` view of the counters, read by satbench's
-    /// `BENCH_serve.json` rows and the `serve` example.  The wire `stats`
-    /// verb does not use it: it serves [`ServeHandle::registry_snapshot`]
-    /// through [`crate::proto::stats_response`].
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("submitted", self.submitted),
-            ("batch-entries", self.batch_entries),
-            ("completed", self.completed),
-            ("cache-hits", self.cache_hits),
-            ("dedup-joins", self.dedup_joins),
-            ("translations", self.translations),
-            ("fresh-solves", self.fresh_solves),
-            ("correct", self.correct),
-            ("buggy", self.buggy),
-            ("unknown", self.unknown),
-            ("cancelled", self.cancelled),
-            ("proofs-kept", self.proofs_kept),
-            ("shed", self.shed),
-            ("busy-rejections", self.busy_rejections),
-            ("quota-rejections", self.quota_rejections),
-            ("worker-panics", self.worker_panics),
-            ("persisted", self.persisted),
-            ("replayed", self.replayed),
-            ("queued", self.queued),
-            ("running", self.running),
-            ("solve-micros", self.solve_time.as_micros() as u64),
-            ("wall-micros", self.wall_time.as_micros() as u64),
-            ("cache-entries", self.cache.entries),
-            ("cache-bytes", self.cache.bytes),
-            ("cache-capacity-bytes", self.cache.capacity_bytes),
-            ("cache-hits-total", self.cache.hits),
-            ("cache-misses", self.cache.misses),
-            ("cache-insertions", self.cache.insertions),
-            ("cache-evictions", self.cache.evictions),
-            ("cache-oversize", self.cache.oversize),
-        ]
-    }
+    /// Jobs resolved other than from the cache: worker verdicts,
+    /// cancellations, sheds, queue-full rejections, worker panics and
+    /// rolled-back batch entries.
+    pub completed: u64,
+    /// Fresh submissions refused as busy at memory-pressure level 3.
+    pub mem_pressure_rejections: u64,
 }
 
 struct QueueState {
@@ -928,10 +801,6 @@ struct Inner {
     /// Jobs currently on a worker, keyed by fingerprint; feeds the `status`
     /// progress rows.
     progress: Mutex<HashMap<u128, ProgressEntry>>,
-    /// Rate limiter of storm-triggered flight dumps (shed storms, store
-    /// append failures) — at most one dump per window, so a sustained storm
-    /// cannot turn into an I/O storm.
-    flight_last_dump: Mutex<Option<Instant>>,
     cache: VerdictCache,
     /// The crash-safe verdict store, when configured: decided verdicts are
     /// appended before delivery, and startup replayed it into the cache.
@@ -954,34 +823,16 @@ impl Inner {
         let c = &self.counters;
         ServiceStats {
             submitted: c.submitted.get(),
-            batch_entries: c.batch_entries.get(),
-            completed: c.completed.get(),
             cache_hits: c.cache_hits.get(),
             dedup_joins: c.dedup_joins.get(),
-            translations: c.translations.get(),
-            fresh_solves: c.fresh_solves.get(),
-            correct: c.correct.get(),
-            buggy: c.buggy.get(),
-            unknown: c.unknown.get(),
-            cancelled: c.cancelled.get(),
-            proofs_kept: c.proofs_kept.get(),
-            shed: c.shed.get(),
-            busy_rejections: c.busy_rejections.get(),
-            quota_rejections: c.quota_rejections.get(),
-            worker_panics: c.worker_panics.get(),
-            persisted: c.persisted.get(),
-            replayed: c.replayed.get(),
-            queued: c.queued.get().max(0) as u64,
-            running: c.running.get().max(0) as u64,
-            solve_time: Duration::from_micros(c.solve_micros.get()),
-            wall_time: Duration::from_micros(c.wall_micros.get()),
-            cache: self.cache.stats(),
+            completed: c.completed.get(),
+            mem_pressure_rejections: c.mem_pressure_rejections.get(),
         }
     }
 
     /// Refreshes the snapshot-time gauges (cache residency, latency
-    /// percentiles, SLO attainment) from their sources; call before
-    /// snapshotting the registry.
+    /// percentiles, memory) from their sources; call before snapshotting the
+    /// registry.
     fn refresh_gauges(&self) {
         let cache = self.cache.stats();
         self.counters.cache_entries.set(cache.entries as i64);
@@ -993,17 +844,6 @@ impl Inner {
         self.counters.job_wall_p50.set(wall.quantile(0.50) as i64);
         self.counters.job_wall_p95.set(wall.quantile(0.95) as i64);
         self.counters.job_wall_p99.set(wall.quantile(0.99) as i64);
-        self.counters
-            .slo_target_micros
-            .set(self.config.slo_target.as_micros() as i64);
-        let within = self.counters.slo_within.get();
-        let missed = self.counters.slo_missed.get();
-        let attainment = match within + missed {
-            0 => 1000, // No completed jobs: the SLO is vacuously met.
-            total => (within * 1000 / total) as i64,
-        };
-        self.counters.slo_attainment_permille.set(attainment);
-        self.counters.slo_burn_permille.set(1000 - attainment);
         self.refresh_mem_gauges();
     }
 
@@ -1043,35 +883,6 @@ impl Inner {
         self.update_pressure();
     }
 
-    /// Accounts a completed job's wall time: totals, the unlabelled and the
-    /// class-labelled latency histograms, and the SLO counters.
-    fn note_job_wall(&self, priority: i32, wall: Duration) {
-        let micros = wall.as_micros() as u64;
-        self.counters.wall_micros.add(micros);
-        self.counters.job_wall_micros.observe(micros);
-        self.counters.job_wall_class.observe(priority, micros);
-        if wall <= self.config.slo_target {
-            self.counters.slo_within.inc();
-        } else {
-            self.counters.slo_missed.inc();
-        }
-    }
-
-    /// Dumps the flight recorder for a storm-class trigger, at most once per
-    /// 30-second window (worker panics dump unconditionally — those are
-    /// singular events, not storms).
-    fn flight_dump_rate_limited(&self, reason: &str) {
-        {
-            let mut last = self.flight_last_dump.lock().expect("flight dump lock");
-            let now = Instant::now();
-            if last.is_some_and(|t| now.duration_since(t) < Duration::from_secs(30)) {
-                return;
-            }
-            *last = Some(now);
-        }
-        let _ = velv_obs::flight::dump(reason);
-    }
-
     /// Re-evaluates the memory-pressure ladder against the allocator's live
     /// reading and applies stage transitions (shrink the cache, shed queued
     /// work, arm submission refusal); returns the current level.  Called at
@@ -1096,8 +907,6 @@ impl Inner {
         }
         if prev == 0 && level > 0 {
             self.counters.mem_pressure_trips.inc();
-            // First trip: preserve the moments leading into pressure.
-            self.flight_dump_rate_limited("mem-pressure");
         }
         if level >= 1 && prev == 0 {
             // Stage 1: trade hit ratio for headroom.
@@ -1177,7 +986,6 @@ impl Inner {
     /// strictly outranks it; otherwise the incoming job itself is rejected
     /// and handed back for the caller to fail as busy.
     fn push_bounded(&self, job: Box<SingleJob>) -> Result<(), Box<SingleJob>> {
-        let mut shed_any = false;
         let mut queue = self.queue.lock().expect("queue lock");
         if let Some(max) = self.config.max_queue_depth {
             while queue.depth >= max as u64 {
@@ -1191,16 +999,11 @@ impl Inner {
                     .filter(|q| q.priority < job.spec.priority)
                     .map(|q| Arc::clone(&q.job.state));
                 let Some(state) = victim else {
-                    drop(queue);
-                    if shed_any {
-                        self.flight_dump_rate_limited("shed-storm");
-                    }
                     return Err(job);
                 };
                 self.resolve(&state, Outcome::Shed);
                 queue.depth -= 1;
                 self.counters.queued.sub(1);
-                shed_any = true;
             }
         }
         let seq = queue.seq;
@@ -1211,11 +1014,10 @@ impl Inner {
             seq,
             job,
         });
-        drop(queue);
-        if shed_any {
-            self.flight_dump_rate_limited("shed-storm");
-        }
+        // Counted under the lock, before a worker can pop the job and
+        // subtract it: the gauge never reads below zero.
         self.counters.queued.add(1);
+        drop(queue);
         self.work.notify_one();
         Ok(())
     }
@@ -1305,7 +1107,8 @@ impl Inner {
                 Verdict::Unknown(_) => c.unknown.inc(),
             }
             c.solve_micros.add(solve_time.as_micros() as u64);
-            self.note_job_wall(state.priority, wall);
+            c.job_wall_class
+                .observe(state.priority, wall.as_micros() as u64);
             if let Some(counter) = also_counted {
                 counter.inc();
             }
@@ -1346,11 +1149,7 @@ impl Inner {
             let (payload, sidecar) = persist::encode(&entry);
             match store.append(fingerprint.0, &payload, sidecar.as_deref()) {
                 Ok(_) => self.counters.persisted.inc(),
-                Err(_) => {
-                    self.counters.persist_errors.inc();
-                    // Durability just degraded: preserve the evidence.
-                    self.flight_dump_rate_limited("store-append-failure");
-                }
+                Err(_) => self.counters.persist_errors.inc(),
             }
         }
         let _mem_scope = velv_obs::MemScope::enter("serve.cache");
@@ -1507,7 +1306,7 @@ impl ServeHandle {
     pub fn try_start(config: ServiceConfig) -> Result<ServeHandle, ServeError> {
         let workers = config.workers.max(1);
         let registry = velv_obs::Registry::new();
-        let cache = VerdictCache::with_registry(config.cache_bytes, config.cache_shards, &registry);
+        let cache = VerdictCache::with_registry(config.cache_bytes, CACHE_SHARDS, &registry);
         let counters = Counters::new(&registry);
         let mut store = None;
         let mut recovery = None;
@@ -1548,7 +1347,6 @@ impl ServeHandle {
             work: Condvar::new(),
             in_flight: Mutex::new(HashMap::new()),
             progress: Mutex::new(HashMap::new()),
-            flight_last_dump: Mutex::new(None),
             store,
             recovery,
             counters,
@@ -1756,9 +1554,17 @@ impl ServeHandle {
         Ok(tickets)
     }
 
-    /// Current statistics.
+    /// The submission accounting; see [`ServiceStats`].
     pub fn stats(&self) -> ServiceStats {
         self.inner.stats()
+    }
+
+    /// Jobs waiting in the queue and jobs on a worker, read from the
+    /// `velv_serve_jobs_queued`/`velv_serve_jobs_running` gauges without
+    /// refreshing the snapshot-time gauges.
+    pub(crate) fn load(&self) -> (i64, i64) {
+        let c = &self.inner.counters;
+        (c.queued.get(), c.running.get())
     }
 
     /// The live per-job progress rows (jobs currently on a worker), fed by

@@ -19,7 +19,6 @@ pub(super) fn worker_loop(inner: Arc<Inner>) {
     inner.counters.workers.add(1);
     while let Some(job) = inner.pop() {
         inner.counters.running.add(1);
-        inner.counters.workers_busy.add(1);
         // Panic containment: a panicking translation or solver run must not
         // take the worker thread (and eventually the pool) down.  The unwind
         // is caught, the job resolves as `unknown` (never cached, never
@@ -33,7 +32,6 @@ pub(super) fn worker_loop(inner: Arc<Inner>) {
             let _ = velv_obs::flight::dump("worker-panic");
             inner.resolve(&job.state, Outcome::Panicked);
         }
-        inner.counters.workers_busy.sub(1);
         inner.counters.running.sub(1);
     }
     inner.counters.workers.sub(1);

@@ -15,6 +15,14 @@ use velv_serve::{
 };
 use velv_store::{FailAction, Failpoints};
 
+/// A service counter read from its registry by wire name.
+fn counter(service: &ServeHandle, name: &str) -> u64 {
+    service
+        .registry_snapshot()
+        .counter(name)
+        .unwrap_or_else(|| panic!("the service registers no counter {name}"))
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("velv_serve_robust_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -85,9 +93,12 @@ fn decided_verdicts_survive_a_restart_without_resolving() {
         .wait();
     assert!(buggy.verdict.is_buggy());
     let first_cex = buggy.verdict.counterexample().unwrap().clone();
-    let stats = service.stats();
-    assert_eq!(stats.persisted, 2, "both decided verdicts hit the log");
-    assert_eq!(stats.translations, 2);
+    assert_eq!(
+        counter(&service, "velv_serve_verdicts_persisted_total"),
+        2,
+        "both decided verdicts hit the log"
+    );
+    assert_eq!(counter(&service, "velv_serve_translations_total"), 2);
     service.shutdown();
     drop(service);
 
@@ -97,7 +108,7 @@ fn decided_verdicts_survive_a_restart_without_resolving() {
     let report = service.store_recovery().expect("a store is configured");
     assert_eq!(report.live, 2, "both records recovered: {report:?}");
     assert_eq!(report.truncated_bytes, 0, "clean shutdown leaves no tear");
-    assert_eq!(service.stats().replayed, 2);
+    assert_eq!(counter(&service, "velv_serve_warm_boot_replayed_total"), 2);
 
     let warm = service.submit(proved).expect("accepted").wait();
     assert!(warm.verdict.is_correct());
@@ -117,10 +128,17 @@ fn decided_verdicts_survive_a_restart_without_resolving() {
         "the recovered counterexample is byte-identical"
     );
 
-    let stats = service.stats();
-    assert_eq!(stats.translations, 0, "zero re-translation after replay");
-    assert_eq!(stats.fresh_solves, 0, "zero re-solve after replay");
-    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(
+        counter(&service, "velv_serve_translations_total"),
+        0,
+        "zero re-translation after replay"
+    );
+    assert_eq!(
+        counter(&service, "velv_serve_fresh_solves_total"),
+        0,
+        "zero re-solve after replay"
+    );
+    assert_eq!(service.stats().cache_hits, 2);
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -146,8 +164,11 @@ fn store_failures_degrade_to_serving_without_persistence() {
         .expect("accepted")
         .wait();
     assert!(second.verdict.is_buggy());
-    let stats = service.stats();
-    assert_eq!(stats.persisted, 0, "nothing landed in the poisoned log");
+    assert_eq!(
+        counter(&service, "velv_serve_verdicts_persisted_total"),
+        0,
+        "nothing landed in the poisoned log"
+    );
     let errors: u64 = service
         .registry_snapshot()
         .flat_fields()
@@ -206,13 +227,13 @@ fn overload_sheds_the_lowest_priority_job_and_rejects_as_busy() {
         "the victim learns it was shed: {:?}",
         shed.verdict
     );
-    assert_eq!(service.stats().shed, 1);
+    assert_eq!(counter(&service, "velv_serve_jobs_shed_total"), 1);
 
     // An equal-or-lower-priority submission cannot evict anyone and bounces
     // with `Busy` — the queue never grows past its bound.
     let bounced = service.submit(JobSpec::new(ModelRef::dlx1_bug(2)));
     assert!(matches!(bounced, Err(ServeError::Busy(_))));
-    assert_eq!(service.stats().busy_rejections, 1);
+    assert_eq!(counter(&service, "velv_serve_busy_rejections_total"), 1);
     assert_eq!(high.status(), JobStatus::Queued, "the winner kept its slot");
 
     // A shed fingerprint is fully released: resubmitting it at a priority
@@ -220,7 +241,7 @@ fn overload_sheds_the_lowest_priority_job_and_rejects_as_busy() {
     let again = service
         .submit(JobSpec::new(ModelRef::dlx1_bug(0)).with_priority(9))
         .expect("accepted after shedding the priority-5 job");
-    assert_eq!(service.stats().shed, 2);
+    assert_eq!(counter(&service, "velv_serve_jobs_shed_total"), 2);
     assert_eq!(service.stats().dedup_joins, 0);
     assert_eq!(again.status(), JobStatus::Queued);
     let evicted = high.wait();
@@ -240,7 +261,7 @@ fn overload_sheds_the_lowest_priority_job_and_rejects_as_busy() {
         "the admitted job was still solved"
     );
     assert!(survivor.verdict.counterexample().is_some());
-    assert_eq!(service.stats().fresh_solves, 2);
+    assert_eq!(counter(&service, "velv_serve_fresh_solves_total"), 2);
     service.shutdown();
 }
 

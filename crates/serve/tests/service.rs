@@ -39,6 +39,14 @@ fn spin_service(workers: usize) -> ServeHandle {
     ServeHandle::start(config)
 }
 
+/// A service counter read from its registry by wire name.
+fn counter(service: &ServeHandle, name: &str) -> u64 {
+    service
+        .registry_snapshot()
+        .counter(name)
+        .unwrap_or_else(|| panic!("the service registers no counter {name}"))
+}
+
 fn wait_until(what: &str, mut check: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while !check() {
@@ -57,10 +65,9 @@ fn cache_hit_skips_translation_and_solver() {
     assert!(first.verdict.is_correct(), "{:?}", first.verdict);
     assert!(!first.from_cache);
 
-    let stats = service.stats();
-    assert_eq!(stats.translations, 1);
-    assert_eq!(stats.fresh_solves, 1);
-    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(counter(&service, "velv_serve_translations_total"), 1);
+    assert_eq!(counter(&service, "velv_serve_fresh_solves_total"), 1);
+    assert_eq!(service.stats().cache_hits, 0);
 
     let second = service
         .submit(JobSpec::new(ModelRef::dlx1_correct()))
@@ -72,10 +79,17 @@ fn cache_hit_skips_translation_and_solver() {
 
     // The acceptance bar: a re-submitted identical job must not invoke
     // translation or a solver.
-    let stats = service.stats();
-    assert_eq!(stats.translations, 1, "no second translation");
-    assert_eq!(stats.fresh_solves, 1, "no second solve");
-    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(
+        counter(&service, "velv_serve_translations_total"),
+        1,
+        "no second translation"
+    );
+    assert_eq!(
+        counter(&service, "velv_serve_fresh_solves_total"),
+        1,
+        "no second solve"
+    );
+    assert_eq!(service.stats().cache_hits, 1);
     service.shutdown();
 }
 
@@ -141,17 +155,23 @@ fn duplicate_submission_subscribes_to_the_running_job() {
         .submit(JobSpec::new(ModelRef::dlx1_correct()))
         .expect("accepted");
     assert_eq!(first.fingerprint(), second.fingerprint());
-    let stats = service.stats();
-    assert_eq!(stats.dedup_joins, 1, "second submission joined the first");
-    assert!(stats.translations <= 1, "no second translation scheduled");
+    assert_eq!(
+        service.stats().dedup_joins,
+        1,
+        "second submission joined the first"
+    );
+    assert!(
+        counter(&service, "velv_serve_translations_total") <= 1,
+        "no second translation scheduled"
+    );
     // Dropping only one of the two claims must NOT cancel the job ...
     drop(second);
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(service.stats().cancelled, 0);
+    assert_eq!(counter(&service, "velv_serve_cancelled_total"), 0);
     // ... dropping the last one must.
     drop(first);
     wait_until("the deduplicated job to be cancelled", || {
-        service.stats().cancelled == 1
+        counter(&service, "velv_serve_cancelled_total") == 1
     });
     service.shutdown();
 }
@@ -170,7 +190,7 @@ fn client_disconnect_cancels_the_running_job_and_frees_the_worker() {
     // worker must become available again.
     drop(ticket);
     wait_until("the abandoned job to be cancelled", || {
-        service.stats().cancelled == 1
+        counter(&service, "velv_serve_cancelled_total") == 1
     });
     let next = service
         .submit(JobSpec::new(ModelRef::dlx1_bug(0)))
@@ -266,12 +286,12 @@ fn timeouts_yield_unknown_verdicts_that_are_not_cached() {
     let spec = JobSpec::new(ModelRef::dlx1_correct()).with_timeout(Duration::from_millis(100));
     let result = service.submit(spec.clone()).expect("accepted").wait();
     assert!(matches!(result.verdict, velv_core::Verdict::Unknown(_)));
-    assert_eq!(service.stats().translations, 1);
+    assert_eq!(counter(&service, "velv_serve_translations_total"), 1);
     // Undecided verdicts must not poison the cache: the retry translates
     // and solves again instead of returning the stale timeout.
     let retry = service.submit(spec).expect("accepted").wait();
     assert!(!retry.from_cache);
-    assert_eq!(service.stats().translations, 2);
+    assert_eq!(counter(&service, "velv_serve_translations_total"), 2);
     assert_eq!(service.stats().cache_hits, 0);
     service.shutdown();
 }
@@ -297,11 +317,18 @@ fn batch_entries_run_as_single_jobs_and_match_single_submissions() {
     );
     let tickets = batch_service.submit_batch(specs()).expect("accepted");
     let batch_results: Vec<_> = tickets.iter().map(|t| t.wait()).collect();
-    let stats = batch_service.stats();
-    assert_eq!(stats.batch_entries, 4);
-    assert_eq!(stats.dedup_joins, 1, "the duplicate subscribed");
-    assert_eq!(stats.translations, 3, "one translation per unique entry");
-    assert_eq!(stats.fresh_solves, 3);
+    assert_eq!(counter(&batch_service, "velv_serve_batch_entries_total"), 4);
+    assert_eq!(
+        batch_service.stats().dedup_joins,
+        1,
+        "the duplicate subscribed"
+    );
+    assert_eq!(
+        counter(&batch_service, "velv_serve_translations_total"),
+        3,
+        "one translation per unique entry"
+    );
+    assert_eq!(counter(&batch_service, "velv_serve_fresh_solves_total"), 3);
     assert!(batch_results[3].deduplicated);
 
     // Every fresh entry is profiled like a single job.
@@ -391,10 +418,14 @@ fn dropping_one_queued_batch_entry_cancels_only_that_entry() {
         .wait_for(Duration::from_secs(60))
         .expect("the kept entry must run");
     assert!(result.verdict.is_buggy(), "{:?}", result.verdict);
-    let stats = service.stats();
-    assert_eq!(stats.cancelled, 2, "the filler and the abandoned entry");
     assert_eq!(
-        stats.translations, 2,
+        counter(&service, "velv_serve_cancelled_total"),
+        2,
+        "the filler and the abandoned entry"
+    );
+    assert_eq!(
+        counter(&service, "velv_serve_translations_total"),
+        2,
         "the abandoned entry is never translated"
     );
     service.shutdown();
@@ -442,8 +473,11 @@ fn decomposed_mode_checks_each_obligation() {
             result.verdict
         );
     }
-    let stats = service.stats();
-    assert_eq!(stats.fresh_solves, 4, "certified and plain jobs differ");
+    assert_eq!(
+        counter(&service, "velv_serve_fresh_solves_total"),
+        4,
+        "certified and plain jobs differ"
+    );
     service.shutdown();
 }
 
@@ -462,7 +496,7 @@ fn keep_proof_stores_a_drat_artifact() {
     assert!(!proof.is_empty());
     let text = std::str::from_utf8(proof).expect("DRAT text is UTF-8");
     assert!(text.lines().last().unwrap_or("").trim_end().ends_with('0'));
-    assert_eq!(service.stats().proofs_kept, 1);
+    assert_eq!(counter(&service, "velv_serve_proofs_kept_total"), 1);
     service.shutdown();
 }
 
@@ -482,7 +516,7 @@ fn keep_proof_on_ooo_4_lifts_and_answers_correct() {
         .cached(ticket.fingerprint())
         .expect("the verdict is cached");
     assert!(entry.proof_drat.is_none());
-    assert_eq!(service.stats().proofs_kept, 0);
+    assert_eq!(counter(&service, "velv_serve_proofs_kept_total"), 0);
     service.shutdown();
 }
 
@@ -506,7 +540,7 @@ fn shutdown_under_a_keep_proof_job_reports_cancelled() {
         result.verdict,
         velv_core::Verdict::Unknown("cancelled".to_owned())
     );
-    assert_eq!(service.stats().proofs_kept, 0);
+    assert_eq!(counter(&service, "velv_serve_proofs_kept_total"), 0);
 }
 
 #[test]
@@ -530,9 +564,9 @@ fn portfolio_jobs_report_live_progress() {
 #[test]
 fn tiny_cache_evicts_under_byte_pressure() {
     let mut config = ServiceConfig::default().with_workers(2);
-    // Room for roughly one entry: every new verdict displaces the old one.
+    // Room for at most one entry per shard: a new verdict displaces the
+    // old one or is refused outright.
     config.cache_bytes = 600;
-    config.cache_shards = 1;
     let service = ServeHandle::start(config);
     for i in 0..2 {
         let result = service
@@ -541,13 +575,16 @@ fn tiny_cache_evicts_under_byte_pressure() {
             .wait();
         assert!(result.verdict.is_buggy());
     }
-    let stats = service.stats();
+    let snapshot = service.registry_snapshot();
+    let value = |name: &str| {
+        let sample = snapshot.get(name, &[]).expect("registered");
+        sample.value.as_u64().expect("a non-negative reading")
+    };
     assert!(
-        stats.cache.evictions + stats.cache.oversize >= 1,
-        "byte pressure must evict or refuse: {:?}",
-        stats.cache
+        value("velv_serve_cache_evictions_total") + value("velv_serve_cache_oversize_total") >= 1,
+        "byte pressure must evict or refuse: {snapshot:?}"
     );
-    assert!(stats.cache.bytes <= stats.cache.capacity_bytes);
+    assert!(value("velv_serve_cache_bytes") <= value("velv_serve_cache_capacity_bytes"));
     service.shutdown();
 }
 
@@ -624,7 +661,7 @@ fn invalid_jobs_are_rejected_without_scheduling() {
         service.submit(JobSpec::new(ModelRef::dlx1_bug(10_000))),
         Err(velv_serve::ServeError::InvalidJob(_))
     ));
-    assert_eq!(service.stats().translations, 0);
+    assert_eq!(counter(&service, "velv_serve_translations_total"), 0);
     service.shutdown();
 }
 
@@ -687,9 +724,12 @@ fn specs_the_workers_cannot_honour_are_rejected_at_admission() {
             "batch holding {wire}"
         );
     }
-    let stats = service.stats();
-    assert_eq!(stats.translations, 0, "nothing was scheduled");
-    assert_eq!(stats.dedup_joins, 0);
+    assert_eq!(
+        counter(&service, "velv_serve_translations_total"),
+        0,
+        "nothing was scheduled"
+    );
+    assert_eq!(service.stats().dedup_joins, 0);
     let retry = service
         .submit(JobSpec::new(ModelRef::dlx1_correct()))
         .expect("accepted")
@@ -729,22 +769,17 @@ fn decomposed_jobs_run_the_back_end_they_name() {
 /// one verdict.
 fn assert_accounting(service: &ServeHandle) {
     let stats = service.stats();
-    let mem_rejections: u64 = service
-        .registry_snapshot()
-        .flat_fields()
-        .into_iter()
-        .find(|(k, _)| k == "velv_mem_pressure_rejections_total")
-        .and_then(|(_, v)| v.parse().ok())
-        .expect("the memory-pressure rejection counter is exported");
     assert_eq!(
         stats.submitted,
-        stats.cache_hits + stats.dedup_joins + stats.completed + mem_rejections,
+        stats.cache_hits + stats.dedup_joins + stats.completed + stats.mem_pressure_rejections,
         "{stats:?}"
     );
+    let verdicts = ["correct", "buggy", "unknown"]
+        .map(|verdict| counter(service, &format!("velv_serve_verdict_{verdict}_total")));
     assert_eq!(
         stats.completed,
-        stats.correct + stats.buggy + stats.unknown,
-        "{stats:?}"
+        verdicts.iter().sum::<u64>(),
+        "{verdicts:?}"
     );
 }
 
@@ -789,16 +824,16 @@ fn accounting_identities_hold_at_quiescence() {
     let hit = service.submit(decomposed(1)).expect("accepted").wait();
     assert!(hit.from_cache);
     wait_until("the cancelled job to be counted", || {
-        service.stats().cancelled == 1
+        counter(&service, "velv_serve_cancelled_total") == 1
     });
 
     let stats = service.stats();
     assert_eq!(stats.submitted, 6);
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.dedup_joins, 1);
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.busy_rejections, 1);
-    assert_eq!(stats.buggy, 1);
+    assert_eq!(counter(&service, "velv_serve_jobs_shed_total"), 1);
+    assert_eq!(counter(&service, "velv_serve_busy_rejections_total"), 1);
+    assert_eq!(counter(&service, "velv_serve_verdict_buggy_total"), 1);
     assert_accounting(&service);
     service.shutdown();
     assert_accounting(&service);
@@ -850,8 +885,8 @@ fn a_job_answered_by_the_workers_cache_recheck_counts_once() {
     let result = second.wait();
     assert!(result.verdict.is_correct(), "{:?}", result.verdict);
     assert!(result.from_cache);
+    assert_eq!(counter(&service, "velv_serve_fresh_solves_total"), 1);
     let stats = service.stats();
-    assert_eq!(stats.fresh_solves, 1);
     assert_eq!((stats.cache_hits, stats.completed), (1, 1), "{stats:?}");
     assert_accounting(&service);
     service.shutdown();

@@ -6,6 +6,14 @@
 use velv_serve::{JobSpec, ModelRef, ServeHandle, ServiceConfig};
 use velv_store::{failpoint, FailAction};
 
+/// A service counter read from its registry by wire name.
+fn counter(service: &ServeHandle, name: &str) -> u64 {
+    service
+        .registry_snapshot()
+        .counter(name)
+        .unwrap_or_else(|| panic!("the service registers no counter {name}"))
+}
+
 #[test]
 fn a_panicking_worker_yields_an_error_verdict_and_the_pool_keeps_serving() {
     // A panicking worker must dump the flight ring; arm the ring (the wire
@@ -30,9 +38,12 @@ fn a_panicking_worker_yields_an_error_verdict_and_the_pool_keeps_serving() {
         }
         other => panic!("a panicked job must resolve unknown, got {other:?}"),
     }
-    let stats = service.stats();
-    assert_eq!(stats.worker_panics, 1);
-    assert_eq!(stats.persisted, 0, "panic verdicts are never persisted");
+    assert_eq!(counter(&service, "velv_serve_worker_panics_total"), 1);
+    assert_eq!(
+        counter(&service, "velv_serve_verdicts_persisted_total"),
+        0,
+        "panic verdicts are never persisted"
+    );
 
     // The dump landed before the panic verdict was delivered, so it is
     // already on disk here — and it holds the panicking job's span.
@@ -71,10 +82,13 @@ fn a_panicking_worker_yields_an_error_verdict_and_the_pool_keeps_serving() {
         .wait();
     assert!(retry.verdict.is_correct(), "{:?}", retry.verdict);
     assert!(!retry.from_cache, "the panic left nothing in the cache");
-    let stats = service.stats();
-    assert_eq!(stats.worker_panics, 1, "the trigger was one-shot");
-    assert_eq!(stats.fresh_solves, 1);
-    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(
+        counter(&service, "velv_serve_worker_panics_total"),
+        1,
+        "the trigger was one-shot"
+    );
+    assert_eq!(counter(&service, "velv_serve_fresh_solves_total"), 1);
+    assert_eq!(service.stats().cache_hits, 0);
 
     // And the cache works again after the incident.
     let warm = service

@@ -80,17 +80,23 @@ fn main() {
 
     let stats = service.stats();
     // Every submission ended as exactly one of a cache hit, a join of an
-    // identical in-flight job, or a completed job (no memory limit is set,
-    // so none was refused for memory).
+    // identical in-flight job, a completed job or a refusal for memory.
     assert_eq!(
         stats.submitted,
-        stats.cache_hits + stats.dedup_joins + stats.completed,
+        stats.cache_hits + stats.dedup_joins + stats.completed + stats.mem_pressure_rejections,
         "submission accounting: {stats:?}"
     );
-    println!("\n== service counters ==");
-    for (key, value) in stats.fields() {
-        println!("{key:<22} {value}");
+    let snapshot = service.registry_snapshot();
+    println!("\n== service registry ==");
+    for (key, value) in snapshot.flat_fields() {
+        println!("{key:<52} {value}");
     }
-    println!("cache hit ratio: {:.1}%", 100.0 * stats.cache.hit_ratio());
+    let lookups = |name| snapshot.counter(name).unwrap_or(0) as f64;
+    let hits = lookups("velv_serve_cache_lookup_hits_total");
+    let misses = lookups("velv_serve_cache_lookup_misses_total");
+    println!(
+        "cache hit ratio: {:.1}%",
+        100.0 * hits / (hits + misses).max(1.0)
+    );
     service.shutdown();
 }

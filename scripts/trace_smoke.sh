@@ -41,7 +41,7 @@ wait_for_ping
 "$velvc" --addr "$addr" submit model=dlx1:bug:3
 "$velvc" --addr "$addr" submit model=dlx1:correct
 
-# The SLO block and the derived percentiles are live after the workload.
+# The derived job-wall percentiles are live after the workload.
 stats="$("$velvc" --addr "$addr" stats)"
 for gauge in velv_serve_job_wall_p50_micros velv_serve_job_wall_p95_micros \
              velv_serve_job_wall_p99_micros; do

@@ -24,9 +24,17 @@ fn serving_layer_end_to_end() {
         fresh.verdict.counterexample(),
         cached.verdict.counterexample()
     );
-    let stats = service.stats();
-    assert_eq!(stats.translations, 1, "the cache hit translated nothing");
-    assert_eq!(stats.fresh_solves, 1, "the cache hit solved nothing");
+    let snapshot = service.registry_snapshot();
+    assert_eq!(
+        snapshot.counter("velv_serve_translations_total"),
+        Some(1),
+        "the cache hit translated nothing"
+    );
+    assert_eq!(
+        snapshot.counter("velv_serve_fresh_solves_total"),
+        Some(1),
+        "the cache hit solved nothing"
+    );
 
     // A batch over the catalog: one single job per fresh entry, verdicts as
     // expected.
@@ -43,8 +51,11 @@ fn serving_layer_end_to_end() {
     assert!(results[2].verdict.is_buggy());
     assert!(results[2].from_cache, "the batch reused the cached verdict");
 
-    let stats = service.stats();
-    assert_eq!(stats.cache_hits, 2);
-    assert!(stats.cache.entries >= 3);
+    assert_eq!(service.stats().cache_hits, 2);
+    let entries = service
+        .registry_snapshot()
+        .get("velv_serve_cache_entries", &[])
+        .and_then(|sample| sample.value.as_u64());
+    assert!(entries >= Some(3), "{entries:?}");
     service.shutdown();
 }
